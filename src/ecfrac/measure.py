@@ -14,8 +14,10 @@ history:
 
 The sandwich is what makes rigorous finite-state enclosures possible:
 marginal distributions and fractional moments E(b_n^theta) are bounded by
-dynamic programs over (depth, last digit <= cap) with all mass on digits
-beyond the cap controlled by series/integral tail bounds.
+one fixed-point dynamic program over (depth, last digit <= cap), which
+refines the sandwich by carrying an interval for the history through
+z = b_n Q_{n-1}/Q_n, with all mass on digits beyond the cap controlled by
+series/integral tail bounds.
 """
 
 from __future__ import annotations
@@ -161,30 +163,87 @@ def marginal_exact(n: int, kmax: int, budget: int = DEFAULT_BUDGET) -> MarginalT
     return MarginalTable(n, kmax, entries, tail)
 
 
-def marginal_interval_dp(n: int, cap: int) -> MarginalTable:
-    """Sandwich-propagated enclosure of the law of b_n, tracking digits <= cap.
+def _dp_bits(n: int, cap: int, prec: int) -> int:
+    """Fixed-point bits for a depth-n, cap-`cap` DP at interval precision prec.
 
-    Lower and upper vectors evolve by the two sandwich kernels; since digits
-    never decrease, mass on digits > cap can never return to a tracked
-    digit, so tracked entries receive no tail inflow and the tail itself is
-    bounded by complementation.
+    The smallest tracked mass, P(b_n = 1) ~ phi^(-2n), needs about 1.4 n
+    bits above prec to keep prec relative bits; the first-digit law
+    1/(k(k+1)) needs 2 log2(cap).
+    """
+    return prec + 2 * n + 2 * cap.bit_length()
+
+
+def _propagate(n: int, cap: int, bits: int):
+    """The marginal/moment DP over (depth, last digit <= cap) in fixed point.
+
+    Returns (mass_lo, mass_up, exit_lo, exit_up), all integers over
+    2^bits: index j-1 of the mass lists bounds P(b_n = j, b_1..b_n <= cap)
+    from below and above, and entry d-1 of the exit lists is the exact sum
+    over j of mass_lo[j] * j, resp. mass_up[j] * (j+1), at depth d < n.
+
+    A step uses the exact conditional Phi = (j+z)/((k+z)(k+1+z)), where
+    z = b_d Q_{d-1}/Q_d satisfies z_1 = 1 and z' = k/(k+z), carried as a
+    per-state interval [z_lo, z_hi]; Phi increases in its numerator's z
+    and decreases in its denominator's.  Lower masses and z_lo are rounded
+    down (floor division), upper masses and z_hi up (ceiling division), so
+    every entry stays a bound; the all-ones state keeps a 1-ulp z interval,
+    which is what lets the Fibonacci decay of the digit-1 mass survive.
+    """
+    one = 1 << bits
+    mass_lo = [one // (k * (k + 1)) for k in range(1, cap + 1)]
+    mass_up = [-(-one // (k * (k + 1))) for k in range(1, cap + 1)]
+    z_lo = [one] * cap
+    z_hi = [one] * cap
+    exit_lo = []
+    exit_up = []
+    for _ in range(n - 1):
+        exit_lo.append(sum(m * j for j, m in enumerate(mass_lo, 1)))
+        exit_up.append(sum(m * (j + 1) for j, m in enumerate(mass_up, 1)))
+        # Per source state: mass times the Phi numerator, shifted so that
+        # dividing by a Phi denominator (over one^2) leaves a mass over one.
+        num_lo = [(m * (j * one + a)) << bits
+                  for j, (m, a) in enumerate(zip(mass_lo, z_lo), 1)]
+        num_up = [(m * (j * one + b)) << bits
+                  for j, (m, b) in enumerate(zip(mass_up, z_hi), 1)]
+        new_lo, new_up, new_z_lo, new_z_hi = [], [], [], []
+        zmin, zmax = one, 0
+        for k in range(1, cap + 1):
+            zmin = min(zmin, z_lo[k - 1])
+            zmax = max(zmax, z_hi[k - 1])
+            k0 = k * one
+            k1 = k0 + one
+            acc_lo = acc_up = 0
+            for j in range(k):
+                b = z_hi[j]
+                acc_lo += num_lo[j] // ((k0 + b) * (k1 + b))
+                a = z_lo[j]
+                acc_up -= -num_up[j] // ((k0 + a) * (k1 + a))
+            new_lo.append(acc_lo)
+            new_up.append(acc_up)
+            new_z_lo.append((k0 << bits) // (k0 + zmax))
+            new_z_hi.append(-(-(k0 << bits) // (k0 + zmin)))
+        mass_lo, mass_up, z_lo, z_hi = new_lo, new_up, new_z_lo, new_z_hi
+    return mass_lo, mass_up, exit_lo, exit_up
+
+
+def marginal_interval_dp(n: int, cap: int) -> MarginalTable:
+    """Enclosure of the law of b_n, tracking digits <= cap.
+
+    The entries are the mass bounds of the fixed-point DP kernel, whose
+    steps use the range of the exact conditional Phi over each state's
+    z-interval rather than the uniform sandwich; endpoints are dyadic
+    rationals rounded outward.  Since digits never decrease, mass on digits
+    > cap can never return to a tracked digit, so tracked entries receive
+    no tail inflow and the tail itself is bounded by complementation.
     """
     if n < 1 or cap < 1:
         raise ValueError("marginal_interval_dp needs n >= 1 and cap >= 1")
-    kk = range(1, cap + 1)
-    lo = {k: Fraction(1, k * (k + 1)) for k in kk}
-    up = dict(lo)
-    for _ in range(n - 1):
-        new_lo = {}
-        new_up = {}
-        for k in kk:
-            new_lo[k] = sum(lo[j] * Fraction(j, k * (k + 2)) for j in range(1, k + 1))
-            new_up[k] = sum(up[j] * Fraction(j + 1, k * (k + 1)) for j in range(1, k + 1))
-        lo, up = new_lo, new_up
-    entries = {k: ProbInterval(lo[k], min(up[k], Fraction(1))) for k in kk}
-    sum_lo = sum(lo.values())
-    sum_up = sum(up.values())
-    tail = ProbInterval(max(Fraction(0), 1 - sum_up), 1 - sum_lo)
+    bits = _dp_bits(n, cap, default_precision())
+    one = 1 << bits
+    lo, up, _, _ = _propagate(n, cap, bits)
+    entries = {k: ProbInterval(Fraction(lo[k - 1], one), Fraction(min(up[k - 1], one), one))
+               for k in range(1, cap + 1)}
+    tail = ProbInterval(Fraction(max(0, one - sum(up)), one), Fraction(one - sum(lo), one))
     return MarginalTable(n, cap, entries, tail)
 
 
@@ -304,28 +363,19 @@ def series_bounds_check(j: int, theta: Fraction, terms: int = 2000,
     return lower_ok, upper_ok
 
 
-def _phi_bounds(j: int, k: int, z_lo: Fraction, z_hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Range bounds of Phi over z in [z_lo, z_hi], via monotone pieces.
-
-    Phi = (j+z)/((k+z)(k+1+z)): numerator increasing, denominator increasing.
-    """
-    lo = (j + z_lo) / ((k + z_hi) * (k + 1 + z_hi))
-    hi = (j + z_hi) / ((k + z_lo) * (k + 1 + z_lo))
-    return lo, hi
-
-
 def moment_interval(n: int, theta: Fraction, cap: int = 60,
                     prec: int | None = None) -> ProbInterval | ExtendedReal:
     """Two-sided enclosure of E(b_n^theta) for theta < 1 (else +infinity).
 
-    The enclosure is a dynamic program over (depth, last digit <= cap).
-    Tracked states are refined beyond the uniform sandwich: the exact
-    conditional is Phi = (j+z)/((k+z)(k+1+z)) where z = b_d Q_{d-1}/Q_d
-    satisfies z_1 = 1 and z' = k/(k+z), so z stays in [1/2, 1] and is
-    carried as a per-state interval (the all-ones state keeps z exact, so
-    the Fibonacci decay of digit-1 mass survives the DP).  A word leaves
-    the tracked region at most once (digits never decrease); each exiting
-    cohort's remaining theta-weighted growth is bounded per level by
+    The tracked part is the mass output of the fixed-point DP kernel over
+    (depth, last digit <= cap), weighted by j^theta.  Its steps are refined
+    beyond the uniform sandwich: the exact conditional is
+    Phi = (j+z)/((k+z)(k+1+z)) with z = b_d Q_{d-1}/Q_d carried as a
+    per-state interval (the all-ones state keeps a 1-ulp z interval, so the
+    Fibonacci decay of digit-1 mass survives the DP), and masses are
+    dyadic rationals rounded outward.  A word leaves the tracked region at
+    most once (digits never decrease); each exiting cohort's remaining
+    theta-weighted growth is bounded per level by
 
         lower: ((cap+1)/(cap+3)) / (1-theta)
         upper: (1+1/j)(1-1/j)^(theta-1)/(1-theta) at j = cap+1,
@@ -341,12 +391,9 @@ def moment_interval(n: int, theta: Fraction, cap: int = 60,
     if theta == 0:
         return ProbInterval.point(Fraction(1))
     prec = default_precision() if prec is None else prec
-
-    kk = range(1, cap + 1)
-    mass_lo = {j: Fraction(1, j * (j + 1)) for j in kk}
-    mass_up = dict(mass_lo)
-    z_lo = {j: Fraction(1) for j in kk}
-    z_hi = {j: Fraction(1) for j in kk}
+    bits = _dp_bits(n, cap, prec)
+    one = 1 << bits
+    mass_lo, mass_up, exit_lo, exit_up = _propagate(n, cap, bits)
 
     m = cap + 1
     integral, sum_bound = _integral_tail(m, theta, prec)
@@ -355,56 +402,25 @@ def moment_interval(n: int, theta: Fraction, cap: int = 60,
     exit_up_per_j = sum_bound                              # times (j+1)
     exit_lo_per_j = Fraction(m, m + 2) * integral          # times j
     s_up = s_upper_factor(m, theta, prec)                  # per remaining level
-    s_lo = Fraction(m, m + 2) / (1 - theta)
-    s_lo_iv = OutwardInterval.from_value(s_lo, prec)
-
-    zero = OutwardInterval.from_value(0, prec)
-    tail_lo_total = zero
-    tail_up_total = zero
+    s_lo = OutwardInterval.from_value(Fraction(m, m + 2) / (1 - theta), prec)
 
     # Words whose very first digit already exceeds the cap:
     # P(b_1 = j) j^theta = j^(theta-1)/(j+1) in [k^(theta-2) m/(m+1), k^(theta-2)].
-    first_lo = Fraction(m, m + 1) * integral
-    first_hi = sum_bound
-    tail_lo_total = tail_lo_total + first_lo * _int_pow_iv(s_lo_iv, n - 1)
-    tail_up_total = tail_up_total + first_hi * _int_pow_iv(s_up, n - 1)
-
-    for depth in range(1, n):
+    tail_lo = Fraction(m, m + 1) * integral * _int_pow_iv(s_lo, n - 1)
+    tail_up = sum_bound * _int_pow_iv(s_up, n - 1)
+    for depth, (out_lo, out_up) in enumerate(zip(exit_lo, exit_up), 1):
         remaining = n - depth - 1  # levels left after arriving beyond the cap
-        exit_mass_lo = sum(mass_lo[j] * j for j in kk)
-        exit_mass_up = sum(mass_up[j] * (j + 1) for j in kk)
-        tail_lo_total = tail_lo_total + exit_mass_lo * exit_lo_per_j * _int_pow_iv(s_lo_iv, remaining)
-        tail_up_total = tail_up_total + exit_mass_up * exit_up_per_j * _int_pow_iv(s_up, remaining)
+        tail_lo = tail_lo + Fraction(out_lo, one) * exit_lo_per_j * _int_pow_iv(s_lo, remaining)
+        tail_up = tail_up + Fraction(out_up, one) * exit_up_per_j * _int_pow_iv(s_up, remaining)
 
-        new_mass_lo = {}
-        new_mass_up = {}
-        new_z_lo = {}
-        new_z_hi = {}
-        for k in kk:
-            acc_lo = Fraction(0)
-            acc_up = Fraction(0)
-            for j in range(1, k + 1):
-                phi_lo, phi_hi = _phi_bounds(j, k, z_lo[j], z_hi[j])
-                acc_lo += mass_lo[j] * phi_lo
-                acc_up += mass_up[j] * phi_hi
-            new_mass_lo[k] = acc_lo
-            new_mass_up[k] = acc_up
-            zmin = min(z_lo[j] for j in range(1, k + 1))
-            zmax = max(z_hi[j] for j in range(1, k + 1))
-            new_z_lo[k] = Fraction(k, k + zmax)
-            new_z_hi[k] = Fraction(k, k + zmin)
-        mass_lo, mass_up = new_mass_lo, new_mass_up
-        z_lo, z_hi = new_z_lo, new_z_hi
-
-    tracked_lo = zero
-    tracked_hi = zero
-    for j in kk:
+    tracked_lo = tracked_hi = OutwardInterval.from_value(0, prec)
+    for j, (m_lo, m_up) in enumerate(zip(mass_lo, mass_up), 1):
         jpow = interval_pow(j, theta, prec)
-        tracked_lo = tracked_lo + mass_lo[j] * jpow
-        tracked_hi = tracked_hi + mass_up[j] * jpow
+        tracked_lo = tracked_lo + Fraction(m_lo, one) * jpow
+        tracked_hi = tracked_hi + Fraction(m_up, one) * jpow
 
-    lo = tracked_lo.lo + tail_lo_total.lo
-    hi = tracked_hi.hi + tail_up_total.hi
+    lo = tracked_lo.lo + tail_lo.lo
+    hi = tracked_hi.hi + tail_up.hi
     return ProbInterval(max(Fraction(0), lo), hi)
 
 

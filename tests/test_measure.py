@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecfrac.expansion import continuants
-from ecfrac.measure import (ProbInterval, binet_q,
+from ecfrac.measure import (ProbInterval, _dp_bits, binet_q,
                             conditional_given_last, conditional_probability,
                             cylinder_measure, marginal_exact,
                             marginal_interval_dp, moment_interval,
                             prob_digit_one, series_bounds_check,
                             transition_bounds)
-from ecfrac.numerics import ExtendedReal
+from ecfrac.numerics import ExtendedReal, default_precision
+from exact_dp import moment_oracle, uniform_marginal
 
 # hand-computed golden measures: prod(b_i, i < n) / (Q_n (Q_n + Q_{n-1}))
 GOLDEN_MEASURES = [
@@ -113,6 +114,49 @@ def test_marginal_table_mass_bracket():
     low = sum(cell.lo for cell in table.entries.values()) + table.tail.lo
     high = sum(cell.hi for cell in table.entries.values()) + table.tail.hi
     assert low <= 1 <= high
+
+
+def test_marginal_digit_one_keeps_precision_at_depth_120():
+    # P(b_120 = 1) ~ phi^-240 ~ 2^-167: a fixed point of 128 bits would
+    # round its lower bound to 0; the derived precision keeps it tight.
+    exact, _ = prob_digit_one(120)
+    cell = marginal_interval_dp(120, 3).entries[1]
+    assert 0 < cell.lo <= exact <= cell.hi
+    assert cell.hi / cell.lo <= 1 + Fraction(1, 2**64)
+
+
+@given(st.integers(1, 6), st.integers(1, 12))
+@settings(max_examples=40, deadline=None)
+def test_marginal_dp_encloses_exact_and_beats_uniform_sandwich(n, cap):
+    table = marginal_interval_dp(n, cap)
+    exact = marginal_exact(n, cap)
+    uniform = uniform_marginal(n, cap)
+    # each of the n - 1 steps rounds at most cap terms per entry, one ulp
+    # of 2^-bits each, on either side
+    slack = Fraction(n * cap, 2 ** (_dp_bits(n, cap, default_precision()) - 2))
+    for k in range(1, cap + 1):
+        assert table.entries[k].contains(exact.entries[k].lo), (n, cap, k)
+        assert table.entries[k].width <= uniform.entries[k].width + slack, (n, cap, k)
+    assert table.tail.contains(exact.tail.lo)
+    assert table.tail.width <= uniform.tail.width + slack
+
+
+@given(st.integers(1, 6), st.integers(1, 12),
+       st.sampled_from([Fraction(-3), Fraction(-1, 2), Fraction(1, 2), Fraction(9, 10)]))
+@settings(max_examples=40, deadline=None)
+def test_moment_fixed_point_contains_exact_dp(n, cap, theta):
+    # The oracle runs at twice the interval precision, so that the final
+    # 128-bit roundings of the two sums cannot decide containment.
+    oracle = moment_oracle(n, theta, cap, prec=2 * default_precision())
+    assert moment_interval(n, theta, cap=cap).contains(oracle), (n, cap, theta)
+
+
+def test_moment_fixed_point_matches_exact_dp_at_cap_60():
+    enc = moment_interval(8, Fraction(1, 2), cap=60)
+    oracle = moment_oracle(8, Fraction(1, 2), 60)
+    # |r - 1| < 5e-21 gives |log(hi/lo) - log(oracle hi/lo)| = |log r| < 1e-20
+    ratio = (enc.hi * oracle.lo) / (enc.lo * oracle.hi)
+    assert abs(ratio - 1) < Fraction(1, 2 * 10**20)
 
 
 def test_prob_digit_one_sandwich():
