@@ -26,8 +26,7 @@ from .deviations import (GrowthTable, MdpTable, RateFunctionId,
 from .montecarlo import (CltReport, EventEstimate, LdpReport, LlnReport,
                          RNG_ALGORITHM, SampleConfig, TailRequest, clt_report,
                          clopper_pearson, default_bits, estimate_event,
-                         ldp_slope, lln_report, sample_dyadic, simulate_digits,
-                         tail_counts, tail_threshold)
+                         ldp_slope, lln_report, tail_counts, tail_threshold)
 from .checks import CheckResult, run_suite
 
 __version__ = "0.1.0"
@@ -46,6 +45,6 @@ __all__ = [
     "is_admissible", "ldp_slope", "legendre_numeric", "lln_report",
     "marginal_exact", "marginal_interval_dp", "mdp_curve", "moment_growth_rate",
     "moment_interval", "moment_limit", "prob_digit_one", "pressure", "rate",
-    "reconstruct", "run_suite", "sample_dyadic", "simulate_digits",
-    "tail_counts", "tail_threshold", "transition_bounds", "xi_b",
+    "reconstruct", "run_suite", "tail_counts", "tail_threshold",
+    "transition_bounds", "xi_b",
 ]

@@ -83,6 +83,13 @@ def _extended(value: ExtendedReal) -> dict | str:
     return _outward(value.value)
 
 
+def _extended_row(out: dict | str) -> dict:
+    """The lo/hi CSV cells of an _extended value; infinity fills both."""
+    if isinstance(out, dict):
+        return {"lo": out["lo"], "hi": out["hi"]}
+    return {"lo": out, "hi": out}
+
+
 def _prob(iv) -> dict:
     return {"lo": _rat(iv.lo), "hi": _rat(iv.hi)}
 
@@ -177,10 +184,8 @@ def _cmd_growth(args):
                                cap_schedule=args.cap)
     rows = []
     for r in table.rows:
-        val = _extended(r.value)
         rows.append({"n": str(r.n), "cap": str(r.cap),
-                     "lo": val["lo"] if isinstance(val, dict) else val,
-                     "hi": val["hi"] if isinstance(val, dict) else val})
+                     **_extended_row(_extended(r.value))})
     payload = {"theta": _rat(table.theta), "limit": _extended(table.limit),
                "rows": rows}
     return payload, rows
@@ -189,9 +194,7 @@ def _cmd_growth(args):
 def _cmd_pressure(args):
     value = pressure(_fraction(args.theta))
     out = _extended(value)
-    rows = [{"lo": out["lo"], "hi": out["hi"]} if isinstance(out, dict)
-            else {"lo": out, "hi": out}]
-    return {"value": out}, rows
+    return {"value": out}, [_extended_row(out)]
 
 
 _RATE_KINDS = {
@@ -206,9 +209,7 @@ def _cmd_rate(args):
     rid = RateFunctionId(kind, b=args.b) if kind == "I_b" else RateFunctionId(kind)
     value = rate(rid, _fraction(args.x))
     out = _extended(value)
-    rows = [{"lo": out["lo"], "hi": out["hi"]} if isinstance(out, dict)
-            else {"lo": out, "hi": out}]
-    return {"value": out}, rows
+    return {"value": out}, [_extended_row(out)]
 
 
 def _cmd_legendre(args):
@@ -216,9 +217,7 @@ def _cmd_legendre(args):
     value = legendre_numeric(pressure, _fraction(args.x), bracket=bracket,
                              target_width=_fraction(args.target_width))
     out = _extended(value)
-    rows = [{"lo": out["lo"], "hi": out["hi"]} if isinstance(out, dict)
-            else {"lo": out, "hi": out}]
-    return {"value": out}, rows
+    return {"value": out}, [_extended_row(out)]
 
 
 def _cmd_mdp(args):
@@ -265,7 +264,7 @@ def _parse_event(text: str):
 
 def _mc_config(args) -> SampleConfig:
     return SampleConfig(seed=args.seed, trials=args.trials, depth=args.n,
-                        bits=args.bits, workers=args.workers)
+                        bits=args.bits)
 
 
 def _cmd_mc(args):
@@ -500,7 +499,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--n", type=int, required=True, help="digit depth")
     p.add_argument("--bits", type=int)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--eps")
     p.add_argument("--tail", choices=("lower", "upper"), default="lower")
     p.add_argument("--n-list")

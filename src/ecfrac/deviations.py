@@ -27,6 +27,7 @@ from .measure import moment_interval
 from .numerics import (
     ExtendedReal,
     OutwardInterval,
+    _as_interval,
     default_precision,
     interval_exp,
     interval_log,
@@ -82,16 +83,10 @@ class GoldenConstants:
         )
 
 
-def _as_iv(x, prec: int) -> OutwardInterval:
-    if isinstance(x, OutwardInterval):
-        return x
-    return OutwardInterval.from_value(x, prec)
-
-
 def pressure(theta, prec: int | None = None) -> ExtendedReal:
     """Lambda(theta); +infinity for theta >= 1, hull at the -phi breakpoint."""
     prec = default_precision() if prec is None else prec
-    t = _as_iv(theta, prec)
+    t = _as_interval(theta, prec)
     if t.hi >= 1:
         return ExtendedReal.infinity()
     consts = GoldenConstants.compute(prec)
@@ -133,7 +128,7 @@ def rate(rid: RateFunctionId, x, prec: int | None = None) -> ExtendedReal:
     branches; outside the effective domain the value is +infinity.
     """
     prec = default_precision() if prec is None else prec
-    x_iv = _as_iv(x, prec)
+    x_iv = _as_interval(x, prec)
 
     if rid.kind == "pressure_Lambda":
         return pressure(x_iv, prec)

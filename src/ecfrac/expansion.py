@@ -56,17 +56,40 @@ def _require_admissible(word: Sequence[int]) -> DigitWord:
     return w
 
 
-def ecf_step(x: Fraction) -> tuple[int, Fraction]:
-    """One application of the digit map: x -> (floor(1/x), T(x)).
+def _lockstep_walk(p_lo: int, q_lo: int, p_hi: int, q_hi: int,
+                   max_digits: int) -> tuple[list[int], bool]:
+    """Digit prefix shared by every point of [p_lo/q_lo, p_hi/q_hi], and
+    whether max_digits cut it off.
 
-    The remainder T(x) = (1/d)*(1/x - d) lies in [0, 1); it is 0 exactly
-    when 1/x is an integer.
+    Both endpoints are expanded in lockstep until they disagree or one
+    terminates; cylinders are intervals, so a prefix shared by the
+    endpoints is shared by everything in between.  One step maps p/q to
+    (q - d*p)/(d*p) with d = q // p on unnormalized integer pairs, and
+    d*p <= q, so the operands never grow past the initial denominators.
+    The digit map is decreasing, so the two images trade places as the
+    smaller end at every step; every test below is symmetric in them, so
+    the walk never reorders them.  A cell touching 0 shares no digit (b_1
+    is unbounded there).  This is the hot path of million-trial Monte
+    Carlo runs.
     """
-    if not 0 < x <= 1:
-        raise ValueError(f"ecf_step requires x in (0, 1], got {x}")
-    p, q = x.numerator, x.denominator
-    d = q // p
-    return d, Fraction(q - d * p, d * p)
+    if p_lo == 0:
+        return [], False
+    digits: list[int] = []
+    while len(digits) < max_digits:
+        d_lo = q_lo // p_lo
+        d_hi = q_hi // p_hi
+        if d_lo != d_hi:
+            return digits, False
+        digits.append(d_lo)
+        p_lo, q_lo = q_lo - d_lo * p_lo, d_lo * p_lo
+        p_hi, q_hi = q_hi - d_hi * p_hi, d_hi * p_hi
+        if p_lo == 0 or p_hi == 0:
+            # One endpoint's expansion ended here.  Nearby interior points
+            # have arbitrarily large next digits, so nothing more is shared.
+            # (Both end together only for a degenerate interval, whose full
+            # expansion is then complete.)
+            return digits, False
+    return digits, True
 
 
 def expand_rational(x: Fraction, max_digits: int = 64) -> CertifiedExpansion:
@@ -75,51 +98,24 @@ def expand_rational(x: Fraction, max_digits: int = 64) -> CertifiedExpansion:
     truncated=False means the remainder reached 0 and ``digits`` is the
     complete expansion: reconstruct(digits) == x.
     """
-    if max_digits < 1:
-        raise ValueError("max_digits must be >= 1")
-    if not 0 < x <= 1:
-        raise ValueError(f"expand_rational requires x in (0, 1], got {x}")
-    x = Fraction(x)
-    digits: list[int] = []
-    while len(digits) < max_digits:
-        d, x = ecf_step(x)
-        digits.append(d)
-        if x == 0:
-            return CertifiedExpansion(tuple(digits), len(digits), False)
-    return CertifiedExpansion(tuple(digits), len(digits), x != 0)
+    return expand_interval(x, x, max_digits)
 
 
 def expand_interval(lo: Fraction, hi: Fraction, max_digits: int = 64) -> CertifiedExpansion:
-    """Longest common digit prefix of every point in [lo, hi].
+    """Longest common digit prefix of every point in [lo, hi], from the
+    lockstep walk over its endpoints.
 
-    Cylinders are intervals, so a prefix shared by both endpoints is shared
-    by everything in between; the endpoints are expanded exactly and in
-    lockstep until they disagree or one terminates.  (When an endpoint's
-    expansion terminates at depth n, no digit b_{n+1} is shared: the
-    sub-cylinders accumulate at that endpoint.)
+    (When an endpoint's expansion terminates at depth n, no digit b_{n+1}
+    is shared: the sub-cylinders accumulate at that endpoint.)
     """
     if max_digits < 1:
         raise ValueError("max_digits must be >= 1")
     lo, hi = Fraction(lo), Fraction(hi)
     if not (0 < lo <= hi <= 1):
-        raise ValueError(f"expand_interval requires 0 < lo <= hi <= 1, got [{lo}, {hi}]")
-    digits: list[int] = []
-    a, b = lo, hi
-    while len(digits) < max_digits:
-        d_lo, a = ecf_step(a)
-        d_hi, b = ecf_step(b)
-        if d_lo != d_hi:
-            return CertifiedExpansion(tuple(digits), len(digits), False)
-        digits.append(d_lo)
-        if a == 0 or b == 0:
-            # One endpoint's expansion ended here.  Nearby interior points
-            # have arbitrarily large next digits, so nothing more is shared.
-            # (Both hit 0 together only for a degenerate input interval,
-            # whose full expansion is then complete.)
-            return CertifiedExpansion(tuple(digits), len(digits), False)
-        # The digit map is decreasing, so the image interval swaps ends.
-        a, b = b, a
-    return CertifiedExpansion(tuple(digits), len(digits), True)
+        raise ValueError(f"expansion needs 0 < lo <= hi <= 1, got [{lo}, {hi}]")
+    digits, truncated = _lockstep_walk(lo.numerator, lo.denominator,
+                                       hi.numerator, hi.denominator, max_digits)
+    return CertifiedExpansion(tuple(digits), len(digits), truncated)
 
 
 def reconstruct(word: Sequence[int]) -> Fraction:

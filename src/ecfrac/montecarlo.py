@@ -1,12 +1,13 @@
 """Seeded Monte Carlo verification of the digit limit theorems.
 
-Sampling is exact: each trial draws a dyadic rational (k+1)/2^B and the
-digit statistics are computed from the certified common prefix of the cell
-[x, x + 2^-B], so no floating-point drift can corrupt a digit.  Trials are
-keyed by (seed, index) through a counter-based generator (numpy Philox,
-recorded as the algorithm name in reports), which makes every report a
-deterministic function of its SampleConfig regardless of how trials are
-scheduled or chunked.
+Sampling is exact: each trial draws k uniformly from [0, 2^B) and
+samples the dyadic cell [k/2^B, (k+1)/2^B]; the digit statistics are
+computed from the prefix that every point of the cell shares (the lockstep
+walk of expansion.expand_interval), so no floating-point drift can corrupt
+a digit.  Trials are keyed by
+(seed, index) through a counter-based generator (numpy Philox, recorded
+as the algorithm name in reports), which makes every report a
+deterministic function of its SampleConfig.
 
 Uncertified trials (cell wider than the depth-n cylinder) are excluded
 from both numerator and denominator but always reported.
@@ -23,7 +24,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 from scipy.stats import beta as _beta_dist
 
-from .expansion import CertifiedExpansion, expand_interval
+from .expansion import CertifiedExpansion, _lockstep_walk
 from .numerics import OutwardInterval, interval_exp
 
 RNG_ALGORITHM = "philox4x64 (numpy.random.Philox, key=seed, counter=trial index)"
@@ -40,7 +41,6 @@ class SampleConfig:
     trials: int
     depth: int
     bits: int | None = None
-    workers: int = 1
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:
@@ -53,8 +53,6 @@ class SampleConfig:
             object.__setattr__(self, "bits", default_bits(self.depth))
         if self.bits < 1:
             raise ValueError("bits must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -77,66 +75,18 @@ def _raw_cell_index(seed: int, index: int, bits: int) -> int:
     return int.from_bytes(gen.bytes(nbytes), "little") & ((1 << bits) - 1)
 
 
-def sample_dyadic(config: SampleConfig) -> Iterator[Fraction]:
-    """Stream of (k+1)/2^B samples, one per trial index."""
-    den = 1 << config.bits
-    for index in range(config.trials):
-        k = _raw_cell_index(config.seed, index, config.bits)
-        yield Fraction(k + 1, den)
+def _digit_stream(config: SampleConfig) -> Iterator[tuple[list[int], bool]]:
+    """(certified digit prefix of length <= depth, truncated), one per trial.
 
-
-def simulate_digits(x: Fraction, bits: int, depth: int) -> CertifiedExpansion:
-    """Digits certified to be shared by every point of [x, x + 2^-bits].
-
-    The cell is clamped at 1 (the sample x = 1 gets the degenerate cell
-    [1, 1] and hence its full exact expansion).
-    """
-    x = Fraction(x)
-    hi = min(x + Fraction(1, 1 << bits), Fraction(1))
-    return expand_interval(x, hi, max_digits=depth)
-
-
-def _cell_digit_prefix(p_lo: int, q_lo: int, p_hi: int, q_hi: int,
-                       depth: int) -> list[int]:
-    """Certified digit prefix shared by [p_lo/q_lo, p_hi/q_hi].
-
-    Same lockstep walk as expand_interval, but on unnormalized integer
-    pairs: one step maps p/q to (q - d*p)/(d*p), and d*p <= q, so the
-    operands never grow past the initial denominator.  This is the hot
-    path for million-trial runs; expand_interval is its reference.
-    """
-    digits: list[int] = []
-    while len(digits) < depth:
-        d_lo = q_lo // p_lo
-        d_hi = q_hi // p_hi
-        if d_lo != d_hi:
-            break
-        digits.append(d_lo)
-        new_p_lo = q_lo - d_lo * p_lo
-        new_q_lo = d_lo * p_lo
-        new_p_hi = q_hi - d_hi * p_hi
-        new_q_hi = d_hi * p_hi
-        if new_p_lo == 0 or new_p_hi == 0:
-            break
-        # The digit map is decreasing: the image interval swaps ends.
-        p_lo, q_lo, p_hi, q_hi = new_p_hi, new_q_hi, new_p_lo, new_q_lo
-    return digits
-
-
-def _digit_stream(config: SampleConfig) -> Iterator[list[int]]:
-    """Certified digit prefixes (length <= depth), one per trial index.
-
-    Trials are independent functions of (seed, index), so any partition of
-    the index range over workers reproduces exactly these prefixes; the
+    A trial that draws k samples the cell [k/2^B, (k+1)/2^B]; the cell at
+    k = 0 touches 0 and certifies no digit.  Trials are independent functions of (seed, index), and the
     aggregations below are exact integer counters, independent of order.
     """
     den = 1 << config.bits
     depth = config.depth
     for index in range(config.trials):
         k = _raw_cell_index(config.seed, index, config.bits)
-        p_lo = k + 1
-        p_hi = min(k + 2, den)
-        yield _cell_digit_prefix(p_lo, den, p_hi, den, depth)
+        yield _lockstep_walk(k, den, k + 1, den, depth)
 
 
 def clopper_pearson(hits: int, trials: int,
@@ -182,9 +132,8 @@ def estimate_event(config: SampleConfig,
     as uncertified.
     """
     hits = certified = uncertified = 0
-    for prefix in _digit_stream(config):
-        expansion = CertifiedExpansion(tuple(prefix), len(prefix),
-                                       len(prefix) == config.depth)
+    for prefix, truncated in _digit_stream(config):
+        expansion = CertifiedExpansion(tuple(prefix), len(prefix), truncated)
         verdict = event(config.depth, expansion)
         if verdict is None:
             uncertified += 1
@@ -250,7 +199,7 @@ def tail_counts(config: SampleConfig,
     thresholds = {r: tail_threshold(r) for r in requests}
     hits = {r: 0 for r in requests}
     certified = {r: 0 for r in requests}
-    for prefix in _digit_stream(config):
+    for prefix, _ in _digit_stream(config):
         have = len(prefix)
         for r in requests:
             if have < r.n:
@@ -355,16 +304,23 @@ class CltReport:
     quantiles: tuple[tuple[float, float, float], ...]  # (level, empirical, normal)
 
 
-def lln_report(config: SampleConfig) -> LlnReport:
-    values = []
+def _final_digits(config: SampleConfig) -> tuple[list[int], int]:
+    """b_n of every trial that certifies n = depth digits, and how many do not."""
+    finals = []
     uncertified = 0
-    for prefix in _digit_stream(config):
+    for prefix, _ in _digit_stream(config):
         if len(prefix) < config.depth:
             uncertified += 1
-            continue
-        values.append(math.log(prefix[config.depth - 1]) / config.depth)
-    if not values:
+        else:
+            finals.append(prefix[-1])
+    if not finals:
         raise RuntimeError("no trial certified enough digits; raise bits")
+    return finals, uncertified
+
+
+def lln_report(config: SampleConfig) -> LlnReport:
+    finals, uncertified = _final_digits(config)
+    values = [math.log(b) / config.depth for b in finals]
     spread = statistics.stdev(values) if len(values) > 1 else 0.0
     return LlnReport(config.depth, config.trials, len(values), uncertified,
                      statistics.fmean(values), spread)
@@ -376,16 +332,8 @@ _QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 def clt_report(config: SampleConfig) -> CltReport:
     normal = statistics.NormalDist()
     scale = math.sqrt(config.depth)
-    zs = []
-    uncertified = 0
-    for prefix in _digit_stream(config):
-        if len(prefix) < config.depth:
-            uncertified += 1
-            continue
-        zs.append((math.log(prefix[config.depth - 1]) - config.depth) / scale)
-    if not zs:
-        raise RuntimeError("no trial certified enough digits; raise bits")
-    zs.sort()
+    finals, uncertified = _final_digits(config)
+    zs = sorted((math.log(b) - config.depth) / scale for b in finals)
     count = len(zs)
     ks = 0.0
     for i, z in enumerate(zs):

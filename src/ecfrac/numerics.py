@@ -94,10 +94,10 @@ class OutwardInterval:
             return value.with_precision(prec)
         ctx = _context(prec)
         if isinstance(value, Fraction):
-            if value.denominator == 1:
-                ival = ctx.mpf(value.numerator)
-            else:
-                ival = ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
+            # One correctly rounded division per endpoint: at most 1 ulp wide.
+            p, q = value.numerator, value.denominator
+            ival = ctx.make_mpf((libmp.from_rational(p, q, prec, libmp.round_floor),
+                                 libmp.from_rational(p, q, prec, libmp.round_ceiling)))
         else:
             ival = ctx.mpf(value)
         return cls(ival, prec)
@@ -114,14 +114,12 @@ class OutwardInterval:
     def with_precision(self, prec: int) -> "OutwardInterval":
         if prec == self._prec:
             return self
-        # Endpoints are exact dyadic rationals; rebuilding from them in the
-        # target context preserves the enclosure in both directions.
-        ctx = _context(prec)
-        lo = self.lo
-        hi = self.hi
-        a = ctx.mpf(lo.numerator) / ctx.mpf(lo.denominator)
-        b = ctx.mpf(hi.numerator) / ctx.mpf(hi.denominator)
-        return OutwardInterval(ctx.mpf([a.a, b.b]), prec)
+        # Rounding the lower endpoint down and the upper one up preserves the
+        # enclosure; widening the precision is exact.
+        lo, hi = self._ival._mpi_
+        ival = _context(prec).make_mpf((libmp.mpf_pos(lo, prec, libmp.round_floor),
+                                        libmp.mpf_pos(hi, prec, libmp.round_ceiling)))
+        return OutwardInterval(ival, prec)
 
     # -- exact endpoint access ----------------------------------------
 

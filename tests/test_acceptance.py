@@ -2,9 +2,12 @@
 
 Each test runs one criterion at its stated tolerance and prints a single
 PASS/FAIL line (visible with -s, and in the failure report otherwise).
-The Monte Carlo criteria share one seeded million-trial pass, so the pair
-of tail-decay tests costs one simulation, not two.
+The two tail-decay criteria share one seeded million-trial pass, so the
+pair costs one simulation, not two.  The Monte Carlo criteria (10-13)
+carry the ``slow`` marker: ``pytest -m "not slow"`` skips them.
 """
+
+import pytest
 
 from ecfrac import checks
 
@@ -56,18 +59,22 @@ def test_criterion_09_rate_identities():
     _run(9)
 
 
+@pytest.mark.slow
 def test_criterion_10_lln_mean():
     _run(10)
 
 
+@pytest.mark.slow
 def test_criterion_11_clt_shape():
     _run(11)
 
 
+@pytest.mark.slow
 def test_criterion_12_tail_slopes():
     _run(12)
 
 
+@pytest.mark.slow
 def test_criterion_13_exponential_bound():
     _run(13)
 

@@ -1,6 +1,7 @@
 """Command-line surface: formats, manifests, exit codes."""
 
 import json
+import math
 import re
 
 import pytest
@@ -185,3 +186,34 @@ def test_growth_csv_rows(capsys):
     body = [l for l in out.splitlines() if not l.startswith("#")]
     assert body[0] == "n,cap,lo,hi"
     assert len(body) == 3
+
+
+def _csv_body(out: str) -> list[str]:
+    return [l for l in out.splitlines() if not l.startswith("#")]
+
+
+def test_pressure_csv_rows(capsys):
+    _, out, _ = run(capsys, "--format", "csv", "pressure", "--theta", "1/2")
+    _, doc, _ = run(capsys, "pressure", "--theta", "1/2")
+    value = json.loads(doc)["data"]["value"]
+    assert _csv_body(out) == ["lo,hi", f"{value['lo']},{value['hi']}"]
+    assert float(value["lo"]) <= float(value["hi"])
+    _, out, _ = run(capsys, "--format", "csv", "pressure", "--theta", "2")
+    assert _csv_body(out) == ["lo,hi", "infinity,infinity"]
+
+
+def test_legendre_csv_row(capsys):
+    _, out, _ = run(capsys, "--format", "csv", "legendre", "--x", "1")
+    _, doc, _ = run(capsys, "legendre", "--x", "1")
+    value = json.loads(doc)["data"]["value"]
+    assert _csv_body(out) == ["lo,hi", f"{value['lo']},{value['hi']}"]
+    # Lambda*(1) = I(1) = 1 - log 2, enclosed to the default target width
+    assert float(value["lo"]) - 1e-12 <= 1 - math.log(2) <= float(value["hi"]) + 1e-12
+    assert float(value["hi"]) - float(value["lo"]) < 1e-6
+
+
+def test_mc_has_no_workers_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "--task", "lln", "--seed", "1", "--trials", "5", "--n", "2",
+              "--workers", "2"])
+    assert exc.value.code == 2

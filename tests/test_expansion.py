@@ -10,6 +10,8 @@ from ecfrac.expansion import (CertifiedExpansion, continuants,
                               cylinder_endpoints, expand_interval,
                               expand_rational, is_admissible, reconstruct)
 
+from reference_walk import reference_expand_interval
+
 # frozen oracles: greedy expansions computed by hand via d = floor(1/x),
 # x -> (1/d)(1/x - d).  e.g. 5/19: 19/5 = 3.8 -> 3, remainder 4/15;
 # 15/4 = 3.75 -> 3, remainder 1/4 -> 4.
@@ -142,6 +144,20 @@ def test_expand_interval_agrees_on_points(x):
     full = expand_rational(x, max_digits=100)
     assert cell.digits[:cell.certified_count] == full.digits[:cell.certified_count]
     assert cell.certified_count == full.certified_count
+
+
+unit_rationals = st.fractions(min_value=Fraction(1, 10**9), max_value=1,
+                              max_denominator=10**9)
+
+
+@given(unit_rationals, unit_rationals, st.integers(1, 40))
+@settings(max_examples=200)
+def test_walk_matches_reference(a, b, max_digits):
+    lo, hi = min(a, b), max(a, b)
+    assert expand_interval(lo, hi, max_digits) == \
+        reference_expand_interval(lo, hi, max_digits)
+    assert expand_rational(a, max_digits) == \
+        reference_expand_interval(a, a, max_digits)
 
 
 def test_expand_interval_certifies_shared_prefix():

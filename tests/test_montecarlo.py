@@ -2,15 +2,20 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecfrac.expansion import expand_rational
+from ecfrac import montecarlo
+from ecfrac.expansion import cylinder_endpoints, expand_interval
 from ecfrac.montecarlo import (LOWER, UPPER, SampleConfig, TailRequest,
                                clopper_pearson, clt_report, default_bits,
                                estimate_event, ldp_slope, lln_report,
-                               sample_dyadic, simulate_digits, tail_counts,
-                               tail_threshold)
+                               tail_counts, tail_threshold)
+
+from reference_walk import reference_expand_interval
 
 
 def test_default_bits_is_ceil():
@@ -20,42 +25,83 @@ def test_default_bits_is_ceil():
     assert default_bits(40) == 3520
 
 
-def test_sample_dyadic_range_and_determinism():
-    config = SampleConfig(seed=123, trials=500, depth=2, bits=16)
-    first = list(sample_dyadic(config))
-    second = list(sample_dyadic(config))
-    assert first == second
-    assert len(first) == 500
-    for x in first:
-        assert 0 < x <= 1
-        assert x.denominator & (x.denominator - 1) == 0  # power of two
-        assert x.denominator <= 2**16
-    assert len(set(first)) > 400  # 16-bit cells, few collisions
-
-
 def test_different_seeds_differ():
-    a = list(sample_dyadic(SampleConfig(seed=1, trials=50, depth=1, bits=32)))
-    b = list(sample_dyadic(SampleConfig(seed=2, trials=50, depth=1, bits=32)))
+    requests = [TailRequest(LOWER, Fraction(1, 2), 4),
+                TailRequest(UPPER, Fraction(1, 2), 4)]
+    a = tail_counts(SampleConfig(seed=1, trials=400, depth=4), requests)
+    b = tail_counts(SampleConfig(seed=2, trials=400, depth=4), requests)
     assert a != b
+    assert a == tail_counts(SampleConfig(seed=1, trials=400, depth=4), requests)
 
 
-def test_workers_do_not_change_results():
-    base = SampleConfig(seed=9, trials=300, depth=3, bits=64)
-    parallel = SampleConfig(seed=9, trials=300, depth=3, bits=64, workers=4)
-    event = lambda depth, e: e.digits[0] >= 2 if e.certified_count >= 1 else None
-    assert estimate_event(base, event) == estimate_event(parallel, event)
+def _sampled_cell(k: int, bits: int, depth: int):
+    """The sampler's (prefix, truncated) for a trial whose draw is k."""
+    config = SampleConfig(seed=0, trials=1, depth=depth, bits=bits)
+    with mock.patch.object(montecarlo, "_raw_cell_index", lambda seed, index, b: k):
+        (cell,) = montecarlo._digit_stream(config)
+    return cell
 
 
-def test_simulate_digits_certifies_true_prefix():
-    # every point of the cell, in particular the endpoints, must share the
-    # certified prefix
-    for k in (0, 7, 100, 2**12 - 1):
-        x = Fraction(k + 1, 2**12)
-        cell = simulate_digits(x, bits=12, depth=6)
-        for point in (x, min(x + Fraction(1, 2**12), Fraction(1))):
-            full = expand_rational(point, max_digits=64)
-            m = cell.certified_count
-            assert full.digits[:m] == cell.digits[:m]
+@st.composite
+def cells(draw):
+    bits = draw(st.integers(1, 24))
+    return bits, draw(st.integers(0, 2**bits - 1)), draw(st.integers(1, 12))
+
+
+@given(cells())
+@settings(max_examples=300)
+def test_sampler_walk_matches_reference(cell):
+    bits, k, depth = cell
+    lo, hi = Fraction(k, 2**bits), Fraction(k + 1, 2**bits)
+    expected = reference_expand_interval(lo, hi, depth)
+    prefix, truncated = _sampled_cell(k, bits, depth)
+    assert (tuple(prefix), truncated) == (expected.digits, expected.truncated)
+    if k > 0:
+        assert expand_interval(lo, hi, depth) == expected
+    if prefix:
+        c_lo, c_hi = cylinder_endpoints(prefix)
+        assert c_lo <= lo and hi <= c_hi
+
+
+def test_cell_at_zero_certifies_nothing():
+    # [0, 2^-B] touches 0, where b_1 is unbounded
+    assert _sampled_cell(0, 16, 5) == ([], False)
+    assert _sampled_cell(0, 1, 1) == ([], False)
+
+
+def test_top_cell_reaches_one():
+    # [1 - 2^-B, 1]: b_1 = 1 throughout, then the cell reaches 1, whose
+    # expansion ends, so b_2 is unbounded near it
+    assert _sampled_cell(2**16 - 1, 16, 5) == ([1], False)
+    assert _sampled_cell(1, 1, 5) == ([], False)  # [1/2, 1] straddles b_1 = 1, 2
+
+
+def test_stream_samples_lower_cells():
+    config = SampleConfig(seed=123, trials=200, depth=6, bits=20)
+    for index, (prefix, truncated) in enumerate(montecarlo._digit_stream(config)):
+        k = montecarlo._raw_cell_index(config.seed, index, config.bits)
+        if k == 0:
+            continue
+        expected = expand_interval(Fraction(k, 2**20), Fraction(k + 1, 2**20), 6)
+        assert (tuple(prefix), truncated) == (expected.digits, expected.truncated)
+
+
+def test_estimate_event_passes_walk_truncation():
+    config = SampleConfig(seed=6, trials=200, depth=1, bits=4)
+    seen = []
+
+    def record(depth, e):
+        seen.append(e)
+        return True
+
+    estimate_event(config, record)
+    walked = [(tuple(p), len(p), t) for p, t in montecarlo._digit_stream(config)]
+    assert [(e.digits, e.certified_count, e.truncated) for e in seen] == walked
+    # a full-depth prefix is truncated only when the budget cut the walk:
+    # [9/16, 10/16] could certify more digits, but [15/16, 1] reaches 1,
+    # whose expansion ends at b_1 = 1
+    assert _sampled_cell(9, 4, 1) == ([1], True)
+    assert _sampled_cell(15, 4, 1) == ([1], False)
 
 
 def _binom_cdf(n: int, p: Fraction, h: int) -> Fraction:

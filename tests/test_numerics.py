@@ -157,3 +157,24 @@ def test_with_precision_still_encloses():
     iv = OutwardInterval.from_value(Fraction(1, 3), prec=256)
     wide = iv.with_precision(32)
     assert wide.lo <= iv.lo and iv.hi <= wide.hi
+
+
+def _ulp(x: Fraction, prec: int) -> Fraction:
+    """Spacing of prec-bit floats just above the positive dyadic x."""
+    top = x.numerator.bit_length() - x.denominator.bit_length()  # floor(log2 x)
+    return Fraction(2) ** (top - prec + 1)
+
+
+def test_from_value_is_correctly_rounded():
+    # numerator and denominator both exceed 128 bits; rounding them before
+    # dividing would leave a 3-ulp enclosure
+    x = Fraction(3**200 + 1, 7**150)
+    iv = OutwardInterval.from_value(x, 128)
+    assert iv.lo < x < iv.hi
+    assert iv.hi == iv.lo + _ulp(iv.lo, 128)
+    # directed roundings compose: narrowing the precision rounds the
+    # endpoints once more, to the same floats as a direct enclosure
+    narrow = iv.with_precision(64)
+    direct = OutwardInterval.from_value(x, 64)
+    assert (narrow.lo, narrow.hi) == (direct.lo, direct.hi)
+    assert direct.hi == direct.lo + _ulp(direct.lo, 64)
