@@ -7,9 +7,9 @@ reproducible Monte Carlo experiments whose per-sample digit prefixes are
 themselves certified.
 """
 
-from .numerics import (ExtendedReal, OutwardInterval, binomial,
-                       default_precision, interval_exp, interval_log,
-                       interval_pow, interval_sqrt)
+from .numerics import (ExtendedReal, OutwardInterval, default_precision,
+                       interval_exp, interval_log, interval_pow,
+                       interval_sqrt)
 from .expansion import (CertifiedExpansion, continuants, cylinder_endpoints,
                         expand_interval, expand_rational, is_admissible,
                         reconstruct)
@@ -36,7 +36,7 @@ __all__ = [
     "DEFAULT_BUDGET", "EventEstimate", "ExtendedReal", "GrowthTable",
     "LdpReport", "LlnReport", "MarginalTable", "MdpTable", "OutwardInterval",
     "ProbInterval", "RNG_ALGORITHM", "RateFunctionId", "SampleConfig",
-    "TailRequest", "WordFamily", "binet_q", "binomial", "clopper_pearson",
+    "TailRequest", "WordFamily", "binet_q", "clopper_pearson",
     "clt_report", "conditional_given_last", "conditional_probability",
     "continuants", "count_words", "cylinder_endpoints", "cylinder_measure",
     "default_bits", "default_precision", "enumerate_words", "estimate_event",

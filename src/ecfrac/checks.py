@@ -340,7 +340,7 @@ def criterion_13() -> CheckResult:
     beta_max, report = exponential_bound_check(half, TAIL_N_LOWER, two_sided_ci_hi)
     # Re-verify the claimed bound row by row with outward exponentials.
     for row in report.rows:
-        decay = interval_exp(OutwardInterval.from_value(-report.beta * row.n))
+        decay = interval_exp(-report.beta * row.n)
         if row.prob_bound > report.alpha * decay.hi:
             return _result(13, "single exponential bound covers all depths", t0,
                            False, f"bound violated at n={row.n}")

@@ -101,10 +101,8 @@ def _prob(iv) -> dict:
 
 def _cmd_expand(args):
     exp = expand_rational(_fraction(args.x), max_digits=args.max_digits)
-    payload = {"digits": list(exp.digits), "certified_count": exp.certified_count,
-               "truncated": exp.truncated}
+    payload = {"digits": list(exp.digits), "truncated": exp.truncated}
     row = {"digits": ",".join(map(str, exp.digits)),
-           "certified_count": str(exp.certified_count),
            "truncated": str(exp.truncated).lower()}
     return payload, [row]
 
@@ -250,7 +248,7 @@ def _parse_event(text: str):
         raise _CliError("digit position must be >= 1", EXIT_USAGE)
 
     def predicate(depth, expansion):
-        if expansion.certified_count < position:
+        if len(expansion.digits) < position:
             return None
         digit = expansion.digits[position - 1]
         if op == ">=":

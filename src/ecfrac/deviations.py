@@ -436,7 +436,7 @@ def exponential_bound_check(eps: Fraction, n_list: Sequence[int],
     alpha = Fraction(0)
     for n in n_list:
         p_bound = Fraction(estimator(n))
-        growth = interval_exp(OutwardInterval.from_value(beta * n, prec), prec)
+        growth = interval_exp(beta * n, prec)
         alpha_n = p_bound * growth.hi
         rows.append(BoundRow(n, p_bound, alpha_n))
         alpha = max(alpha, alpha_n)

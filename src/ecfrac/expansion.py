@@ -24,19 +24,13 @@ DigitWord = tuple[int, ...]
 class CertifiedExpansion:
     """Digits known to be correct, plus how they were cut off.
 
-    certified_count: how many leading digits every point of the input set
-    shares (equals len(digits) for exact rational input).
+    digits: the leading digits that every point of the input set shares.
     truncated: True when the digit budget stopped the computation while
     more digits were still derivable.
     """
 
     digits: DigitWord
-    certified_count: int
     truncated: bool
-
-    def __post_init__(self):
-        if self.certified_count > len(self.digits):
-            raise ValueError("certified_count exceeds digit count")
 
 
 def is_admissible(word: Sequence[int]) -> bool:
@@ -115,7 +109,7 @@ def expand_interval(lo: Fraction, hi: Fraction, max_digits: int = 64) -> Certifi
         raise ValueError(f"expansion needs 0 < lo <= hi <= 1, got [{lo}, {hi}]")
     digits, truncated = _lockstep_walk(lo.numerator, lo.denominator,
                                        hi.numerator, hi.denominator, max_digits)
-    return CertifiedExpansion(tuple(digits), len(digits), truncated)
+    return CertifiedExpansion(tuple(digits), truncated)
 
 
 def reconstruct(word: Sequence[int]) -> Fraction:

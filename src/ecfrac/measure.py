@@ -406,12 +406,12 @@ def moment_interval(n: int, theta: Fraction, cap: int = 60,
 
     # Words whose very first digit already exceeds the cap:
     # P(b_1 = j) j^theta = j^(theta-1)/(j+1) in [k^(theta-2) m/(m+1), k^(theta-2)].
-    tail_lo = Fraction(m, m + 1) * integral * _int_pow_iv(s_lo, n - 1)
-    tail_up = sum_bound * _int_pow_iv(s_up, n - 1)
+    tail_lo = Fraction(m, m + 1) * integral * s_lo ** (n - 1)
+    tail_up = sum_bound * s_up ** (n - 1)
     for depth, (out_lo, out_up) in enumerate(zip(exit_lo, exit_up), 1):
         remaining = n - depth - 1  # levels left after arriving beyond the cap
-        tail_lo = tail_lo + Fraction(out_lo, one) * exit_lo_per_j * _int_pow_iv(s_lo, remaining)
-        tail_up = tail_up + Fraction(out_up, one) * exit_up_per_j * _int_pow_iv(s_up, remaining)
+        tail_lo = tail_lo + Fraction(out_lo, one) * exit_lo_per_j * s_lo ** remaining
+        tail_up = tail_up + Fraction(out_up, one) * exit_up_per_j * s_up ** remaining
 
     tracked_lo = tracked_hi = OutwardInterval.from_value(0, prec)
     for j, (m_lo, m_up) in enumerate(zip(mass_lo, mass_up), 1):
@@ -422,9 +422,3 @@ def moment_interval(n: int, theta: Fraction, cap: int = 60,
     lo = tracked_lo.lo + tail_lo.lo
     hi = tracked_hi.hi + tail_up.hi
     return ProbInterval(max(Fraction(0), lo), hi)
-
-
-def _int_pow_iv(base: OutwardInterval, k: int) -> OutwardInterval:
-    if k == 0:
-        return OutwardInterval.from_value(1, base.precision)
-    return base ** k

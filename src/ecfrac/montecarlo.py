@@ -25,7 +25,7 @@ import numpy as np
 from scipy.stats import beta as _beta_dist
 
 from .expansion import CertifiedExpansion, _lockstep_walk
-from .numerics import OutwardInterval, interval_exp
+from .numerics import interval_exp
 
 RNG_ALGORITHM = "philox4x64 (numpy.random.Philox, key=seed, counter=trial index)"
 
@@ -133,7 +133,7 @@ def estimate_event(config: SampleConfig,
     """
     hits = certified = uncertified = 0
     for prefix, truncated in _digit_stream(config):
-        expansion = CertifiedExpansion(tuple(prefix), len(prefix), truncated)
+        expansion = CertifiedExpansion(tuple(prefix), truncated)
         verdict = event(config.depth, expansion)
         if verdict is None:
             uncertified += 1
@@ -182,7 +182,7 @@ def tail_threshold(request: TailRequest) -> int:
     if w < 0:
         return 0 if request.tail == LOWER else 1  # b >= 1 > e^w; b <= e^w < 1 impossible
     for prec in (128, 256, 512, 1024, 2048):
-        enc = interval_exp(OutwardInterval.from_value(w, prec), prec)
+        enc = interval_exp(w, prec)
         f_lo = math.floor(enc.lo)
         f_hi = math.floor(enc.hi)
         if f_lo == f_hi:

@@ -1,4 +1,4 @@
-"""Exact rationals, outward-rounded interval arithmetic, binomial coefficients.
+"""Exact rationals and outward-rounded interval arithmetic.
 
 Everything downstream computes with two kinds of numbers:
 
@@ -16,14 +16,12 @@ Default working precision is 128 bits, overridable through the
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from mpmath import libmp
-from mpmath.ctx_iv import MPIntervalContext
 
 Rational = Fraction
 
@@ -46,42 +44,45 @@ def default_precision() -> int:
     return bits
 
 
-_CONTEXTS: dict[int, MPIntervalContext] = {}
+def _outward(value, prec: int) -> tuple:
+    """The tightest pair of prec-bit mpf tuples (lo, hi) around a number.
 
-
-def _context(prec: int) -> MPIntervalContext:
-    # One context per precision; the global mpmath.iv context is never touched.
-    ctx = _CONTEXTS.get(prec)
-    if ctx is None:
-        ctx = MPIntervalContext()
-        ctx.prec = prec
-        _CONTEXTS[prec] = ctx
-    return ctx
+    An int or a Fraction goes in directly; a float or a decimal string is
+    first made the exact Fraction it denotes.  Each endpoint is one
+    correctly rounded division, so the pair is at most 1 ulp wide.
+    """
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    p, q = value.numerator, value.denominator
+    return (libmp.from_rational(p, q, prec, libmp.round_floor),
+            libmp.from_rational(p, q, prec, libmp.round_ceiling))
 
 
 def _mpf_tuple_to_fraction(t) -> Fraction:
-    if t == libmp.fzero:
-        return Fraction(0)
-    if t in (libmp.finf, libmp.fninf, libmp.fnan):
-        raise ValueError("interval endpoint is not finite")
     sign, man, exp, _bc = t
-    value = Fraction(int(man)) * Fraction(2) ** exp
-    return -value if sign else value
+    if not man:
+        if t == libmp.fzero:
+            return Fraction(0)
+        raise ValueError("interval endpoint is not finite")
+    if sign:
+        man = -man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 class OutwardInterval:
     """A closed real interval [lo, hi] with outward-rounded arithmetic.
 
-    Endpoints live at a fixed binary precision (dyadic rationals), so they
-    can be recovered *exactly* as Fractions; soundness of every enclosure
-    reduces to mpmath's directed rounding, which the test suite probes.
-    Instances are immutable.
+    The endpoints are a pair of mpf tuples at a fixed binary precision
+    (dyadic rationals), so they can be recovered *exactly* as Fractions.
+    Every operation is one of mpmath's interval kernels (``libmp.mpi_*``),
+    so soundness of every enclosure reduces to mpmath's directed rounding,
+    which the test suite probes.  Instances are immutable.
     """
 
-    __slots__ = ("_ival", "_prec")
+    __slots__ = ("_mpi", "_prec")
 
-    def __init__(self, ival, prec: int):
-        self._ival = ival
+    def __init__(self, mpi: tuple, prec: int):
+        self._mpi = mpi
         self._prec = prec
 
     # -- construction -------------------------------------------------
@@ -90,17 +91,7 @@ class OutwardInterval:
     def from_value(cls, value, prec: int | None = None) -> "OutwardInterval":
         """Enclose a single number: int, Fraction, float, or decimal string."""
         prec = default_precision() if prec is None else prec
-        if isinstance(value, OutwardInterval):
-            return value.with_precision(prec)
-        ctx = _context(prec)
-        if isinstance(value, Fraction):
-            # One correctly rounded division per endpoint: at most 1 ulp wide.
-            p, q = value.numerator, value.denominator
-            ival = ctx.make_mpf((libmp.from_rational(p, q, prec, libmp.round_floor),
-                                 libmp.from_rational(p, q, prec, libmp.round_ceiling)))
-        else:
-            ival = ctx.mpf(value)
-        return cls(ival, prec)
+        return cls(_outward(value, prec), prec)
 
     @classmethod
     def from_endpoints(cls, lo, hi, prec: int | None = None) -> "OutwardInterval":
@@ -116,20 +107,19 @@ class OutwardInterval:
             return self
         # Rounding the lower endpoint down and the upper one up preserves the
         # enclosure; widening the precision is exact.
-        lo, hi = self._ival._mpi_
-        ival = _context(prec).make_mpf((libmp.mpf_pos(lo, prec, libmp.round_floor),
-                                        libmp.mpf_pos(hi, prec, libmp.round_ceiling)))
-        return OutwardInterval(ival, prec)
+        lo, hi = self._mpi
+        return OutwardInterval((libmp.mpf_pos(lo, prec, libmp.round_floor),
+                                libmp.mpf_pos(hi, prec, libmp.round_ceiling)), prec)
 
     # -- exact endpoint access ----------------------------------------
 
     @property
     def lo(self) -> Fraction:
-        return _mpf_tuple_to_fraction(self._ival._mpi_[0])
+        return _mpf_tuple_to_fraction(self._mpi[0])
 
     @property
     def hi(self) -> Fraction:
-        return _mpf_tuple_to_fraction(self._ival._mpi_[1])
+        return _mpf_tuple_to_fraction(self._mpi[1])
 
     @property
     def precision(self) -> int:
@@ -152,38 +142,35 @@ class OutwardInterval:
     def overlaps(self, other: "OutwardInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def strictly_less(self, other: "OutwardInterval") -> bool:
-        """Certified x < y for every x in self, y in other."""
-        return self.hi < other.lo
-
     # -- arithmetic ------------------------------------------------------
 
-    def _coerce(self, other, prec: int):
+    def _binop(self, kernel, other, reflected: bool = False) -> "OutwardInterval":
+        # An interval operand raises the precision to the larger of the two;
+        # an mpf tuple carries no precision, so that relabels without rounding.
         if isinstance(other, OutwardInterval):
-            return other.with_precision(prec)._ival
-        return OutwardInterval.from_value(other, prec)._ival
-
-    def _binop(self, other, op):
-        prec = self._prec
-        if isinstance(other, OutwardInterval):
-            prec = max(prec, other._prec)
-        a = self.with_precision(prec)._ival
-        b = self._coerce(other, prec)
-        return OutwardInterval(op(a, b), prec)
+            prec = max(self._prec, other._prec)
+            b = other._mpi
+        else:
+            prec = self._prec
+            b = _outward(other, prec)
+        a = self._mpi
+        if reflected:
+            a, b = b, a
+        return OutwardInterval(kernel(a, b, prec), prec)
 
     def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
+        return self._binop(libmp.mpi_add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
+        return self._binop(libmp.mpi_sub, other)
 
     def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
+        return self._binop(libmp.mpi_sub, other, reflected=True)
 
     def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
+        return self._binop(libmp.mpi_mul, other)
 
     __rmul__ = __mul__
 
@@ -193,34 +180,35 @@ class OutwardInterval:
                 raise ZeroDivisionError("division by an interval containing 0")
         elif other == 0:
             raise ZeroDivisionError("division by zero")
-        return self._binop(other, lambda a, b: a / b)
+        return self._binop(libmp.mpi_div, other)
 
     def __rtruediv__(self, other):
         if self.contains(0):
             raise ZeroDivisionError("division by an interval containing 0")
-        return self._binop(other, lambda a, b: b / a)
+        return self._binop(libmp.mpi_div, other, reflected=True)
 
     def __neg__(self):
-        return OutwardInterval(-self._ival, self._prec)
+        return OutwardInterval(libmp.mpi_neg(self._mpi, self._prec), self._prec)
 
     def __pow__(self, exponent):
+        # mpi_pow takes an integer exponent and 1/2 directly (mpi_pow_int,
+        # mpi_sqrt), and any other exponent through log and exp.
         if isinstance(exponent, int):
-            if exponent >= 0 or not self.contains(0):
-                return self._binop(exponent, lambda a, b: a ** b)
-            raise ZeroDivisionError("negative power of an interval containing 0")
-        if self.lo <= 0:
+            if exponent < 0 and self.contains(0):
+                raise ZeroDivisionError("negative power of an interval containing 0")
+        elif self.lo <= 0:
             raise ValueError("non-integer power requires a positive base interval")
-        return self._binop(exponent, lambda a, b: a ** b)
+        return self._binop(libmp.mpi_pow, exponent)
 
     def hull(self, other: "OutwardInterval") -> "OutwardInterval":
-        prec = max(self._prec, other._prec)
-        a = self.with_precision(prec)._ival
-        b = other.with_precision(prec)._ival
-        ctx = _context(prec)
-        return OutwardInterval(ctx.mpf([min(a.a, b.a), max(b.b, a.b)]), prec)
+        (a_lo, a_hi), (b_lo, b_hi) = self._mpi, other._mpi
+        lo = b_lo if libmp.mpf_lt(b_lo, a_lo) else a_lo
+        hi = a_hi if libmp.mpf_lt(b_hi, a_hi) else b_hi
+        return OutwardInterval((lo, hi), max(self._prec, other._prec))
 
     def __repr__(self):
-        return f"OutwardInterval[{float(self._ival.a)}, {float(self._ival.b)}]"
+        lo, hi = self._mpi
+        return f"OutwardInterval[{libmp.to_float(lo)}, {libmp.to_float(hi)}]"
 
 
 @dataclass(frozen=True)
@@ -241,33 +229,19 @@ class ExtendedReal:
     def is_infinite(self) -> bool:
         return self.value is None
 
-    def greater_than(self, other: "ExtendedReal | RationalLike") -> bool:
-        """Certified strict comparison; +inf exceeds every finite value."""
-        if self.is_infinite:
-            if isinstance(other, ExtendedReal):
-                return not other.is_infinite
-            return True
-        if isinstance(other, ExtendedReal):
-            if other.is_infinite:
-                return False
-            return other.value.strictly_less(self.value)
-        return self.value.lo > other
-
     def __repr__(self):
         return "ExtendedReal(+inf)" if self.is_infinite else f"ExtendedReal({self.value!r})"
 
 
-def binomial(n: int, k: int) -> int:
-    """C(n, k) exactly; k > n gives 0."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial arguments must be nonnegative")
-    return math.comb(n, k)
-
-
 def _as_interval(x, prec: int) -> OutwardInterval:
+    """A number enclosed at prec bits, or an interval at prec bits or more."""
     if isinstance(x, OutwardInterval):
-        return x.with_precision(max(prec, x.precision))
+        return x if x._prec >= prec else OutwardInterval(x._mpi, prec)
     return OutwardInterval.from_value(x, prec)
+
+
+def _kernel(kernel, v: OutwardInterval) -> OutwardInterval:
+    return OutwardInterval(kernel(v._mpi, v._prec), v._prec)
 
 
 def interval_pow(base, exponent, prec: int | None = None) -> OutwardInterval:
@@ -278,15 +252,13 @@ def interval_pow(base, exponent, prec: int | None = None) -> OutwardInterval:
     """
     prec = default_precision() if prec is None else prec
     if not isinstance(base, OutwardInterval) and base == 1:
-        ctx = _context(prec)
-        return OutwardInterval(ctx.mpf(1), prec)
+        return OutwardInterval.from_value(1, prec)
     b = _as_interval(base, prec)
     if b.lo <= 0:
         raise ValueError("interval_pow requires a positive base")
     if isinstance(exponent, int):
         return b ** exponent
-    e = _as_interval(exponent, prec)
-    return b ** e
+    return b ** _as_interval(exponent, prec)
 
 
 def interval_log(x, prec: int | None = None) -> OutwardInterval:
@@ -295,15 +267,12 @@ def interval_log(x, prec: int | None = None) -> OutwardInterval:
     v = _as_interval(x, prec)
     if v.lo <= 0:
         raise ValueError(f"interval_log requires a positive argument, got lo={v.lo}")
-    ctx = _context(v.precision)
-    return OutwardInterval(ctx.log(v._ival), v.precision)
+    return _kernel(libmp.mpi_log, v)
 
 
 def interval_exp(x, prec: int | None = None) -> OutwardInterval:
     prec = default_precision() if prec is None else prec
-    v = _as_interval(x, prec)
-    ctx = _context(v.precision)
-    return OutwardInterval(ctx.exp(v._ival), v.precision)
+    return _kernel(libmp.mpi_exp, _as_interval(x, prec))
 
 
 def interval_sqrt(x, prec: int | None = None) -> OutwardInterval:
@@ -311,5 +280,4 @@ def interval_sqrt(x, prec: int | None = None) -> OutwardInterval:
     v = _as_interval(x, prec)
     if v.lo < 0:
         raise ValueError("interval_sqrt requires a nonnegative argument")
-    ctx = _context(v.precision)
-    return OutwardInterval(ctx.sqrt(v._ival), v.precision)
+    return _kernel(libmp.mpi_sqrt, v)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import comb
 from typing import Iterator, Literal
 
 from .expansion import DigitWord
-from .numerics import binomial
 
 EXACT_LAST = "exact-last"
 LAST_AT_MOST = "last-at-most"
@@ -49,8 +49,8 @@ def count_words(family: WordFamily) -> int:
     """Exact size of the family, by the closed-form binomials."""
     n, m = family.n, family.m
     if family.mode == EXACT_LAST:
-        return binomial(n + m - 2, m - 1)
-    return binomial(n + m - 1, m - 1)
+        return comb(n + m - 2, m - 1)
+    return comb(n + m - 1, m - 1)
 
 
 def enumerate_words(family: WordFamily, budget: int = DEFAULT_BUDGET) -> Iterator[DigitWord]:

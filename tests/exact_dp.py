@@ -8,8 +8,8 @@ theirs, and are no wider beyond fixed-point rounding.
 
 from fractions import Fraction
 
-from ecfrac.measure import (MarginalTable, ProbInterval, _int_pow_iv,
-                            _integral_tail, s_upper_factor)
+from ecfrac.measure import (MarginalTable, ProbInterval, _integral_tail,
+                            s_upper_factor)
 from ecfrac.numerics import OutwardInterval, default_precision, interval_pow
 
 
@@ -62,13 +62,13 @@ def moment_oracle(n: int, theta: Fraction, cap: int, prec: int | None = None) ->
     integral, sum_bound = _integral_tail(m, theta, prec)
     s_up = s_upper_factor(m, theta, prec)
     s_lo = OutwardInterval.from_value(Fraction(m, m + 2) / (1 - theta), prec)
-    tail_lo = Fraction(m, m + 1) * integral * _int_pow_iv(s_lo, n - 1)
-    tail_up = sum_bound * _int_pow_iv(s_up, n - 1)
+    tail_lo = Fraction(m, m + 1) * integral * s_lo ** (n - 1)
+    tail_up = sum_bound * s_up ** (n - 1)
     for depth in range(1, n):
         remaining = n - depth - 1
         tail_lo = tail_lo + exit_lo[depth - 1] * (Fraction(m, m + 2) * integral) \
-            * _int_pow_iv(s_lo, remaining)
-        tail_up = tail_up + exit_up[depth - 1] * sum_bound * _int_pow_iv(s_up, remaining)
+            * s_lo ** remaining
+        tail_up = tail_up + exit_up[depth - 1] * sum_bound * s_up ** remaining
     tracked_lo = tracked_hi = OutwardInterval.from_value(0, prec)
     for j in range(1, cap + 1):
         jpow = interval_pow(j, theta, prec)

@@ -32,19 +32,19 @@ def reference_expand_interval(lo: Fraction, hi: Fraction,
     lo, hi = Fraction(lo), Fraction(hi)
     assert 0 <= lo <= hi <= 1
     if lo == 0:
-        return CertifiedExpansion((), 0, False)
+        return CertifiedExpansion((), False)
     digits: list[int] = []
     a, b = lo, hi
     while len(digits) < max_digits:
         d_lo, a = ecf_step(a)
         d_hi, b = ecf_step(b)
         if d_lo != d_hi:
-            return CertifiedExpansion(tuple(digits), len(digits), False)
+            return CertifiedExpansion(tuple(digits), False)
         digits.append(d_lo)
         if a == 0 or b == 0:
             # One endpoint's expansion ended; interior points nearby have
             # arbitrarily large next digits.
-            return CertifiedExpansion(tuple(digits), len(digits), False)
+            return CertifiedExpansion(tuple(digits), False)
         # The digit map is decreasing, so the image interval swaps ends.
         a, b = b, a
-    return CertifiedExpansion(tuple(digits), len(digits), True)
+    return CertifiedExpansion(tuple(digits), True)

@@ -62,7 +62,6 @@ def test_golden_expansions():
         exp = expand_rational(x)
         assert exp.digits == expected, (x, exp.digits)
         assert not exp.truncated
-        assert exp.certified_count == len(expected)
 
 
 def test_reconstruct_golden():
@@ -103,12 +102,8 @@ def test_inadmissible_rejected():
 
 
 def test_continuants_all_ones_are_fibonacci():
-    fib = [1, 1]
-    while len(fib) < 12:
-        fib.append(fib[-1] + fib[-2])
-    qs = continuants((1,) * 10)
-    # Q_0 = 1, Q_1 = 1, Q_2 = 2, ... shifted Fibonacci
-    assert list(qs[-10:]) == fib[:10] or list(qs)[-10:] == fib[1:11]
+    # Q_k = F_{k+1} for the all-ones word: Q_0 = Q_1 = 1, Q_2 = 2, ...
+    assert list(continuants((1,) * 10)) == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
 
 
 def test_continuants_recurrence():
@@ -142,8 +137,7 @@ def test_truncation_reports_honestly():
 def test_expand_interval_agrees_on_points(x):
     cell = expand_interval(x, x, max_digits=100)
     full = expand_rational(x, max_digits=100)
-    assert cell.digits[:cell.certified_count] == full.digits[:cell.certified_count]
-    assert cell.certified_count == full.certified_count
+    assert cell == full
 
 
 unit_rationals = st.fractions(min_value=Fraction(1, 10**9), max_value=1,
@@ -166,8 +160,8 @@ def test_expand_interval_certifies_shared_prefix():
     cell = expand_interval(lo, hi, max_digits=50)
     for x in (lo, hi, Fraction(141, 200)):
         full = expand_rational(x, max_digits=50)
-        k = cell.certified_count
-        assert full.digits[:k] == cell.digits[:k]
+        k = len(cell.digits)
+        assert full.digits[:k] == cell.digits
 
 
 def test_expand_interval_rejects_bad_bounds():
@@ -181,5 +175,4 @@ def test_expansion_dataclass_fields():
     exp = expand_rational(Fraction(7, 10))
     assert isinstance(exp, CertifiedExpansion)
     assert exp.digits == (1, 2, 6)
-    assert exp.certified_count == 3
     assert exp.truncated is False

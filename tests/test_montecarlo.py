@@ -95,8 +95,8 @@ def test_estimate_event_passes_walk_truncation():
         return True
 
     estimate_event(config, record)
-    walked = [(tuple(p), len(p), t) for p, t in montecarlo._digit_stream(config)]
-    assert [(e.digits, e.certified_count, e.truncated) for e in seen] == walked
+    walked = [(tuple(p), t) for p, t in montecarlo._digit_stream(config)]
+    assert [(e.digits, e.truncated) for e in seen] == walked
     # a full-depth prefix is truncated only when the budget cut the walk:
     # [9/16, 10/16] could certify more digits, but [15/16, 1] reaches 1,
     # whose expansion ends at b_1 = 1
@@ -167,7 +167,7 @@ def test_calibration_exact_value_in_ci():
         config = SampleConfig(seed=seed, trials=200, depth=1, bits=64)
         est = estimate_event(
             config,
-            lambda depth, e: e.digits[0] >= 2 if e.certified_count else None)
+            lambda depth, e: e.digits[0] >= 2 if e.digits else None)
         covered += est.ci_lo <= exact <= est.ci_hi
     assert covered >= 95, covered
 
@@ -181,7 +181,7 @@ def test_monotone_events():
         est = estimate_event(
             config,
             lambda depth, e, t=t: e.digits[-1] >= t
-            if e.certified_count == depth else None)
+            if len(e.digits) == depth else None)
         hits.append(est.hits)
     assert hits == sorted(hits, reverse=True)
 
