@@ -2,9 +2,9 @@
 
 Each criterion function returns a CheckResult and is safe to run in any
 order; expensive Monte Carlo passes are cached per process so the slope
-and bound checks share one million-trial run.  The `quick` suite is the
-exact-arithmetic subset that finishes in well under a minute; `full` runs
-everything, including the Monte Carlo and moment-table criteria.
+and bound checks share one million-trial run.  The `quick` suite is every
+criterion but the seeded Monte Carlo ones (MONTE_CARLO), the same subset
+as pytest's `-m "not slow"`; `full` runs everything.
 """
 
 from __future__ import annotations
@@ -376,14 +376,12 @@ CRITERIA: tuple[tuple[int, Callable[[], CheckResult]], ...] = (
     (13, criterion_13), (14, criterion_14),
 )
 
-QUICK_SUITE = (1, 2, 3, 4, 6, 9)
+# The seeded Monte Carlo criteria: minutes, where the others take seconds.
+MONTE_CARLO = frozenset({10, 11, 12, 13})
 
 
 def run_suite(suite: str = "quick") -> list[CheckResult]:
-    if suite == "quick":
-        wanted = set(QUICK_SUITE)
-    elif suite == "full":
-        wanted = {index for index, _ in CRITERIA}
-    else:
+    if suite not in ("quick", "full"):
         raise ValueError("suite must be 'quick' or 'full'")
-    return [fn() for index, fn in CRITERIA if index in wanted]
+    return [fn() for index, fn in CRITERIA
+            if suite == "full" or index not in MONTE_CARLO]

@@ -29,8 +29,8 @@ from .expansion import cylinder_endpoints, expand_rational, reconstruct
 from .measure import (conditional_given_last, conditional_probability,
                       cylinder_measure, marginal_exact, marginal_interval_dp,
                       moment_interval)
-from .montecarlo import (RNG_ALGORITHM, SampleConfig, clt_report, estimate_event,
-                         ldp_slope, lln_report)
+from .montecarlo import (LOWER, RNG_ALGORITHM, UPPER, SampleConfig, clt_report,
+                         estimate_event, ldp_slope, lln_report)
 from .numerics import ExtendedReal, OutwardInterval, default_precision
 from .words import BudgetError, DEFAULT_BUDGET, WordFamily, count_words, enumerate_words
 
@@ -156,10 +156,14 @@ def _cmd_marginal(args):
 
 def _cmd_conditional(args):
     if args.given_last:
+        if args.prefix is not None:
+            raise _CliError("--prefix does not apply with --given-last", EXIT_USAGE)
         if args.n is None or args.last is None:
             raise _CliError("--given-last needs --n and --last", EXIT_USAGE)
         p = conditional_given_last(args.n, args.last, args.next)
     else:
+        if args.n is not None or args.last is not None:
+            raise _CliError("--n and --last apply only with --given-last", EXIT_USAGE)
         if not args.prefix:
             raise _CliError("need --prefix (or --given-last with --n/--last)", EXIT_USAGE)
         p = conditional_probability(tuple(_int_list(args.prefix)), args.next)
@@ -265,7 +269,15 @@ def _mc_config(args) -> SampleConfig:
                         bits=args.bits)
 
 
+# The mc flags that only one task reads, and that task.
+_MC_TASK_FLAGS = {"eps": "ldp", "n_list": "ldp", "tail": "ldp", "event": "event"}
+
+
 def _cmd_mc(args):
+    for dest, task in _MC_TASK_FLAGS.items():
+        if getattr(args, dest) is not None and args.task != task:
+            flag = "--" + dest.replace("_", "-")
+            raise _CliError(f"{flag} applies only to --task {task}", EXIT_USAGE)
     config = _mc_config(args)
     if args.task == "lln":
         rep = lln_report(config)
@@ -288,6 +300,8 @@ def _cmd_mc(args):
     if args.task == "ldp":
         if args.eps is None or args.n_list is None:
             raise _CliError("mc --task ldp needs --eps and --n-list", EXIT_USAGE)
+        if args.tail is None:
+            args.tail = LOWER  # recorded in the manifest like a given flag
         rep = ldp_slope(_fraction(args.eps), _int_list(args.n_list), config,
                         tail=args.tail)
         rows = []
@@ -498,7 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="digit depth")
     p.add_argument("--bits", type=int)
     p.add_argument("--eps")
-    p.add_argument("--tail", choices=("lower", "upper"), default="lower")
+    p.add_argument("--tail", choices=(LOWER, UPPER), help=f"ldp only (default {LOWER})")
     p.add_argument("--n-list")
     p.add_argument("--event")
     p.set_defaults(func=_cmd_mc)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 from .measure import moment_interval
 from .numerics import (
@@ -68,7 +68,6 @@ class GoldenConstants:
     phi: OutwardInterval            # (sqrt5 + 1)/2
     two_log_phi: OutwardInterval
     branch_point: OutwardInterval   # -(sqrt5 - 1)/2 = -1/phi
-    gamma: OutwardInterval          # phi^(-2), the Fibonacci decay rate
 
     @classmethod
     def compute(cls, prec: int | None = None) -> "GoldenConstants":
@@ -79,8 +78,17 @@ class GoldenConstants:
             phi=phi,
             two_log_phi=2 * interval_log(phi, prec),
             branch_point=(1 - sqrt5) / 2,
-            gamma=1 / (phi * phi),
         )
+
+
+def _piecewise(x: OutwardInterval, breakpoint: OutwardInterval,
+               left, right) -> OutwardInterval:
+    """left(x) left of the breakpoint, right(x) right of it, else the hull."""
+    if x.hi < breakpoint.lo:
+        return left(x)
+    if x.lo > breakpoint.hi:
+        return right(x)
+    return left(x).hull(right(x))
 
 
 def pressure(theta, prec: int | None = None) -> ExtendedReal:
@@ -90,21 +98,10 @@ def pressure(theta, prec: int | None = None) -> ExtendedReal:
     if t.hi >= 1:
         return ExtendedReal.infinity()
     consts = GoldenConstants.compute(prec)
-    minus_phi = -consts.phi
-
-    def branch_low(ti):
-        return -ti - consts.two_log_phi
-
-    def branch_mid(ti):
-        return -ti - interval_log(1 - ti, prec)
-
-    if t.hi < minus_phi.lo:
-        value = branch_low(t)
-    elif t.lo > minus_phi.hi:
-        value = branch_mid(t)
-    else:
-        value = branch_low(t).hull(branch_mid(t))
-    return ExtendedReal.finite(value)
+    return ExtendedReal.finite(_piecewise(
+        t, -consts.phi,
+        lambda ti: -ti - consts.two_log_phi,
+        lambda ti: -ti - interval_log(1 - ti, prec)))
 
 
 def xi_b(b: int, prec: int | None = None) -> OutwardInterval:
@@ -142,22 +139,17 @@ def rate(rid: RateFunctionId, x, prec: int | None = None) -> ExtendedReal:
         log_term = -interval_log(1 - x_iv, prec)
         if rid.kind == "modified_moment_limit":
             return ExtendedReal.finite(log_term)
-        minus_log2 = -interval_log(2, prec)
-        lo = max(minus_log2.lo, log_term.lo)
-        hi = max(minus_log2.hi, log_term.hi)
-        return ExtendedReal.finite(OutwardInterval.from_endpoints(lo, hi, prec))
+        # An x finer than prec bits still gives a prec-bit floored value.
+        floored = log_term.max(-interval_log(2, prec))
+        return ExtendedReal.finite(floored.with_precision(prec))
 
     if rid.kind == "I_inf":
-        if x_iv.hi <= -1:
-            return ExtendedReal.infinity()
         if x_iv.lo <= -1:
-            # Interval touches the singular edge; no finite enclosure exists.
+            # Left of -1, or touching the singular edge: no finite enclosure.
             return ExtendedReal.infinity()
         return ExtendedReal.finite(_first_branch(x_iv, prec))
 
     # Piecewise I / I_b: +inf left of -1, linear middle, x - log(x+1) right.
-    if x_iv.hi < -1:
-        return ExtendedReal.infinity()
     if x_iv.lo < -1:
         return ExtendedReal.infinity()
 
@@ -175,11 +167,8 @@ def rate(rid: RateFunctionId, x, prec: int | None = None) -> ExtendedReal:
         def middle(ti):
             return (1 - xi) * (ti + 1) + interval_log(xi, prec)
 
-    if x_iv.hi < breakpoint_iv.lo:
-        return ExtendedReal.finite(middle(x_iv))
-    if x_iv.lo > breakpoint_iv.hi:
-        return ExtendedReal.finite(_first_branch(x_iv, prec))
-    return ExtendedReal.finite(middle(x_iv).hull(_first_branch(x_iv, prec)))
+    return ExtendedReal.finite(_piecewise(x_iv, breakpoint_iv, middle,
+                                          lambda ti: _first_branch(ti, prec)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,23 +195,15 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
     a, b = Fraction(bracket[0]), Fraction(bracket[1])
     if a >= b:
         raise ValueError("empty bracket")
-    x = Fraction(x)
+    x_iv = OutwardInterval.from_value(Fraction(x), prec)
 
-    def g(theta: Fraction) -> OutwardInterval | None:
+    def g(theta) -> OutwardInterval | None:
+        # The objective at a point or over an interval of theta; None where
+        # the pressure is +infinity, i.e. the objective is -infinity.
         lam = pressure_fn(theta, prec)
-        if lam.is_infinite:
-            return None
-        return theta * OutwardInterval.from_value(x, prec) - lam.value
+        return None if lam.is_infinite else theta * x_iv - lam.value
 
-    best: OutwardInterval | None = None
-
-    def note(value: OutwardInterval | None):
-        nonlocal best
-        if value is not None and (best is None or value.lo > best.lo):
-            best = value
-
-    note(g(a))
-    note(g(b))
+    probes = [g(a), g(b)]
     # Probe points deliberately asymmetric in the bracket so that an even
     # objective (e.g. the quadratic pressure at x = 0) never produces an
     # exact tie that would stall the certified cuts.
@@ -232,8 +213,7 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
         m1 = a + 3 * (b - a) / 8
         m2 = a + 2 * (b - a) / 3
         g1, g2 = g(m1), g(m2)
-        note(g1)
-        note(g2)
+        probes += (g1, g2)
         if g1 is None:
             # Infinite pressure marks territory right of the finite domain
             # (Lambda blows up at theta >= 1), so the objective is -inf from
@@ -250,27 +230,26 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
         else:
             break  # probes no longer separate as intervals
 
-    if best is None:
+    finite = [value for value in probes if value is not None]
+    if not finite:
         return ExtendedReal.infinity()
+    best = max(finite, key=lambda value: value.lo)
 
     # Upper bound: interval evaluation of the objective over [a, b] (the
     # cuts certify the maximizer stays inside).  Evaluating on slices keeps
     # the bound usable even when the search stalled on a flat stretch and
     # [a, b] is still wide.
     hi = best.hi
-    x_iv = OutwardInterval.from_value(x, prec)
     slices = 32
     covered = False
     for i in range(slices):
         lo_i = a + i * (b - a) / slices
         hi_i = a + (i + 1) * (b - a) / slices
-        theta_iv = OutwardInterval.from_endpoints(lo_i, hi_i, prec)
-        lam_iv = pressure_fn(theta_iv, prec)
-        if lam_iv.is_infinite:
+        over = g(OutwardInterval.from_endpoints(lo_i, hi_i, prec))
+        if over is None:
             # sup over this slice is -inf; it cannot raise the bound.
             continue
         covered = True
-        over = theta_iv * x_iv - lam_iv.value
         hi = max(hi, over.hi)
     if not covered and b - a > target_width:
         # Could not bound the objective over a wide bracket; report the
@@ -304,38 +283,28 @@ def moment_limit(theta: Fraction, prec: int | None = None) -> ExtendedReal:
     theta = Fraction(theta)
     if theta >= 1:
         return ExtendedReal.infinity()
-    consts = GoldenConstants.compute(prec)
-    fib_branch = -consts.two_log_phi
-    series_branch = -interval_log(1 - theta, prec)
-    lo = max(fib_branch.lo, series_branch.lo)
-    hi = max(fib_branch.hi, series_branch.hi)
-    return ExtendedReal.finite(OutwardInterval.from_endpoints(lo, hi, prec))
+    fib_branch = -GoldenConstants.compute(prec).two_log_phi
+    return ExtendedReal.finite(fib_branch.max(-interval_log(1 - theta, prec)))
 
 
-def moment_growth_rate(theta: Fraction, n_list: Sequence[int],
-                       cap_schedule: Union[int, Callable[[int], int], None] = None,
+def moment_growth_rate(theta: Fraction, n_list: Sequence[int], cap_schedule: int = 60,
                        prec: int | None = None) -> GrowthTable:
-    """Rows (1/n) log E(b_n^theta) against the closed-form limit."""
+    """Rows (1/n) log E(b_n^theta) against the closed-form limit.
+
+    Every row runs the moment DP at the same digit cap, cap_schedule.
+    """
     prec = default_precision() if prec is None else prec
     theta = Fraction(theta)
-    if callable(cap_schedule):
-        cap_of = cap_schedule
-    else:
-        flat = 60 if cap_schedule is None else int(cap_schedule)
-        cap_of = lambda n: flat
     rows = []
     for n in n_list:
-        cap = cap_of(n)
-        enc = moment_interval(n, theta, cap=cap, prec=prec)
+        enc = moment_interval(n, theta, cap=cap_schedule, prec=prec)
         if isinstance(enc, ExtendedReal):
-            rows.append(GrowthRow(n, cap, ExtendedReal.infinity()))
-            continue
-        if theta == 0:
-            zero = OutwardInterval.from_value(0, prec)
-            rows.append(GrowthRow(n, cap, ExtendedReal.finite(zero)))
-            continue
-        log_iv = interval_log(OutwardInterval.from_endpoints(enc.lo, enc.hi, prec), prec)
-        rows.append(GrowthRow(n, cap, ExtendedReal.finite(log_iv / n)))
+            value = enc
+        else:
+            # theta = 0 gives the exact [1, 1], whose log is exactly [0, 0].
+            log_iv = interval_log(OutwardInterval.from_endpoints(enc.lo, enc.hi, prec), prec)
+            value = ExtendedReal.finite(log_iv / n)
+        rows.append(GrowthRow(n, cap_schedule, value))
     return GrowthTable(theta, moment_limit(theta, prec), tuple(rows))
 
 
@@ -357,25 +326,24 @@ class MdpTable:
 
 
 def mdp_curve(lam: Fraction, n_list: Sequence[int], p: Fraction = Fraction(3, 4),
-              cap: int = 60, a_fn: Callable[[int], OutwardInterval] | None = None,
-              prec: int | None = None) -> MdpTable:
+              cap: int = 60, prec: int | None = None) -> MdpTable:
     """Moderate-deviation normalization of the log moment-generating rows.
 
-    With a_n = n^p, p in (1/2, 1), the built-in family satisfies the growth
-    conditions (a_n/sqrt(n) -> infinity, a_n/n -> 0) symbolically.  Each row
-    encloses (n/a_n^2)(log E(b_n^{theta_n}) - n theta_n), theta_n = a_n
-    lam/n, which should approach lam^2/2.  theta_n is irrational for the
-    built-in family, so E is enclosed by running the (theta-monotone) moment
-    DP at the rational endpoints of a theta_n enclosure.
+    With a_n = n^p, p in (1/2, 1), the growth conditions (a_n/sqrt(n) ->
+    infinity, a_n/n -> 0) hold symbolically.  Each row encloses
+    (n/a_n^2)(log E(b_n^{theta_n}) - n theta_n), theta_n = a_n lam/n, which
+    should approach lam^2/2.  theta_n is irrational in general, so E is
+    enclosed by running the (theta-monotone) moment DP at the rational
+    endpoints of a theta_n enclosure.
     """
     prec = default_precision() if prec is None else prec
     lam = Fraction(lam)
     p = Fraction(p)
-    if a_fn is None and not Fraction(1, 2) < p < 1:
-        raise ValueError(f"built-in family needs p in (1/2, 1), got {p}")
+    if not Fraction(1, 2) < p < 1:
+        raise ValueError(f"mdp_curve needs p in (1/2, 1), got {p}")
     rows = []
     for n in n_list:
-        a_iv = a_fn(n) if a_fn is not None else interval_pow(n, p, prec)
+        a_iv = interval_pow(n, p, prec)
         theta_iv = (lam * a_iv) / n
         if theta_iv.hi >= 1:
             rows.append(MdpRow(n, theta_iv, False, None))
@@ -407,13 +375,12 @@ class BoundReport:
 
 def exponential_bound_check(eps: Fraction, n_list: Sequence[int],
                             estimator: Callable[[int], Fraction],
-                            beta_scale: Fraction = Fraction(9, 10),
                             prec: int | None = None) -> tuple[OutwardInterval, BoundReport]:
     """Best LDP-permitted exponent and the smallest feasible prefactor.
 
     beta_max = min(I(eps), I(-eps)) is the fastest decay the deviation
     principle allows for P(|log b_n / n - 1| >= eps); the check runs with
-    beta = beta_scale * beta_max (strictly below) and reports, per n, the
+    beta = 9/10 * beta_max (strictly below) and reports, per n, the
     alpha_n that estimator(n) (an upper probability bound) forces.  The
     single feasible alpha is their maximum.
     """
@@ -425,13 +392,8 @@ def exponential_bound_check(eps: Fraction, n_list: Sequence[int],
     lower = rate(RateFunctionId("I"), -eps, prec)
     if upper.is_infinite:
         raise ValueError("I(eps) must be finite for eps > 0")
-    if lower.is_infinite:
-        beta_max = upper.value
-    else:
-        beta_max = OutwardInterval.from_endpoints(
-            min(upper.value.lo, lower.value.lo),
-            min(upper.value.hi, lower.value.hi), prec)
-    beta = beta_scale * beta_max.lo
+    beta_max = upper.value if lower.is_infinite else upper.value.min(lower.value)
+    beta = Fraction(9, 10) * beta_max.lo
     rows = []
     alpha = Fraction(0)
     for n in n_list:

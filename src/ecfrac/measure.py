@@ -99,16 +99,6 @@ def cylinder_measure(word: Sequence[int]) -> Fraction:
     return Fraction(prod, qs[-1] * (qs[-1] + qs[-2]))
 
 
-def phi_ratio(a: int, b: int, y: Fraction) -> Fraction:
-    """The exact conditional ratio Phi(a, b, y) = a(1+y)/((b+ay)(b+1+ay))."""
-    if not 1 <= a <= b:
-        raise ValueError(f"phi_ratio needs 1 <= a <= b, got a={a}, b={b}")
-    y = Fraction(y)
-    if not 0 <= y < 1:
-        raise ValueError(f"phi_ratio needs 0 <= y < 1, got y={y}")
-    return a * (1 + y) / ((b + a * y) * (b + 1 + a * y))
-
-
 def conditional_probability(prefix: Sequence[int], next_digit: int) -> Fraction:
     """P(b_{n+1} = next | the full history equals prefix), exact."""
     w = tuple(prefix)
@@ -339,27 +329,18 @@ def series_bounds_check(j: int, theta: Fraction, terms: int = 2000,
         lower_sum = lower_sum + Fraction(j, k * (k + 2)) * ratio_pow
         upper_sum = upper_sum + Fraction(j + 1, k * (k + 1)) * ratio_pow
 
+    # Only the lower series' lower end and the upper series' upper end are
+    # compared, so each needs only that side of its tail over k >= m.
     integral, sum_bound = _integral_tail(m, theta, prec)
-    j_pow = interval_pow(j, 1 - theta, prec)
-    # lower tail terms: t_k = j^(1-theta) k^(theta-1)/(k+2) in
-    # [k^(theta-2) * m/(m+2), k^(theta-2)] * j^(1-theta) for k >= m
-    lower_tail_lo = j_pow * Fraction(m, m + 2) * integral
-    lower_tail_hi = j_pow * sum_bound
+    # lower tail terms: t_k = j^(1-theta) k^(theta-1)/(k+2)
+    # >= j^(1-theta) k^(theta-2) m/(m+2)
+    lower_tail_lo = interval_pow(j, 1 - theta, prec) * Fraction(m, m + 2) * integral
     # upper tail terms: t_k = (j+1) j^(-theta) k^(theta-1)/(k+1)
-    jneg_pow = interval_pow(j, -theta, prec) * (j + 1)
-    upper_tail_lo = jneg_pow * Fraction(m, m + 1) * integral
-    upper_tail_hi = jneg_pow * sum_bound
+    # <= (j+1) j^(-theta) k^(theta-2)
+    upper_tail_hi = interval_pow(j, -theta, prec) * (j + 1) * sum_bound
 
-    lower_series = OutwardInterval.from_endpoints(
-        (lower_sum + lower_tail_lo).lo, (lower_sum + lower_tail_hi).hi, prec)
-    upper_series = OutwardInterval.from_endpoints(
-        (upper_sum + upper_tail_lo).lo, (upper_sum + upper_tail_hi).hi, prec)
-
-    lower_bound_value = Fraction(j, j + 2) / (1 - theta)
-    upper_bound_value = s_upper_factor(j, theta, prec)
-
-    lower_ok = lower_series.lo >= lower_bound_value
-    upper_ok = upper_series.hi <= upper_bound_value.lo
+    lower_ok = (lower_sum + lower_tail_lo).lo >= Fraction(j, j + 2) / (1 - theta)
+    upper_ok = (upper_sum + upper_tail_hi).hi <= s_upper_factor(j, theta, prec).lo
     return lower_ok, upper_ok
 
 

@@ -28,6 +28,7 @@ from .expansion import CertifiedExpansion, _lockstep_walk
 from .numerics import interval_exp
 
 RNG_ALGORITHM = "philox4x64 (numpy.random.Philox, key=seed, counter=trial index)"
+CONFIDENCE = Fraction(99, 100)  # level of every Clopper-Pearson interval
 
 
 def default_bits(depth: int) -> int:
@@ -89,9 +90,8 @@ def _digit_stream(config: SampleConfig) -> Iterator[tuple[list[int], bool]]:
         yield _lockstep_walk(k, den, k + 1, den, depth)
 
 
-def clopper_pearson(hits: int, trials: int,
-                    confidence: Fraction = Fraction(99, 100)) -> tuple[Fraction, Fraction]:
-    """Exact binomial CI, returned as rationals widened outward.
+def clopper_pearson(hits: int, trials: int) -> tuple[Fraction, Fraction]:
+    """Exact binomial CI at level CONFIDENCE, returned as rationals widened outward.
 
     The beta quantiles come from scipy in float precision; both ends are
     pushed outward by a relative 1e-12 plus an absolute 1e-18 so the
@@ -99,7 +99,7 @@ def clopper_pearson(hits: int, trials: int,
     """
     if not 0 <= hits <= trials or trials < 1:
         raise ValueError("need 0 <= hits <= trials, trials >= 1")
-    alpha = 1 - Fraction(confidence)
+    alpha = 1 - CONFIDENCE
     if hits == 0:
         lo = Fraction(0)
     else:

@@ -69,6 +69,14 @@ def _mpf_tuple_to_fraction(t) -> Fraction:
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
+def _mpf_min(a, b):
+    return b if libmp.mpf_lt(b, a) else a
+
+
+def _mpf_max(a, b):
+    return a if libmp.mpf_lt(b, a) else b
+
+
 class OutwardInterval:
     """A closed real interval [lo, hi] with outward-rounded arithmetic.
 
@@ -200,11 +208,24 @@ class OutwardInterval:
             raise ValueError("non-integer power requires a positive base interval")
         return self._binop(libmp.mpi_pow, exponent)
 
-    def hull(self, other: "OutwardInterval") -> "OutwardInterval":
+    def _endpointwise(self, other: "OutwardInterval", pick_lo, pick_hi) -> "OutwardInterval":
+        # Each endpoint is one of the operands' mpf endpoints, so nothing is
+        # rounded; the result carries the larger precision.
         (a_lo, a_hi), (b_lo, b_hi) = self._mpi, other._mpi
-        lo = b_lo if libmp.mpf_lt(b_lo, a_lo) else a_lo
-        hi = a_hi if libmp.mpf_lt(b_hi, a_hi) else b_hi
-        return OutwardInterval((lo, hi), max(self._prec, other._prec))
+        return OutwardInterval((pick_lo(a_lo, b_lo), pick_hi(a_hi, b_hi)),
+                               max(self._prec, other._prec))
+
+    def hull(self, other: "OutwardInterval") -> "OutwardInterval":
+        """The smallest interval containing both."""
+        return self._endpointwise(other, _mpf_min, _mpf_max)
+
+    def max(self, other: "OutwardInterval") -> "OutwardInterval":
+        """Enclosure of max(s, t) over s in self and t in other."""
+        return self._endpointwise(other, _mpf_max, _mpf_max)
+
+    def min(self, other: "OutwardInterval") -> "OutwardInterval":
+        """Enclosure of min(s, t) over s in self and t in other."""
+        return self._endpointwise(other, _mpf_min, _mpf_min)
 
     def __repr__(self):
         lo, hi = self._mpi

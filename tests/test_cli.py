@@ -217,3 +217,39 @@ def test_mc_has_no_workers_flag():
         main(["mc", "--task", "lln", "--seed", "1", "--trials", "5", "--n", "2",
               "--workers", "2"])
     assert exc.value.code == 2
+
+
+_MC = ["mc", "--seed", "1", "--trials", "3", "--n", "3"]
+
+
+@pytest.mark.parametrize("task, flag", [
+    ("lln", ["--eps", "7"]),
+    ("clt", ["--n-list", "2,3"]),
+    ("event", ["--tail", "upper", "--event", "b1>=2"]),
+    ("lln", ["--event", "b1>=2"]),
+], ids=["eps", "n-list", "tail", "event"])
+def test_mc_rejects_flag_of_another_task(capsys, task, flag):
+    code, out, err = run(capsys, *_MC, "--task", task, *flag)
+    assert code == 2 and out == ""
+    assert "applies only to --task" in err
+
+
+def test_mc_ldp_manifest_records_default_tail(capsys):
+    code, out, _ = run(capsys, *_MC, "--task", "ldp", "--eps", "1/2", "--n-list", "2,3")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["manifest"]["params"]["tail"] == "lower"
+    assert doc["data"]["tail"] == "lower"
+    code, out, _ = run(capsys, *_MC, "--task", "lln")
+    assert code == 0 and "tail" not in json.loads(out)["manifest"]["params"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--given-last", "--n", "3", "--last", "2", "--prefix", "1,2"],
+    ["--prefix", "1,2", "--n", "3"],
+    ["--prefix", "1,2", "--last", "2"],
+], ids=["prefix-with-given-last", "n-without-given-last", "last-without-given-last"])
+def test_conditional_rejects_flags_of_the_other_form(capsys, argv):
+    code, out, err = run(capsys, "conditional", "--next", "3", *argv)
+    assert code == 2 and out == ""
+    assert "error:" in err

@@ -8,7 +8,7 @@ import pytest
 from ecfrac.deviations import (RateFunctionId, exponential_bound_check,
                                legendre_numeric, mdp_curve, moment_growth_rate,
                                moment_limit, pressure, rate, xi_b)
-from ecfrac.numerics import interval_exp
+from ecfrac.numerics import OutwardInterval, interval_exp
 
 getcontext().prec = 50
 
@@ -81,6 +81,52 @@ def test_rate_I_inf_first_branch_everywhere():
     assert _rate_value("I_inf", Fraction(1)).value.contains(1 - LOG2)
     assert _rate_value("I_inf", Fraction(-1)).is_infinite
     assert _rate_value("I_inf", Fraction(-2)).is_infinite
+
+
+def _xi(b: int | None) -> Decimal:
+    """xi_b in 50-digit decimals; I is I_1, with xi_1 = phi^2."""
+    b = 1 if b is None else b
+    return (b * b + 2 + Decimal(b * b + 4 * b).sqrt()) / (2 * b)
+
+
+def _oracle_I(x: Fraction, b: int | None = None) -> Decimal:
+    """I (b None) or I_b at x >= -1, in 50-digit decimals."""
+    xi, d = _xi(b), _dec(x)
+    if d <= 1 / xi - 1:
+        return (1 - xi) * (d + 1) + xi.ln()
+    return d - (d + 1).ln()
+
+
+@pytest.mark.parametrize("kind, b", [("I", None), ("I_b", 1), ("I_b", 2), ("I_b", 7)])
+def test_rate_on_intervals_straddling_the_breakpoint(kind, b):
+    breakpoint = Fraction(str(1 / _xi(b) - 1))
+    for radius in (Fraction(1, 10), Fraction(1, 10**6)):
+        lo, hi = breakpoint - radius, breakpoint + radius
+        enc = _rate_value(kind, OutwardInterval.from_endpoints(lo, hi), b=b).value
+        points = [lo + (hi - lo) * Fraction(i, 10) for i in range(11)]
+        values = [Fraction(str(_oracle_I(x, b))) for x in points]
+        tol = Fraction(1, 10**40)
+        assert enc.lo <= min(values) + tol and max(values) - tol <= enc.hi
+        # x - log(x+1) over an interval of width 2r is about 2r(1 + xi) wide
+        assert enc.width < 12 * radius
+
+
+@pytest.mark.parametrize("lo, hi", [(Fraction(-3), Fraction(-2)),
+                                    (Fraction(-5, 4), Fraction(-11, 10)),
+                                    (Fraction(-11, 10), Fraction(-9, 10))])
+def test_rate_is_infinite_on_intervals_reaching_left_of_minus_one(lo, hi):
+    x = OutwardInterval.from_endpoints(lo, hi)
+    for kind, b in (("I", None), ("I_b", 1), ("I_b", 5), ("I_inf", None)):
+        assert _rate_value(kind, x, b=b).is_infinite
+
+
+def test_rate_at_minus_one_edge():
+    # I is finite at -1 (middle branch); I_inf has its singular edge there.
+    x = OutwardInterval.from_endpoints(Fraction(-1), Fraction(-9, 10))
+    enc = _rate_value("I", x).value
+    assert enc.contains(Fraction(str(_oracle_I(Fraction(-1)))))
+    assert enc.contains(Fraction(str(_oracle_I(Fraction(-9, 10)))))
+    assert _rate_value("I_inf", x).is_infinite
 
 
 def test_rate_I_b_shares_first_branch():
@@ -181,8 +227,6 @@ def test_growth_rows_approach_log2():
 def test_growth_cap_schedule_forms():
     by_int = moment_growth_rate(Fraction(1, 2), [3], cap_schedule=25)
     assert by_int.rows[0].cap == 25
-    by_fn = moment_growth_rate(Fraction(1, 2), [3], cap_schedule=lambda n: 10 * n)
-    assert by_fn.rows[0].cap == 30
 
 
 def test_mdp_theta_sequence_and_target():

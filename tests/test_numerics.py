@@ -245,3 +245,24 @@ def test_powers_and_kernels_match_interval_context(x, k, r, prec):
 def test_exp_matches_interval_context(x, prec):
     ctx = _reference(prec)
     assert _same(interval_exp(x, prec), ctx.exp(_ref_value(ctx, x)))
+
+
+def _interval(ends: tuple[Fraction, Fraction], prec: int) -> OutwardInterval:
+    lo, hi = sorted(ends)
+    return OutwardInterval.from_endpoints(lo, hi, prec)
+
+
+@given(a=st.tuples(small_rationals, small_rationals), b=st.tuples(small_rationals, small_rationals),
+       prec_a=precisions, prec_b=precisions)
+@settings(max_examples=200, deadline=None)
+def test_max_min_match_endpoint_construction(a, b, prec_a, prec_b):
+    # max and min pick endpoints of the operands, so they must equal the
+    # construction from the exact Fraction endpoints at the larger precision.
+    ia, ib = _interval(a, prec_a), _interval(b, prec_b)
+    prec = max(prec_a, prec_b)
+    for method, pick in ((OutwardInterval.max, max), (OutwardInterval.min, min)):
+        ref = OutwardInterval.from_endpoints(pick(ia.lo, ib.lo), pick(ia.hi, ib.hi), prec)
+        for ours in (method(ia, ib), method(ib, ia)):
+            assert (ours.lo, ours.hi, ours.precision) == (ref.lo, ref.hi, ref.precision)
+        same = method(ia, ia)
+        assert (same.lo, same.hi, same.precision) == (ia.lo, ia.hi, prec_a)
