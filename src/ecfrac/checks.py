@@ -26,8 +26,9 @@ from .expansion import (continuants, cylinder_endpoints, expand_rational,
 from .measure import (binet_q, conditional_given_last, conditional_probability,
                       cylinder_measure, marginal_exact, marginal_interval_dp,
                       prob_digit_one, transition_bounds)
-from .montecarlo import (LOWER, UPPER, SampleConfig, TailRequest, _ldp_rows,
-                         clopper_pearson, clt_report, lln_report, tail_counts)
+from .montecarlo import (LOWER, UPPER, SampleConfig, TailRequest, _clt_report,
+                         _final_digits, _ldp_rows, _lln_report, clopper_pearson,
+                         tail_counts)
 from .numerics import OutwardInterval, interval_exp, interval_log
 from .words import EXACT_LAST, LAST_AT_MOST, WordFamily, count_words, enumerate_words
 
@@ -277,13 +278,17 @@ def criterion_9() -> CheckResult:
                    "quadratic self-duality")
 
 
-def _mean_config() -> SampleConfig:
-    return SampleConfig(seed=MC_SEED_MEAN, trials=10**4, depth=100)
+@functools.lru_cache(maxsize=1)
+def _shared_mean_run():
+    """lln_report and clt_report of one depth-100 config, from one pass."""
+    config = SampleConfig(seed=MC_SEED_MEAN, trials=10**4, depth=100)
+    finals = _final_digits(config)
+    return _lln_report(config, *finals), _clt_report(config, *finals)
 
 
 def criterion_10() -> CheckResult:
     t0 = time.time()
-    rep = lln_report(_mean_config())
+    rep, _ = _shared_mean_run()
     passed = 0.99 <= rep.mean <= 1.01 and rep.uncertified == 0
     return _result(10, "sampled digit growth has mean one", t0, passed,
                    f"mean={rep.mean:.5f} sd={rep.stdev:.4f} "
@@ -292,7 +297,7 @@ def criterion_10() -> CheckResult:
 
 def criterion_11() -> CheckResult:
     t0 = time.time()
-    rep = clt_report(_mean_config())
+    _, rep = _shared_mean_run()
     passed = rep.ks <= 0.1
     return _result(11, "normalized digit growth is near normal", t0, passed,
                    f"KS={rep.ks:.4f} median={rep.median:.4f} "

@@ -83,12 +83,14 @@ class GoldenConstants:
 
 def _piecewise(x: OutwardInterval, breakpoint: OutwardInterval,
                left, right) -> OutwardInterval:
-    """left(x) left of the breakpoint, right(x) right of it, else the hull."""
+    """left(x) left of the breakpoint, right(x) right of it, else the hull of
+    each branch over its own side: left on [x.lo, min(x.hi, bp.hi)] and
+    right on [max(x.lo, bp.lo), x.hi], so neither leaves its domain."""
     if x.hi < breakpoint.lo:
         return left(x)
     if x.lo > breakpoint.hi:
         return right(x)
-    return left(x).hull(right(x))
+    return left(x.intersect(x.min(breakpoint))).hull(right(x.intersect(x.max(breakpoint))))
 
 
 def pressure(theta, prec: int | None = None) -> ExtendedReal:

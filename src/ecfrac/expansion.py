@@ -58,8 +58,9 @@ def _lockstep_walk(p_lo: int, q_lo: int, p_hi: int, q_hi: int,
     Both endpoints are expanded in lockstep until they disagree or one
     terminates; cylinders are intervals, so a prefix shared by the
     endpoints is shared by everything in between.  One step maps p/q to
-    (q - d*p)/(d*p) with d = q // p on unnormalized integer pairs, and
-    d*p <= q, so the operands never grow past the initial denominators.
+    (q - d*p)/(d*p) with d = q // p on unnormalized integer pairs, that is
+    to (r, q - r) with r = q mod p, so the operands never grow past the
+    initial denominators.
     The digit map is decreasing, so the two images trade places as the
     smaller end at every step; every test below is symmetric in them, so
     the walk never reorders them.  A cell touching 0 shares no digit (b_1
@@ -70,13 +71,13 @@ def _lockstep_walk(p_lo: int, q_lo: int, p_hi: int, q_hi: int,
         return [], False
     digits: list[int] = []
     while len(digits) < max_digits:
-        d_lo = q_lo // p_lo
-        d_hi = q_hi // p_hi
+        d_lo, r_lo = divmod(q_lo, p_lo)
+        d_hi, r_hi = divmod(q_hi, p_hi)
         if d_lo != d_hi:
             return digits, False
         digits.append(d_lo)
-        p_lo, q_lo = q_lo - d_lo * p_lo, d_lo * p_lo
-        p_hi, q_hi = q_hi - d_hi * p_hi, d_hi * p_hi
+        p_lo, q_lo = r_lo, q_lo - r_lo
+        p_hi, q_hi = r_hi, q_hi - r_hi
         if p_lo == 0 or p_hi == 0:
             # One endpoint's expansion ended here.  Nearby interior points
             # have arbitrarily large next digits, so nothing more is shared.

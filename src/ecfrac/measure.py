@@ -301,49 +301,6 @@ def s_upper_factor(j: int, theta: Fraction, prec: int | None = None) -> OutwardI
     return (lead * power) / (1 - theta)
 
 
-def series_bounds_check(j: int, theta: Fraction, terms: int = 2000,
-                        prec: int | None = None) -> tuple[bool, bool]:
-    """Certify the two series inequalities behind the moment bounds.
-
-    lower: sum_{k>=j} j/(k(k+2)) (k/j)^theta >= (j/(j+2)) / (1-theta)
-    upper: sum_{k>=j} (j+1)/(k(k+1)) (k/j)^theta <= (1+1/j)(1-1/j)^(theta-1)/(1-theta)
-
-    Both series are summed explicitly for `terms` terms and closed with
-    integral tail enclosures; returns whether each inequality is certified
-    as an interval statement.
-    """
-    if j < 2:
-        raise ValueError("series_bounds_check needs j >= 2")
-    theta = Fraction(theta)
-    if theta >= 1:
-        raise ValueError("series diverge for theta >= 1")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    prec = default_precision() if prec is None else prec
-
-    m = j + terms
-    lower_sum = OutwardInterval.from_value(0, prec)
-    upper_sum = OutwardInterval.from_value(0, prec)
-    for k in range(j, m):
-        ratio_pow = interval_pow(Fraction(k, j), theta, prec)
-        lower_sum = lower_sum + Fraction(j, k * (k + 2)) * ratio_pow
-        upper_sum = upper_sum + Fraction(j + 1, k * (k + 1)) * ratio_pow
-
-    # Only the lower series' lower end and the upper series' upper end are
-    # compared, so each needs only that side of its tail over k >= m.
-    integral, sum_bound = _integral_tail(m, theta, prec)
-    # lower tail terms: t_k = j^(1-theta) k^(theta-1)/(k+2)
-    # >= j^(1-theta) k^(theta-2) m/(m+2)
-    lower_tail_lo = interval_pow(j, 1 - theta, prec) * Fraction(m, m + 2) * integral
-    # upper tail terms: t_k = (j+1) j^(-theta) k^(theta-1)/(k+1)
-    # <= (j+1) j^(-theta) k^(theta-2)
-    upper_tail_hi = interval_pow(j, -theta, prec) * (j + 1) * sum_bound
-
-    lower_ok = (lower_sum + lower_tail_lo).lo >= Fraction(j, j + 2) / (1 - theta)
-    upper_ok = (upper_sum + upper_tail_hi).hi <= s_upper_factor(j, theta, prec).lo
-    return lower_ok, upper_ok
-
-
 def moment_interval(n: int, theta: Fraction, cap: int = 60,
                     prec: int | None = None) -> ProbInterval | ExtendedReal:
     """Two-sided enclosure of E(b_n^theta) for theta < 1 (else +infinity).

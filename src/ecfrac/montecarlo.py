@@ -4,10 +4,14 @@ Sampling is exact: each trial draws k uniformly from [0, 2^B) and
 samples the dyadic cell [k/2^B, (k+1)/2^B]; the digit statistics are
 computed from the prefix that every point of the cell shares (the lockstep
 walk of expansion.expand_interval), so no floating-point drift can corrupt
-a digit.  Trials are keyed by
-(seed, index) through a counter-based generator (numpy Philox, recorded
-as the algorithm name in reports), which makes every report a
-deterministic function of its SampleConfig.
+a digit.  The walk first tries the coarse cells of k's top bits at two
+precisions derived from the depth, and falls back to all B bits; it takes
+a coarse result only when it is exactly the drawn cell's.
+
+Trials are keyed by (seed, index) through a counter-based generator
+(numpy Philox4x64, recorded as the algorithm name in reports): one bit
+generator per pass, keyed by the seed, whose counter each trial sets from
+its index.  Every report is a deterministic function of its SampleConfig.
 
 Uncertified trials (cell wider than the depth-n cylinder) are excluded
 from both numerator and denominator but always reported.
@@ -70,24 +74,70 @@ class EventEstimate:
             raise ValueError("confidence bounds must bracket the estimate")
 
 
-def _raw_cell_index(seed: int, index: int, bits: int) -> int:
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=index))
-    nbytes = (bits + 7) // 8
-    return int.from_bytes(gen.bytes(nbytes), "little") & ((1 << bits) - 1)
+def _cell_indices(config: SampleConfig) -> Iterator[int]:
+    """The draw k of every trial, in index order, from one generator per pass.
+
+    Trial i sets the Philox counter to [i, 0, 0, 0] with an empty buffer,
+    so it reads the blocks at counters i+1, i+2, ... (Philox increments
+    before it encrypts), and keeps the low B bits of ceil(B/64) raw words
+    taken little-endian.
+    """
+    bitgen = np.random.Philox(key=config.seed)
+    state = bitgen.state
+    counter = state["state"]["counter"]
+    words = -(-config.bits // 64)
+    mask = (1 << config.bits) - 1
+    for index in range(config.trials):
+        counter[0] = index
+        state["buffer_pos"] = len(state["buffer"])
+        bitgen.state = state
+        yield int.from_bytes(bitgen.random_raw(words).tobytes(), "little") & mask
+
+
+def _walk_schedule(depth: int, bits: int) -> tuple[int, ...]:
+    """Coarse precisions to walk before the full B bits.
+
+    A cell certifies `depth` digits from about 0.72 depth^2 bits on (the
+    median); the two rungs sit above that, and a rung at or past B is
+    skipped.
+    """
+    need = 18 * depth * depth // 25
+    return tuple(b for b in (4 * need // 3, 9 * need // 5) if b < bits)
+
+
+def _cell_prefix(k: int, bits: int, depth: int,
+                 schedule: Sequence[int]) -> tuple[list[int], bool]:
+    """(digits, truncated) of the cell [k/2^B, (k+1)/2^B], walked coarse first.
+
+    The coarse cell [K/2^b, (K+1)/2^b], K = k >> (B-b), contains the drawn
+    cell.  A truncated coarse walk is exact for the drawn cell: every point
+    of the coarse cell shares the `depth` digits, and none has an expansion
+    that ends within `depth` digits (at an endpoint the walk would have
+    stopped; inside, sub-cylinders would accumulate there and split the
+    prefix), so the drawn cell's walk reaches `depth` too.  Any other coarse
+    result decides nothing, and the next rung, last all B bits, is walked.
+    """
+    for b in schedule:
+        coarse = k >> (bits - b)
+        if coarse:
+            digits, truncated = _lockstep_walk(coarse, 1 << b, coarse + 1, 1 << b, depth)
+            if truncated:
+                return digits, truncated
+    den = 1 << bits
+    return _lockstep_walk(k, den, k + 1, den, depth)
 
 
 def _digit_stream(config: SampleConfig) -> Iterator[tuple[list[int], bool]]:
     """(certified digit prefix of length <= depth, truncated), one per trial.
 
     A trial that draws k samples the cell [k/2^B, (k+1)/2^B]; the cell at
-    k = 0 touches 0 and certifies no digit.  Trials are independent functions of (seed, index), and the
-    aggregations below are exact integer counters, independent of order.
+    k = 0 touches 0 and certifies no digit.  Trials are functions of
+    (seed, index), and the aggregations below are exact integer counters,
+    independent of order.
     """
-    den = 1 << config.bits
-    depth = config.depth
-    for index in range(config.trials):
-        k = _raw_cell_index(config.seed, index, config.bits)
-        yield _lockstep_walk(k, den, k + 1, den, depth)
+    schedule = _walk_schedule(config.depth, config.bits)
+    for k in _cell_indices(config):
+        yield _cell_prefix(k, config.bits, config.depth, schedule)
 
 
 def clopper_pearson(hits: int, trials: int) -> tuple[Fraction, Fraction]:
@@ -193,25 +243,23 @@ def tail_threshold(request: TailRequest) -> int:
 def tail_counts(config: SampleConfig,
                 requests: Sequence[TailRequest]) -> dict[TailRequest, EventEstimate]:
     """Estimates for many tail events from one shared pass over the trials."""
-    requests = list(requests)
+    requests = list(dict.fromkeys(requests))
     if any(r.n > config.depth for r in requests):
         raise ValueError("request depth exceeds config.depth")
-    thresholds = {r: tail_threshold(r) for r in requests}
-    hits = {r: 0 for r in requests}
-    certified = {r: 0 for r in requests}
+    # (position of b_n in the prefix, threshold, upper tail?) per request
+    events = [(r.n - 1, tail_threshold(r), r.tail == UPPER) for r in requests]
+    hits = [0] * len(events)
+    certified = [0] * len(events)
     for prefix, _ in _digit_stream(config):
         have = len(prefix)
-        for r in requests:
-            if have < r.n:
-                continue
-            certified[r] += 1
-            b = prefix[r.n - 1]
-            if r.tail == UPPER:
-                hits[r] += b >= thresholds[r]
-            else:
-                hits[r] += b <= thresholds[r]
-    return {r: _estimate_from_counts(hits[r], certified[r], config.trials - certified[r])
-            for r in requests}
+        for j, (position, threshold, upper) in enumerate(events):
+            if position < have:
+                certified[j] += 1
+                b = prefix[position]
+                if (b >= threshold) if upper else (b <= threshold):
+                    hits[j] += 1
+    return {r: _estimate_from_counts(h, c, config.trials - c)
+            for r, h, c in zip(requests, hits, certified)}
 
 
 @dataclass(frozen=True)
@@ -319,7 +367,10 @@ def _final_digits(config: SampleConfig) -> tuple[list[int], int]:
 
 
 def lln_report(config: SampleConfig) -> LlnReport:
-    finals, uncertified = _final_digits(config)
+    return _lln_report(config, *_final_digits(config))
+
+
+def _lln_report(config: SampleConfig, finals: list[int], uncertified: int) -> LlnReport:
     values = [math.log(b) / config.depth for b in finals]
     spread = statistics.stdev(values) if len(values) > 1 else 0.0
     return LlnReport(config.depth, config.trials, len(values), uncertified,
@@ -330,9 +381,12 @@ _QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
 def clt_report(config: SampleConfig) -> CltReport:
+    return _clt_report(config, *_final_digits(config))
+
+
+def _clt_report(config: SampleConfig, finals: list[int], uncertified: int) -> CltReport:
     normal = statistics.NormalDist()
     scale = math.sqrt(config.depth)
-    finals, uncertified = _final_digits(config)
     zs = sorted((math.log(b) - config.depth) / scale for b in finals)
     count = len(zs)
     ks = 0.0

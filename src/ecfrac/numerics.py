@@ -227,6 +227,12 @@ class OutwardInterval:
         """Enclosure of min(s, t) over s in self and t in other."""
         return self._endpointwise(other, _mpf_min, _mpf_min)
 
+    def intersect(self, other: "OutwardInterval") -> "OutwardInterval":
+        """The common part of two overlapping intervals."""
+        if not self.overlaps(other):
+            raise ValueError("intervals do not overlap")
+        return self._endpointwise(other, _mpf_max, _mpf_min)
+
     def __repr__(self):
         lo, hi = self._mpi
         return f"OutwardInterval[{libmp.to_float(lo)}, {libmp.to_float(hi)}]"

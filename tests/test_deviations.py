@@ -129,6 +129,22 @@ def test_rate_at_minus_one_edge():
     assert _rate_value("I_inf", x).is_infinite
 
 
+@pytest.mark.parametrize("kind, b, hi", [("I", None, Fraction(-3, 5)),
+                                         ("I_b", 100, Fraction(-9, 10))])
+def test_rate_from_minus_one_across_the_breakpoint(kind, b, hi):
+    # [-1, hi] reaches past the breakpoint; the first branch x - log(x+1)
+    # has no enclosure at -1, but the rate is finite on the whole interval.
+    x = OutwardInterval.from_endpoints(Fraction(-1), hi)
+    assert x.lo < Fraction(str(1 / _xi(b) - 1)) < x.hi
+    enc = _rate_value(kind, x, b=b).value
+    values = [Fraction(str(_oracle_I(-1 + (hi + 1) * Fraction(i, 20), b)))
+              for i in range(21)]
+    tol = Fraction(1, 10**40)
+    assert enc.lo <= min(values) + tol and max(values) - tol <= enc.hi
+    # the maximum, I(-1), is on the linear middle branch and stays sharp
+    assert enc.hi <= max(values) + Fraction(1, 10**30)
+
+
 def test_rate_I_b_shares_first_branch():
     for b in (1, 2, 5, 100):
         enc = _rate_value("I_b", Fraction(1), b=b).value

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecfrac.expansion import continuants
-from ecfrac.measure import (ProbInterval, _dp_bits, binet_q,
+from ecfrac.measure import (ProbInterval, _dp_bits, _integral_tail, binet_q,
                             conditional_given_last, conditional_probability,
                             cylinder_measure, marginal_exact,
                             marginal_interval_dp, moment_interval,
-                            prob_digit_one, series_bounds_check,
-                            transition_bounds)
-from ecfrac.numerics import ExtendedReal, default_precision
+                            prob_digit_one, s_upper_factor, transition_bounds)
+from ecfrac.numerics import (ExtendedReal, OutwardInterval, default_precision,
+                             interval_pow)
 from exact_dp import moment_oracle, uniform_marginal
 
 # hand-computed golden measures: prod(b_i, i < n) / (Q_n (Q_n + Q_{n-1}))
@@ -224,6 +224,41 @@ def test_moment_respects_cap_refinement():
     fine = moment_interval(3, theta, cap=80)
     assert fine.lo <= coarse.hi and coarse.lo <= fine.hi
     assert fine.hi - fine.lo <= coarse.hi - coarse.lo
+
+
+def series_bounds_check(j: int, theta: Fraction, terms: int) -> tuple[bool, bool]:
+    """Certify the two series inequalities behind the moment bounds, j >= 2.
+
+    lower: sum_{k>=j} j/(k(k+2)) (k/j)^theta >= (j/(j+2)) / (1-theta)
+    upper: sum_{k>=j} (j+1)/(k(k+1)) (k/j)^theta <= (1+1/j)(1-1/j)^(theta-1)/(1-theta)
+
+    The upper one is the lemma behind measure.s_upper_factor.  Both series
+    are summed explicitly for `terms` terms and closed with integral tail
+    enclosures; returns whether each inequality is certified as an interval
+    statement.
+    """
+    prec = default_precision()
+    m = j + terms
+    lower_sum = OutwardInterval.from_value(0, prec)
+    upper_sum = OutwardInterval.from_value(0, prec)
+    for k in range(j, m):
+        ratio_pow = interval_pow(Fraction(k, j), theta, prec)
+        lower_sum = lower_sum + Fraction(j, k * (k + 2)) * ratio_pow
+        upper_sum = upper_sum + Fraction(j + 1, k * (k + 1)) * ratio_pow
+
+    # Only the lower series' lower end and the upper series' upper end are
+    # compared, so each needs only that side of its tail over k >= m.
+    integral, sum_bound = _integral_tail(m, theta, prec)
+    # lower tail terms: t_k = j^(1-theta) k^(theta-1)/(k+2)
+    # >= j^(1-theta) k^(theta-2) m/(m+2)
+    lower_tail_lo = interval_pow(j, 1 - theta, prec) * Fraction(m, m + 2) * integral
+    # upper tail terms: t_k = (j+1) j^(-theta) k^(theta-1)/(k+1)
+    # <= (j+1) j^(-theta) k^(theta-2)
+    upper_tail_hi = interval_pow(j, -theta, prec) * (j + 1) * sum_bound
+
+    lower_ok = (lower_sum + lower_tail_lo).lo >= Fraction(j, j + 2) / (1 - theta)
+    upper_ok = (upper_sum + upper_tail_hi).hi <= s_upper_factor(j, theta, prec).lo
+    return lower_ok, upper_ok
 
 
 def test_series_bounds_certified():

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecfrac import montecarlo
-from ecfrac.expansion import cylinder_endpoints, expand_interval
+from ecfrac.expansion import _lockstep_walk, cylinder_endpoints, expand_interval
 from ecfrac.montecarlo import (LOWER, UPPER, SampleConfig, TailRequest,
                                clopper_pearson, clt_report, default_bits,
                                estimate_event, ldp_slope, lln_report,
                                tail_counts, tail_threshold)
 
+from reference_philox import reference_cell_index
 from reference_walk import reference_expand_interval
 
 
@@ -37,7 +38,7 @@ def test_different_seeds_differ():
 def _sampled_cell(k: int, bits: int, depth: int):
     """The sampler's (prefix, truncated) for a trial whose draw is k."""
     config = SampleConfig(seed=0, trials=1, depth=depth, bits=bits)
-    with mock.patch.object(montecarlo, "_raw_cell_index", lambda seed, index, b: k):
+    with mock.patch.object(montecarlo, "_cell_indices", lambda config: iter([k])):
         (cell,) = montecarlo._digit_stream(config)
     return cell
 
@@ -79,11 +80,51 @@ def test_top_cell_reaches_one():
 def test_stream_samples_lower_cells():
     config = SampleConfig(seed=123, trials=200, depth=6, bits=20)
     for index, (prefix, truncated) in enumerate(montecarlo._digit_stream(config)):
-        k = montecarlo._raw_cell_index(config.seed, index, config.bits)
+        k = reference_cell_index(config.seed, index, config.bits)
         if k == 0:
             continue
         expected = expand_interval(Fraction(k, 2**20), Fraction(k + 1, 2**20), 6)
         assert (tuple(prefix), truncated) == (expected.digits, expected.truncated)
+
+
+@pytest.mark.parametrize("seed", [0, 271828, 2**64 - 1])
+@pytest.mark.parametrize("bits", [1, 12, 63, 64, 65, 200, 3520])
+def test_pass_draw_matches_per_trial_generator(seed, bits):
+    config = SampleConfig(seed=seed, trials=40, depth=1, bits=bits)
+    assert list(montecarlo._cell_indices(config)) == [
+        reference_cell_index(seed, index, bits) for index in range(40)]
+
+
+def test_stream_walks_drawn_cells_at_full_precision():
+    # depth 12 at the default B = 317 walks coarse rungs of 137 and 185 bits
+    config = SampleConfig(seed=99, trials=300, depth=12)
+    assert montecarlo._walk_schedule(config.depth, config.bits) == (137, 185)
+    den = 1 << config.bits
+    for index, cell in enumerate(montecarlo._digit_stream(config)):
+        k = reference_cell_index(config.seed, index, config.bits)
+        assert cell == _lockstep_walk(k, den, k + 1, den, config.depth)
+
+
+@st.composite
+def deep_cells(draw):
+    depth = draw(st.integers(1, 60))
+    bits = draw(st.one_of(st.integers(1, 4096),
+                          st.integers(1, default_bits(depth))))
+    top = 2**bits - 1
+    k = draw(st.one_of(st.integers(0, top), st.integers(0, min(top, 64)),
+                       st.integers(max(0, top - 64), top)))
+    return bits, k, depth
+
+
+@given(deep_cells())
+@settings(max_examples=300, deadline=None)
+def test_lazy_walk_matches_full_precision_walk(cell):
+    bits, k, depth = cell
+    den = 1 << bits
+    schedule = montecarlo._walk_schedule(depth, bits)
+    assert all(b < bits for b in schedule)
+    assert (montecarlo._cell_prefix(k, bits, depth, schedule)
+            == _lockstep_walk(k, den, k + 1, den, depth))
 
 
 def test_estimate_event_passes_walk_truncation():

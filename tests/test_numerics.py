@@ -266,3 +266,18 @@ def test_max_min_match_endpoint_construction(a, b, prec_a, prec_b):
             assert (ours.lo, ours.hi, ours.precision) == (ref.lo, ref.hi, ref.precision)
         same = method(ia, ia)
         assert (same.lo, same.hi, same.precision) == (ia.lo, ia.hi, prec_a)
+
+
+@given(a=st.tuples(small_rationals, small_rationals), b=st.tuples(small_rationals, small_rationals),
+       prec_a=precisions, prec_b=precisions)
+@settings(max_examples=200, deadline=None)
+def test_intersect_matches_endpoint_construction(a, b, prec_a, prec_b):
+    ia, ib = _interval(a, prec_a), _interval(b, prec_b)
+    lo, hi = max(ia.lo, ib.lo), min(ia.hi, ib.hi)
+    if lo > hi:
+        with pytest.raises(ValueError):
+            ia.intersect(ib)
+        return
+    ref = OutwardInterval.from_endpoints(lo, hi, max(prec_a, prec_b))
+    for ours in (ia.intersect(ib), ib.intersect(ia)):
+        assert (ours.lo, ours.hi, ours.precision) == (ref.lo, ref.hi, ref.precision)
