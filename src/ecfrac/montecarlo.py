@@ -10,8 +10,10 @@ a coarse result only when it is exactly the drawn cell's.
 
 Trials are keyed by (seed, index) through a counter-based generator
 (numpy Philox4x64, recorded as the algorithm name in reports): one bit
-generator per pass, keyed by the seed, whose counter each trial sets from
-its index.  Every report is a deterministic function of its SampleConfig.
+generator per pass, keyed by the seed; trial i starts at counter
+[0, i, 0, 0], so no two trials read the same 256-bit block.  Trials are
+independent, and every report is a deterministic function of its
+SampleConfig.
 
 Uncertified trials (cell wider than the depth-n cylinder) are excluded
 from both numerator and denominator but always reported.
@@ -31,7 +33,7 @@ from scipy.stats import beta as _beta_dist
 from .expansion import CertifiedExpansion, _lockstep_walk
 from .numerics import interval_exp
 
-RNG_ALGORITHM = "philox4x64 (numpy.random.Philox, key=seed, counter=trial index)"
+RNG_ALGORITHM = "philox4x64 (numpy.random.Philox, key=seed, counter word 1=trial index)"
 CONFIDENCE = Fraction(99, 100)  # level of every Clopper-Pearson interval
 
 
@@ -77,10 +79,12 @@ class EventEstimate:
 def _cell_indices(config: SampleConfig) -> Iterator[int]:
     """The draw k of every trial, in index order, from one generator per pass.
 
-    Trial i sets the Philox counter to [i, 0, 0, 0] with an empty buffer,
-    so it reads the blocks at counters i+1, i+2, ... (Philox increments
-    before it encrypts), and keeps the low B bits of ceil(B/64) raw words
-    taken little-endian.
+    Trial i sets the Philox counter to [0, i, 0, 0] with an empty buffer,
+    so it reads the blocks at counters [1, i, 0, 0], [2, i, 0, 0], ...
+    (Philox increments word 0 before it encrypts), and keeps the low B bits
+    of ceil(B/64) raw words taken little-endian.  No two trials share a
+    block: with the index in word 0, trial i+1 would re-read all but the
+    first of trial i's blocks.
     """
     bitgen = np.random.Philox(key=config.seed)
     state = bitgen.state
@@ -88,7 +92,7 @@ def _cell_indices(config: SampleConfig) -> Iterator[int]:
     words = -(-config.bits // 64)
     mask = (1 << config.bits) - 1
     for index in range(config.trials):
-        counter[0] = index
+        counter[1] = index
         state["buffer_pos"] = len(state["buffer"])
         bitgen.state = state
         yield int.from_bytes(bitgen.random_raw(words).tobytes(), "little") & mask
@@ -131,8 +135,8 @@ def _digit_stream(config: SampleConfig) -> Iterator[tuple[list[int], bool]]:
     """(certified digit prefix of length <= depth, truncated), one per trial.
 
     A trial that draws k samples the cell [k/2^B, (k+1)/2^B]; the cell at
-    k = 0 touches 0 and certifies no digit.  Trials are functions of
-    (seed, index), and the aggregations below are exact integer counters,
+    k = 0 touches 0 and certifies no digit.  Trials are independent functions
+    of (seed, index), and the aggregations below are exact integer counters,
     independent of order.
     """
     schedule = _walk_schedule(config.depth, config.bits)

@@ -235,7 +235,9 @@ def test_mc_rejects_flag_of_another_task(capsys, task, flag):
 
 
 def test_mc_ldp_manifest_records_default_tail(capsys):
-    code, out, _ = run(capsys, *_MC, "--task", "ldp", "--eps", "1/2", "--n-list", "2,3")
+    # enough trials that both depths have hits and the slope can be fitted
+    code, out, _ = run(capsys, "mc", "--seed", "1", "--trials", "200", "--n", "3",
+                       "--task", "ldp", "--eps", "1/2", "--n-list", "2,3")
     assert code == 0
     doc = json.loads(out)
     assert doc["manifest"]["params"]["tail"] == "lower"

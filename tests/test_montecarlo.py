@@ -95,6 +95,14 @@ def test_pass_draw_matches_per_trial_generator(seed, bits):
         reference_cell_index(seed, index, bits) for index in range(40)]
 
 
+def test_trials_share_no_philox_block():
+    # 2048 bits are eight whole 32-byte blocks of Philox4x64 output per trial
+    config = SampleConfig(seed=271828, trials=50, depth=1, bits=2048)
+    blocks = [k.to_bytes(256, "little")[j:j + 32]
+              for k in montecarlo._cell_indices(config) for j in range(0, 256, 32)]
+    assert len(set(blocks)) == len(blocks) == 400
+
+
 def test_stream_walks_drawn_cells_at_full_precision():
     # depth 12 at the default B = 317 walks coarse rungs of 137 and 185 bits
     config = SampleConfig(seed=99, trials=300, depth=12)
