@@ -84,13 +84,14 @@ class GoldenConstants:
 def _piecewise(x: OutwardInterval, breakpoint: OutwardInterval,
                left, right) -> OutwardInterval:
     """left(x) left of the breakpoint, right(x) right of it, else the hull of
-    each branch over its own side: left on [x.lo, min(x.hi, bp.hi)] and
-    right on [max(x.lo, bp.lo), x.hi], so neither leaves its domain."""
+    each branch over its own side, so that neither leaves its domain."""
     if x.hi < breakpoint.lo:
         return left(x)
     if x.lo > breakpoint.hi:
         return right(x)
-    return left(x.intersect(x.min(breakpoint))).hull(right(x.intersect(x.max(breakpoint))))
+    below = x.intersect(x.min(breakpoint))  # [x.lo, min(x.hi, bp.hi)]
+    above = x.intersect(x.max(breakpoint))  # [max(x.lo, bp.lo), x.hi]
+    return left(below).hull(right(above))
 
 
 def pressure(theta, prec: int | None = None) -> ExtendedReal:

@@ -109,8 +109,7 @@ def _walk_schedule(depth: int, bits: int) -> tuple[int, ...]:
     return tuple(b for b in (4 * need // 3, 9 * need // 5) if b < bits)
 
 
-def _cell_prefix(k: int, bits: int, depth: int,
-                 schedule: Sequence[int]) -> tuple[list[int], bool]:
+def _cell_prefix(k: int, bits: int, depth: int) -> tuple[list[int], bool]:
     """(digits, truncated) of the cell [k/2^B, (k+1)/2^B], walked coarse first.
 
     The coarse cell [K/2^b, (K+1)/2^b], K = k >> (B-b), contains the drawn
@@ -121,7 +120,7 @@ def _cell_prefix(k: int, bits: int, depth: int,
     prefix), so the drawn cell's walk reaches `depth` too.  Any other coarse
     result decides nothing, and the next rung, last all B bits, is walked.
     """
-    for b in schedule:
+    for b in _walk_schedule(depth, bits):
         coarse = k >> (bits - b)
         if coarse:
             digits, truncated = _lockstep_walk(coarse, 1 << b, coarse + 1, 1 << b, depth)
@@ -139,9 +138,8 @@ def _digit_stream(config: SampleConfig) -> Iterator[tuple[list[int], bool]]:
     of (seed, index), and the aggregations below are exact integer counters,
     independent of order.
     """
-    schedule = _walk_schedule(config.depth, config.bits)
     for k in _cell_indices(config):
-        yield _cell_prefix(k, config.bits, config.depth, schedule)
+        yield _cell_prefix(k, config.bits, config.depth)
 
 
 def clopper_pearson(hits: int, trials: int) -> tuple[Fraction, Fraction]:

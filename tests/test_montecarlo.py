@@ -129,9 +129,8 @@ def deep_cells(draw):
 def test_lazy_walk_matches_full_precision_walk(cell):
     bits, k, depth = cell
     den = 1 << bits
-    schedule = montecarlo._walk_schedule(depth, bits)
-    assert all(b < bits for b in schedule)
-    assert (montecarlo._cell_prefix(k, bits, depth, schedule)
+    assert all(b < bits for b in montecarlo._walk_schedule(depth, bits))
+    assert (montecarlo._cell_prefix(k, bits, depth)
             == _lockstep_walk(k, den, k + 1, den, depth))
 
 
@@ -264,6 +263,13 @@ def test_tail_counts_shared_pass():
     assert out[requests[0]].p_hat >= out[requests[1]].p_hat
     for est in out.values():
         assert est.trials + est.uncertified == 2000
+
+
+def test_tail_counts_counts_a_repeated_request_once():
+    config = SampleConfig(seed=1, trials=50, depth=2)
+    request = TailRequest(LOWER, Fraction(1, 2), 2)
+    assert (tail_counts(config, [request, request])
+            == tail_counts(config, [request]))
 
 
 def test_lln_mean_near_one():
