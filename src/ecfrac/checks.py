@@ -240,7 +240,7 @@ def criterion_9() -> CheckResult:
         if _gap(leg, closed) > tol_grid or leg.width > tol_grid or closed.width > tol_grid:
             return _result(9, "rate function identities", t0, False,
                            f"Legendre mismatch at x={float(x):.4f}")
-        if _gap(rate(eye, x).value, rate(eye_one, x).value) != 0:
+        if _gap(closed, rate(eye_one, x).value) != 0:
             return _result(9, "rate function identities", t0, False,
                            f"I_1 != I at x={float(x):.4f}")
         if _gap(rate(eye_big, x).value, rate(eye_inf, x).value) > Fraction(1, 1000):

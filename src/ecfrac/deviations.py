@@ -19,6 +19,7 @@ J(x) = x^2/2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -28,6 +29,7 @@ from .numerics import (
     ExtendedReal,
     OutwardInterval,
     _as_interval,
+    _first_highest_lower_end,
     default_precision,
     interval_exp,
     interval_log,
@@ -71,23 +73,28 @@ class GoldenConstants:
 
     @classmethod
     def compute(cls, prec: int | None = None) -> "GoldenConstants":
-        prec = default_precision() if prec is None else prec
-        sqrt5 = interval_sqrt(5, prec)
-        phi = (sqrt5 + 1) / 2
-        return cls(
-            phi=phi,
-            two_log_phi=2 * interval_log(phi, prec),
-            branch_point=(1 - sqrt5) / 2,
-        )
+        """The constants at prec bits, computed once per precision."""
+        return _golden_constants(default_precision() if prec is None else prec)
+
+
+@functools.lru_cache(maxsize=16)
+def _golden_constants(prec: int) -> GoldenConstants:
+    sqrt5 = interval_sqrt(5, prec)
+    phi = (sqrt5 + 1) / 2
+    return GoldenConstants(
+        phi=phi,
+        two_log_phi=2 * interval_log(phi, prec),
+        branch_point=(1 - sqrt5) / 2,
+    )
 
 
 def _piecewise(x: OutwardInterval, breakpoint: OutwardInterval,
                left, right) -> OutwardInterval:
     """left(x) left of the breakpoint, right(x) right of it, else the hull of
     each branch over its own side, so that neither leaves its domain."""
-    if x.hi < breakpoint.lo:
+    if x.below(breakpoint):
         return left(x)
-    if x.lo > breakpoint.hi:
+    if breakpoint.below(x):
         return right(x)
     below = x.intersect(x.min(breakpoint))  # [x.lo, min(x.hi, bp.hi)]
     above = x.intersect(x.max(breakpoint))  # [max(x.lo, bp.lo), x.hi]
@@ -191,6 +198,13 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
     bracket, which still yields a sound enclosure.  The returned interval
     is [best certified point value, interval evaluation over the final
     bracket].  Returns +infinity when no finite value exists in the bracket.
+
+    pressure_fn(theta, prec) is always called with theta an OutwardInterval:
+    a probe point enclosed at prec bits, or a slice of the bracket.  Where it
+    is +infinity on a slice, which can happen only at the edge of its finite
+    domain, concavity bounds the objective there by the secant through the
+    two nearest cut points to the slice's left with finite values; with
+    fewer than two such points, ValueError is raised.
     """
     prec = default_precision() if prec is None else prec
     if bracket is None:
@@ -203,8 +217,9 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
     def g(theta) -> OutwardInterval | None:
         # The objective at a point or over an interval of theta; None where
         # the pressure is +infinity, i.e. the objective is -infinity.
-        lam = pressure_fn(theta, prec)
-        return None if lam.is_infinite else theta * x_iv - lam.value
+        t = _as_interval(theta, prec)
+        lam = pressure_fn(t, prec)
+        return None if lam.is_infinite else x_iv * t - lam.value
 
     probes = [g(a), g(b)]
     # Probe points deliberately asymmetric in the bracket so that an even
@@ -226,9 +241,9 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
         if g2 is None:
             b = m2
             continue
-        if g1.hi < g2.lo:
+        if g1.below(g2):
             a = m1  # maximizer certified right of m1
-        elif g2.hi < g1.lo:
+        elif g2.below(g1):
             b = m2
         else:
             break  # probes no longer separate as intervals
@@ -236,29 +251,38 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
     finite = [value for value in probes if value is not None]
     if not finite:
         return ExtendedReal.infinity()
-    best = max(finite, key=lambda value: value.lo)
+    best = _first_highest_lower_end(finite)
 
     # Upper bound: interval evaluation of the objective over [a, b] (the
     # cuts certify the maximizer stays inside).  Evaluating on slices keeps
     # the bound usable even when the search stalled on a flat stretch and
     # [a, b] is still wide.
-    hi = best.hi
     slices = 32
-    covered = False
+    cuts = [a + i * (b - a) / slices for i in range(slices + 1)]
+    ends = [OutwardInterval.from_value(t, prec) for t in cuts]
+    at_cut = functools.cache(lambda i: g(ends[i]))
+
+    def secant_bound(i: int, over_slice: OutwardInterval) -> OutwardInterval:
+        # For concave f and cut points s < t <= theta, f(theta) <= f(t) +
+        # (theta - t)(f(t) - f(s))/(t - s).
+        finite_cuts = (j for j in range(i, -1, -1) if at_cut(j) is not None)
+        t, s = next(finite_cuts, None), next(finite_cuts, None)
+        if s is None:
+            raise ValueError(
+                f"the pressure is infinite on [{float(cuts[i])}, {float(cuts[i + 1])}] "
+                "with fewer than two finite cut points left of it; "
+                "keep the bracket inside the pressure's finite domain")
+        slope = (at_cut(t) - at_cut(s)) / (cuts[t] - cuts[s])
+        return at_cut(t) + slope * (over_slice - cuts[t])
+
+    upper = best
     for i in range(slices):
-        lo_i = a + i * (b - a) / slices
-        hi_i = a + (i + 1) * (b - a) / slices
-        over = g(OutwardInterval.from_endpoints(lo_i, hi_i, prec))
+        over_slice = ends[i].hull(ends[i + 1])
+        over = g(over_slice)
         if over is None:
-            # sup over this slice is -inf; it cannot raise the bound.
-            continue
-        covered = True
-        hi = max(hi, over.hi)
-    if not covered and b - a > target_width:
-        # Could not bound the objective over a wide bracket; report the
-        # certified point values alone.
-        return ExtendedReal.finite(best)
-    return ExtendedReal.finite(OutwardInterval.from_endpoints(best.lo, hi, prec))
+            over = secant_bound(i, over_slice)
+        upper = upper.max(over)
+    return ExtendedReal.finite(OutwardInterval.from_endpoints(best.lo, upper.hi, prec))
 
 
 # ---------------------------------------------------------------------------

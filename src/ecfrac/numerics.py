@@ -49,9 +49,12 @@ def _outward(value, prec: int) -> tuple:
 
     An int or a Fraction goes in directly; a float or a decimal string is
     first made the exact Fraction it denotes.  Each endpoint is one
-    correctly rounded division, so the pair is at most 1 ulp wide.
+    correctly rounded conversion, so the pair is at most 1 ulp wide.
     """
-    if not isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
+        return (libmp.from_int(value, prec, libmp.round_floor),
+                libmp.from_int(value, prec, libmp.round_ceiling))
+    if not isinstance(value, Fraction):
         value = Fraction(value)
     p, q = value.numerator, value.denominator
     return (libmp.from_rational(p, q, prec, libmp.round_floor),
@@ -147,8 +150,12 @@ class OutwardInterval:
             return self.lo <= value.lo and value.hi <= self.hi
         return self.lo <= value <= self.hi
 
+    def below(self, other: "OutwardInterval") -> bool:
+        """Whether every point of self lies strictly below every point of other."""
+        return libmp.mpf_lt(self._mpi[1], other._mpi[0])
+
     def overlaps(self, other: "OutwardInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
+        return not (self.below(other) or other.below(self))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -265,6 +272,15 @@ def _as_interval(x, prec: int) -> OutwardInterval:
     if isinstance(x, OutwardInterval):
         return x if x._prec >= prec else OutwardInterval(x._mpi, prec)
     return OutwardInterval.from_value(x, prec)
+
+
+def _first_highest_lower_end(values):
+    """The first of a nonempty sequence of intervals whose lower end is largest."""
+    best = values[0]
+    for value in values[1:]:
+        if libmp.mpf_lt(best._mpi[0], value._mpi[0]):
+            best = value
+    return best
 
 
 def _kernel(kernel, v: OutwardInterval) -> OutwardInterval:

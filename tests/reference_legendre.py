@@ -1,0 +1,87 @@
+"""Fraction-domain Legendre transform: the test oracle for legendre_numeric.
+
+This is the search as it was written before the transform learned to
+enclose each probe once and to compare mpf endpoints: a Fraction bracket,
+cuts and the best probe decided on Fraction endpoints, and each slice built
+by from_endpoints.  On brackets inside the pressure's finite domain both
+must return bit-identical enclosures after the same pressure calls.
+"""
+
+from fractions import Fraction
+from typing import Callable
+
+from ecfrac.numerics import ExtendedReal, OutwardInterval, default_precision
+
+
+def reference_legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
+                               bracket: tuple[Fraction, Fraction] | None = None,
+                               target_width: Fraction = Fraction(1, 10**8),
+                               prec: int | None = None) -> ExtendedReal:
+    """Enclose sup_theta { theta*x - pressure_fn(theta) } over the bracket."""
+    prec = default_precision() if prec is None else prec
+    if bracket is None:
+        bracket = (Fraction(-50), 1 - Fraction(1, 10**12))
+    a, b = Fraction(bracket[0]), Fraction(bracket[1])
+    if a >= b:
+        raise ValueError("empty bracket")
+    x_iv = OutwardInterval.from_value(Fraction(x), prec)
+
+    def g(theta) -> OutwardInterval | None:
+        # The objective at a point or over an interval of theta; None where
+        # the pressure is +infinity, i.e. the objective is -infinity.
+        lam = pressure_fn(theta, prec)
+        return None if lam.is_infinite else theta * x_iv - lam.value
+
+    probes = [g(a), g(b)]
+    # Probe points deliberately asymmetric in the bracket so that an even
+    # objective (e.g. the quadratic pressure at x = 0) never produces an
+    # exact tie that would stall the certified cuts.
+    for _ in range(500):
+        if b - a <= target_width:
+            break
+        m1 = a + 3 * (b - a) / 8
+        m2 = a + 2 * (b - a) / 3
+        g1, g2 = g(m1), g(m2)
+        probes += (g1, g2)
+        if g1 is None:
+            # Infinite pressure marks territory right of the finite domain
+            # (Lambda blows up at theta >= 1), so the objective is -inf from
+            # m1 onward.
+            b = m1
+            continue
+        if g2 is None:
+            b = m2
+            continue
+        if g1.hi < g2.lo:
+            a = m1  # maximizer certified right of m1
+        elif g2.hi < g1.lo:
+            b = m2
+        else:
+            break  # probes no longer separate as intervals
+
+    finite = [value for value in probes if value is not None]
+    if not finite:
+        return ExtendedReal.infinity()
+    best = max(finite, key=lambda value: value.lo)
+
+    # Upper bound: interval evaluation of the objective over [a, b] (the
+    # cuts certify the maximizer stays inside).  Evaluating on slices keeps
+    # the bound usable even when the search stalled on a flat stretch and
+    # [a, b] is still wide.
+    hi = best.hi
+    slices = 32
+    covered = False
+    for i in range(slices):
+        lo_i = a + i * (b - a) / slices
+        hi_i = a + (i + 1) * (b - a) / slices
+        over = g(OutwardInterval.from_endpoints(lo_i, hi_i, prec))
+        if over is None:
+            # sup over this slice is -inf; it cannot raise the bound.
+            continue
+        covered = True
+        hi = max(hi, over.hi)
+    if not covered and b - a > target_width:
+        # Could not bound the objective over a wide bracket; report the
+        # certified point values alone.
+        return ExtendedReal.finite(best)
+    return ExtendedReal.finite(OutwardInterval.from_endpoints(best.lo, hi, prec))

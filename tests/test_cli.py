@@ -212,6 +212,18 @@ def test_legendre_csv_row(capsys):
     assert float(value["hi"]) - float(value["lo"]) < 1e-6
 
 
+def test_legendre_past_the_domain_edge(capsys):
+    code, out, _ = run(capsys, "legendre", "--x", "1000", "--bracket-lo", "0",
+                       "--bracket-hi", "3/2", "--target-width", "1/10")
+    assert code == 0
+    value = json.loads(out)["data"]["value"]
+    # I(1000) = 1000 - log 1001 = 993.09..., the sup at theta = 1000/1001
+    assert float(value["lo"]) <= 1000 - math.log(1001) <= float(value["hi"])
+    code, out, err = run(capsys, "legendre", "--x", "1", "--bracket-lo", "999/1000",
+                         "--bracket-hi", "2", "--target-width", "10")
+    assert code == 2 and out == "" and "finite cut points" in err
+
+
 def test_mc_has_no_workers_flag():
     with pytest.raises(SystemExit) as exc:
         main(["mc", "--task", "lln", "--seed", "1", "--trials", "5", "--n", "2",

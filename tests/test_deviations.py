@@ -4,11 +4,14 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecfrac.deviations import (RateFunctionId, exponential_bound_check,
-                               legendre_numeric, mdp_curve, moment_growth_rate,
-                               moment_limit, pressure, rate, xi_b)
-from ecfrac.numerics import OutwardInterval, interval_exp
+from ecfrac.deviations import (GoldenConstants, RateFunctionId, _golden_constants,
+                               exponential_bound_check, legendre_numeric, mdp_curve,
+                               moment_growth_rate, moment_limit, pressure, rate, xi_b)
+from ecfrac.numerics import OutwardInterval, interval_exp, interval_log
+from reference_legendre import reference_legendre_numeric
 
 getcontext().prec = 50
 
@@ -216,6 +219,109 @@ def test_legendre_honors_bracket():
     enc = legendre_numeric(pressure, Fraction(1),
                            bracket=(Fraction(-5), Fraction(9, 10))).value
     assert enc.lo - Fraction(1, 10**6) <= 1 - LOG2 <= enc.hi + Fraction(1, 10**6)
+
+
+def _j_pressure(theta, prec=None):
+    return rate(RateFunctionId("J"), theta, prec)
+
+
+def _counted(pressure_fn):
+    calls = []
+
+    def counting(theta, prec=None):
+        calls.append(theta)
+        return pressure_fn(theta, prec)
+
+    return counting, calls
+
+
+def _ends(value):
+    return None if value.is_infinite else (value.value.lo, value.value.hi,
+                                           value.value.precision)
+
+
+grid_x = st.builds(Fraction, st.integers(-990, 5000), st.just(1000))
+widths = st.sampled_from([Fraction(1, 10**k) for k in range(4, 11)])
+
+
+inside_domain = st.one_of(st.fractions(min_value=Fraction(1, 100), max_value=Fraction(999999, 10**6),
+                                       max_denominator=10**6),
+                          st.just(1 - Fraction(1, 10**12)))
+
+
+@given(x=grid_x, lo=st.integers(-50, 0), hi=inside_domain, width=widths,
+       prec=st.sampled_from([53, 128, 300]))
+@settings(max_examples=60, deadline=None)
+def test_legendre_matches_fraction_reference_on_lambda(x, lo, hi, width, prec):
+    # Inside the pressure's finite domain, the transform must give the
+    # reference's enclosure bit for bit after the same pressure calls.
+    ours, our_calls = _counted(pressure)
+    ref, ref_calls = _counted(pressure)
+    bracket = (Fraction(lo), hi)
+    got = legendre_numeric(ours, x, bracket=bracket, target_width=width, prec=prec)
+    want = reference_legendre_numeric(ref, x, bracket=bracket, target_width=width, prec=prec)
+    assert _ends(got) == _ends(want)
+    assert len(our_calls) == len(ref_calls)
+
+
+@given(x=grid_x, lo=st.fractions(min_value=-20, max_value=-1, max_denominator=100),
+       hi=st.fractions(min_value=1, max_value=20, max_denominator=100),
+       width=widths, prec=st.sampled_from([53, 128, 300]))
+@settings(max_examples=60, deadline=None)
+def test_legendre_matches_fraction_reference_on_j(x, lo, hi, width, prec):
+    ours, our_calls = _counted(_j_pressure)
+    ref, ref_calls = _counted(_j_pressure)
+    got = legendre_numeric(ours, x, bracket=(lo, hi), target_width=width, prec=prec)
+    want = reference_legendre_numeric(ref, x, bracket=(lo, hi), target_width=width, prec=prec)
+    assert _ends(got) == _ends(want)
+    assert len(our_calls) == len(ref_calls)
+
+
+def test_legendre_default_bracket_matches_fraction_reference():
+    for x in (Fraction(-99, 100), Fraction(0), Fraction(1), Fraction(5)):
+        assert _ends(legendre_numeric(pressure, x)) == _ends(
+            reference_legendre_numeric(pressure, x))
+
+
+def test_legendre_encloses_rate_past_the_domain_edge():
+    # Brackets reaching past theta = 1, where Lambda is +infinity: a slice
+    # straddling the edge may hold the maximizer theta* = x/(1+x), so it
+    # must be bounded, not skipped.  Lambda*(x) = I(x) = x - log(1+x).
+    tops = (1 + Fraction(1, 10**6), Fraction(11, 10), Fraction(3, 2), Fraction(2), Fraction(5))
+    for x in (Fraction(m * 10**k) for k in range(6) for m in (1, 3)):
+        truth = x - interval_log(1 + x, 400)
+        for top in tops:
+            for k in range(1, 7):
+                enc = legendre_numeric(pressure, x, bracket=(Fraction(0), top),
+                                       target_width=Fraction(1, 10**k)).value
+                assert enc.overlaps(truth), (x, top, k)
+
+
+def test_legendre_refuses_an_edge_slice_it_cannot_bound():
+    # Only the bracket's left end lies inside the domain, so no secant
+    # bounds the slice across theta = 1.
+    with pytest.raises(ValueError, match="finite cut points"):
+        legendre_numeric(pressure, Fraction(1), bracket=(Fraction(999, 1000), Fraction(2)),
+                         target_width=Fraction(10))
+
+
+@pytest.mark.parametrize("prec", [53, 128, 300])
+def test_golden_constants_cached_equal_fresh(prec):
+    cached = GoldenConstants.compute(prec)
+    fresh = _golden_constants.__wrapped__(prec)
+    assert GoldenConstants.compute(prec) is cached
+    for name in ("phi", "two_log_phi", "branch_point"):
+        ours, theirs = getattr(cached, name), getattr(fresh, name)
+        assert (ours.lo, ours.hi, ours.precision) == (theirs.lo, theirs.hi, prec)
+
+
+def test_golden_constants_follow_the_precision_setting(monkeypatch):
+    monkeypatch.setenv("ECF_PRECISION_BITS", "192")
+    assert GoldenConstants.compute().phi.precision == 192
+    monkeypatch.setenv("ECF_PRECISION_BITS", "64")
+    assert GoldenConstants.compute().phi.precision == 64
+    monkeypatch.delenv("ECF_PRECISION_BITS")
+    assert GoldenConstants.compute().phi.precision == 128
 
 
 def test_growth_rows_theta_zero_exact():

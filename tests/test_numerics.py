@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from mpmath import libmp
 from mpmath.ctx_iv import MPIntervalContext
 
-from ecfrac.numerics import (ExtendedReal, OutwardInterval, default_precision,
-                             interval_exp, interval_log, interval_pow,
-                             interval_sqrt)
+from ecfrac.numerics import (ExtendedReal, OutwardInterval, _first_highest_lower_end,
+                             default_precision, interval_exp, interval_log,
+                             interval_pow, interval_sqrt)
 
 getcontext().prec = 60
 
@@ -128,6 +128,14 @@ def test_hull_covers_both():
     assert h.contains(Fraction(1, 3)) and h.contains(Fraction(2, 3))
 
 
+def test_first_highest_lower_end_keeps_the_first_of_a_tie():
+    wide = OutwardInterval.from_endpoints(0, 5)
+    first = OutwardInterval.from_endpoints(1, 2)
+    second = OutwardInterval.from_endpoints(1, 3)
+    assert _first_highest_lower_end([wide, first, second]) is first
+    assert _first_highest_lower_end([second, first]) is second
+
+
 def test_division_by_zero_straddle_rejected():
     zero = OutwardInterval.from_endpoints(Fraction(-1), Fraction(1))
     with pytest.raises((ValueError, ZeroDivisionError)):
@@ -198,20 +206,30 @@ exp_arguments = st.builds(Fraction, st.integers(-2**16, 2**16), st.integers(1, 2
 precisions = st.sampled_from([53, 128, 300])
 
 
-@given(x=small_rationals, y=small_rationals, prec=precisions)
+# ints up to 400 bits, so that some exceed 2^prec and must be rounded
+ints = st.one_of(st.integers(-2**60, 2**60), st.integers(-2**400, 2**400))
+
+
+@given(x=small_rationals, y=small_rationals, n=ints, prec=precisions)
 @settings(max_examples=150, deadline=None)
-def test_arithmetic_matches_interval_context(x, y, prec):
+def test_arithmetic_matches_interval_context(x, y, n, prec):
     ctx = _reference(prec)
-    X, Y = _ref_value(ctx, x), _ref_value(ctx, y)
+    X, Y, N = _ref_value(ctx, x), _ref_value(ctx, y), ctx.mpf(n)
     ix = OutwardInterval.from_value(x, prec)
     iy = OutwardInterval.from_value(y, prec)
-    assert _same(ix, X) and _same(iy, Y)
+    assert _same(ix, X) and _same(iy, Y) and _same(OutwardInterval.from_value(n, prec), N)
     assert _same(ix + iy, X + Y) and _same(ix + y, X + Y)
     assert _same(ix - iy, X - Y) and _same(x - iy, X - Y)
     assert _same(ix * iy, X * Y) and _same(x * iy, X * Y)
+    assert _same(ix + n, X + N) and _same(n - ix, N - X) and _same(ix - n, X - N)
+    assert _same(ix * n, X * N) and _same(n * ix, N * X)
     assert _same(-ix, -X)
     if y != 0:
         assert _same(ix / iy, X / Y) and _same(x / iy, X / Y)
+    if n != 0:
+        assert _same(ix / n, X / N)
+    if x != 0:
+        assert _same(n / ix, N / X)
     lo, hi = sorted((x, y))
     hull = ctx.mpf([_ref_value(ctx, lo), _ref_value(ctx, hi)])
     assert _same(ix.hull(iy), hull)
@@ -281,3 +299,14 @@ def test_intersect_matches_endpoint_construction(a, b, prec_a, prec_b):
     ref = OutwardInterval.from_endpoints(lo, hi, max(prec_a, prec_b))
     for ours in (ia.intersect(ib), ib.intersect(ia)):
         assert (ours.lo, ours.hi, ours.precision) == (ref.lo, ref.hi, ref.precision)
+
+
+@given(a=st.tuples(small_rationals, small_rationals), b=st.tuples(small_rationals, small_rationals),
+       prec_a=precisions, prec_b=precisions)
+@settings(max_examples=200, deadline=None)
+def test_below_and_overlaps_match_fraction_comparison(a, b, prec_a, prec_b):
+    ia, ib = _interval(a, prec_a), _interval(b, prec_b)
+    assert ia.below(ib) == (ia.hi < ib.lo)
+    assert ib.below(ia) == (ib.hi < ia.lo)
+    assert ia.overlaps(ib) == ib.overlaps(ia) == (ia.lo <= ib.hi and ib.lo <= ia.hi)
+    assert not ia.below(ia)
