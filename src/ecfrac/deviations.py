@@ -201,10 +201,10 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
 
     pressure_fn(theta, prec) is always called with theta an OutwardInterval:
     a probe point enclosed at prec bits, or a slice of the bracket.  Where it
-    is +infinity on a slice, which can happen only at the edge of its finite
-    domain, concavity bounds the objective there by the secant through the
-    two nearest cut points to the slice's left with finite values; with
-    fewer than two such points, ValueError is raised.
+    is +infinity on a slice, at or past the edge of its finite domain,
+    concavity bounds the objective there by the secant through the two
+    nearest cut points to the slice's left with finite values; with fewer
+    than two such points, ValueError is raised.
     """
     prec = default_precision() if prec is None else prec
     if bracket is None:
