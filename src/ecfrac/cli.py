@@ -2,17 +2,29 @@
 
 Every subcommand emits a machine-readable document that embeds a run
 manifest (command, parameters, seed, precision, version, timestamp), so
-any output can be reproduced from its own header.  Exactly representable
-quantities are serialized as "p/q" strings, never floats; certified
-enclosures carry their endpoints explicitly, decimal endpoints being
-rounded outward.  Exit codes: 0 success, 2 usage or parse error, 3 budget
-refusal, 4 verification failure.
+any output can be reproduced from its own header.  Handlers return native
+values; ``_render`` alone formats them, by these rules:
+
+- JSON: a Fraction prints as "p/q", never a float; a ProbInterval as
+  {lo, hi} in p/q; an OutwardInterval as {lo, hi} in 40-digit decimals
+  rounded outward, so the printed interval still encloses; an
+  ExtendedReal as "infinity" or its interval.  A ``rows`` table prints
+  its CSV cells.
+- CSV: one line per record, or one line of the data when a handler has
+  no records.  An enclosure fills two columns, lo/hi for the field
+  ``value`` and <field>_lo/<field>_hi otherwise; infinity fills both.  A
+  bool prints as true/false, a tuple joins with commas and None is an
+  empty cell.
+
+Exit codes: 0 success, 2 usage or parse error (an unwritable --output
+too), 3 budget refusal or Monte Carlo limit, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -26,11 +38,12 @@ from .checks import run_suite
 from .deviations import (RateFunctionId, legendre_numeric, mdp_curve,
                          moment_growth_rate, pressure, rate)
 from .expansion import cylinder_endpoints, expand_rational, reconstruct
-from .measure import (conditional_given_last, conditional_probability,
-                      cylinder_measure, marginal_exact, marginal_interval_dp,
-                      moment_interval)
-from .montecarlo import (LOWER, RNG_ALGORITHM, UPPER, SampleConfig, clt_report,
-                         estimate_event, ldp_slope, lln_report)
+from .measure import (ProbInterval, conditional_given_last,
+                      conditional_probability, cylinder_measure,
+                      marginal_exact, marginal_interval_dp, moment_interval)
+from .montecarlo import (LOWER, RNG_ALGORITHM, UPPER, SampleConfig,
+                         SampleLimitError, clt_report, estimate_event,
+                         ldp_slope, lln_report)
 from .numerics import ExtendedReal, OutwardInterval, default_precision
 from .words import BudgetError, DEFAULT_BUDGET, WordFamily, count_words, enumerate_words
 
@@ -62,62 +75,25 @@ def _int_list(text: str) -> list[int]:
         raise _CliError(f"not a comma-separated integer list: {text!r}", EXIT_USAGE)
 
 
-def _rat(value) -> str:
-    return str(Fraction(value))
-
-
-def _decimal_str(value: Fraction, rounding) -> str:
-    ctx = Context(prec=DECIMAL_DIGITS, rounding=rounding)
-    return str(ctx.divide(Decimal(value.numerator), Decimal(value.denominator)))
-
-
-def _outward(iv: OutwardInterval) -> dict:
-    """Decimal endpoints rounded outward, so the printed interval still encloses."""
-    return {"lo": _decimal_str(iv.lo, ROUND_FLOOR),
-            "hi": _decimal_str(iv.hi, ROUND_CEILING)}
-
-
-def _extended(value: ExtendedReal) -> dict | str:
-    if value.is_infinite:
-        return "infinity"
-    return _outward(value.value)
-
-
-def _extended_row(out: dict | str) -> dict:
-    """The lo/hi CSV cells of an _extended value; infinity fills both."""
-    if isinstance(out, dict):
-        return {"lo": out["lo"], "hi": out["hi"]}
-    return {"lo": out, "hi": out}
-
-
-def _prob(iv) -> dict:
-    return {"lo": _rat(iv.lo), "hi": _rat(iv.hi)}
-
-
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (payload for JSON, rows for CSV)
+# Command handlers: each returns (data, records or None).  Both hold native
+# values; records are the CSV rows, and without them the data is the row.
 # ---------------------------------------------------------------------------
 
 
 def _cmd_expand(args):
     exp = expand_rational(_fraction(args.x), max_digits=args.max_digits)
-    payload = {"digits": list(exp.digits), "truncated": exp.truncated}
-    row = {"digits": ",".join(map(str, exp.digits)),
-           "truncated": str(exp.truncated).lower()}
-    return payload, [row]
+    return {"digits": exp.digits, "truncated": exp.truncated}, None
 
 
 def _cmd_reconstruct(args):
-    value = reconstruct(_int_list(args.digits))
-    return {"value": _rat(value)}, [{"value": _rat(value)}]
+    return {"value": reconstruct(_int_list(args.digits))}, None
 
 
 def _cmd_cylinder(args):
     word = tuple(_int_list(args.digits))
     lo, hi = cylinder_endpoints(word)
-    measure = cylinder_measure(word)
-    payload = {"lo": _rat(lo), "hi": _rat(hi), "measure": _rat(measure)}
-    return payload, [dict(payload)]
+    return {"lo": lo, "hi": hi, "measure": cylinder_measure(word)}, None
 
 
 _MODE_ALIASES = {"exact": "exact-last", "at-most": "last-at-most"}
@@ -128,30 +104,20 @@ def _family(args) -> WordFamily:
 
 
 def _cmd_count(args):
-    value = count_words(_family(args))
-    return {"count": value}, [{"count": str(value)}]
+    return {"count": count_words(_family(args))}, None
 
 
 def _cmd_enumerate(args):
     words = list(enumerate_words(_family(args), budget=args.limit))
-    payload = {"count": len(words), "words": [list(w) for w in words]}
-    rows = [{"word": ",".join(map(str, w))} for w in words]
-    return payload, rows
+    return {"count": len(words), "words": words}, [{"word": w} for w in words]
 
 
 def _cmd_marginal(args):
-    if args.exact:
-        table = marginal_exact(args.n, args.cap)
-    else:
-        table = marginal_interval_dp(args.n, args.cap)
-    rows = []
-    for k in range(1, args.cap + 1):
-        cell = table.entries[k]
-        rows.append({"k": str(k), "lo": _rat(cell.lo), "hi": _rat(cell.hi)})
-    rows.append({"k": "tail", "lo": _rat(table.tail.lo), "hi": _rat(table.tail.hi)})
-    payload = {"n": args.n, "cap": args.cap,
-               "kind": "exact" if args.exact else "interval", "rows": rows}
-    return payload, rows
+    table = (marginal_exact if args.exact else marginal_interval_dp)(args.n, args.cap)
+    rows = [{"k": k, "value": table.entries[k]} for k in range(1, args.cap + 1)]
+    rows.append({"k": "tail", "value": table.tail})
+    return {"n": args.n, "cap": args.cap,
+            "kind": "exact" if args.exact else "interval", "rows": rows}, rows
 
 
 def _cmd_conditional(args):
@@ -167,36 +133,22 @@ def _cmd_conditional(args):
         if not args.prefix:
             raise _CliError("need --prefix (or --given-last with --n/--last)", EXIT_USAGE)
         p = conditional_probability(tuple(_int_list(args.prefix)), args.next)
-    return {"p": _rat(p)}, [{"p": _rat(p)}]
+    return {"p": p}, None
 
 
 def _cmd_moment(args):
-    enc = moment_interval(args.n, _fraction(args.theta), cap=args.cap)
-    if isinstance(enc, ExtendedReal):
-        payload = {"value": "infinity"}
-        rows = [{"lo": "infinity", "hi": "infinity"}]
-    else:
-        payload = {"value": _prob(enc)}
-        rows = [{"lo": _rat(enc.lo), "hi": _rat(enc.hi)}]
-    return payload, rows
+    return {"value": moment_interval(args.n, _fraction(args.theta), cap=args.cap)}, None
 
 
 def _cmd_growth(args):
     table = moment_growth_rate(_fraction(args.theta), _int_list(args.n_list),
                                cap_schedule=args.cap)
-    rows = []
-    for r in table.rows:
-        rows.append({"n": str(r.n), "cap": str(r.cap),
-                     **_extended_row(_extended(r.value))})
-    payload = {"theta": _rat(table.theta), "limit": _extended(table.limit),
-               "rows": rows}
-    return payload, rows
+    rows = [{"n": r.n, "cap": r.cap, "value": r.value} for r in table.rows]
+    return {"theta": table.theta, "limit": table.limit, "rows": rows}, rows
 
 
 def _cmd_pressure(args):
-    value = pressure(_fraction(args.theta))
-    out = _extended(value)
-    return {"value": out}, [_extended_row(out)]
+    return {"value": pressure(_fraction(args.theta))}, None
 
 
 _RATE_KINDS = {
@@ -207,37 +159,26 @@ _RATE_KINDS = {
 
 
 def _cmd_rate(args):
-    kind = _RATE_KINDS[args.which]
-    rid = RateFunctionId(kind, b=args.b) if kind == "I_b" else RateFunctionId(kind)
-    value = rate(rid, _fraction(args.x))
-    out = _extended(value)
-    return {"value": out}, [_extended_row(out)]
+    rid = RateFunctionId(_RATE_KINDS[args.which], b=args.b)
+    return {"value": rate(rid, _fraction(args.x))}, None
 
 
 def _cmd_legendre(args):
     bracket = (_fraction(args.bracket_lo), _fraction(args.bracket_hi))
     value = legendre_numeric(pressure, _fraction(args.x), bracket=bracket,
                              target_width=_fraction(args.target_width))
-    out = _extended(value)
-    return {"value": out}, [_extended_row(out)]
+    return {"value": value}, None
 
 
 def _cmd_mdp(args):
     table = mdp_curve(_fraction(args.lam), _int_list(args.n_list),
                       p=_fraction(args.p), cap=args.cap)
-    rows = []
-    for r in table.rows:
-        row = {"n": str(r.n), "feasible": str(r.feasible).lower()}
-        row.update({"theta_lo": _decimal_str(r.theta.lo, ROUND_FLOOR),
-                    "theta_hi": _decimal_str(r.theta.hi, ROUND_CEILING)})
-        if r.value is not None:
-            out = _outward(r.value)
-            row.update({"lo": out["lo"], "hi": out["hi"]})
-        rows.append(row)
-    payload = {"lambda": _rat(table.lam), "p": _rat(table.p),
-               "speed_exponent": _rat(table.speed_exponent),
-               "target": _rat(table.target), "rows": rows}
-    return payload, rows
+    # an infeasible row has no value, so no lo/hi cells
+    rows = [{"n": r.n, "feasible": r.feasible, "theta": r.theta,
+             **({} if r.value is None else {"value": r.value})} for r in table.rows]
+    return {"lambda": table.lam, "p": table.p,
+            "speed_exponent": table.speed_exponent, "target": table.target,
+            "rows": rows}, rows
 
 
 _EVENT_RE = re.compile(r"^b(\d+)\s*(>=|<=|==?)\s*(\d+)$")
@@ -273,30 +214,25 @@ def _mc_config(args) -> SampleConfig:
 _MC_TASK_FLAGS = {"eps": "ldp", "n_list": "ldp", "tail": "ldp", "event": "event"}
 
 
+def _estimate(est) -> dict:
+    return {"hits": est.hits, "trials": est.trials, "uncertified": est.uncertified,
+            "p_hat": est.p_hat, "ci_lo": est.ci_lo, "ci_hi": est.ci_hi}
+
+
 def _cmd_mc(args):
     for dest, task in _MC_TASK_FLAGS.items():
         if getattr(args, dest) is not None and args.task != task:
             flag = "--" + dest.replace("_", "-")
             raise _CliError(f"{flag} applies only to --task {task}", EXIT_USAGE)
     config = _mc_config(args)
+    head = {"task": args.task, "rng": RNG_ALGORITHM}
     if args.task == "lln":
-        rep = lln_report(config)
-        payload = {"task": "lln", "rng": RNG_ALGORITHM, "depth": rep.depth,
-                   "trials": rep.trials, "certified": rep.certified,
-                   "uncertified": rep.uncertified, "mean": rep.mean,
-                   "stdev": rep.stdev}
-        return payload, [{k: str(v) for k, v in payload.items()}]
+        return {**head, **dataclasses.asdict(lln_report(config))}, None
     if args.task == "clt":
         rep = clt_report(config)
         quantiles = [{"level": q, "empirical": emp, "normal": norm}
                      for q, emp, norm in rep.quantiles]
-        payload = {"task": "clt", "rng": RNG_ALGORITHM, "depth": rep.depth,
-                   "trials": rep.trials, "certified": rep.certified,
-                   "uncertified": rep.uncertified, "ks": rep.ks,
-                   "median": rep.median, "quantiles": quantiles}
-        rows = [{"level": str(q["level"]), "empirical": str(q["empirical"]),
-                 "normal": str(q["normal"])} for q in quantiles]
-        return payload, rows
+        return {**head, **dataclasses.asdict(rep), "quantiles": quantiles}, quantiles
     if args.task == "ldp":
         if args.eps is None or args.n_list is None:
             raise _CliError("mc --task ldp needs --eps and --n-list", EXIT_USAGE)
@@ -304,29 +240,15 @@ def _cmd_mc(args):
             args.tail = LOWER  # recorded in the manifest like a given flag
         rep = ldp_slope(_fraction(args.eps), _int_list(args.n_list), config,
                         tail=args.tail)
-        rows = []
-        for r in rep.rows:
-            est = r.estimate
-            rows.append({"n": str(r.n), "hits": str(est.hits),
-                         "trials": str(est.trials),
-                         "uncertified": str(est.uncertified),
-                         "p_hat": _rat(est.p_hat), "ci_lo": _rat(est.ci_lo),
-                         "ci_hi": _rat(est.ci_hi),
-                         "rate": "" if r.rate is None else str(r.rate)})
-        payload = {"task": "ldp", "rng": RNG_ALGORITHM, "eps": _rat(rep.eps),
-                   "tail": rep.tail, "slope": rep.slope,
-                   "intercept": rep.intercept, "slope_lo": rep.slope_lo,
-                   "slope_hi": rep.slope_hi, "rows": rows}
-        return payload, rows
+        rows = [{"n": r.n, **_estimate(r.estimate), "rate": r.rate} for r in rep.rows]
+        return {**head, "eps": rep.eps, "tail": rep.tail, "slope": rep.slope,
+                "intercept": rep.intercept, "slope_lo": rep.slope_lo,
+                "slope_hi": rep.slope_hi, "rows": rows}, rows
     # task == "event"
     if not args.event:
         raise _CliError("mc --task event needs --event (e.g. 'b1>=2')", EXIT_USAGE)
     est = estimate_event(config, _parse_event(args.event))
-    payload = {"task": "event", "rng": RNG_ALGORITHM, "event": args.event,
-               "hits": est.hits, "trials": est.trials,
-               "uncertified": est.uncertified, "p_hat": _rat(est.p_hat),
-               "ci_lo": _rat(est.ci_lo), "ci_hi": _rat(est.ci_hi)}
-    return payload, [{k: str(v) for k, v in payload.items()}]
+    return {**head, "event": args.event, **_estimate(est)}, None
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +270,57 @@ def _manifest(args) -> dict:
     }
 
 
-def _render(args, payload, rows) -> str:
+def _decimal_str(value: Fraction, rounding) -> str:
+    ctx = Context(prec=DECIMAL_DIGITS, rounding=rounding)
+    return str(ctx.divide(Decimal(value.numerator), Decimal(value.denominator)))
+
+
+def _ends(value) -> tuple[str, str] | None:
+    """The printed (lo, hi) of an enclosure, or None for any other value."""
+    if isinstance(value, ExtendedReal):
+        return ("infinity",) * 2 if value.is_infinite else _ends(value.value)
+    if isinstance(value, ProbInterval):
+        return str(value.lo), str(value.hi)
+    if isinstance(value, OutwardInterval):
+        return (_decimal_str(value.lo, ROUND_FLOOR),
+                _decimal_str(value.hi, ROUND_CEILING))
+    return None
+
+
+def _json(value):
+    if isinstance(value, ExtendedReal) and value.is_infinite:
+        return "infinity"
+    ends = _ends(value)
+    if ends is not None:
+        return dict(zip(("lo", "hi"), ends))
+    if isinstance(value, dict):
+        return {key: [_cells(r) for r in item] if key == "rows" else _json(item)
+                for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json(item) for item in value]
+    return str(value) if isinstance(value, Fraction) else value
+
+
+def _cells(record: dict) -> dict[str, str]:
+    cells = {}
+    for key, value in record.items():
+        ends = _ends(value)
+        if ends is not None:
+            names = ("lo", "hi") if key == "value" else (f"{key}_lo", f"{key}_hi")
+            cells.update(zip(names, ends))
+        elif isinstance(value, bool):
+            cells[key] = str(value).lower()
+        elif isinstance(value, tuple):
+            cells[key] = ",".join(map(str, value))
+        else:
+            cells[key] = "" if value is None else str(value)
+    return cells
+
+
+def _render(args, data: dict, records: list[dict] | None) -> str:
     manifest = _manifest(args)
     if args.format == "json":
-        return json.dumps({"manifest": manifest, "data": payload},
+        return json.dumps({"manifest": manifest, "data": _json(data)},
                           indent=2, sort_keys=True) + "\n"
     buffer = io.StringIO()
     for key in ("command", "seed", "precision", "version", "timestamp"):
@@ -359,13 +328,9 @@ def _render(args, payload, rows) -> str:
         buffer.write(f"# {key}: {'' if value is None else value}\n")
     for key, value in manifest["params"].items():
         buffer.write(f"# param {key}: {value}\n")
-    fields: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
-    writer = csv.DictWriter(buffer, fieldnames=fields, restval="",
-                            lineterminator="\n")
+    rows = [_cells(record) for record in ([data] if records is None else records)]
+    fields = list(dict.fromkeys(key for row in rows for key in row))
+    writer = csv.DictWriter(buffer, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     return buffer.getvalue()
@@ -373,8 +338,11 @@ def _render(args, payload, rows) -> str:
 
 def _emit(args, text: str):
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise _CliError(str(err), EXIT_USAGE)
     else:
         sys.stdout.write(text)
 
@@ -530,11 +498,13 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return _cmd_verify(args)
-        payload, rows = args.func(args)
-        _emit(args, _render(args, payload, rows))
+        _emit(args, _render(args, *args.func(args)))
         return EXIT_OK
     except BudgetError as err:
         sys.stderr.write(f"budget refused: {err}\n")
+        return EXIT_BUDGET
+    except SampleLimitError as err:
+        sys.stderr.write(f"limit reached: {err}\n")
         return EXIT_BUDGET
     except _CliError as err:
         sys.stderr.write(f"error: {err}\n")

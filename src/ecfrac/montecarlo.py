@@ -37,6 +37,11 @@ RNG_ALGORITHM = "philox4x64 (numpy.random.Philox, key=seed, counter word 1=trial
 CONFIDENCE = Fraction(99, 100)  # level of every Clopper-Pearson interval
 
 
+class SampleLimitError(RuntimeError):
+    """A run hit a limit of its sample or precision: too few certified
+    trials or hits, or a tail threshold beyond 2048 bits."""
+
+
 def default_bits(depth: int) -> int:
     """B = ceil(2.2 n^2); cylinder widths scale like exp(-n^2(1+o(1)))."""
     return -((-11 * depth * depth) // 5)
@@ -169,7 +174,7 @@ def clopper_pearson(hits: int, trials: int) -> tuple[Fraction, Fraction]:
 
 def _estimate_from_counts(hits: int, certified: int, uncertified: int) -> EventEstimate:
     if certified == 0:
-        raise RuntimeError("no trial certified enough digits; raise bits")
+        raise SampleLimitError("no trial certified enough digits; raise bits")
     ci_lo, ci_hi = clopper_pearson(hits, certified)
     return EventEstimate(hits, certified, Fraction(hits, certified), ci_lo, ci_hi,
                          uncertified)
@@ -239,7 +244,7 @@ def tail_threshold(request: TailRequest) -> int:
         f_hi = math.floor(enc.hi)
         if f_lo == f_hi:
             return f_lo + 1 if request.tail == UPPER else f_lo
-    raise RuntimeError(f"could not separate e^{w} from an integer at 2048 bits")
+    raise SampleLimitError(f"could not separate e^{w} from an integer at 2048 bits")
 
 
 def tail_counts(config: SampleConfig,
@@ -295,7 +300,7 @@ def _ldp_rows(eps: Fraction, tail: str, n_list: Sequence[int],
         rows.append(LdpRow(n, est, rate, rate_lo, rate_hi))
     fit = [(r.n, r.estimate) for r in rows if r.estimate.hits > 0]
     if len(fit) < 2:
-        raise RuntimeError("need at least two n with hits to fit a slope")
+        raise SampleLimitError("need at least two n with hits to fit a slope")
     xs = [n for n, _ in fit]
     slope, intercept = _fit(xs, [-math.log(e.p_hat) for _, e in fit])
     slope_lo, _ = _fit(xs, [-math.log(e.ci_hi) for _, e in fit])
@@ -364,7 +369,7 @@ def _final_digits(config: SampleConfig) -> tuple[list[int], int]:
         else:
             finals.append(prefix[-1])
     if not finals:
-        raise RuntimeError("no trial certified enough digits; raise bits")
+        raise SampleLimitError("no trial certified enough digits; raise bits")
     return finals, uncertified
 
 

@@ -267,3 +267,31 @@ def test_conditional_rejects_flags_of_the_other_form(capsys, argv):
     code, out, err = run(capsys, "conditional", "--next", "3", *argv)
     assert code == 2 and out == ""
     assert "error:" in err
+
+
+def test_rate_rejects_digit_parameter_of_other_kinds(capsys):
+    code, out, err = run(capsys, "rate", "--which", "I", "--x", "1", "--b", "5")
+    assert code == 2 and out == ""
+    assert "takes no digit parameter" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--task", "lln", "--seed", "1", "--trials", "10", "--n", "3", "--bits", "2"],
+     "no trial certified"),
+    (["--task", "event", "--seed", "1", "--trials", "10", "--n", "2",
+      "--event", "b5>=2"], "no trial certified"),
+    (["--task", "ldp", "--seed", "1", "--trials", "3", "--n", "3", "--eps", "2",
+      "--tail", "upper", "--n-list", "2,3"], "need at least two n with hits"),
+], ids=["lln-bits", "event-beyond-depth", "ldp-without-hits"])
+def test_mc_limit_exit_3(capsys, argv, message):
+    code, out, err = run(capsys, "mc", *argv)
+    assert code == 3 and out == ""
+    assert message in err
+
+
+def test_unwritable_output_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "count", "--n", "2", "--m", "2",
+                         "--output", str(target))
+    assert code == 2 and out == ""
+    assert str(target) in err and not target.exists()
