@@ -1,10 +1,13 @@
 """Self-contained acceptance checks, one per shipped guarantee.
 
 Each criterion function returns a CheckResult and is safe to run in any
-order; expensive Monte Carlo passes are cached per process so the slope
-and bound checks share one million-trial run.  The `quick` suite is every
-criterion but the seeded Monte Carlo ones (MONTE_CARLO), the same subset
-as pytest's `-m "not slow"`; `full` runs everything.
+order.  Expensive Monte Carlo passes are shared: the slope and bound
+checks share one million-trial run, cached here per process, and the mean
+and shape checks (10 and 11) share one depth-100 pass, which the library
+caches (lln_report and clt_report on one config walk it once).  The
+`quick` suite is every criterion but the seeded Monte Carlo ones
+(MONTE_CARLO), the same subset as pytest's `-m "not slow"`; `full` runs
+everything.
 """
 
 from __future__ import annotations
@@ -26,9 +29,8 @@ from .expansion import (continuants, cylinder_endpoints, expand_rational,
 from .measure import (binet_q, conditional_given_last, conditional_probability,
                       cylinder_measure, marginal_exact, marginal_interval_dp,
                       prob_digit_one, transition_bounds)
-from .montecarlo import (LOWER, UPPER, SampleConfig, TailRequest, _clt_report,
-                         _final_digits, _ldp_rows, _lln_report, clopper_pearson,
-                         tail_counts)
+from .montecarlo import (LOWER, UPPER, SampleConfig, TailRequest, _ldp_rows,
+                         clopper_pearson, clt_report, lln_report, tail_counts)
 from .numerics import OutwardInterval, interval_exp, interval_log
 from .words import EXACT_LAST, LAST_AT_MOST, WordFamily, count_words, enumerate_words
 
@@ -278,17 +280,13 @@ def criterion_9() -> CheckResult:
                    "quadratic self-duality")
 
 
-@functools.lru_cache(maxsize=1)
-def _shared_mean_run():
-    """lln_report and clt_report of one depth-100 config, from one pass."""
-    config = SampleConfig(seed=MC_SEED_MEAN, trials=10**4, depth=100)
-    finals = _final_digits(config)
-    return _lln_report(config, *finals), _clt_report(config, *finals)
+# Criteria 10 and 11 run on one config; the library walks it once for both.
+_MEAN_CONFIG = SampleConfig(seed=MC_SEED_MEAN, trials=10**4, depth=100)
 
 
 def criterion_10() -> CheckResult:
     t0 = time.time()
-    rep, _ = _shared_mean_run()
+    rep = lln_report(_MEAN_CONFIG)
     passed = 0.99 <= rep.mean <= 1.01 and rep.uncertified == 0
     return _result(10, "sampled digit growth has mean one", t0, passed,
                    f"mean={rep.mean:.5f} sd={rep.stdev:.4f} "
@@ -297,7 +295,7 @@ def criterion_10() -> CheckResult:
 
 def criterion_11() -> CheckResult:
     t0 = time.time()
-    _, rep = _shared_mean_run()
+    rep = clt_report(_MEAN_CONFIG)
     passed = rep.ks <= 0.1
     return _result(11, "normalized digit growth is near normal", t0, passed,
                    f"KS={rep.ks:.4f} median={rep.median:.4f} "

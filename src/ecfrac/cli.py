@@ -17,7 +17,8 @@ values; ``_render`` alone formats them, by these rules:
   empty cell.
 
 Exit codes: 0 success, 2 usage or parse error (an unwritable --output
-too), 3 budget refusal or Monte Carlo limit, 4 verification failure.
+too, found before the command runs), 3 budget refusal or Monte Carlo
+limit, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import re
 import sys
 from datetime import datetime, timezone
@@ -336,6 +338,22 @@ def _render(args, data: dict, records: list[dict] | None) -> str:
     return buffer.getvalue()
 
 
+def _check_output(path: str):
+    """Fail before any work when `path` cannot be opened for writing.
+
+    Opening for append creates a missing file but truncates nothing, so an
+    existing document survives a handler that fails; a file made here is
+    removed again, and _emit writes the document once the handler is done.
+    """
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as err:
+        raise _CliError(str(err), EXIT_USAGE)
+    if not existed:
+        os.remove(path)
+
+
 def _emit(args, text: str):
     if args.output:
         try:
@@ -496,6 +514,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.output:
+            _check_output(args.output)
         if args.command == "verify":
             return _cmd_verify(args)
         _emit(args, _render(args, *args.func(args)))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .measure import moment_interval
+from .measure import _moment_intervals, moment_interval
 from .numerics import (
     ExtendedReal,
     OutwardInterval,
@@ -375,10 +375,10 @@ def mdp_curve(lam: Fraction, n_list: Sequence[int], p: Fraction = Fraction(3, 4)
         if theta_iv.hi >= 1:
             rows.append(MdpRow(n, theta_iv, False, None))
             continue
-        # E(b^theta) is increasing in theta (b >= 1), so rational endpoint
-        # runs of the DP bracket the irrational-theta moment.
-        enc_lo = moment_interval(n, theta_iv.lo, cap=cap, prec=prec)
-        enc_hi = moment_interval(n, theta_iv.hi, cap=cap, prec=prec)
+        # E(b^theta) is increasing in theta (b >= 1), so the moments at the
+        # rational endpoints, weighted from one DP run, bracket the
+        # irrational-theta moment.
+        enc_lo, enc_hi = _moment_intervals(n, (theta_iv.lo, theta_iv.hi), cap, prec)
         e_iv = OutwardInterval.from_endpoints(enc_lo.lo, enc_hi.hi, prec)
         value = (interval_log(e_iv, prec) - n * theta_iv) * (n / (a_iv * a_iv))
         rows.append(MdpRow(n, theta_iv, True, value))

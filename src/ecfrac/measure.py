@@ -321,18 +321,40 @@ def moment_interval(n: int, theta: Fraction, cap: int = 60,
     with integral enclosures of sum_{k>cap} k^(theta-2) at the exit step
     itself.  theta = 0 returns the exact point [1,1].
     """
+    return _moment_intervals(n, (theta,), cap, prec)[0]
+
+
+def _moment_intervals(n: int, thetas: Sequence[Fraction], cap: int,
+                      prec: int | None) -> list[ProbInterval | ExtendedReal]:
+    """moment_interval at each theta, from at most one run of the DP kernel.
+
+    The kernel's masses and exit flows do not depend on theta, only their
+    weighting does, so the kernel runs once for all thetas, and not at all
+    when every theta is 0 or >= 1.
+    """
     if n < 1 or cap < 1:
         raise ValueError("moment_interval needs n >= 1 and cap >= 1")
-    theta = Fraction(theta)
-    if theta >= 1:
-        return ExtendedReal.infinity()
-    if theta == 0:
-        return ProbInterval.point(Fraction(1))
-    prec = default_precision() if prec is None else prec
-    bits = _dp_bits(n, cap, prec)
-    one = 1 << bits
-    mass_lo, mass_up, exit_lo, exit_up = _propagate(n, cap, bits)
+    enclosures = []
+    kernel = None
+    for theta in map(Fraction, thetas):
+        if theta >= 1:
+            enclosures.append(ExtendedReal.infinity())
+        elif theta == 0:
+            enclosures.append(ProbInterval.point(Fraction(1)))
+        else:
+            if kernel is None:
+                prec = default_precision() if prec is None else prec
+                bits = _dp_bits(n, cap, prec)
+                kernel = _propagate(n, cap, bits)
+            enclosures.append(_weighted_moment(n, theta, cap, prec, bits, kernel))
+    return enclosures
 
+
+def _weighted_moment(n: int, theta: Fraction, cap: int, prec: int, bits: int,
+                     kernel) -> ProbInterval:
+    """E(b_n^theta), 0 != theta < 1, from the output of _propagate(n, cap, bits)."""
+    one = 1 << bits
+    mass_lo, mass_up, exit_lo, exit_up = kernel
     m = cap + 1
     integral, sum_bound = _integral_tail(m, theta, prec)
     # Exit-step series over k > cap: sum (j+1) k^(theta-1)/(k+1) and

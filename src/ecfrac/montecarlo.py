@@ -15,12 +15,18 @@ generator per pass, keyed by the seed; trial i starts at counter
 independent, and every report is a deterministic function of its
 SampleConfig.
 
+One pass per config: lln_report and clt_report read the final digits b_n
+of the trials from one cached pass (_final_digits), which holds the last
+config's finals only, one int per certified trial.  tail_counts answers
+many tail events from its own single pass.
+
 Uncertified trials (cell wider than the depth-n cylinder) are excluded
 from both numerator and denominator but always reported.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 from dataclasses import dataclass
@@ -274,8 +280,6 @@ class LdpRow:
     n: int
     estimate: EventEstimate
     rate: float | None       # -(1/n) log p_hat; None when p_hat = 0
-    rate_lo: float | None    # from the CI upper bound
-    rate_hi: float | None    # from the CI lower bound; None when ci_lo = 0
 
 
 @dataclass(frozen=True)
@@ -295,9 +299,7 @@ def _ldp_rows(eps: Fraction, tail: str, n_list: Sequence[int],
     for n in n_list:
         est = estimates[TailRequest(tail, eps, n)]
         rate = -math.log(est.p_hat) / n if est.hits > 0 else None
-        rate_lo = -math.log(est.ci_hi) / n if est.ci_hi > 0 else None
-        rate_hi = -math.log(est.ci_lo) / n if est.ci_lo > 0 else None
-        rows.append(LdpRow(n, est, rate, rate_lo, rate_hi))
+        rows.append(LdpRow(n, est, rate))
     fit = [(r.n, r.estimate) for r in rows if r.estimate.hits > 0]
     if len(fit) < 2:
         raise SampleLimitError("need at least two n with hits to fit a slope")
@@ -359,42 +361,37 @@ class CltReport:
     quantiles: tuple[tuple[float, float, float], ...]  # (level, empirical, normal)
 
 
-def _final_digits(config: SampleConfig) -> tuple[list[int], int]:
-    """b_n of every trial that certifies n = depth digits, and how many do not."""
-    finals = []
-    uncertified = 0
-    for prefix, _ in _digit_stream(config):
-        if len(prefix) < config.depth:
-            uncertified += 1
-        else:
-            finals.append(prefix[-1])
+@functools.lru_cache(maxsize=1)
+def _final_digits(config: SampleConfig) -> tuple[int, ...]:
+    """b_n of every trial that certifies n = depth digits, in trial order.
+
+    The mean reports of one config share this pass: the cache holds the
+    finals of the last config only (one int per certified trial), so
+    lln_report and clt_report on the same config walk its cells once, in
+    either order, and a different config walks anew.  The remaining
+    config.trials - len(finals) trials are uncertified.
+    """
+    finals = tuple(prefix[-1] for prefix, _ in _digit_stream(config)
+                   if len(prefix) == config.depth)
     if not finals:
         raise SampleLimitError("no trial certified enough digits; raise bits")
-    return finals, uncertified
+    return finals
 
 
 def lln_report(config: SampleConfig) -> LlnReport:
-    return _lln_report(config, *_final_digits(config))
-
-
-def _lln_report(config: SampleConfig, finals: list[int], uncertified: int) -> LlnReport:
-    values = [math.log(b) / config.depth for b in finals]
+    values = [math.log(b) / config.depth for b in _final_digits(config)]
     spread = statistics.stdev(values) if len(values) > 1 else 0.0
-    return LlnReport(config.depth, config.trials, len(values), uncertified,
-                     statistics.fmean(values), spread)
+    return LlnReport(config.depth, config.trials, len(values),
+                     config.trials - len(values), statistics.fmean(values), spread)
 
 
 _QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
 def clt_report(config: SampleConfig) -> CltReport:
-    return _clt_report(config, *_final_digits(config))
-
-
-def _clt_report(config: SampleConfig, finals: list[int], uncertified: int) -> CltReport:
     normal = statistics.NormalDist()
     scale = math.sqrt(config.depth)
-    zs = sorted((math.log(b) - config.depth) / scale for b in finals)
+    zs = sorted((math.log(b) - config.depth) / scale for b in _final_digits(config))
     count = len(zs)
     ks = 0.0
     for i, z in enumerate(zs):
@@ -404,5 +401,5 @@ def _clt_report(config: SampleConfig, finals: list[int], uncertified: int) -> Cl
         (q, zs[min(count - 1, int(q * count))], normal.inv_cdf(q))
         for q in _QUANTILE_LEVELS)
     median = zs[count // 2]
-    return CltReport(config.depth, config.trials, count, uncertified, ks,
+    return CltReport(config.depth, config.trials, count, config.trials - count, ks,
                      median, quantiles)

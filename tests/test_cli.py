@@ -289,9 +289,32 @@ def test_mc_limit_exit_3(capsys, argv, message):
     assert message in err
 
 
-def test_unwritable_output_exit_2(tmp_path, capsys):
+def _unwritable_output(tmp_path, capsys, monkeypatch, handler, *argv):
+    entered = []
+    monkeypatch.setattr(f"ecfrac.cli.{handler}", lambda args: entered.append(args))
     target = tmp_path / "missing" / "x.json"
-    code, out, err = run(capsys, "count", "--n", "2", "--m", "2",
-                         "--output", str(target))
+    code, out, err = run(capsys, *argv, "--output", str(target))
     assert code == 2 and out == ""
     assert str(target) in err and not target.exists()
+    assert entered == []  # refused before the command ran
+
+
+def test_unwritable_output_exit_2(tmp_path, capsys, monkeypatch):
+    _unwritable_output(tmp_path, capsys, monkeypatch, "_cmd_mc", "mc", "--task", "lln",
+                       "--seed", "1", "--trials", "3000", "--n", "20")
+
+
+def test_unwritable_output_stops_verify(tmp_path, capsys, monkeypatch):
+    _unwritable_output(tmp_path, capsys, monkeypatch, "_cmd_verify", "verify")
+
+
+def test_failed_command_leaves_output_as_it_was(tmp_path, capsys):
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier document\n")
+    fresh = tmp_path / "fresh.json"
+    for target in (kept, fresh):
+        code, _, err = run(capsys, "mc", "--task", "lln", "--seed", "1", "--trials", "10",
+                           "--n", "3", "--bits", "2", "--output", str(target))
+        assert code == 3 and "no trial certified" in err
+    assert kept.read_text() == "earlier document\n"
+    assert not fresh.exists()

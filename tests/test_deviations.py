@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecfrac import measure
 from ecfrac.deviations import (GoldenConstants, RateFunctionId, _golden_constants,
                                exponential_bound_check, legendre_numeric, mdp_curve,
                                moment_growth_rate, moment_limit, pressure, rate, xi_b)
+from ecfrac.measure import moment_interval
 from ecfrac.numerics import OutwardInterval, interval_exp, interval_log
 from reference_legendre import reference_legendre_numeric
 
@@ -367,6 +369,28 @@ def test_mdp_negative_lambda():
     table = mdp_curve(Fraction(-1), [4, 8])
     assert table.target == Fraction(1, 2)
     assert table.rows[0].theta.hi < 0
+
+
+def test_mdp_runs_one_moment_dp_per_feasible_row(monkeypatch):
+    runs = []
+    propagate = measure._propagate
+
+    def counting(n, cap, bits):
+        runs.append(n)
+        return propagate(n, cap, bits)
+
+    monkeypatch.setattr(measure, "_propagate", counting)
+    table = mdp_curve(Fraction(1), [1, 4, 8], cap=20)
+    assert [row.feasible for row in table.rows] == [False, True, True]  # theta_1 = 1
+    assert runs == [4, 8]
+    for row in table.rows[1:]:
+        pair = measure._moment_intervals(row.n, (row.theta.lo, row.theta.hi), 20, None)
+        assert pair == [moment_interval(row.n, row.theta.lo, cap=20),
+                        moment_interval(row.n, row.theta.hi, cap=20)]
+    runs.clear()
+    assert measure._moment_intervals(3, (Fraction(0), Fraction(1)), 20, None) == [
+        moment_interval(3, Fraction(0)), moment_interval(3, Fraction(1))]
+    assert runs == []
 
 
 def test_mdp_validates_p():

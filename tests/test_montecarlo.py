@@ -302,3 +302,56 @@ def test_sample_config_validation():
         SampleConfig(seed=1, trials=10, depth=0)
     config = SampleConfig(seed=1, trials=10, depth=3)
     assert config.bits == default_bits(3)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Count the cells walked, with the finals cache empty before and after."""
+    walked = []
+    walk = montecarlo._cell_prefix
+
+    def counting(k, bits, depth):
+        walked.append(k)
+        return walk(k, bits, depth)
+
+    monkeypatch.setattr(montecarlo, "_cell_prefix", counting)
+    montecarlo._final_digits.cache_clear()
+    yield walked
+    montecarlo._final_digits.cache_clear()
+
+
+@pytest.mark.parametrize("first, second", [(lln_report, clt_report),
+                                           (clt_report, lln_report)])
+def test_mean_reports_share_one_pass(walks, first, second):
+    config = SampleConfig(seed=8, trials=40, depth=12)
+    first(config)
+    second(config)
+    assert len(walks) == config.trials
+
+
+def test_cached_reports_equal_fresh_ones(walks):
+    config = SampleConfig(seed=8, trials=40, depth=12, bits=150)
+    cached = lln_report(config), clt_report(config)
+    montecarlo._final_digits.cache_clear()
+    assert lln_report(config) == cached[0]
+    montecarlo._final_digits.cache_clear()
+    assert clt_report(config) == cached[1]
+    assert cached[0].uncertified > 0  # the counts come from the finals alone
+    assert len(walks) == 3 * config.trials
+
+
+def test_another_config_misses_the_cache(walks):
+    config = SampleConfig(seed=8, trials=40, depth=12)
+    other = SampleConfig(seed=9, trials=30, depth=12)
+    lln_report(config)
+    lln_report(other)
+    clt_report(config)  # only the last config's finals are kept
+    assert len(walks) == 2 * config.trials + other.trials
+
+
+def test_cached_finals_are_immutable(walks):
+    config = SampleConfig(seed=8, trials=40, depth=12)
+    finals = montecarlo._final_digits(config)
+    assert isinstance(finals, tuple) and montecarlo._final_digits(config) is finals
+    with pytest.raises(TypeError):
+        finals[0] = 1
