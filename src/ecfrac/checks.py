@@ -1,13 +1,15 @@
 """Self-contained acceptance checks, one per shipped guarantee.
 
-Each criterion function returns a CheckResult and is safe to run in any
-order.  Expensive Monte Carlo passes are shared: the slope and bound
-checks share one million-trial run, cached here per process, and the mean
-and shape checks (10 and 11) share one depth-100 pass, which the library
-caches (lln_report and clt_report on one config walk it once).  The
-`quick` suite is every criterion but the seeded Monte Carlo ones
-(MONTE_CARLO), the same subset as pytest's `-m "not slow"`; `full` runs
-everything.
+Each criterion is declared once, as ``@_criterion(index, name)`` on a body
+that returns ``(passed, detail)``; the decorator times the body, wraps its
+verdict in a CheckResult and registers it in CRITERIA, in declaration
+order.  Every criterion is safe to run in any order.  Expensive Monte Carlo
+passes are shared: the slope and bound checks share one million-trial run,
+cached here per process, and the mean and shape checks (10 and 11) share
+one depth-100 pass, which the library caches (lln_report and clt_report on
+one config walk it once).  The `quick` suite is every criterion but the
+seeded Monte Carlo ones (MONTE_CARLO), the same subset as pytest's
+`-m "not slow"`; `full` runs everything.
 """
 
 from __future__ import annotations
@@ -49,8 +51,22 @@ class CheckResult:
     seconds: float
 
 
-def _result(index: int, name: str, started: float, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(index, name, passed, detail, time.time() - started)
+# (index, criterion) in declaration order, filled by @_criterion.
+CRITERIA: list[tuple[int, Callable[[], CheckResult]]] = []
+
+
+def _criterion(index: int, name: str):
+    """Register a body returning (passed, detail) as criterion `index`."""
+    def register(body: Callable[[], tuple[bool, str]]) -> Callable[[], CheckResult]:
+        @functools.wraps(body)
+        def run() -> CheckResult:
+            started = time.perf_counter()
+            passed, detail = body()
+            return CheckResult(index, name, passed, detail,
+                               time.perf_counter() - started)
+        CRITERIA.append((index, run))
+        return run
+    return register
 
 
 def _gap(a: OutwardInterval, b: OutwardInterval) -> Fraction:
@@ -58,8 +74,8 @@ def _gap(a: OutwardInterval, b: OutwardInterval) -> Fraction:
     return max(Fraction(0), a.lo - b.hi, b.lo - a.hi)
 
 
-def criterion_1() -> CheckResult:
-    t0 = time.time()
+@_criterion(1, "exact cylinder and conditional probabilities")
+def criterion_1():
     golden = {
         (1, 1, 2): Fraction(1, 35),
         (1, 2, 2): Fraction(1, 44),
@@ -75,11 +91,11 @@ def criterion_1() -> CheckResult:
     detail = "8 exact rational identities"
     if not passed:
         detail = f"mismatches: {bad}, cond_ok={cond_ok}, last_ok={last_ok}"
-    return _result(1, "exact cylinder and conditional probabilities", t0, passed, detail)
+    return passed, detail
 
 
-def criterion_2() -> CheckResult:
-    t0 = time.time()
+@_criterion(2, "word counts match binomials")
+def criterion_2():
     checked = 0
     for n in range(1, 11):
         for m in range(1, 11):
@@ -89,12 +105,10 @@ def criterion_2() -> CheckResult:
                 counted = count_words(fam)
                 listed = len(list(enumerate_words(fam)))
                 if not counted == listed == formula:
-                    return _result(2, "word counts match binomials", t0, False,
-                                   f"n={n} m={m} {mode}: count={counted} "
+                    return False, (f"n={n} m={m} {mode}: count={counted} "
                                    f"enumerated={listed} formula={formula}")
                 checked += 1
-    return _result(2, "word counts match binomials", t0, True,
-                   f"{checked} (n, m, mode) families, enumerated exhaustively")
+    return True, f"{checked} (n, m, mode) families, enumerated exhaustively"
 
 
 def _random_word(rng: random.Random, max_len: int, max_digit: int,
@@ -109,8 +123,8 @@ def _random_word(rng: random.Random, max_len: int, max_digit: int,
     return tuple(word)
 
 
-def criterion_3() -> CheckResult:
-    t0 = time.time()
+@_criterion(3, "cylinder widths equal the continuant formula")
+def criterion_3():
     rng = random.Random(3301)
     for _ in range(1000):
         word = _random_word(rng, 10, 50)
@@ -119,35 +133,30 @@ def criterion_3() -> CheckResult:
         prod = math.prod(word[:-1], start=1)
         width = Fraction(prod, q[-1] * (q[-1] + q[-2]))
         if hi - lo != width or width != cylinder_measure(word):
-            return _result(3, "cylinder widths equal the continuant formula", t0,
-                           False, f"word={word}")
-    return _result(3, "cylinder widths equal the continuant formula", t0, True,
-                   "1000 random admissible words, exact equality")
+            return False, f"word={word}"
+    return True, "1000 random admissible words, exact equality"
 
 
-def criterion_4() -> CheckResult:
-    t0 = time.time()
+@_criterion(4, "expansion round trips are exact")
+def criterion_4():
     rng = random.Random(1123)
     for _ in range(1000):
         word = _random_word(rng, 12, 50, canonical=True)
         back = expand_rational(reconstruct(word), max_digits=len(word) + 4)
         if back.digits != word or back.truncated:
-            return _result(4, "expansion round trips are exact", t0, False,
-                           f"word={word} -> {back.digits}")
+            return False, f"word={word} -> {back.digits}"
     for _ in range(1000):
         q = rng.randint(1, 10**6)
         p = rng.randint(1, q)
         x = Fraction(p, q)
         exp = expand_rational(x, max_digits=200)
         if exp.truncated or reconstruct(exp.digits) != x:
-            return _result(4, "expansion round trips are exact", t0, False,
-                           f"x={x} digits={exp.digits}")
-    return _result(4, "expansion round trips are exact", t0, True,
-                   "1000 canonical words and 1000 rationals, both directions")
+            return False, f"x={x} digits={exp.digits}"
+    return True, "1000 canonical words and 1000 rationals, both directions"
 
 
-def criterion_5() -> CheckResult:
-    t0 = time.time()
+@_criterion(5, "transition sandwich encloses conditionals")
+def criterion_5():
     checked = 0
     for length in range(1, 6):
         for prefix in combinations_with_replacement(range(1, 21), length):
@@ -156,15 +165,13 @@ def criterion_5() -> CheckResult:
                 bounds = transition_bounds(j, k)
                 p = conditional_probability(prefix, k)
                 if not bounds.contains(p):
-                    return _result(5, "transition sandwich encloses conditionals",
-                                   t0, False, f"prefix={prefix} k={k} p={p}")
+                    return False, f"prefix={prefix} k={k} p={p}"
                 checked += 1
-    return _result(5, "transition sandwich encloses conditionals", t0, True,
-                   f"{checked} exact (prefix, next) pairs, digits <= 20")
+    return True, f"{checked} exact (prefix, next) pairs, digits <= 20"
 
 
-def criterion_6() -> CheckResult:
-    t0 = time.time()
+@_criterion(6, "repeated-ones probability bounds")
+def criterion_6():
     fib = [0, 1]
     while len(fib) < 33:
         fib.append(fib[-1] + fib[-2])
@@ -177,13 +184,12 @@ def criterion_6() -> CheckResult:
               and sandwich.lo <= exact <= sandwich.hi
               and binet_q(n).contains(q_n))
         if not ok:
-            return _result(6, "repeated-ones probability bounds", t0, False, f"n={n}")
-    return _result(6, "repeated-ones probability bounds", t0, True,
-                   "n <= 30: exact value, sandwich, and Binet enclosure")
+            return False, f"n={n}"
+    return True, "n <= 30: exact value, sandwich, and Binet enclosure"
 
 
-def criterion_7() -> CheckResult:
-    t0 = time.time()
+@_criterion(7, "marginal DP encloses the exact table")
+def criterion_7():
     pairs = 0
     for n in range(1, 7):
         for cap in range(1, 13):
@@ -191,18 +197,15 @@ def criterion_7() -> CheckResult:
             table = marginal_interval_dp(n, cap)
             for k in range(1, cap + 1):
                 if not table.entries[k].contains(exact.entries[k].lo):
-                    return _result(7, "marginal DP encloses the exact table", t0,
-                                   False, f"n={n} cap={cap} k={k}")
+                    return False, f"n={n} cap={cap} k={k}"
             if not table.tail.contains(exact.tail.lo):
-                return _result(7, "marginal DP encloses the exact table", t0,
-                               False, f"n={n} cap={cap} tail")
+                return False, f"n={n} cap={cap} tail"
             pairs += 1
-    return _result(7, "marginal DP encloses the exact table", t0, True,
-                   f"{pairs} (n, cap) tables, every digit and the tail")
+    return True, f"{pairs} (n, cap) tables, every digit and the tail"
 
 
-def criterion_8() -> CheckResult:
-    t0 = time.time()
+@_criterion(8, "moment growth approaches its limit")
+def criterion_8():
     tol = Fraction(15, 100)
     details = []
     for theta in (Fraction(-3), Fraction(-1, 2), Fraction(0), Fraction(1, 2),
@@ -212,25 +215,21 @@ def criterion_8() -> CheckResult:
         rows = [r.value.value for r in table.rows]
         if theta == 0:
             if any(r.lo != 0 or r.hi != 0 for r in rows):
-                return _result(8, "moment growth approaches its limit", t0, False,
-                               "theta=0 rows are not exactly zero")
+                return False, "theta=0 rows are not exactly zero"
             continue
         final = rows[-1]
         if final.lo < limit.lo - tol or final.hi > limit.hi + tol:
-            return _result(8, "moment growth approaches its limit", t0, False,
-                           f"theta={theta}: n=12 enclosure not within {tol} of limit")
+            return False, f"theta={theta}: n=12 enclosure not within {tol} of limit"
         seps = [_gap(r, limit) for r in rows]
         if any(seps[i + 1] > seps[i] for i in range(len(seps) - 1)):
-            return _result(8, "moment growth approaches its limit", t0, False,
-                           f"theta={theta}: separations {[float(s) for s in seps]} "
+            return False, (f"theta={theta}: separations {[float(s) for s in seps]} "
                            "not non-increasing")
         details.append(f"theta={theta}: final gap {float(seps[-1]):.4f}")
-    return _result(8, "moment growth approaches its limit", t0, True,
-                   "; ".join(details))
+    return True, "; ".join(details)
 
 
-def criterion_9() -> CheckResult:
-    t0 = time.time()
+@_criterion(9, "rate function identities")
+def criterion_9():
     tol_grid = Fraction(1, 10**6)
     eye = RateFunctionId("I");  eye_one = RateFunctionId("I_b", b=1)
     eye_big = RateFunctionId("I_b", b=10**6);  eye_inf = RateFunctionId("I_inf")
@@ -240,14 +239,11 @@ def criterion_9() -> CheckResult:
         leg = legendre_numeric(pressure, x).value
         closed = rate(eye, x).value
         if _gap(leg, closed) > tol_grid or leg.width > tol_grid or closed.width > tol_grid:
-            return _result(9, "rate function identities", t0, False,
-                           f"Legendre mismatch at x={float(x):.4f}")
+            return False, f"Legendre mismatch at x={float(x):.4f}"
         if _gap(closed, rate(eye_one, x).value) != 0:
-            return _result(9, "rate function identities", t0, False,
-                           f"I_1 != I at x={float(x):.4f}")
+            return False, f"I_1 != I at x={float(x):.4f}"
         if _gap(rate(eye_big, x).value, rate(eye_inf, x).value) > Fraction(1, 1000):
-            return _result(9, "rate function identities", t0, False,
-                           f"I_1e6 vs I_inf at x={float(x):.4f}")
+            return False, f"I_1e6 vs I_inf at x={float(x):.4f}"
     # Branch continuity at the breakpoints, as interval overlap.
     consts = GoldenConstants.compute()
     tol_bp = Fraction(1, 10**20)
@@ -255,14 +251,12 @@ def criterion_9() -> CheckResult:
     mid_branch = -(consts.phi * (bp + 1)) + consts.two_log_phi
     first_branch = bp - interval_log(bp + 1)
     if _gap(mid_branch, first_branch) > tol_bp:
-        return _result(9, "rate function identities", t0, False,
-                       "rate branches disagree at the breakpoint")
+        return False, "rate branches disagree at the breakpoint"
     mphi = -consts.phi
     lam_low = -mphi - consts.two_log_phi
     lam_mid = -mphi - interval_log(1 - mphi)
     if _gap(lam_low, lam_mid) > tol_bp:
-        return _result(9, "rate function identities", t0, False,
-                       "pressure branches disagree at the breakpoint")
+        return False, "pressure branches disagree at the breakpoint"
     # Quadratic self-duality.
     jay = RateFunctionId("J")
     j_pressure = lambda theta, prec=None: rate(jay, theta, prec)
@@ -273,33 +267,29 @@ def criterion_9() -> CheckResult:
                                target_width=Fraction(1, 10**10)).value
         truth = x * x / 2
         if leg.lo < truth - tol_j or leg.hi > truth + tol_j:
-            return _result(9, "rate function identities", t0, False,
-                           f"quadratic self-duality fails at x={float(x)}")
-    return _result(9, "rate function identities", t0, True,
-                   "200-point Legendre grid, breakpoint overlap, comparison family, "
-                   "quadratic self-duality")
+            return False, f"quadratic self-duality fails at x={float(x)}"
+    return True, ("200-point Legendre grid, breakpoint overlap, comparison family, "
+                  "quadratic self-duality")
 
 
 # Criteria 10 and 11 run on one config; the library walks it once for both.
 _MEAN_CONFIG = SampleConfig(seed=MC_SEED_MEAN, trials=10**4, depth=100)
 
 
-def criterion_10() -> CheckResult:
-    t0 = time.time()
+@_criterion(10, "sampled digit growth has mean one")
+def criterion_10():
     rep = lln_report(_MEAN_CONFIG)
     passed = 0.99 <= rep.mean <= 1.01 and rep.uncertified == 0
-    return _result(10, "sampled digit growth has mean one", t0, passed,
-                   f"mean={rep.mean:.5f} sd={rep.stdev:.4f} "
-                   f"uncertified={rep.uncertified}/{rep.trials}")
+    return passed, (f"mean={rep.mean:.5f} sd={rep.stdev:.4f} "
+                    f"uncertified={rep.uncertified}/{rep.trials}")
 
 
-def criterion_11() -> CheckResult:
-    t0 = time.time()
+@_criterion(11, "normalized digit growth is near normal")
+def criterion_11():
     rep = clt_report(_MEAN_CONFIG)
     passed = rep.ks <= 0.1
-    return _result(11, "normalized digit growth is near normal", t0, passed,
-                   f"KS={rep.ks:.4f} median={rep.median:.4f} "
-                   f"uncertified={rep.uncertified}/{rep.trials}")
+    return passed, (f"KS={rep.ks:.4f} median={rep.median:.4f} "
+                    f"uncertified={rep.uncertified}/{rep.trials}")
 
 
 @functools.lru_cache(maxsize=1)
@@ -312,8 +302,8 @@ def _shared_tail_run():
     return config, tail_counts(config, requests)
 
 
-def criterion_12() -> CheckResult:
-    t0 = time.time()
+@_criterion(12, "tail decay slopes match the rate function")
+def criterion_12():
     _, estimates = _shared_tail_run()
     half = Fraction(1, 2)
     lower = _ldp_rows(half, LOWER, TAIL_N_LOWER, estimates)
@@ -322,14 +312,13 @@ def criterion_12() -> CheckResult:
     target_upper = rate(RateFunctionId("I"), Fraction(1)).value.mid_float()
     ok_lower = 0.7 * target_lower <= lower.slope <= 1.3 * target_lower
     ok_upper = 0.7 * target_upper <= upper.slope <= 1.3 * target_upper
-    return _result(12, "tail decay slopes match the rate function", t0,
-                   ok_lower and ok_upper,
-                   f"lower slope {lower.slope:.4f} vs {target_lower:.4f}; "
-                   f"upper slope {upper.slope:.4f} vs {target_upper:.4f} (both +-30%)")
+    return ok_lower and ok_upper, (
+        f"lower slope {lower.slope:.4f} vs {target_lower:.4f}; "
+        f"upper slope {upper.slope:.4f} vs {target_upper:.4f} (both +-30%)")
 
 
-def criterion_13() -> CheckResult:
-    t0 = time.time()
+@_criterion(13, "single exponential bound covers all depths")
+def criterion_13():
     config, estimates = _shared_tail_run()
     half = Fraction(1, 2)
 
@@ -345,39 +334,26 @@ def criterion_13() -> CheckResult:
     for row in report.rows:
         decay = interval_exp(-report.beta * row.n)
         if row.prob_bound > report.alpha * decay.hi:
-            return _result(13, "single exponential bound covers all depths", t0,
-                           False, f"bound violated at n={row.n}")
+            return False, f"bound violated at n={row.n}"
     passed = report.alpha > 0 and report.beta > 0 and beta_max.lo > 0
-    return _result(13, "single exponential bound covers all depths", t0, passed,
-                   f"beta={float(report.beta):.5f} alpha={float(report.alpha):.4f} "
-                   f"over n={list(TAIL_N_LOWER)}")
+    return passed, (f"beta={float(report.beta):.5f} alpha={float(report.alpha):.4f} "
+                    f"over n={list(TAIL_N_LOWER)}")
 
 
-def criterion_14() -> CheckResult:
-    t0 = time.time()
+@_criterion(14, "moderate deviation rows trend to the limit")
+def criterion_14():
     details = []
     for lam in (Fraction(-1), Fraction(1)):
         table = mdp_curve(lam, [8, 12, 16])
         if not all(r.feasible for r in table.rows):
-            return _result(14, "moderate deviation rows trend to the limit", t0,
-                           False, f"lambda={lam}: infeasible row")
+            return False, f"lambda={lam}: infeasible row"
         target = OutwardInterval.from_value(table.target)
         seps = [_gap(r.value, target) for r in table.rows]
         if any(seps[i + 1] > seps[i] for i in range(len(seps) - 1)):
-            return _result(14, "moderate deviation rows trend to the limit", t0,
-                           False,
-                           f"lambda={lam}: separations {[float(s) for s in seps]}")
+            return False, f"lambda={lam}: separations {[float(s) for s in seps]}"
         details.append(f"lambda={lam}: gaps {[round(float(s), 4) for s in seps]}")
-    return _result(14, "moderate deviation rows trend to the limit", t0, True,
-                   "; ".join(details))
+    return True, "; ".join(details)
 
-
-CRITERIA: tuple[tuple[int, Callable[[], CheckResult]], ...] = (
-    (1, criterion_1), (2, criterion_2), (3, criterion_3), (4, criterion_4),
-    (5, criterion_5), (6, criterion_6), (7, criterion_7), (8, criterion_8),
-    (9, criterion_9), (10, criterion_10), (11, criterion_11), (12, criterion_12),
-    (13, criterion_13), (14, criterion_14),
-)
 
 # The seeded Monte Carlo criteria: minutes, where the others take seconds.
 MONTE_CARLO = frozenset({10, 11, 12, 13})

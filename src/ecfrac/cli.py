@@ -16,9 +16,14 @@ values; ``_render`` alone formats them, by these rules:
   bool prints as true/false, a tuple joins with commas and None is an
   empty cell.
 
+``verify`` is no exception: one record per criterion (index, name,
+passed, detail, seconds), and the document is emitted whether or not a
+criterion fails.
+
 Exit codes: 0 success, 2 usage or parse error (an unwritable --output
 too, found before the command runs), 3 budget refusal or Monte Carlo
-limit, 4 verification failure.
+limit, 4 verification failure (stderr names the document's
+first_failure).
 """
 
 from __future__ import annotations
@@ -253,6 +258,15 @@ def _cmd_mc(args):
     return {**head, "event": args.event, **_estimate(est)}, None
 
 
+def _cmd_verify(args):
+    results = run_suite(args.suite)
+    records = [dataclasses.asdict(res) for res in results]
+    failed = next((res for res in results if not res.passed), None)
+    first = None if failed is None else f"{failed.index} ({failed.name})"
+    return {"suite": args.suite, "passed": failed is None, "first_failure": first,
+            "criteria": records}, records
+
+
 # ---------------------------------------------------------------------------
 # Output assembly
 # ---------------------------------------------------------------------------
@@ -363,23 +377,6 @@ def _emit(args, text: str):
             raise _CliError(str(err), EXIT_USAGE)
     else:
         sys.stdout.write(text)
-
-
-def _cmd_verify(args) -> int:
-    results = run_suite(args.suite)
-    lines = []
-    for res in results:
-        mark = "PASS" if res.passed else "FAIL"
-        lines.append(f"{mark} criterion {res.index}: {res.name} "
-                     f"({res.seconds:.1f}s) - {res.detail}")
-    text = "\n".join(lines) + "\n"
-    _emit(args, text)
-    failures = [res for res in results if not res.passed]
-    if failures:
-        first = failures[0]
-        sys.stderr.write(f"first failing criterion: {first.index} ({first.name})\n")
-        return EXIT_VERIFY
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +513,11 @@ def main(argv=None) -> int:
     try:
         if args.output:
             _check_output(args.output)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        _emit(args, _render(args, *args.func(args)))
+        data, records = args.func(args)
+        _emit(args, _render(args, data, records))
+        if data.get("first_failure"):
+            sys.stderr.write(f"first failing criterion: {data['first_failure']}\n")
+            return EXIT_VERIFY
         return EXIT_OK
     except BudgetError as err:
         sys.stderr.write(f"budget refused: {err}\n")

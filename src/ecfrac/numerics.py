@@ -2,9 +2,9 @@
 
 Everything downstream computes with two kinds of numbers:
 
-* exact rationals (``fractions.Fraction``, aliased ``Rational``) wherever a
-  quantity is rational by construction — cylinder measures, transition
-  bounds, continuants;
+* exact rationals (``fractions.Fraction``) wherever a quantity is
+  rational by construction — cylinder measures, transition bounds,
+  continuants;
 * :class:`OutwardInterval` wherever an irrational creeps in (``k**theta``,
   ``log``, the golden ratio).  Every interval operation rounds the lower
   endpoint down and the upper endpoint up, so any bound derived from an
@@ -22,8 +22,6 @@ from fractions import Fraction
 from typing import Union
 
 from mpmath import libmp
-
-Rational = Fraction
 
 DEFAULT_PRECISION_BITS = 128
 

@@ -135,24 +135,46 @@ def test_bad_event_exit_2(capsys):
     assert code == 2
 
 
+GOOD = CheckResult(1, "good", True, "fine", 0.5)
+BAD = CheckResult(2, "bad", False, "broken", 0.25)
+
+
+def _stub_suite(monkeypatch, *results):
+    monkeypatch.setattr("ecfrac.cli.run_suite", lambda suite: list(results))
+
+
 def test_verify_failure_exit_4(capsys, monkeypatch):
-    fake = [CheckResult(1, "good", True, "fine", 0.0),
-            CheckResult(2, "bad", False, "broken", 0.0)]
-    monkeypatch.setattr("ecfrac.cli.run_suite", lambda suite: fake)
+    _stub_suite(monkeypatch, GOOD, BAD)
     code, out, err = run(capsys, "verify", "--suite", "quick")
     assert code == 4
-    assert "PASS criterion 1" in out
-    assert "FAIL criterion 2" in out
-    assert "first failing criterion: 2 (bad)" in err
+    data = json.loads(out)["data"]  # the document is emitted on failure too
+    assert [c["passed"] for c in data["criteria"]] == [True, False]
+    assert data["passed"] is False and data["first_failure"] == "2 (bad)"
+    assert err == "first failing criterion: 2 (bad)\n"
 
 
 def test_verify_success_exit_0(capsys, monkeypatch):
-    fake = [CheckResult(1, "good", True, "fine", 0.0)]
-    monkeypatch.setattr("ecfrac.cli.run_suite", lambda suite: fake)
+    _stub_suite(monkeypatch, GOOD)
     code, out, err = run(capsys, "verify")
     assert code == 0
-    assert out.startswith("PASS criterion 1")
+    doc = json.loads(out)
+    assert doc["manifest"]["command"] == "verify"
+    assert doc["manifest"]["params"] == {"suite": "quick"}
+    assert doc["manifest"]["version"] and doc["manifest"]["timestamp"]
+    assert doc["data"] == {
+        "suite": "quick", "passed": True, "first_failure": None,
+        "criteria": [{"index": 1, "name": "good", "passed": True, "detail": "fine",
+                      "seconds": 0.5}]}
     assert err == ""
+
+
+def test_verify_csv_has_one_row_per_criterion(capsys, monkeypatch):
+    _stub_suite(monkeypatch, GOOD, BAD)
+    code, out, err = run(capsys, "verify", "--format", "csv")
+    assert code == 4 and "first failing criterion: 2 (bad)" in err
+    assert "# command: verify" in out.splitlines()
+    assert _csv_body(out) == ["index,name,passed,detail,seconds",
+                              "1,good,true,fine,0.5", "2,bad,false,broken,0.25"]
 
 
 def test_negative_rational_values_parse(capsys):
