@@ -222,31 +222,36 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
         return None if lam.is_infinite else x_iv * t - lam.value
 
     probes = [g(a), g(b)]
+    # The bracket is [A/D, B/D] in integers.  Each cut scales A, B and D by
+    # 24, the common denominator of the probe ratios 3/8 and 2/3, so the
+    # loop builds one Fraction per probe and no other.
+    A, B = a.numerator * b.denominator, b.numerator * a.denominator
+    D = a.denominator * b.denominator
+    target = Fraction(target_width)
     # Probe points deliberately asymmetric in the bracket so that an even
     # objective (e.g. the quadratic pressure at x = 0) never produces an
     # exact tie that would stall the certified cuts.
     for _ in range(500):
-        if b - a <= target_width:
+        if (B - A) * target.denominator <= target.numerator * D:
             break
-        m1 = a + 3 * (b - a) / 8
-        m2 = a + 2 * (b - a) / 3
-        g1, g2 = g(m1), g(m2)
+        m1, m2 = 24 * A + 9 * (B - A), 24 * A + 16 * (B - A)
+        g1, g2 = g(Fraction(m1, 24 * D)), g(Fraction(m2, 24 * D))
         probes += (g1, g2)
         if g1 is None:
             # Infinite pressure marks territory right of the finite domain
             # (Lambda blows up at theta >= 1), so the objective is -inf from
             # m1 onward.
-            b = m1
-            continue
-        if g2 is None:
-            b = m2
-            continue
-        if g1.below(g2):
-            a = m1  # maximizer certified right of m1
+            A, B = 24 * A, m1
+        elif g2 is None:
+            A, B = 24 * A, m2
+        elif g1.below(g2):
+            A, B = m1, 24 * B  # maximizer certified right of m1
         elif g2.below(g1):
-            b = m2
+            A, B = 24 * A, m2
         else:
             break  # probes no longer separate as intervals
+        D *= 24
+    a, b = Fraction(A, D), Fraction(B, D)
 
     finite = [value for value in probes if value is not None]
     if not finite:

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from .expansion import CertifiedExpansion, _lockstep_walk
 from .numerics import interval_exp
@@ -156,9 +156,10 @@ def _digit_stream(config: SampleConfig) -> Iterator[tuple[list[int], bool]]:
 def clopper_pearson(hits: int, trials: int) -> tuple[Fraction, Fraction]:
     """Exact binomial CI at level CONFIDENCE, returned as rationals widened outward.
 
-    The beta quantiles come from scipy in float precision; both ends are
-    pushed outward by a relative 1e-12 plus an absolute 1e-18 so the
-    returned rationals still bracket the mathematical CI.
+    The beta quantiles come from scipy.special.betaincinv (Boost's
+    ibeta_inv) in float precision; both ends are pushed outward by a
+    relative 1e-12 plus an absolute 1e-18 so the returned rationals still
+    bracket the mathematical CI.
     """
     if not 0 <= hits <= trials or trials < 1:
         raise ValueError("need 0 <= hits <= trials, trials >= 1")
@@ -166,13 +167,13 @@ def clopper_pearson(hits: int, trials: int) -> tuple[Fraction, Fraction]:
     if hits == 0:
         lo = Fraction(0)
     else:
-        lo_f = float(_beta_dist.ppf(float(alpha / 2), hits, trials - hits + 1))
+        lo_f = float(betaincinv(hits, trials - hits + 1, float(alpha / 2)))
         lo = Fraction(lo_f) * (1 - Fraction(1, 10**12)) - Fraction(1, 10**18)
         lo = max(lo, Fraction(0))
     if hits == trials:
         hi = Fraction(1)
     else:
-        hi_f = float(_beta_dist.ppf(float(1 - alpha / 2), hits + 1, trials - hits))
+        hi_f = float(betaincinv(hits + 1, trials - hits, float(1 - alpha / 2)))
         hi = Fraction(hi_f) * (1 + Fraction(1, 10**12)) + Fraction(1, 10**18)
         hi = min(hi, Fraction(1))
     return lo, hi

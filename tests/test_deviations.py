@@ -285,6 +285,26 @@ def test_legendre_default_bracket_matches_fraction_reference():
             reference_legendre_numeric(pressure, x))
 
 
+def test_legendre_stops_where_the_reference_stops_at_an_exact_width():
+    # Every cut leaves 5/8 or 2/3 of the bracket, so these target widths
+    # are met with equality on some paths: the search stops there, not one
+    # cut later.
+    for pressure_fn, bracket in ((pressure, (Fraction(-1), Fraction(1, 2))),
+                                 (_j_pressure, (Fraction(-2), Fraction(3)))):
+        span = bracket[1] - bracket[0]
+        for i in range(5):
+            for j in range(5):
+                width = span * Fraction(5, 8)**i * Fraction(2, 3)**j
+                for x in (Fraction(-1, 2), Fraction(1, 3), Fraction(2)):
+                    ours, our_calls = _counted(pressure_fn)
+                    ref, ref_calls = _counted(pressure_fn)
+                    got = legendre_numeric(ours, x, bracket=bracket, target_width=width)
+                    want = reference_legendre_numeric(ref, x, bracket=bracket,
+                                                      target_width=width)
+                    assert _ends(got) == _ends(want)
+                    assert len(our_calls) == len(ref_calls)
+
+
 def test_legendre_encloses_rate_past_the_domain_edge():
     # Brackets reaching past theta = 1, where Lambda is +infinity: a slice
     # straddling the edge may hold the maximizer theta* = x/(1+x), so it

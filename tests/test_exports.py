@@ -1,4 +1,10 @@
-"""The package namespace: every exported name resolves, none is listed twice."""
+"""The package namespace: every exported name resolves, none is listed twice,
+and importing it loads no scipy.stats."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import ecfrac
 
@@ -8,3 +14,15 @@ def test_all_names_resolve_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(ecfrac, name)]
     assert missing == []
+
+
+def test_import_loads_no_scipy_stats():
+    # scipy.stats costs about a second and 45 MB at import; a fresh
+    # interpreter shows whether anything in the package pulls it in.
+    src = Path(ecfrac.__file__).resolve().parents[1]
+    script = ("import sys, ecfrac, ecfrac.cli; "
+              "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,6 +170,43 @@ def test_clopper_pearson_against_exact_binomial():
             assert _binom_cdf(n, hi, h) <= alpha / 2
         if h > 0:
             assert 1 - _binom_cdf(n, lo, h - 1) <= alpha / 2
+
+
+def _clopper_pearson_cases():
+    for n in range(1, 201):
+        for h in range(n + 1):
+            yield h, n
+    for n in (10**3, 10**4, 10**6):
+        spread = {n * i // 401 for i in range(1, 401)}
+        yield from ((h, n) for h in sorted(set(range(201)) | set(range(n - 200, n + 1)) | spread))
+
+
+def test_clopper_pearson_matches_the_beta_ppf_kernel():
+    # scipy.stats.beta.ppf is the oracle, imported here only: the printed
+    # endpoints are those of beta.ppf only while scipy.special.betaincinv
+    # is, like beta.ppf, Boost's ibeta_inv.
+    import scipy
+    from scipy.stats import beta
+
+    cases = list(_clopper_pearson_cases())
+    calls = []
+    kernel = montecarlo.betaincinv
+
+    def recording(a, b, q):
+        calls.append((a, b, q))
+        return kernel(a, b, q)
+
+    with mock.patch.object(montecarlo, "betaincinv", recording):
+        got = [clopper_pearson(h, n) for h, n in cases]
+    a, b, q = (np.array(column) for column in zip(*calls))
+    old = dict(zip(calls, beta.ppf(q, a, b)))  # one vectorized call for all quantiles
+    with mock.patch.object(montecarlo, "betaincinv", lambda a, b, q: old[a, b, q]):
+        want = [clopper_pearson(h, n) for h, n in cases]
+    differ = [case for case, g, w in zip(cases, got, want) if g != w]
+    assert not differ, (
+        f"scipy {scipy.__version__}: scipy.special.betaincinv is not Boost's ibeta_inv "
+        f"as scipy.stats.beta.ppf is; clopper_pearson differs at (h, N) in {differ[:5]} "
+        f"({len(differ)} of {len(cases)})")
 
 
 def test_clopper_pearson_edges():
