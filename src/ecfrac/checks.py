@@ -259,7 +259,7 @@ def criterion_9():
         return False, "pressure branches disagree at the breakpoint"
     # Quadratic self-duality.
     jay = RateFunctionId("J")
-    j_pressure = lambda theta, prec=None: rate(jay, theta, prec)
+    j_pressure = lambda theta, prec: rate(jay, theta, prec)
     tol_j = Fraction(1, 10**8)
     for i in range(25):
         x = Fraction(-3) + i * Fraction(6, 24)

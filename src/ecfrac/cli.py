@@ -199,7 +199,7 @@ def _parse_event(text: str):
     if position < 1:
         raise _CliError("digit position must be >= 1", EXIT_USAGE)
 
-    def predicate(depth, expansion):
+    def predicate(expansion):
         if len(expansion.digits) < position:
             return None
         digit = expansion.digits[position - 1]

@@ -26,11 +26,11 @@ from typing import Callable, Sequence
 
 from .measure import _moment_intervals, moment_interval
 from .numerics import (
+    DEFAULT_PRECISION_BITS,
     ExtendedReal,
     OutwardInterval,
     _as_interval,
     _first_highest_lower_end,
-    default_precision,
     interval_exp,
     interval_log,
     interval_pow,
@@ -71,21 +71,17 @@ class GoldenConstants:
     two_log_phi: OutwardInterval
     branch_point: OutwardInterval   # -(sqrt5 - 1)/2 = -1/phi
 
-    @classmethod
-    def compute(cls, prec: int | None = None) -> "GoldenConstants":
+    @staticmethod
+    @functools.lru_cache(maxsize=16)
+    def compute(prec: int = DEFAULT_PRECISION_BITS) -> "GoldenConstants":
         """The constants at prec bits, computed once per precision."""
-        return _golden_constants(default_precision() if prec is None else prec)
-
-
-@functools.lru_cache(maxsize=16)
-def _golden_constants(prec: int) -> GoldenConstants:
-    sqrt5 = interval_sqrt(5, prec)
-    phi = (sqrt5 + 1) / 2
-    return GoldenConstants(
-        phi=phi,
-        two_log_phi=2 * interval_log(phi, prec),
-        branch_point=(1 - sqrt5) / 2,
-    )
+        sqrt5 = interval_sqrt(5, prec)
+        phi = (sqrt5 + 1) / 2
+        return GoldenConstants(
+            phi=phi,
+            two_log_phi=2 * interval_log(phi, prec),
+            branch_point=(1 - sqrt5) / 2,
+        )
 
 
 def _piecewise(x: OutwardInterval, breakpoint: OutwardInterval,
@@ -101,9 +97,8 @@ def _piecewise(x: OutwardInterval, breakpoint: OutwardInterval,
     return left(below).hull(right(above))
 
 
-def pressure(theta, prec: int | None = None) -> ExtendedReal:
+def pressure(theta, prec: int = DEFAULT_PRECISION_BITS) -> ExtendedReal:
     """Lambda(theta); +infinity for theta >= 1, hull at the -phi breakpoint."""
-    prec = default_precision() if prec is None else prec
     t = _as_interval(theta, prec)
     if t.hi >= 1:
         return ExtendedReal.infinity()
@@ -114,11 +109,10 @@ def pressure(theta, prec: int | None = None) -> ExtendedReal:
         lambda ti: -ti - interval_log(1 - ti, prec)))
 
 
-def xi_b(b: int, prec: int | None = None) -> OutwardInterval:
+def xi_b(b: int, prec: int = DEFAULT_PRECISION_BITS) -> OutwardInterval:
     """The comparison-family constant (b^2 + 2 + sqrt(b^2 + 4b)) / (2b)."""
     if b < 1:
         raise ValueError("xi_b needs b >= 1")
-    prec = default_precision() if prec is None else prec
     root = interval_sqrt(b * b + 4 * b, prec)
     return (root + (b * b + 2)) / (2 * b)
 
@@ -127,14 +121,13 @@ def _first_branch(x_iv: OutwardInterval, prec: int) -> OutwardInterval:
     return x_iv - interval_log(x_iv + 1, prec)
 
 
-def rate(rid: RateFunctionId, x, prec: int | None = None) -> ExtendedReal:
+def rate(rid: RateFunctionId, x, prec: int = DEFAULT_PRECISION_BITS) -> ExtendedReal:
     """Evaluate a rate function (or comparison limit) at a point.
 
     x (or theta, for the moment-limit kinds) may be rational or an
     OutwardInterval.  Values at breakpoints are hulls of the adjoining
     branches; outside the effective domain the value is +infinity.
     """
-    prec = default_precision() if prec is None else prec
     x_iv = _as_interval(x, prec)
 
     if rid.kind == "pressure_Lambda":
@@ -189,7 +182,7 @@ def rate(rid: RateFunctionId, x, prec: int | None = None) -> ExtendedReal:
 def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
                      bracket: tuple[Fraction, Fraction] | None = None,
                      target_width: Fraction = Fraction(1, 10**8),
-                     prec: int | None = None) -> ExtendedReal:
+                     prec: int = DEFAULT_PRECISION_BITS) -> ExtendedReal:
     """Enclose sup_theta { theta*x - pressure_fn(theta) } over the bracket.
 
     The objective is concave (pressure functions are convex), so certified
@@ -206,7 +199,6 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
     nearest cut points to the slice's left with finite values; with fewer
     than two such points, ValueError is raised.
     """
-    prec = default_precision() if prec is None else prec
     if bracket is None:
         bracket = (Fraction(-50), 1 - Fraction(1, 10**12))
     a, b = Fraction(bracket[0]), Fraction(bracket[1])
@@ -309,9 +301,8 @@ class GrowthTable:
     rows: tuple[GrowthRow, ...]
 
 
-def moment_limit(theta: Fraction, prec: int | None = None) -> ExtendedReal:
+def moment_limit(theta: Fraction, prec: int = DEFAULT_PRECISION_BITS) -> ExtendedReal:
     """The limit of (1/n) log E(b_n^theta): max of the two branch values."""
-    prec = default_precision() if prec is None else prec
     theta = Fraction(theta)
     if theta >= 1:
         return ExtendedReal.infinity()
@@ -320,12 +311,11 @@ def moment_limit(theta: Fraction, prec: int | None = None) -> ExtendedReal:
 
 
 def moment_growth_rate(theta: Fraction, n_list: Sequence[int], cap_schedule: int = 60,
-                       prec: int | None = None) -> GrowthTable:
+                       prec: int = DEFAULT_PRECISION_BITS) -> GrowthTable:
     """Rows (1/n) log E(b_n^theta) against the closed-form limit.
 
     Every row runs the moment DP at the same digit cap, cap_schedule.
     """
-    prec = default_precision() if prec is None else prec
     theta = Fraction(theta)
     rows = []
     for n in n_list:
@@ -358,7 +348,7 @@ class MdpTable:
 
 
 def mdp_curve(lam: Fraction, n_list: Sequence[int], p: Fraction = Fraction(3, 4),
-              cap: int = 60, prec: int | None = None) -> MdpTable:
+              cap: int = 60, prec: int = DEFAULT_PRECISION_BITS) -> MdpTable:
     """Moderate-deviation normalization of the log moment-generating rows.
 
     With a_n = n^p, p in (1/2, 1), the growth conditions (a_n/sqrt(n) ->
@@ -368,7 +358,6 @@ def mdp_curve(lam: Fraction, n_list: Sequence[int], p: Fraction = Fraction(3, 4)
     enclosed by running the (theta-monotone) moment DP at the rational
     endpoints of a theta_n enclosure.
     """
-    prec = default_precision() if prec is None else prec
     lam = Fraction(lam)
     p = Fraction(p)
     if not Fraction(1, 2) < p < 1:
@@ -407,7 +396,8 @@ class BoundReport:
 
 def exponential_bound_check(eps: Fraction, n_list: Sequence[int],
                             estimator: Callable[[int], Fraction],
-                            prec: int | None = None) -> tuple[OutwardInterval, BoundReport]:
+                            prec: int = DEFAULT_PRECISION_BITS
+                            ) -> tuple[OutwardInterval, BoundReport]:
     """Best LDP-permitted exponent and the smallest feasible prefactor.
 
     beta_max = min(I(eps), I(-eps)) is the fastest decay the deviation
@@ -419,7 +409,6 @@ def exponential_bound_check(eps: Fraction, n_list: Sequence[int],
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    prec = default_precision() if prec is None else prec
     upper = rate(RateFunctionId("I"), eps, prec)
     lower = rate(RateFunctionId("I"), -eps, prec)
     if upper.is_infinite:

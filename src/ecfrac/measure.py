@@ -28,9 +28,9 @@ from typing import Sequence, Union
 
 from .expansion import continuants, is_admissible
 from .numerics import (
+    DEFAULT_PRECISION_BITS,
     ExtendedReal,
     OutwardInterval,
-    default_precision,
     interval_pow,
     interval_sqrt,
 )
@@ -228,7 +228,7 @@ def marginal_interval_dp(n: int, cap: int) -> MarginalTable:
     """
     if n < 1 or cap < 1:
         raise ValueError("marginal_interval_dp needs n >= 1 and cap >= 1")
-    bits = _dp_bits(n, cap, default_precision())
+    bits = _dp_bits(n, cap, DEFAULT_PRECISION_BITS)
     one = 1 << bits
     lo, up, _, _ = _propagate(n, cap, bits)
     entries = {k: ProbInterval(Fraction(lo[k - 1], one), Fraction(min(up[k - 1], one), one))
@@ -237,20 +237,11 @@ def marginal_interval_dp(n: int, cap: int) -> MarginalTable:
     return MarginalTable(n, cap, entries, tail)
 
 
-def _fibonacci_continuants(n: int) -> tuple[int, int]:
-    """(Q_{n-1}, Q_n) for the all-ones word: consecutive Fibonacci numbers."""
-    q_prev, q = 0, 1  # Q_{-1}, Q_0
-    for _ in range(n):
-        q_prev, q = q, q + q_prev
-    return q_prev, q
-
-
-def binet_q(n: int, prec: int | None = None) -> OutwardInterval:
+def binet_q(n: int, prec: int = DEFAULT_PRECISION_BITS) -> OutwardInterval:
     """Enclosure of the all-ones continuant Q_n by the closed Binet form.
 
     Q_n = F_{n+1} = (phi^{n+1} - psi^{n+1})/sqrt(5) with psi = (1-sqrt5)/2.
     """
-    prec = default_precision() if prec is None else prec
     sqrt5 = interval_sqrt(5, prec)
     phi = (sqrt5 + 1) / 2
     psi = (1 - sqrt5) / 2
@@ -265,7 +256,7 @@ def prob_digit_one(n: int) -> tuple[Fraction, ProbInterval]:
     """
     if n < 1:
         raise ValueError("prob_digit_one needs n >= 1")
-    q_prev, q = _fibonacci_continuants(n)
+    q_prev, q = continuants((1,) * n)[-2:]
     exact = Fraction(1, q * (q + q_prev))
     sandwich = ProbInterval(Fraction(1, 2 * q * q), Fraction(1, q * q))
     return exact, sandwich
@@ -287,14 +278,13 @@ def _integral_tail(m: int, theta: Fraction, prec: int) -> tuple[OutwardInterval,
     return integral, integral + first
 
 
-def s_upper_factor(j: int, theta: Fraction, prec: int | None = None) -> OutwardInterval:
+def s_upper_factor(j: int, theta: Fraction, prec: int = DEFAULT_PRECISION_BITS) -> OutwardInterval:
     """The per-level factor (1+1/j) (1-1/j)^(theta-1) / (1-theta), j >= 2.
 
     Decreasing in j, so it bounds every deeper level once digits exceed j.
     """
     if j < 2:
         raise ValueError("s_upper_factor needs j >= 2")
-    prec = default_precision() if prec is None else prec
     theta = Fraction(theta)
     lead = Fraction(j + 1, j)
     power = interval_pow(Fraction(j - 1, j), theta - 1, prec)
@@ -302,7 +292,7 @@ def s_upper_factor(j: int, theta: Fraction, prec: int | None = None) -> OutwardI
 
 
 def moment_interval(n: int, theta: Fraction, cap: int = 60,
-                    prec: int | None = None) -> ProbInterval | ExtendedReal:
+                    prec: int = DEFAULT_PRECISION_BITS) -> ProbInterval | ExtendedReal:
     """Two-sided enclosure of E(b_n^theta) for theta < 1 (else +infinity).
 
     The tracked part is the mass output of the fixed-point DP kernel over
@@ -325,7 +315,7 @@ def moment_interval(n: int, theta: Fraction, cap: int = 60,
 
 
 def _moment_intervals(n: int, thetas: Sequence[Fraction], cap: int,
-                      prec: int | None) -> list[ProbInterval | ExtendedReal]:
+                      prec: int = DEFAULT_PRECISION_BITS) -> list[ProbInterval | ExtendedReal]:
     """moment_interval at each theta, from at most one run of the DP kernel.
 
     The kernel's masses and exit flows do not depend on theta, only their
@@ -343,7 +333,6 @@ def _moment_intervals(n: int, thetas: Sequence[Fraction], cap: int,
             enclosures.append(ProbInterval.point(Fraction(1)))
         else:
             if kernel is None:
-                prec = default_precision() if prec is None else prec
                 bits = _dp_bits(n, cap, prec)
                 kernel = _propagate(n, cap, bits)
             enclosures.append(_weighted_moment(n, theta, cap, prec, bits, kernel))

@@ -188,17 +188,17 @@ def _estimate_from_counts(hits: int, certified: int, uncertified: int) -> EventE
 
 
 def estimate_event(config: SampleConfig,
-                   event: Callable[[int, CertifiedExpansion], Optional[bool]]) -> EventEstimate:
+                   event: Callable[[CertifiedExpansion], Optional[bool]]) -> EventEstimate:
     """Empirical frequency of an event decided from certified digits.
 
-    The predicate receives (depth, CertifiedExpansion) and may return None
+    The predicate receives a trial's CertifiedExpansion and may return None
     when the certified prefix cannot decide the event; such trials count
     as uncertified.
     """
     hits = certified = uncertified = 0
     for prefix, truncated in _digit_stream(config):
         expansion = CertifiedExpansion(tuple(prefix), truncated)
-        verdict = event(config.depth, expansion)
+        verdict = event(expansion)
         if verdict is None:
             uncertified += 1
         else:

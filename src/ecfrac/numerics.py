@@ -10,13 +10,12 @@ Everything downstream computes with two kinds of numbers:
   endpoint down and the upper endpoint up, so any bound derived from an
   interval endpoint is a true mathematical bound, not an estimate.
 
-Default working precision is 128 bits, overridable through the
-``ECF_PRECISION_BITS`` environment variable or per call.
+The working precision is ``DEFAULT_PRECISION_BITS`` (128 bits); every
+function that rounds takes ``prec=`` to run at another.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -29,17 +28,8 @@ RationalLike = Union[int, Fraction]
 
 
 def default_precision() -> int:
-    """Working precision in bits: ECF_PRECISION_BITS if set, else 128."""
-    raw = os.environ.get("ECF_PRECISION_BITS")
-    if raw is None:
-        return DEFAULT_PRECISION_BITS
-    try:
-        bits = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"ECF_PRECISION_BITS is not an integer: {raw!r}") from exc
-    if bits < 8:
-        raise ValueError(f"ECF_PRECISION_BITS too small: {bits}")
-    return bits
+    """The working precision in bits, DEFAULT_PRECISION_BITS."""
+    return DEFAULT_PRECISION_BITS
 
 
 def _outward(value, prec: int) -> tuple:
@@ -97,13 +87,12 @@ class OutwardInterval:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_value(cls, value, prec: int | None = None) -> "OutwardInterval":
+    def from_value(cls, value, prec: int = DEFAULT_PRECISION_BITS) -> "OutwardInterval":
         """Enclose a single number: int, Fraction, float, or decimal string."""
-        prec = default_precision() if prec is None else prec
         return cls(_outward(value, prec), prec)
 
     @classmethod
-    def from_endpoints(cls, lo, hi, prec: int | None = None) -> "OutwardInterval":
+    def from_endpoints(cls, lo, hi, prec: int = DEFAULT_PRECISION_BITS) -> "OutwardInterval":
         """Hull of two numbers (each int, Fraction, float, or string)."""
         a = cls.from_value(lo, prec)
         b = cls.from_value(hi, prec)
@@ -285,15 +274,12 @@ def _kernel(kernel, v: OutwardInterval) -> OutwardInterval:
     return OutwardInterval(kernel(v._mpi, v._prec), v._prec)
 
 
-def interval_pow(base, exponent, prec: int | None = None) -> OutwardInterval:
+def interval_pow(base, exponent, prec: int = DEFAULT_PRECISION_BITS) -> OutwardInterval:
     """Enclosure of base**exponent for positive base.
 
     base: positive int or Fraction (or positive OutwardInterval);
     exponent: int, Fraction, or OutwardInterval.
     """
-    prec = default_precision() if prec is None else prec
-    if not isinstance(base, OutwardInterval) and base == 1:
-        return OutwardInterval.from_value(1, prec)
     b = _as_interval(base, prec)
     if b.lo <= 0:
         raise ValueError("interval_pow requires a positive base")
@@ -302,22 +288,19 @@ def interval_pow(base, exponent, prec: int | None = None) -> OutwardInterval:
     return b ** _as_interval(exponent, prec)
 
 
-def interval_log(x, prec: int | None = None) -> OutwardInterval:
+def interval_log(x, prec: int = DEFAULT_PRECISION_BITS) -> OutwardInterval:
     """Enclosure of the natural log of a positive rational or interval."""
-    prec = default_precision() if prec is None else prec
     v = _as_interval(x, prec)
     if v.lo <= 0:
         raise ValueError(f"interval_log requires a positive argument, got lo={v.lo}")
     return _kernel(libmp.mpi_log, v)
 
 
-def interval_exp(x, prec: int | None = None) -> OutwardInterval:
-    prec = default_precision() if prec is None else prec
+def interval_exp(x, prec: int = DEFAULT_PRECISION_BITS) -> OutwardInterval:
     return _kernel(libmp.mpi_exp, _as_interval(x, prec))
 
 
-def interval_sqrt(x, prec: int | None = None) -> OutwardInterval:
-    prec = default_precision() if prec is None else prec
+def interval_sqrt(x, prec: int = DEFAULT_PRECISION_BITS) -> OutwardInterval:
     v = _as_interval(x, prec)
     if v.lo < 0:
         raise ValueError("interval_sqrt requires a nonnegative argument")

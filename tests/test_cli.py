@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ecfrac
 from ecfrac.checks import CheckResult
 from ecfrac.cli import main
 
@@ -84,11 +89,27 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["data"]["count"] == 35
 
 
-def test_precision_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("ECF_PRECISION_BITS", "256")
-    _, out, _ = run(capsys, "pressure", "--theta", "1/2")
-    doc = json.loads(out)
-    assert doc["manifest"]["precision"] == 256
+def test_documents_ignore_the_environment(tmp_path):
+    # Precision is 128 bits whatever the environment holds; a fresh
+    # interpreter per environment writes both documents.
+    commands = {"pressure": ["pressure", "--theta", "1/2"],
+                "moment": ["moment", "--n", "4", "--theta", "1/2"]}
+    src = Path(ecfrac.__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if key != "ECF_PRECISION_BITS"}
+    docs = {}
+    for label, extra in (("unset", {}), ("set", {"ECF_PRECISION_BITS": "64"})):
+        argvs = [argv + ["--output", str(tmp_path / f"{label}-{name}.json")]
+                 for name, argv in commands.items()]
+        script = f"from ecfrac.cli import main\nfor argv in {argvs!r}:\n    assert main(argv) == 0"
+        subprocess.run([sys.executable, "-c", script], check=True,
+                       env={**env, **extra, "PYTHONPATH": str(src)})
+        for name in commands:
+            doc = json.loads((tmp_path / f"{label}-{name}.json").read_text())
+            del doc["manifest"]["timestamp"]
+            assert doc["manifest"]["precision"] == 128
+            docs[label, name] = doc
+    for name in commands:
+        assert docs["set", name] == docs["unset", name]
 
 
 def test_interval_endpoints_ordered(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecfrac import measure
-from ecfrac.deviations import (GoldenConstants, RateFunctionId, _golden_constants,
+from ecfrac.deviations import (GoldenConstants, RateFunctionId,
                                exponential_bound_check, legendre_numeric, mdp_curve,
                                moment_growth_rate, moment_limit, pressure, rate, xi_b)
 from ecfrac.measure import moment_interval
@@ -330,20 +330,11 @@ def test_legendre_refuses_an_edge_slice_it_cannot_bound():
 @pytest.mark.parametrize("prec", [53, 128, 300])
 def test_golden_constants_cached_equal_fresh(prec):
     cached = GoldenConstants.compute(prec)
-    fresh = _golden_constants.__wrapped__(prec)
+    fresh = GoldenConstants.compute.__wrapped__(prec)
     assert GoldenConstants.compute(prec) is cached
     for name in ("phi", "two_log_phi", "branch_point"):
         ours, theirs = getattr(cached, name), getattr(fresh, name)
         assert (ours.lo, ours.hi, ours.precision) == (theirs.lo, theirs.hi, prec)
-
-
-def test_golden_constants_follow_the_precision_setting(monkeypatch):
-    monkeypatch.setenv("ECF_PRECISION_BITS", "192")
-    assert GoldenConstants.compute().phi.precision == 192
-    monkeypatch.setenv("ECF_PRECISION_BITS", "64")
-    assert GoldenConstants.compute().phi.precision == 64
-    monkeypatch.delenv("ECF_PRECISION_BITS")
-    assert GoldenConstants.compute().phi.precision == 128
 
 
 def test_growth_rows_theta_zero_exact():
@@ -404,11 +395,11 @@ def test_mdp_runs_one_moment_dp_per_feasible_row(monkeypatch):
     assert [row.feasible for row in table.rows] == [False, True, True]  # theta_1 = 1
     assert runs == [4, 8]
     for row in table.rows[1:]:
-        pair = measure._moment_intervals(row.n, (row.theta.lo, row.theta.hi), 20, None)
+        pair = measure._moment_intervals(row.n, (row.theta.lo, row.theta.hi), 20, 128)
         assert pair == [moment_interval(row.n, row.theta.lo, cap=20),
                         moment_interval(row.n, row.theta.hi, cap=20)]
     runs.clear()
-    assert measure._moment_intervals(3, (Fraction(0), Fraction(1)), 20, None) == [
+    assert measure._moment_intervals(3, (Fraction(0), Fraction(1)), 20, 128) == [
         moment_interval(3, Fraction(0)), moment_interval(3, Fraction(1))]
     assert runs == []
 

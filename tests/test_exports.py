@@ -1,6 +1,7 @@
 """The package namespace: every exported name resolves, none is listed twice,
-and importing it loads no scipy.stats."""
+importing it loads no scipy.stats, and no module reads the environment."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -26,3 +27,19 @@ def test_import_loads_no_scipy_stats():
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_no_module_reads_the_environment():
+    # Every setting is an argument or a CLI flag; a module that read the
+    # environment would make documents depend on state no manifest records.
+    package = Path(ecfrac.__file__).resolve().parent
+    readers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([node.attr] if isinstance(node, ast.Attribute)
+                     else [node.id] if isinstance(node, ast.Name)
+                     else [alias.name for alias in node.names]
+                     if isinstance(node, ast.ImportFrom) else [])
+            if {"environ", "getenv"} & set(names):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []

@@ -139,7 +139,7 @@ def test_estimate_event_passes_walk_truncation():
     config = SampleConfig(seed=6, trials=200, depth=1, bits=4)
     seen = []
 
-    def record(depth, e):
+    def record(e):
         seen.append(e)
         return True
 
@@ -220,16 +220,16 @@ def test_clopper_pearson_edges():
 
 def test_estimate_event_constant_events():
     config = SampleConfig(seed=4, trials=100, depth=1, bits=32)
-    est = estimate_event(config, lambda depth, e: True)
+    est = estimate_event(config, lambda e: True)
     assert est.hits == est.trials == 100 and est.ci_hi == 1
-    est = estimate_event(config, lambda depth, e: False)
+    est = estimate_event(config, lambda e: False)
     assert est.hits == 0 and est.ci_lo == 0
 
 
 def test_estimate_event_uncertified_counted():
     config = SampleConfig(seed=4, trials=100, depth=1, bits=32)
 
-    def flaky(depth, e, box=[0]):
+    def flaky(e, box=[0]):
         box[0] += 1
         return None if box[0] % 5 == 0 else True
 
@@ -241,7 +241,7 @@ def test_estimate_event_uncertified_counted():
 def test_estimate_event_all_uncertified_raises():
     config = SampleConfig(seed=4, trials=10, depth=1, bits=32)
     with pytest.raises(RuntimeError):
-        estimate_event(config, lambda depth, e: None)
+        estimate_event(config, lambda e: None)
 
 
 def test_calibration_exact_value_in_ci():
@@ -253,7 +253,7 @@ def test_calibration_exact_value_in_ci():
         config = SampleConfig(seed=seed, trials=200, depth=1, bits=64)
         est = estimate_event(
             config,
-            lambda depth, e: e.digits[0] >= 2 if e.digits else None)
+            lambda e: e.digits[0] >= 2 if e.digits else None)
         covered += est.ci_lo <= exact <= est.ci_hi
     assert covered >= 95, covered
 
@@ -266,8 +266,8 @@ def test_monotone_events():
     for t in (2, 3, 5, 9):
         est = estimate_event(
             config,
-            lambda depth, e, t=t: e.digits[-1] >= t
-            if len(e.digits) == depth else None)
+            lambda e, t=t: e.digits[-1] >= t
+            if len(e.digits) == config.depth else None)
         hits.append(est.hits)
     assert hits == sorted(hits, reverse=True)
 

@@ -10,27 +10,13 @@ from mpmath import libmp
 from mpmath.ctx_iv import MPIntervalContext
 
 from ecfrac.numerics import (ExtendedReal, OutwardInterval, _first_highest_lower_end,
-                             default_precision, interval_exp, interval_log,
-                             interval_pow, interval_sqrt)
+                             interval_exp, interval_log, interval_pow, interval_sqrt)
 
 getcontext().prec = 60
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=10**6)
 positive_rationals = st.fractions(min_value=Fraction(1, 10**6), max_value=100,
                                   max_denominator=10**6)
-
-
-def test_default_precision_env(monkeypatch):
-    monkeypatch.delenv("ECF_PRECISION_BITS", raising=False)
-    assert default_precision() == 128
-    monkeypatch.setenv("ECF_PRECISION_BITS", "192")
-    assert default_precision() == 192
-    monkeypatch.setenv("ECF_PRECISION_BITS", "four")
-    with pytest.raises(ValueError):
-        default_precision()
-    monkeypatch.setenv("ECF_PRECISION_BITS", "4")
-    with pytest.raises(ValueError):
-        default_precision()
 
 
 def test_from_value_encloses_nondyadic():
@@ -119,6 +105,26 @@ def test_rational_pow_encloses():
     enc = interval_pow(2, Fraction(1, 2))
     oracle = _decimal_oracle(Decimal(2).sqrt())
     assert enc.contains(oracle)
+
+
+one_exponents = st.one_of(
+    st.fractions(min_value=-100, max_value=100, max_denominator=10**6),
+    st.integers(-50, 50),
+    st.tuples(st.fractions(min_value=-100, max_value=100, max_denominator=10**6),
+              st.sampled_from([0, Fraction(1, 7)])))
+
+
+@given(e=one_exponents, prec=st.sampled_from([53, 64, 128, 200, 300]))
+@settings(max_examples=200, deadline=None)
+def test_pow_of_one_is_exactly_one(e, prec):
+    # The moment DP weights digit 1 by 1**theta; the general path must give
+    # the exact point [1, 1] at the working precision.
+    if isinstance(e, tuple):
+        e = OutwardInterval.from_endpoints(e[0], e[0] + e[1], prec)
+    result = interval_pow(1, e, prec)
+    assert (result.lo, result.hi, result.precision) == (1, 1, prec)
+    power = OutwardInterval.from_value(1, prec) ** e
+    assert (power.lo, power.hi) == (1, 1)
 
 
 def test_hull_covers_both():
