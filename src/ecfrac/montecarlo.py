@@ -34,10 +34,9 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .expansion import CertifiedExpansion, _lockstep_walk
-from .numerics import interval_exp
+from .numerics import interval_exp, interval_log
 
 RNG_ALGORITHM = "philox4x64 (numpy.random.Philox, key=seed, counter word 1=trial index)"
 CONFIDENCE = Fraction(99, 100)  # level of every Clopper-Pearson interval
@@ -78,7 +77,7 @@ class EventEstimate:
     hits: int
     trials: int          # certified trials only (the denominator)
     p_hat: Fraction
-    ci_lo: Fraction      # 99% Clopper-Pearson, widened outward
+    ci_lo: Fraction      # 99% Clopper-Pearson, certified
     ci_hi: Fraction
     uncertified: int
 
@@ -153,29 +152,202 @@ def _digit_stream(config: SampleConfig) -> Iterator[tuple[list[int], bool]]:
         yield _cell_prefix(k, config.bits, config.depth)
 
 
-def clopper_pearson(hits: int, trials: int) -> tuple[Fraction, Fraction]:
-    """Exact binomial CI at level CONFIDENCE, returned as rationals widened outward.
+# ---------------------------------------------------------------------------
+# Certified Clopper-Pearson endpoints
+# ---------------------------------------------------------------------------
 
-    The beta quantiles come from scipy.special.betaincinv (Boost's
-    ibeta_inv) in float precision; both ends are pushed outward by a
-    relative 1e-12 plus an absolute 1e-18 so the returned rationals still
-    bracket the mathematical CI.
+_HALF_ALPHA = (1 - CONFIDENCE) / 2   # each tail of the interval: 1/200
+_GRID = 2**53                         # endpoints are K / 2^53, so 1 - p is a float too
+_TINY = 2.0**-1000                    # every float of a certified sum stays above this
+_WINDOW_EPS = 2.0**-40                # a window stops once its remainder is this small
+_LOG_2PI_LO = Fraction(18378770664093454, 10**16)   # just below log(2 pi)
+_OUTWARD_SHIFTS = (30, 26, 22, 18, 14, 10, 6, 2)    # tries: K -= min(K, 2^53 - K) >> shift
+_Z = statistics.NormalDist().inv_cdf(float(1 - _HALF_ALPHA))
+
+
+def _power(x: float, n: int) -> float:
+    """x^n by repeated squaring: n - 1 roundings at most (all multiplications)."""
+    result = 1.0
+    while n:
+        if n & 1:
+            result *= x
+        n >>= 1
+        if n:
+            x *= x
+    return result
+
+
+def _window(n: int, h: int, p: float, q: float) -> tuple[float, float, int] | None:
+    """The terms t_h, t_{h+1}, ..., t_j of P(Bin(n, p) >= h), relative to t_h.
+
+    t_{j+1} = t_j rho_j with rho_j = (n - j) p / ((j + 1) q), decreasing in j,
+    so once rho_j < 1 the terms past j sum to at most t_j rho_j / (1 - rho_j);
+    the walk stops when that is below _WINDOW_EPS of the sum.  Returns
+    (sigma, last, j): the float sum of the kept terms, the last one and its
+    index, after 5 (j - h) roundings; None when rho_h > 1 (the mode lies past
+    h, so the tail is at least about 1/2).
+    """
+    pq = p / q
+    if (n - h) * pq > h + 1:
+        return None
+    sigma = last = 1.0
+    ahead, behind = float(n - h), float(h + 1)   # n - j and j + 1, exact
+    while ahead:
+        r = ahead * pq / behind
+        if last * r <= _WINDOW_EPS * (1 - r) * sigma:
+            break
+        last *= r
+        sigma += last
+        ahead -= 1.0
+        behind += 1.0
+    return sigma, last, n - int(ahead)
+
+
+def _start_term(n: int, h: int, big_k: int) -> tuple[Fraction, int] | None:
+    """(t, m) with C(n, h) p^h q^(n-h) <= t / (1 - gamma_m), p = K / 2^53.
+
+    From the nearer end of the support while its term, q^n or p^n, is a
+    normal float: repeated squaring, then h or n - h steps of the ratio
+    recurrence at 4 roundings each.  The terms in between are log-concave,
+    so none is below both ends.  Past that, t is an exact upper bound from
+    Robbins' Stirling bounds, 1/(12k + 1) < log k! - log(sqrt(2 pi) k^(k+1/2)
+    e^-k) < 1/(12k), and m = 0.
+    """
+    p, q = big_k / _GRID, (_GRID - big_k) / _GRID
+    if h <= n - h:
+        t = _power(q, n)
+        if t >= _TINY:
+            pq = p / q
+            for j in range(h):
+                t *= (n - j) * pq / (j + 1)
+            return (Fraction(t), n - 1 + 4 * h) if t >= _TINY else None
+    else:
+        t = _power(p, n)
+        if t >= _TINY:
+            qp = q / p
+            for j in range(n, h, -1):
+                t *= j * qp / (n - j + 1)
+            return (Fraction(t), n - 1 + 4 * (n - h)) if t >= _TINY else None
+    if not 0 < h < n:
+        return None
+    log_t = (h * interval_log(Fraction(n * big_k, h * _GRID))
+             + (n - h) * interval_log(Fraction(n * (_GRID - big_k), (n - h) * _GRID))
+             + interval_log(Fraction(n, h * (n - h))) / 2
+             + (Fraction(1, 12 * n) - Fraction(1, 12 * h + 1)
+                - Fraction(1, 12 * (n - h) + 1) - _LOG_2PI_LO / 2))
+    return interval_exp(log_t).hi, 0
+
+
+def _tail_bound(n: int, h: int, big_k: int) -> Fraction | None:
+    """An upper bound on P(Bin(n, K / 2^53) >= h), or None if none is found.
+
+    The float sum of the window is certified a posteriori: it uses only
+    multiplications, divisions and additions of positive normal floats, so
+    with m roundings in all it is within a factor 1 + gamma_m, gamma_m =
+    m u / (1 - m u), u = 2^-53, of the exact sum (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 3.1).  The bound adds the
+    geometric remainder and is evaluated in exact rationals.
+    """
+    p, q = big_k / _GRID, (_GRID - big_k) / _GRID
+    window = _window(n, h, p, q)
+    start = _start_term(n, h, big_k) if window else None
+    if start is None:
+        return None
+    (sigma, last, j), (t, m) = window, start
+    m += 5 * (j - h)
+    if last < _TINY or 2 * m >= _GRID:
+        return None
+    # sigma + last rho / (1 - rho) as the integer ratio num / den
+    num, den = sigma.as_integer_ratio()
+    if j < n:
+        rho_num, rho_den = (n - j) * big_k, (j + 1) * (_GRID - big_k)
+        if rho_num >= rho_den:
+            return None
+        last_num, last_den = last.as_integer_ratio()
+        num, den = (num * last_den * (rho_den - rho_num) + last_num * rho_num * den,
+                    den * last_den * (rho_den - rho_num))
+    t_num, t_den = t.as_integer_ratio()
+    return Fraction(t_num * num * (_GRID - m), t_den * den * (_GRID - 2 * m))  # / (1 - gamma_m)
+
+
+def _log_comb(n: int, h: int) -> float:
+    """log C(n, h) in floats: of the exact integer while min(h, n - h) <= 64,
+    else from lgamma, whose cancellation costs about n u absolute."""
+    if min(h, n - h) <= 64:
+        return math.log(math.comb(n, h))
+    return math.lgamma(n + 1) - math.lgamma(h + 1) - math.lgamma(n - h + 1)
+
+
+def _lower_candidate(h: int, n: int) -> float:
+    """A float p with P(Bin(n, p) >= h) about 1/200, 1 <= h <= n.
+
+    Newton's method on log P(Bin(n, e^x) >= h) in x = log p, a concave
+    increasing function (the log of a Beta(h, n - h + 1) variable has a
+    log-concave density), so after one step the iterates climb to the root
+    from below.  The start is the continuity-corrected Wilson bound, the
+    normal approximation; at h = n the root is p = (1/200)^(1/n).
+    """
+    target = math.log(_HALF_ALPHA)
+    if h == n:
+        return math.exp(target / n)
+    x = h - 0.5
+    p = (x + _Z * _Z / 2 - _Z * math.sqrt(x * (1 - x / n) + _Z * _Z / 4)) / (n + _Z * _Z)
+    p = min(max(p, 1 / _GRID), h / n)
+    log_comb = _log_comb(n, h)
+    for _ in range(64):
+        q = 1 - p
+        window = _window(n, h, p, q)
+        if window is None:
+            p /= 2
+            continue
+        sigma, last, j = window
+        if j < n:
+            r = (n - j) * p / ((j + 1) * q)
+            sigma += last * r / (1 - r)
+        log_tail = log_comb + h * math.log(p) + (n - h) * math.log1p(-p) + math.log(sigma)
+        step = (log_tail - target) * sigma / h
+        # A step of s leaves an error of about s^2 times a modest factor,
+        # relative to min(p, q) as the endpoint is.
+        converged = abs(step) * max(1, p / q) < 2.0**-20
+        p = min(p * math.exp(-step), h / n)
+        if converged:
+            break
+    return p
+
+
+def _lower_endpoint(h: int, n: int) -> Fraction:
+    """The certified lower endpoint for h hits in n trials, 1 <= h <= n.
+
+    The Newton candidate is moved outward on the grid of K / 2^53, by at
+    least one grid step and K 2^-30, until _tail_bound certifies
+    P(Bin(n, K / 2^53) >= h) <= 1/200; each retry moves 16 times further.
+    """
+    big_k = math.floor(_lower_candidate(h, n) * _GRID)
+    for shift in _OUTWARD_SHIFTS:
+        big_k -= max(1, min(big_k, _GRID - big_k) >> shift)
+        if big_k <= 0:
+            return Fraction(0)
+        bound = _tail_bound(n, h, big_k)
+        if bound is not None and bound <= _HALF_ALPHA:
+            return Fraction(big_k, _GRID)
+    raise SampleLimitError(f"no certified Clopper-Pearson endpoint for {h} hits in {n} trials")
+
+
+def clopper_pearson(hits: int, trials: int) -> tuple[Fraction, Fraction]:
+    """Exact binomial CI at level CONFIDENCE, with certified rational endpoints.
+
+    lo and hi satisfy P(Bin(N, lo) >= h) <= 1/200 and P(Bin(N, hi) <= h)
+    <= 1/200; the upper end is the lower end of the mirrored count,
+    hi(h, N) = 1 - lo(N - h, N).  Each end is a Newton candidate in floats,
+    moved outward on the grid K / 2^53 until a float sum of the binomial
+    tail, bounded a posteriori by gamma_m for its m roundings, certifies it
+    in exact rationals; an end that does not certify after eight retries
+    raises SampleLimitError.
     """
     if not 0 <= hits <= trials or trials < 1:
         raise ValueError("need 0 <= hits <= trials, trials >= 1")
-    alpha = 1 - CONFIDENCE
-    if hits == 0:
-        lo = Fraction(0)
-    else:
-        lo_f = float(betaincinv(hits, trials - hits + 1, float(alpha / 2)))
-        lo = Fraction(lo_f) * (1 - Fraction(1, 10**12)) - Fraction(1, 10**18)
-        lo = max(lo, Fraction(0))
-    if hits == trials:
-        hi = Fraction(1)
-    else:
-        hi_f = float(betaincinv(hits + 1, trials - hits, float(1 - alpha / 2)))
-        hi = Fraction(hi_f) * (1 + Fraction(1, 10**12)) + Fraction(1, 10**18)
-        hi = min(hi, Fraction(1))
+    lo = _lower_endpoint(hits, trials) if hits else Fraction(0)
+    hi = 1 - _lower_endpoint(trials - hits, trials) if hits < trials else Fraction(1)
     return lo, hi
 
 
@@ -272,8 +444,10 @@ def tail_counts(config: SampleConfig,
                 b = prefix[position]
                 if (b >= threshold) if upper else (b <= threshold):
                     hits[j] += 1
-    return {r: _estimate_from_counts(h, c, config.trials - c)
-            for r, h, c in zip(requests, hits, certified)}
+    # One estimate, and so one Clopper-Pearson interval, per distinct count pair.
+    by_counts = {(h, c): _estimate_from_counts(h, c, config.trials - c)
+                 for h, c in dict.fromkeys(zip(hits, certified))}
+    return {r: by_counts[h, c] for r, h, c in zip(requests, hits, certified)}
 
 
 @dataclass(frozen=True)

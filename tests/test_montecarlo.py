@@ -153,23 +153,35 @@ def test_estimate_event_passes_walk_truncation():
     assert _sampled_cell(15, 4, 1) == ([1], False)
 
 
-def _binom_cdf(n: int, p: Fraction, h: int) -> Fraction:
-    q = 1 - p
-    return sum(Fraction(math.comb(n, i)) * p**i * q**(n - i)
-               for i in range(h + 1))
+def _tail_times_power(n: int, p: Fraction, ks: range) -> tuple[int, int]:
+    """(S, d^n) with P(Bin(n, p) in ks) = S / d^n exactly, p = a / d."""
+    a, d = p.numerator, p.denominator
+    return sum(math.comb(n, k) * a**k * (d - a)**(n - k) for k in ks), d**n
+
+
+def _assert_certified(h: int, n: int) -> None:
+    # the defining inequalities of the 99% interval, in exact integers:
+    # P(Bin(n, hi) <= h) <= 1/200 and P(Bin(n, lo) >= h) <= 1/200
+    lo, hi = clopper_pearson(h, n)
+    assert 0 <= lo <= Fraction(h, n) <= hi <= 1, (h, n)
+    if h < n:
+        tail, total = _tail_times_power(n, hi, range(h + 1))
+        assert 200 * tail <= total, (h, n, "hi")
+    if h > 0:
+        tail, total = _tail_times_power(n, lo, range(h, n + 1))
+        assert 200 * tail <= total, (h, n, "lo")
 
 
 def test_clopper_pearson_against_exact_binomial():
-    # defining property of the exact CI, checked in exact arithmetic:
-    # P(Bin(n, hi) <= h) <= alpha/2 and P(Bin(n, lo) >= h) <= alpha/2
-    alpha = Fraction(1, 100)
-    for n, h in [(20, 7), (50, 1), (30, 29), (100, 50)]:
-        lo, hi = clopper_pearson(h, n)
-        assert 0 <= lo <= Fraction(h, n) <= hi <= 1
-        if h < n:
-            assert _binom_cdf(n, hi, h) <= alpha / 2
-        if h > 0:
-            assert 1 - _binom_cdf(n, lo, h - 1) <= alpha / 2
+    for n in range(1, 61):
+        for h in range(n + 1):
+            _assert_certified(h, n)
+
+
+@given(st.integers(1, 400).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+@settings(max_examples=100, deadline=None)
+def test_clopper_pearson_certified_up_to_400_trials(case):
+    _assert_certified(*case)
 
 
 def _clopper_pearson_cases():
@@ -181,32 +193,45 @@ def _clopper_pearson_cases():
         yield from ((h, n) for h in sorted(set(range(201)) | set(range(n - 200, n + 1)) | spread))
 
 
-def test_clopper_pearson_matches_the_beta_ppf_kernel():
-    # scipy.stats.beta.ppf is the oracle, imported here only: the printed
-    # endpoints are those of beta.ppf only while scipy.special.betaincinv
-    # is, like beta.ppf, Boost's ibeta_inv.
-    import scipy
-    from scipy.stats import beta
+def test_clopper_pearson_is_tight():
+    # scipy.special.betaincinv (Boost's ibeta_inv) is the oracle, imported
+    # here only: each certified endpoint lies within 1e-7 relative of the
+    # float Beta quantile it certifies.
+    from scipy.special import betaincinv
 
     cases = list(_clopper_pearson_cases())
-    calls = []
-    kernel = montecarlo.betaincinv
+    got = [clopper_pearson(h, n) for h, n in cases]
+    h, n = (np.array(column) for column in zip(*cases))
+    lo_ref = betaincinv(np.maximum(h, 1), n - h + 1, 0.005)
+    hi_ref = betaincinv(h + 1, np.maximum(n - h, 1), 0.995)
+    ratios = [(float(lo) / lo_ref[i], case, "lo") for i, (case, (lo, _)) in
+              enumerate(zip(cases, got)) if case[0] > 0]
+    ratios += [(float(hi) / hi_ref[i], case, "hi") for i, (case, (_, hi)) in
+               enumerate(zip(cases, got)) if case[0] < case[1]]
+    worst = max(ratios, key=lambda r: abs(r[0] - 1))
+    assert abs(worst[0] - 1) <= 1e-7, f"worst endpoint/betaincinv ratio {worst}"
 
-    def recording(a, b, q):
-        calls.append((a, b, q))
-        return kernel(a, b, q)
 
-    with mock.patch.object(montecarlo, "betaincinv", recording):
-        got = [clopper_pearson(h, n) for h, n in cases]
-    a, b, q = (np.array(column) for column in zip(*calls))
-    old = dict(zip(calls, beta.ppf(q, a, b)))  # one vectorized call for all quantiles
-    with mock.patch.object(montecarlo, "betaincinv", lambda a, b, q: old[a, b, q]):
-        want = [clopper_pearson(h, n) for h, n in cases]
-    differ = [case for case, g, w in zip(cases, got, want) if g != w]
-    assert not differ, (
-        f"scipy {scipy.__version__}: scipy.special.betaincinv is not Boost's ibeta_inv "
-        f"as scipy.stats.beta.ppf is; clopper_pearson differs at (h, N) in {differ[:5]} "
-        f"({len(differ)} of {len(cases)})")
+@pytest.mark.parametrize("n, h, p", [(2000, 1000, 0.46), (5000, 1000, 0.18), (3000, 2000, 0.64)])
+def test_robbins_start_term_bounds_the_exact_term(n, h, p):
+    # Where q^n and p^n both underflow, the largest term C(n, h) p^h q^(n-h)
+    # comes from Robbins' Stirling bounds as an exact upper bound, high by
+    # at most 1/(144 h^2) + 1/(144 (n - h)^2) relative.
+    grid = montecarlo._GRID
+    big_k = int(p * grid)
+    bound, roundings = montecarlo._start_term(n, h, big_k)
+    exact = Fraction(math.comb(n, h) * big_k**h * (grid - big_k)**(n - h), grid**n)
+    assert roundings == 0
+    assert exact <= bound <= exact * (1 + Fraction(1, 10**7))
+
+
+def test_clopper_pearson_raises_when_no_bound_certifies():
+    with mock.patch.object(montecarlo, "_tail_bound", lambda n, h, k: Fraction(1)):
+        with pytest.raises(montecarlo.SampleLimitError):
+            clopper_pearson(3, 500)
+    with mock.patch.object(montecarlo, "_tail_bound", lambda n, h, k: None):
+        with pytest.raises(montecarlo.SampleLimitError):
+            clopper_pearson(0, 500)
 
 
 def test_clopper_pearson_edges():
