@@ -200,14 +200,16 @@ def test_clopper_pearson_is_tight():
     from scipy.special import betaincinv
 
     cases = list(_clopper_pearson_cases())
-    got = [clopper_pearson(h, n) for h, n in cases]
-    h, n = (np.array(column) for column in zip(*cases))
-    lo_ref = betaincinv(np.maximum(h, 1), n - h + 1, 0.005)
-    hi_ref = betaincinv(h + 1, np.maximum(n - h, 1), 0.995)
-    ratios = [(float(lo) / lo_ref[i], case, "lo") for i, (case, (lo, _)) in
-              enumerate(zip(cases, got)) if case[0] > 0]
-    ratios += [(float(hi) / hi_ref[i], case, "hi") for i, (case, (_, hi)) in
-               enumerate(zip(cases, got)) if case[0] < case[1]]
+    hits, trials = (np.array(column) for column in zip(*cases))
+    lo_ref = betaincinv(np.maximum(hits, 1), trials - hits + 1, 0.005)
+    hi_ref = betaincinv(hits + 1, np.maximum(trials - hits, 1), 0.995)
+    ratios = []
+    for (h, n), lo_f, hi_f in zip(cases, lo_ref, hi_ref):
+        lo, hi = clopper_pearson(h, n)
+        if h > 0:
+            ratios.append((float(lo) / lo_f, (h, n), "lo"))
+        if h < n:
+            ratios.append((float(hi) / hi_f, (h, n), "hi"))
     worst = max(ratios, key=lambda r: abs(r[0] - 1))
     assert abs(worst[0] - 1) <= 1e-7, f"worst endpoint/betaincinv ratio {worst}"
 
