@@ -332,6 +332,16 @@ def test_mc_limit_exit_3(capsys, argv, message):
     assert message in err
 
 
+def test_mc_uncertified_interval_exit_3(capsys, monkeypatch):
+    # A Clopper-Pearson endpoint that no tail bound certifies is a limit
+    # error, never a printed interval.
+    monkeypatch.setattr("ecfrac.montecarlo._tail_bound", lambda n, h, k: None)
+    code, out, err = run(capsys, "mc", "--task", "event", "--seed", "1", "--trials", "10",
+                         "--n", "1", "--event", "b1>=2")
+    assert code == 3 and out == ""
+    assert "no certified Clopper-Pearson endpoint" in err
+
+
 def _unwritable_output(tmp_path, capsys, monkeypatch, handler, *argv):
     entered = []
     monkeypatch.setattr(f"ecfrac.cli.{handler}", lambda args: entered.append(args))

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,6 +213,38 @@ def test_clopper_pearson_is_tight():
             ratios.append((float(hi) / hi_f, (h, n), "hi"))
     worst = max(ratios, key=lambda r: abs(r[0] - 1))
     assert abs(worst[0] - 1) <= 1e-7, f"worst endpoint/betaincinv ratio {worst}"
+
+
+def _mp_tail(n: int, h: int, p: Fraction, upper: bool) -> mpmath.mpf:
+    """P(Bin(n, p) >= h) (upper) or <= h at 50 digits: terms from t_h outward."""
+    with mpmath.workdps(50):
+        p = mpmath.mpf(p.numerator) / p.denominator
+        q = 1 - p
+        term = mpmath.exp(mpmath.loggamma(n + 1) - mpmath.loggamma(h + 1)
+                          - mpmath.loggamma(n - h + 1) + h * mpmath.log(p)
+                          + (n - h) * mpmath.log(q))
+        total, j = term, h
+        while (j < n if upper else j > 0) and term > total * mpmath.mpf(10)**-45:
+            if upper:
+                term *= (n - j) * p / ((j + 1) * q)
+                j += 1
+            else:
+                term *= j * q / ((n - j + 1) * p)
+                j -= 1
+            total += term
+        return total
+
+
+@pytest.mark.parametrize("n", [10**4, 10**6])
+def test_clopper_pearson_certified_at_large_n(n):
+    # Past the reach of exact sums: both inequalities at 50 digits, on the
+    # Robbins start and on the recurrences from either end of the support.
+    for h in (0, 1, 2, 30, 500, 9000, n // 4, n - 40, n - 1, n):
+        lo, hi = clopper_pearson(h, n)
+        if h > 0:
+            assert 200 * _mp_tail(n, h, lo, upper=True) <= 1, (h, n, "lo")
+        if h < n:
+            assert 200 * _mp_tail(n, h, hi, upper=False) <= 1, (h, n, "hi")
 
 
 @pytest.mark.parametrize("n, h, p", [(2000, 1000, 0.46), (5000, 1000, 0.18), (3000, 2000, 0.64)])
