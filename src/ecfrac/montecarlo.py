@@ -319,8 +319,9 @@ def _lower_endpoint(h: int, n: int) -> Fraction:
     """The certified lower endpoint for h hits in n trials, 1 <= h <= n.
 
     The Newton candidate is moved outward on the grid of K / 2^53, by at
-    least one grid step and K 2^-30, until _tail_bound certifies
-    P(Bin(n, K / 2^53) >= h) <= 1/200; each retry moves 16 times further.
+    least one grid step and min(K, 2^53 - K) 2^-30, until _tail_bound
+    certifies P(Bin(n, K / 2^53) >= h) <= 1/200; each retry moves 16 times
+    further.
     """
     big_k = math.floor(_lower_candidate(h, n) * _GRID)
     for shift in _OUTWARD_SHIFTS:
@@ -341,7 +342,7 @@ def clopper_pearson(hits: int, trials: int) -> tuple[Fraction, Fraction]:
     hi(h, N) = 1 - lo(N - h, N).  Each end is a Newton candidate in floats,
     moved outward on the grid K / 2^53 until a float sum of the binomial
     tail, bounded a posteriori by gamma_m for its m roundings, certifies it
-    in exact rationals; an end that does not certify after eight retries
+    in exact rationals; an end that does not certify after eight tries
     raises SampleLimitError.
     """
     if not 0 <= hits <= trials or trials < 1:
