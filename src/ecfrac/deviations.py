@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .measure import _moment_intervals, moment_interval
@@ -100,7 +101,7 @@ def _piecewise(x: OutwardInterval, breakpoint: OutwardInterval,
 def pressure(theta, prec: int = DEFAULT_PRECISION_BITS) -> ExtendedReal:
     """Lambda(theta); +infinity for theta >= 1, hull at the -phi breakpoint."""
     t = _as_interval(theta, prec)
-    if t.hi >= 1:
+    if t.compare_hi(1) >= 0:
         return ExtendedReal.infinity()
     consts = GoldenConstants.compute(prec)
     return ExtendedReal.finite(_piecewise(
@@ -137,7 +138,7 @@ def rate(rid: RateFunctionId, x, prec: int = DEFAULT_PRECISION_BITS) -> Extended
         return ExtendedReal.finite(x_iv * x_iv / 2)
 
     if rid.kind == "engel_moment_limit" or rid.kind == "modified_moment_limit":
-        if x_iv.hi >= 1:
+        if x_iv.compare_hi(1) >= 0:
             return ExtendedReal.infinity()
         log_term = -interval_log(1 - x_iv, prec)
         if rid.kind == "modified_moment_limit":
@@ -147,13 +148,13 @@ def rate(rid: RateFunctionId, x, prec: int = DEFAULT_PRECISION_BITS) -> Extended
         return ExtendedReal.finite(floored.with_precision(prec))
 
     if rid.kind == "I_inf":
-        if x_iv.lo <= -1:
+        if x_iv.compare_lo(-1) <= 0:
             # Left of -1, or touching the singular edge: no finite enclosure.
             return ExtendedReal.infinity()
         return ExtendedReal.finite(_first_branch(x_iv, prec))
 
     # Piecewise I / I_b: +inf left of -1, linear middle, x - log(x+1) right.
-    if x_iv.lo < -1:
+    if x_iv.compare_lo(-1) < 0:
         return ExtendedReal.infinity()
 
     if rid.kind == "I":
@@ -186,100 +187,152 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
     """Enclose sup_theta { theta*x - pressure_fn(theta) } over the bracket.
 
     The objective is concave (pressure functions are convex), so certified
-    ternary search applies: a cut is made only when the two probe values
-    separate as intervals; otherwise the search stops with the current
-    bracket, which still yields a sound enclosure.  The returned interval
-    is [best certified point value, interval evaluation over the final
-    bracket].  Returns +infinity when no finite value exists in the bracket.
+    golden-section search applies, and the bracket shrinks only on certified
+    comparisons.  Each cut keeps one interior probe and adds its mirror
+    image in the bracket; when the kept probe drifts out of [0.30, 0.45] of
+    the bracket, the pair is placed again at 89/233 and 144/233 of it.  When
+    the pair's values overlap, its midpoint is probed: the bracket is cut to
+    the pair if the midpoint is certified above both, and the search stops
+    otherwise.  It also stops once the bracket is at most target_width wide
+    (which must be positive).
+
+    The upper bound costs no pressure call.  By concavity, the objective on
+    a gap between adjacent probes of the final bracket lies below the
+    secant through the two probes to its left, extended rightward, and
+    below the secant through the two to its right, extended leftward; the
+    gap's bound is the maximum over it of the smaller line, computed exactly
+    in rationals.  One more probe, where the largest bound peaks inside a
+    gap, lifts the lower end, the best certified probe value.  A gap with no
+    secant on either side is bounded by evaluating the objective over it.
+    Where the pressure is infinite at a gap's right end, at the edge of its
+    finite domain, only the left secant applies; with fewer than two finite
+    probes left of the gap, ValueError is raised.  Returns +infinity when no
+    finite value exists in the bracket.
 
     pressure_fn(theta, prec) is always called with theta an OutwardInterval:
-    a probe point enclosed at prec bits, or a slice of the bracket.  Where it
-    is +infinity on a slice, at or past the edge of its finite domain,
-    concavity bounds the objective there by the secant through the two
-    nearest cut points to the slice's left with finite values; with fewer
-    than two such points, ValueError is raised.
+    a probe point enclosed at prec bits, or a gap of the final bracket.  It
+    must be +infinity from the edge of its finite domain onward.
     """
     if bracket is None:
         bracket = (Fraction(-50), 1 - Fraction(1, 10**12))
     a, b = Fraction(bracket[0]), Fraction(bracket[1])
     if a >= b:
         raise ValueError("empty bracket")
+    target = Fraction(target_width)
+    if target <= 0:
+        raise ValueError(f"target width must be positive, got {target}")
     x_iv = OutwardInterval.from_value(Fraction(x), prec)
 
-    def g(theta) -> OutwardInterval | None:
-        # The objective at a point or over an interval of theta; None where
-        # the pressure is +infinity, i.e. the objective is -infinity.
-        t = _as_interval(theta, prec)
+    def g(t: OutwardInterval) -> OutwardInterval | None:
+        # The objective over t; None where the pressure is +infinity, i.e.
+        # the objective is -infinity.
         lam = pressure_fn(t, prec)
         return None if lam.is_infinite else x_iv * t - lam.value
 
-    probes = [g(a), g(b)]
-    # The bracket is [A/D, B/D] in integers.  Each cut scales A, B and D by
-    # 24, the common denominator of the probe ratios 3/8 and 2/3, so the
-    # loop builds one Fraction per probe and no other.
+    probes = []  # (numerator, denominator, objective) of every probe, in order
+
+    def probe(num: int, den: int) -> OutwardInterval | None:
+        value = g(OutwardInterval.from_value(Fraction(num, den), prec))
+        probes.append((num, den, value))
+        return value
+
+    # The bracket is [A/D, B/D] in integers; D grows by 233 each time the
+    # pair is placed again and by 2 at a midpoint probe, so every probe
+    # point is an integer over the final D.
     A, B = a.numerator * b.denominator, b.numerator * a.denominator
     D = a.denominator * b.denominator
-    target = Fraction(target_width)
-    # Probe points deliberately asymmetric in the bracket so that an even
-    # objective (e.g. the quadratic pressure at x = 0) never produces an
-    # exact tie that would stall the certified cuts.
-    for _ in range(500):
-        if (B - A) * target.denominator <= target.numerator * D:
-            break
-        m1, m2 = 24 * A + 9 * (B - A), 24 * A + 16 * (B - A)
-        g1, g2 = g(Fraction(m1, 24 * D)), g(Fraction(m2, 24 * D))
-        probes += (g1, g2)
+    probe(A, D)
+    probe(B, D)
+    kept = None  # (numerator, objective) of the interior probe the last cut kept
+    while (B - A) * target.denominator > target.numerator * D:
+        span = B - A
+        if kept is not None and 6 * span <= 20 * min(kept[0] - A, B - kept[0]) <= 9 * span:
+            mirror = A + B - kept[0]
+            (m1, g1), (m2, g2) = sorted((kept, (mirror, probe(mirror, D))), key=itemgetter(0))
+        else:
+            A, B, D = 233 * A, 233 * B, 233 * D
+            m1, m2 = A + 89 * span, A + 144 * span
+            g1, g2 = probe(m1, D), probe(m2, D)
         if g1 is None:
             # Infinite pressure marks territory right of the finite domain
             # (Lambda blows up at theta >= 1), so the objective is -inf from
             # m1 onward.
-            A, B = 24 * A, m1
+            B, kept = m1, None
         elif g2 is None:
-            A, B = 24 * A, m2
+            B, kept = m2, (m1, g1)
         elif g1.below(g2):
-            A, B = m1, 24 * B  # maximizer certified right of m1
+            A, kept = m1, (m2, g2)  # maximizer certified right of m1
         elif g2.below(g1):
-            A, B = 24 * A, m2
+            B, kept = m2, (m1, g1)
         else:
-            break  # probes no longer separate as intervals
-        D *= 24
-    a, b = Fraction(A, D), Fraction(B, D)
+            mid = probe(m1 + m2, 2 * D)
+            if mid is None or not (g1.below(mid) and g2.below(mid)):
+                break  # probes no longer separate as intervals
+            A, B, D, kept = 2 * m1, 2 * m2, 2 * D, (m1 + m2, mid)
 
-    finite = [value for value in probes if value is not None]
+    finite = [value for _, _, value in probes if value is not None]
     if not finite:
         return ExtendedReal.infinity()
+    values = {num * (D // den): value for num, den, value in probes}
+    keys = sorted(values)
+    bounds = (_gap_bound(keys, values, D, k, g, prec)
+              for k in range(keys.index(A), keys.index(B)))
+    upper, peak = max((bound for bound in bounds if bound is not None), key=itemgetter(0))
+    if peak is not None:
+        finite.append(g(OutwardInterval.from_value(peak, prec)))
     best = _first_highest_lower_end(finite)
+    return ExtendedReal.finite(OutwardInterval.from_endpoints(best.lo, upper, prec))
 
-    # Upper bound: interval evaluation of the objective over [a, b] (the
-    # cuts certify the maximizer stays inside).  Evaluating on slices keeps
-    # the bound usable even when the search stalled on a flat stretch and
-    # [a, b] is still wide.
-    slices = 32
-    cuts = [a + i * (b - a) / slices for i in range(slices + 1)]
-    ends = [OutwardInterval.from_value(t, prec) for t in cuts]
-    at_cut = functools.cache(lambda i: g(ends[i]))
 
-    def secant_bound(i: int, over_slice: OutwardInterval) -> OutwardInterval:
-        # For concave f and cut points s < t <= theta, f(theta) <= f(t) +
-        # (theta - t)(f(t) - f(s))/(t - s).
-        finite_cuts = (j for j in range(i, -1, -1) if at_cut(j) is not None)
-        t, s = next(finite_cuts, None), next(finite_cuts, None)
-        if s is None:
+def _gap_bound(keys: list[int], values: dict[int, OutwardInterval | None], den: int,
+               k: int, g: Callable[[OutwardInterval], OutwardInterval | None],
+               prec: int) -> tuple[Fraction, Fraction | None] | None:
+    """An upper bound of the concave objective between probes k and k + 1.
+
+    Probe i sits at keys[i]/den, and values maps each key to its objective
+    (None where it is -infinity).  For probes s < t the objective at
+    theta >= t is at most the secant g(t) + (theta - t)(g(t) - g(s))/(t - s),
+    and at theta <= s at most the same line anchored at s; with intervals
+    for g the line is raised by taking hi at its anchor and lo at the other
+    probe.  Returns the bound and, where it is reached strictly inside the
+    gap, the point where it is reached; None where the objective is
+    -infinity on the whole gap.
+    """
+    def theta(i):
+        return Fraction(keys[i], den)
+
+    def value(i):
+        return values[keys[i]] if 0 <= i < len(keys) else None
+
+    l, r, gl, gr = theta(k), theta(k + 1), value(k), value(k + 1)
+    if gl is None:
+        return None
+    lines = []  # (anchor, value at the anchor, slope)
+    if value(k - 1) is not None:  # the secant through k - 1 and k, extended rightward
+        lines.append((l, gl.hi, (gl.hi - value(k - 1).lo) / (l - theta(k - 1))))
+    if gr is not None and value(k + 2) is not None:  # through k + 1 and k + 2, leftward
+        lines.append((r, gr.hi, (value(k + 2).lo - gr.hi) / (theta(k + 2) - r)))
+    if not lines:
+        over = g(OutwardInterval.from_endpoints(l, r, prec))
+        if over is None:
             raise ValueError(
-                f"the pressure is infinite on [{float(cuts[i])}, {float(cuts[i + 1])}] "
+                f"the pressure is infinite on [{float(l)}, {float(r)}] "
                 "with fewer than two finite cut points left of it; "
                 "keep the bracket inside the pressure's finite domain")
-        slope = (at_cut(t) - at_cut(s)) / (cuts[t] - cuts[s])
-        return at_cut(t) + slope * (over_slice - cuts[t])
+        return over.hi, None
 
-    upper = best
-    for i in range(slices):
-        over_slice = ends[i].hull(ends[i + 1])
-        over = g(over_slice)
-        if over is None:
-            over = secant_bound(i, over_slice)
-        upper = upper.max(over)
-    return ExtendedReal.finite(OutwardInterval.from_endpoints(best.lo, upper.hi, prec))
+    def at(line, t):
+        anchor, height, slope = line
+        return height + (t - anchor) * slope
+
+    if len(lines) == 1:
+        return max(at(lines[0], l), at(lines[0], r)), None
+    left, right = lines
+    dl, dr = at(left, l) - at(right, l), at(left, r) - at(right, r)
+    if dl * dr < 0:  # the lines cross inside the gap, where the smaller one peaks
+        cross = l + (r - l) * dl / (dl - dr)
+        return at(left, cross), cross
+    return max(min(at(left, l), at(right, l)), min(at(left, r), at(right, r))), None
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +419,7 @@ def mdp_curve(lam: Fraction, n_list: Sequence[int], p: Fraction = Fraction(3, 4)
     for n in n_list:
         a_iv = interval_pow(n, p, prec)
         theta_iv = (lam * a_iv) / n
-        if theta_iv.hi >= 1:
+        if theta_iv.compare_hi(1) >= 0:
             rows.append(MdpRow(n, theta_iv, False, None))
             continue
         # E(b^theta) is increasing in theta (b >= 1), so the moments at the

@@ -144,6 +144,14 @@ class OutwardInterval:
     def overlaps(self, other: "OutwardInterval") -> bool:
         return not (self.below(other) or other.below(self))
 
+    def compare_lo(self, value: int) -> int:
+        """The sign of lo - value, read from the mpf endpoint without a Fraction."""
+        return libmp.mpf_cmp(self._mpi[0], libmp.from_int(value))
+
+    def compare_hi(self, value: int) -> int:
+        """The sign of hi - value, read from the mpf endpoint without a Fraction."""
+        return libmp.mpf_cmp(self._mpi[1], libmp.from_int(value))
+
     # -- arithmetic ------------------------------------------------------
 
     def _binop(self, kernel, other, reflected: bool = False) -> "OutwardInterval":

@@ -1,10 +1,11 @@
 """Fraction-domain Legendre transform: the test oracle for legendre_numeric.
 
-This is the search as it was written before the transform learned to
-enclose each probe once and to compare mpf endpoints: a Fraction bracket,
-cuts and the best probe decided on Fraction endpoints, and each slice built
-by from_endpoints.  On brackets inside the pressure's finite domain both
-must return bit-identical enclosures after the same pressure calls.
+This is an earlier search: asymmetric ternary cuts at 3/8 and 2/3 of a
+Fraction bracket, decided on Fraction endpoints, and an upper bound from
+32 interval slices of the final bracket.  It is the oracle for containment
+and width, not for bit-identity: on brackets inside the pressure's finite
+domain, legendre_numeric's enclosure must overlap this one and be no wider,
+after fewer pressure calls.
 """
 
 from fractions import Fraction

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 import ecfrac
 from ecfrac.checks import CheckResult
 from ecfrac.cli import main
+from ecfrac.numerics import OutwardInterval, interval_log
 
 RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -250,9 +252,10 @@ def test_legendre_csv_row(capsys):
     _, doc, _ = run(capsys, "legendre", "--x", "1")
     value = json.loads(doc)["data"]["value"]
     assert _csv_body(out) == ["lo,hi", f"{value['lo']},{value['hi']}"]
-    # Lambda*(1) = I(1) = 1 - log 2, enclosed to the default target width
-    assert float(value["lo"]) - 1e-12 <= 1 - math.log(2) <= float(value["hi"]) + 1e-12
-    assert float(value["hi"]) - float(value["lo"]) < 1e-6
+    # Lambda*(1) = I(1) = 1 - log 2
+    enc = OutwardInterval.from_endpoints(Fraction(value["lo"]), Fraction(value["hi"]), 400)
+    assert enc.overlaps(1 - interval_log(2, 400))
+    assert enc.width < Fraction(1, 10**12)
 
 
 def test_legendre_past_the_domain_edge(capsys):
@@ -265,6 +268,12 @@ def test_legendre_past_the_domain_edge(capsys):
     code, out, err = run(capsys, "legendre", "--x", "1", "--bracket-lo", "999/1000",
                          "--bracket-hi", "2", "--target-width", "10")
     assert code == 2 and out == "" and "finite cut points" in err
+
+
+@pytest.mark.parametrize("width", ["0", "-1"])
+def test_legendre_nonpositive_target_width_exit_2(capsys, width):
+    code, out, err = run(capsys, "legendre", "--x", "1", "--target-width", width)
+    assert code == 2 and out == "" and "target width must be positive" in err
 
 
 def test_mc_has_no_workers_flag():
