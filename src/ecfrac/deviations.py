@@ -196,18 +196,18 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
     otherwise.  It also stops once the bracket is at most target_width wide
     (which must be positive).
 
-    The upper bound costs no pressure call.  By concavity, the objective on
-    a gap between adjacent probes of the final bracket lies below the
-    secant through the two probes to its left, extended rightward, and
-    below the secant through the two to its right, extended leftward; the
-    gap's bound is the maximum over it of the smaller line, computed exactly
-    in rationals.  One more probe, where the largest bound peaks inside a
-    gap, lifts the lower end, the best certified probe value.  A gap with no
-    secant on either side is bounded by evaluating the objective over it.
-    Where the pressure is infinite at a gap's right end, at the edge of its
-    finite domain, only the left secant applies; with fewer than two finite
-    probes left of the gap, ValueError is raised.  Returns +infinity when no
-    finite value exists in the bracket.
+    The upper bound comes from concavity: the objective on a gap between
+    adjacent probes of the final bracket lies below the secant through the
+    two probes to its left, extended rightward, and below the secant
+    through the two to its right, extended leftward; the gap's bound is the
+    maximum over it of the smaller line, computed exactly in rationals, at
+    no pressure call.  Only a gap with no secant on either side is bounded
+    by evaluating the objective over it.  Where the pressure is infinite at
+    a gap's right end, at the edge of its finite domain, only the left
+    secant applies; with fewer than two finite probes left of the gap,
+    ValueError is raised.  One more probe, where the largest bound peaks
+    inside a gap, lifts the lower end, the best certified probe value.
+    Returns +infinity when no finite value exists in the bracket.
 
     pressure_fn(theta, prec) is always called with theta an OutwardInterval:
     a probe point enclosed at prec bits, or a gap of the final bracket.  It

@@ -209,7 +209,7 @@ def test_moment_limits():
 
 
 def test_legendre_recovers_rate_at_points():
-    for x, truth in [(Fraction(0), interval_log(1, 400)),
+    for x, truth in [(Fraction(0), OutwardInterval.from_value(0, 400)),
                      (Fraction(1), 1 - interval_log(2, 400)),
                      (Fraction(-1, 2), interval_log(2, 400) - Fraction(1, 2))]:
         enc = legendre_numeric(pressure, x).value
@@ -221,6 +221,13 @@ def test_legendre_honors_bracket():
     enc = legendre_numeric(pressure, Fraction(1),
                            bracket=(Fraction(-5), Fraction(9, 10))).value
     assert enc.overlaps(1 - interval_log(2, 400))
+    # A bracket no wider than the target is not searched: its one gap has
+    # no secant on either side, so the objective is evaluated over it.
+    pressure_fn, calls = _counted(pressure)
+    enc = legendre_numeric(pressure_fn, Fraction(1), bracket=(Fraction(-5), Fraction(9, 10)),
+                           target_width=Fraction(10)).value
+    assert enc.overlaps(1 - interval_log(2, 400))
+    assert len(calls) == 3
 
 
 def _j_pressure(theta, prec=None):
@@ -287,12 +294,13 @@ def test_legendre_default_bracket_matches_fraction_reference():
 
 
 @pytest.mark.parametrize("x, target, points", [
-    (1000, 21, [0, 233, 89, 144, 178, 199, 212, 220]),
-    (-1000, 21, [0, 233, 89, 144, 55, 34, 21, 13]),
+    pytest.param(1000, 21, [0, 233, 89, 144, 178, 199, 212, 220], id="rising"),
+    pytest.param(-1000, 21, [0, 233, 89, 144, 55, 34, 21, 13], id="falling"),
     # At a width of 2 the kept probe 232 sits at the middle of [231, 233],
     # outside [0.30, 0.45] of it, so the pair is placed again.
-    (1000, 1, [0, 233, 89, 144, 178, 199, 212, 220, 225, 228, 230, 231, 232,
-               231 + Fraction(178, 233), 231 + Fraction(288, 233), 233 - Fraction(110, 233)]),
+    pytest.param(1000, 1, [0, 233, 89, 144, 178, 199, 212, 220, 225, 228, 230, 231, 232,
+                           231 + Fraction(178, 233), 231 + Fraction(288, 233),
+                           233 - Fraction(110, 233)], id="placed-again"),
 ])
 def test_legendre_golden_cuts_mirror_the_kept_probe(x, target, points):
     # On (0, 233) the objective theta*x - theta^2/2 is monotone for x = +-1000,
@@ -308,7 +316,7 @@ def test_legendre_golden_cuts_mirror_the_kept_probe(x, target, points):
         assert theta.contains(point) and theta.width < Fraction(1, 10**30)
 
 
-@pytest.mark.parametrize("x", [Fraction(0), Fraction(15, 4)])
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(15, 4)], ids=["x=0", "x=15/4"])
 def test_legendre_resolves_ties_on_j(x):
     # At x = 0 every pair is symmetric about the maximizer, so its two values
     # tie exactly; only the midpoint probe lets the search cut.
@@ -359,9 +367,9 @@ def test_legendre_rejects_a_nonpositive_target_width():
 
 
 def test_legendre_encloses_rate_past_the_domain_edge():
-    # Brackets reaching past theta = 1, where Lambda is +infinity: a slice
-    # straddling the edge may hold the maximizer theta* = x/(1+x), so it
-    # must be bounded, not skipped.  Lambda*(x) = I(x) = x - log(1+x).
+    # Brackets reaching past theta = 1, where Lambda is +infinity: a gap
+    # between probes straddling the edge may hold the maximizer
+    # theta* = x/(1+x), so it must be bounded, not skipped.  Lambda*(x) = I(x) = x - log(1+x).
     tops = (1 + Fraction(1, 10**6), Fraction(11, 10), Fraction(3, 2), Fraction(2), Fraction(5))
     for x in (Fraction(m * 10**k) for k in range(6) for m in (1, 3)):
         truth = x - interval_log(1 + x, 400)
@@ -374,7 +382,7 @@ def test_legendre_encloses_rate_past_the_domain_edge():
 
 def test_legendre_refuses_an_edge_slice_it_cannot_bound():
     # Only the bracket's left end lies inside the domain, so no secant
-    # bounds the slice across theta = 1.
+    # bounds the gap across theta = 1.
     with pytest.raises(ValueError, match="finite cut points"):
         legendre_numeric(pressure, Fraction(1), bracket=(Fraction(999, 1000), Fraction(2)),
                          target_width=Fraction(10))
