@@ -20,6 +20,7 @@ J(x) = x^2/2.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -194,20 +195,27 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
     the pair's values overlap, its midpoint is probed: the bracket is cut to
     the pair if the midpoint is certified above both, and the search stops
     otherwise.  It also stops once the bracket is at most target_width wide
-    (which must be positive).
+    (which must be positive), after at least one pair.  A point is probed
+    at most once.
 
-    The upper bound comes from concavity: the objective on a gap between
-    adjacent probes of the final bracket lies below the secant through the
-    two probes to its left, extended rightward, and below the secant
-    through the two to its right, extended leftward; the gap's bound is the
-    maximum over it of the smaller line, computed exactly in rationals, at
-    no pressure call.  Only a gap with no secant on either side is bounded
-    by evaluating the objective over it.  Where the pressure is infinite at
-    a gap's right end, at the edge of its finite domain, only the left
-    secant applies; with fewer than two finite probes left of the gap,
-    ValueError is raised.  One more probe, where the largest bound peaks
-    inside a gap, lifts the lower end, the best certified probe value.
-    Returns +infinity when no finite value exists in the bracket.
+    After the search, one probe goes to the vertex of the parabola through
+    the best probe (highest lower end) and its two neighbours, where a
+    smooth maximizer is.  The upper bound comes from concavity: the
+    objective on a gap between adjacent probes of the final bracket lies
+    below the secant through the two probes to its left, extended
+    rightward, and below the secant through the two to its right, extended
+    leftward; the gap's bound is the maximum over it of the smaller line,
+    computed exactly in rationals.  Then the gap with the largest bound is
+    bounded again by evaluating the objective over it, which is tighter
+    where the interval extension has almost no dependency error (J at
+    x = 0, on a gap the vertex probe ends next to the maximizer), until
+    the largest bound belongs to a gap already evaluated.  Where the
+    pressure is infinite at a gap's right end, at the edge of its finite
+    domain, only the left secant applies; with no secant and no finite
+    evaluation, ValueError is raised.  A last probe, where the largest
+    secant bound peaks inside its gap (a maximizer at a kink), lifts the
+    lower end, the best certified probe value.  Returns +infinity when no
+    finite value exists in the bracket.
 
     pressure_fn(theta, prec) is always called with theta an OutwardInterval:
     a probe point enclosed at prec bits, or a gap of the final bracket.  It
@@ -229,30 +237,33 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
         lam = pressure_fn(t, prec)
         return None if lam.is_infinite else x_iv * t - lam.value
 
-    probes = []  # (numerator, denominator, objective) of every probe, in order
+    # (theta, objective) of each probe, in probe order, under theta's
+    # numerator and denominator, which hash far faster than a Fraction.
+    probes: dict[tuple[int, int], tuple[Fraction, OutwardInterval | None]] = {}
 
-    def probe(num: int, den: int) -> OutwardInterval | None:
-        value = g(OutwardInterval.from_value(Fraction(num, den), prec))
-        probes.append((num, den, value))
-        return value
+    def probe(theta: Fraction) -> OutwardInterval | None:
+        key = theta.numerator, theta.denominator
+        if key not in probes:
+            probes[key] = theta, g(OutwardInterval.from_value(theta, prec))
+        return probes[key][1]
 
     # The bracket is [A/D, B/D] in integers; D grows by 233 each time the
-    # pair is placed again and by 2 at a midpoint probe, so every probe
-    # point is an integer over the final D.
+    # pair is placed again and by 2 at a tie cut.
     A, B = a.numerator * b.denominator, b.numerator * a.denominator
     D = a.denominator * b.denominator
-    probe(A, D)
-    probe(B, D)
+    probe(a)
+    probe(b)
     kept = None  # (numerator, objective) of the interior probe the last cut kept
-    while (B - A) * target.denominator > target.numerator * D:
+    while True:
         span = B - A
         if kept is not None and 6 * span <= 20 * min(kept[0] - A, B - kept[0]) <= 9 * span:
             mirror = A + B - kept[0]
-            (m1, g1), (m2, g2) = sorted((kept, (mirror, probe(mirror, D))), key=itemgetter(0))
+            (m1, g1), (m2, g2) = sorted((kept, (mirror, probe(Fraction(mirror, D)))),
+                                        key=itemgetter(0))
         else:
             A, B, D = 233 * A, 233 * B, 233 * D
             m1, m2 = A + 89 * span, A + 144 * span
-            g1, g2 = probe(m1, D), probe(m2, D)
+            g1, g2 = probe(Fraction(m1, D)), probe(Fraction(m2, D))
         if g1 is None:
             # Infinite pressure marks territory right of the finite domain
             # (Lambda blows up at theta >= 1), so the objective is -inf from
@@ -265,61 +276,75 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
         elif g2.below(g1):
             B, kept = m2, (m1, g1)
         else:
-            mid = probe(m1 + m2, 2 * D)
+            mid = probe(Fraction(m1 + m2, 2 * D))
             if mid is None or not (g1.below(mid) and g2.below(mid)):
                 break  # probes no longer separate as intervals
             A, B, D, kept = 2 * m1, 2 * m2, 2 * D, (m1 + m2, mid)
+        if (B - A) * target.denominator <= target.numerator * D:
+            break
 
-    finite = [value for _, _, value in probes if value is not None]
-    if not finite:
+    if all(value is None for _, value in probes.values()):
         return ExtendedReal.infinity()
-    values = {num * (D // den): value for num, den, value in probes}
-    keys = sorted(values)
-    bounds = (_gap_bound(keys, values, D, k, g, prec)
-              for k in range(keys.index(A), keys.index(B)))
-    upper, peak = max((bound for bound in bounds if bound is not None), key=itemgetter(0))
-    if peak is not None:
-        finite.append(g(OutwardInterval.from_value(peak, prec)))
-    best = _first_highest_lower_end(finite)
+    vertex = _vertex(sorted(probes.values(), key=_by_theta))
+    if vertex is not None:
+        probe(vertex)
+    points = sorted(probes.values(), key=_by_theta)
+    thetas = [theta for theta, _ in points]
+    gaps = {k: _secant_bound(points, k)  # gap k runs from probe k to probe k + 1
+            for k in range(thetas.index(Fraction(A, D)), thetas.index(Fraction(B, D)))
+            if points[k][1] is not None}  # else the objective is -inf on the whole gap
+    bounds = {k: bound for k, (bound, _) in gaps.items()}
+    evaluated = set()
+    while (k := max(bounds, key=lambda k: math.inf if bounds[k] is None else bounds[k])) \
+            not in evaluated:
+        evaluated.add(k)
+        over = g(OutwardInterval.from_endpoints(thetas[k], thetas[k + 1], prec))
+        if over is not None and (bounds[k] is None or over.hi < bounds[k]):
+            bounds[k] = over.hi
+        elif bounds[k] is None:
+            raise ValueError(
+                f"the pressure is infinite on [{float(thetas[k])}, {float(thetas[k + 1])}] "
+                "with fewer than two finite cut points left of it; "
+                "keep the bracket inside the pressure's finite domain")
+    upper = max(bounds.values())
+    secants = [bound for bound in gaps.values() if bound[0] is not None]
+    if secants and (peak := max(secants, key=itemgetter(0))[1]) is not None:
+        probe(peak)
+    best = _first_highest_lower_end([value for _, value in probes.values() if value is not None])
     return ExtendedReal.finite(OutwardInterval.from_endpoints(best.lo, upper, prec))
 
 
-def _gap_bound(keys: list[int], values: dict[int, OutwardInterval | None], den: int,
-               k: int, g: Callable[[OutwardInterval], OutwardInterval | None],
-               prec: int) -> tuple[Fraction, Fraction | None] | None:
-    """An upper bound of the concave objective between probes k and k + 1.
+def _by_theta(point: tuple[Fraction, OutwardInterval | None]) -> tuple[int, Fraction]:
+    """Sort key of a (theta, objective) probe: the floor of theta * 2^64
+    orders probes by integer comparison, and theta breaks its ties."""
+    theta = point[0]
+    return (theta.numerator << 64) // theta.denominator, theta
 
-    Probe i sits at keys[i]/den, and values maps each key to its objective
-    (None where it is -infinity).  For probes s < t the objective at
+
+def _secant_bound(points: list[tuple[Fraction, OutwardInterval | None]],
+                  k: int) -> tuple[Fraction | None, Fraction | None]:
+    """An upper bound, by concavity, of the objective between probes k and k + 1.
+
+    points lists (theta, objective) by theta, with None where the objective
+    is -infinity, and probe k is finite.  For probes s < t the objective at
     theta >= t is at most the secant g(t) + (theta - t)(g(t) - g(s))/(t - s),
     and at theta <= s at most the same line anchored at s; with intervals
     for g the line is raised by taking hi at its anchor and lo at the other
     probe.  Returns the bound and, where it is reached strictly inside the
-    gap, the point where it is reached; None where the objective is
-    -infinity on the whole gap.
+    gap, the point where it is reached; the bound is None where neither
+    secant exists.
     """
-    def theta(i):
-        return Fraction(keys[i], den)
+    def point(i):
+        return points[i] if 0 <= i < len(points) else (None, None)
 
-    def value(i):
-        return values[keys[i]] if 0 <= i < len(keys) else None
-
-    l, r, gl, gr = theta(k), theta(k + 1), value(k), value(k + 1)
-    if gl is None:
-        return None
+    (s, gs), (l, gl), (r, gr), (u, gu) = (point(i) for i in range(k - 1, k + 3))
     lines = []  # (anchor, value at the anchor, slope)
-    if value(k - 1) is not None:  # the secant through k - 1 and k, extended rightward
-        lines.append((l, gl.hi, (gl.hi - value(k - 1).lo) / (l - theta(k - 1))))
-    if gr is not None and value(k + 2) is not None:  # through k + 1 and k + 2, leftward
-        lines.append((r, gr.hi, (value(k + 2).lo - gr.hi) / (theta(k + 2) - r)))
+    if gs is not None:  # the secant through s and l, extended rightward
+        lines.append((l, gl.hi, (gl.hi - gs.lo) / (l - s)))
+    if gr is not None and gu is not None:  # through r and u, extended leftward
+        lines.append((r, gr.hi, (gu.lo - gr.hi) / (u - r)))
     if not lines:
-        over = g(OutwardInterval.from_endpoints(l, r, prec))
-        if over is None:
-            raise ValueError(
-                f"the pressure is infinite on [{float(l)}, {float(r)}] "
-                "with fewer than two finite cut points left of it; "
-                "keep the bracket inside the pressure's finite domain")
-        return over.hi, None
+        return None, None
 
     def at(line, t):
         anchor, height, slope = line
@@ -333,6 +358,22 @@ def _gap_bound(keys: list[int], values: dict[int, OutwardInterval | None], den: 
         cross = l + (r - l) * dl / (dl - dr)
         return at(left, cross), cross
     return max(min(at(left, l), at(right, l)), min(at(left, r), at(right, r))), None
+
+
+def _vertex(points: list[tuple[Fraction, OutwardInterval | None]]) -> Fraction | None:
+    """The vertex of the parabola through the probe with the highest lower
+    end and its finite neighbours, by their lower ends; None where the best
+    probe has no neighbour on a side or the three lie on a line."""
+    finite = [(theta, value) for theta, value in points if value is not None]
+    best = _first_highest_lower_end([value for _, value in finite])
+    i = next(i for i, (_, value) in enumerate(finite) if value is best)
+    if not 0 < i < len(finite) - 1:
+        return None
+    (a, fa), (b, fb), (c, fc) = ((theta, value.lo) for theta, value in finite[i - 1:i + 2])
+    p, q = (b - a) * (fb - fc), (c - b) * (fb - fa)  # both >= 0, fb being highest
+    if p + q == 0:
+        return None
+    return b - ((b - a) * p - (c - b) * q) / (2 * (p + q))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ Fraction bracket, decided on Fraction endpoints, and an upper bound from
 32 interval slices of the final bracket.  It is the oracle for containment
 and width, not for bit-identity: on brackets inside the pressure's finite
 domain, legendre_numeric's enclosure must overlap this one and be no wider,
-after fewer pressure calls.
+up to 1e-20, after fewer pressure calls.
 """
 
 from fractions import Fraction

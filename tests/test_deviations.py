@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecfrac import measure
+from ecfrac import deviations, measure
 from ecfrac.deviations import (GoldenConstants, RateFunctionId,
                                exponential_bound_check, legendre_numeric, mdp_curve,
                                moment_growth_rate, moment_limit, pressure, rate, xi_b)
@@ -221,13 +221,18 @@ def test_legendre_honors_bracket():
     enc = legendre_numeric(pressure, Fraction(1),
                            bracket=(Fraction(-5), Fraction(9, 10))).value
     assert enc.overlaps(1 - interval_log(2, 400))
-    # A bracket no wider than the target is not searched: its one gap has
-    # no secant on either side, so the objective is evaluated over it.
+    # A bracket no wider than the target still gets one golden pair, which
+    # certifies one cut; then the gap with the largest bound is evaluated.
     pressure_fn, calls = _counted(pressure)
     enc = legendre_numeric(pressure_fn, Fraction(1), bracket=(Fraction(-5), Fraction(9, 10)),
                            target_width=Fraction(10)).value
     assert enc.overlaps(1 - interval_log(2, 400))
-    assert len(calls) == 3
+    assert len(calls) == 5
+    # The same on (0, 2), whose right end lies past theta = 1: the pair gives
+    # the gap across the edge a left secant.
+    enc = legendre_numeric(pressure, Fraction(1), bracket=(Fraction(0), Fraction(2)),
+                           target_width=Fraction(10)).value
+    assert enc.overlaps(1 - interval_log(2, 400))
 
 
 def _j_pressure(theta, prec=None):
@@ -244,16 +249,16 @@ def _counted(pressure_fn):
     return counting, calls
 
 
-def _agrees_with_reference(pressure_fn, x, allowance=Fraction(1, 10**20), **kwargs):
+def _agrees_with_reference(pressure_fn, x, **kwargs):
     # The reference is the earlier 3/8-2/3 search with 32 interval slices:
     # both enclose the same supremum, and the golden-section search must be
-    # no wider, up to the allowance, after fewer pressure calls.
+    # no wider, up to 1e-20, after fewer pressure calls.
     ours, our_calls = _counted(pressure_fn)
     ref, ref_calls = _counted(pressure_fn)
     got = legendre_numeric(ours, x, **kwargs).value
     want = reference_legendre_numeric(ref, x, **kwargs).value
     assert got.overlaps(want)
-    assert got.width <= want.width + allowance
+    assert got.width <= want.width + Fraction(1, 10**20)
     assert len(our_calls) < len(ref_calls)
 
 
@@ -279,12 +284,18 @@ def test_legendre_matches_fraction_reference_on_lambda(x, lo, hi, width, prec):
        width=widths, prec=st.sampled_from([53, 128, 300]))
 @settings(max_examples=60, deadline=None)
 def test_legendre_matches_fraction_reference_on_j(x, lo, hi, width, prec):
-    # At x = 0 the reference's slices straddling the maximizer theta = 0
-    # enclose -theta^2/2 with no dependency error, about (width/32)^2 wide;
-    # a bound from probe values alone is second order in the final gap, so
-    # there the allowance is width^2 (0.14 width^2 is the widest seen).
-    allowance = width**2 if x == 0 else Fraction(1, 10**20)
-    _agrees_with_reference(_j_pressure, x, allowance, bracket=(lo, hi), target_width=width,
+    _agrees_with_reference(_j_pressure, x, bracket=(lo, hi), target_width=width, prec=prec)
+
+
+@given(lo=st.fractions(min_value=-20, max_value=-1, max_denominator=100),
+       hi=st.fractions(min_value=1, max_value=20, max_denominator=100),
+       width=widths, prec=st.sampled_from([53, 128, 300]))
+@settings(max_examples=40, deadline=None)
+def test_legendre_matches_fraction_reference_on_j_at_zero(lo, hi, width, prec):
+    # At x = 0 the reference's slice straddling the maximizer theta = 0 has
+    # almost no dependency error, about (width/32)^2: the vertex probe and
+    # the evaluation of the gaps it splits must do as well.
+    _agrees_with_reference(_j_pressure, Fraction(0), bracket=(lo, hi), target_width=width,
                            prec=prec)
 
 
@@ -293,37 +304,47 @@ def test_legendre_default_bracket_matches_fraction_reference():
         _agrees_with_reference(pressure, x)
 
 
-@pytest.mark.parametrize("x, target, points", [
-    pytest.param(1000, 21, [0, 233, 89, 144, 178, 199, 212, 220], id="rising"),
-    pytest.param(-1000, 21, [0, 233, 89, 144, 55, 34, 21, 13], id="falling"),
+@pytest.mark.parametrize("x, target, points, gap", [
+    pytest.param(1000, 21, [0, 233, 89, 144, 178, 199, 212, 220], (220, 233), id="rising"),
+    pytest.param(-1000, 21, [0, 233, 89, 144, 55, 34, 21, 13], (0, 13), id="falling"),
     # At a width of 2 the kept probe 232 sits at the middle of [231, 233],
     # outside [0.30, 0.45] of it, so the pair is placed again.
     pytest.param(1000, 1, [0, 233, 89, 144, 178, 199, 212, 220, 225, 228, 230, 231, 232,
                            231 + Fraction(178, 233), 231 + Fraction(288, 233),
-                           233 - Fraction(110, 233)], id="placed-again"),
+                           233 - Fraction(110, 233)], (233 - Fraction(110, 233), 233),
+                 id="placed-again"),
 ])
-def test_legendre_golden_cuts_mirror_the_kept_probe(x, target, points):
+def test_legendre_golden_cuts_mirror_the_kept_probe(x, target, points, gap):
     # On (0, 233) the objective theta*x - theta^2/2 is monotone for x = +-1000,
     # so every cut drops the same side.  The first pair sits at 89/233 and
     # 144/233 of the bracket, each cut keeps one interior probe and adds its
     # mirror image, so the probes walk down the Fibonacci numbers, and the
     # search stops as soon as the bracket is target wide, not one cut later.
+    # The one call after the search evaluates the objective over the end gap
+    # of the final bracket, where the maximizer is; the best probe sits at
+    # the bracket's end, so it has no neighbour for a vertex probe.
     pressure_fn, calls = _counted(_j_pressure)
     legendre_numeric(pressure_fn, x, bracket=(Fraction(0), Fraction(233)),
                      target_width=Fraction(target))
-    assert len(calls) == len(points)
+    assert len(calls) == len(points) + 1
     for theta, point in zip(calls, points):
         assert theta.contains(point) and theta.width < Fraction(1, 10**30)
+    over = calls[-1]
+    assert over.contains(gap[0]) and over.contains(gap[1])
+    assert over.width < gap[1] - gap[0] + Fraction(1, 10**30)
 
 
 @pytest.mark.parametrize("x", [Fraction(0), Fraction(15, 4)], ids=["x=0", "x=15/4"])
 def test_legendre_resolves_ties_on_j(x):
     # At x = 0 every pair is symmetric about the maximizer, so its two values
-    # tie exactly; only the midpoint probe lets the search cut.
-    enc = legendre_numeric(_j_pressure, x, bracket=(Fraction(-10), Fraction(10)),
+    # tie exactly; only the midpoint probe lets the search cut.  Each pair
+    # placed again has the same midpoint, theta = 0, which is probed once.
+    pressure_fn, calls = _counted(_j_pressure)
+    enc = legendre_numeric(pressure_fn, x, bracket=(Fraction(-10), Fraction(10)),
                            target_width=Fraction(1, 10**10)).value
     assert enc.contains(x * x / 2)
     assert enc.width < Fraction(1, 10**10)
+    assert len({(theta.lo, theta.hi) for theta in calls}) == len(calls)
 
 
 @given(x=st.builds(Fraction, st.integers(-64, 64), st.sampled_from([1, 2, 4, 8])),
@@ -341,11 +362,52 @@ def test_legendre_stops_at_a_tie_its_midpoint_cannot_break():
     # theta*(-1) - Lambda(theta) is the constant 2 log phi for theta <= -phi:
     # the pair ties, the midpoint ties with both, and the search stops with
     # the whole bracket, which the concavity bound still encloses tightly.
+    # The sixth call evaluates the objective over the gap with the largest
+    # bound; the best probe is the bracket's left end, which has no left
+    # neighbour, so no vertex probe is made.
     pressure_fn, calls = _counted(pressure)
     enc = legendre_numeric(pressure_fn, Fraction(-1), bracket=(Fraction(-50), Fraction(-2))).value
-    assert len(calls) == 5
+    assert len(calls) == 6
     assert enc.overlaps(GoldenConstants.compute(400).two_log_phi)
     assert enc.width < Fraction(1, 10**30)
+
+
+def test_legendre_bounds_each_probe_at_its_own_point(monkeypatch):
+    # The search ties and stops on (-50, 1/2), which contains 0, after the
+    # midpoint -99/4 of its first pair.  Every probe the concavity bound
+    # reads must sit where it was taken: the midpoint must not be read at
+    # theta = 0, where the objective is 0, not 2 log phi.
+    read = []
+
+    def spy(points, k):
+        read.append(points)
+        return secant_bound(points, k)
+
+    secant_bound = deviations._secant_bound
+    monkeypatch.setattr(deviations, "_secant_bound", spy)
+    pressure_fn, calls = _counted(pressure)
+    enc = legendre_numeric(pressure_fn, Fraction(-1), bracket=(Fraction(-50), Fraction(1, 2))).value
+    assert enc.overlaps(GoldenConstants.compute(400).two_log_phi)
+    assert enc.width < Fraction(1, 10**30)
+    assert any(theta.contains(Fraction(-99, 4)) and theta.width == 0 for theta in calls)
+    assert read
+    for points in read:
+        for theta, value in points:
+            want = -theta - pressure(theta).value
+            assert (value.lo, value.hi) == (want.lo, want.hi), theta
+
+
+def test_legendre_is_tight_where_the_maximizer_is_the_kink():
+    # For x <= -1/phi the maximizer of theta*x - Lambda(theta) is the kink at
+    # theta = -phi, where the vertex of a parabola misses; the probe where
+    # the secant bound peaks lands there.  Criterion 9's grid points in that
+    # range were up to 2.3e-10 wide without it.
+    eye = RateFunctionId("I")
+    for i in range(13):
+        x = Fraction(-99, 100) + i * Fraction(599, 100) / 199
+        enc = legendre_numeric(pressure, x).value
+        assert enc.overlaps(rate(eye, x, 400).value), x
+        assert enc.width < Fraction(1, 10**15), x
 
 
 def test_legendre_pressure_calls_are_pinned():
@@ -353,11 +415,11 @@ def test_legendre_pressure_calls_are_pinned():
     # transform at x = 1; a change that adds probes fails here.
     pressure_fn, calls = _counted(pressure)
     legendre_numeric(pressure_fn, Fraction(1))
-    assert len(calls) == 55
+    assert len(calls) == 57
     pressure_fn, calls = _counted(_j_pressure)
     legendre_numeric(pressure_fn, Fraction(1), bracket=(Fraction(-10), Fraction(10)),
                      target_width=Fraction(1, 10**10))
-    assert len(calls) == 64
+    assert len(calls) == 66
 
 
 def test_legendre_rejects_a_nonpositive_target_width():
