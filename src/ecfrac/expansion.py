@@ -64,8 +64,7 @@ def _lockstep_walk(p_lo: int, q_lo: int, p_hi: int, q_hi: int,
     The digit map is decreasing, so the two images trade places as the
     smaller end at every step; every test below is symmetric in them, so
     the walk never reorders them.  A cell touching 0 shares no digit (b_1
-    is unbounded there).  This is the hot path of million-trial Monte
-    Carlo runs.
+    is unbounded there).
     """
     if p_lo == 0:
         return [], False

@@ -2,11 +2,14 @@
 
 Sampling is exact: each trial draws k uniformly from [0, 2^B) and
 samples the dyadic cell [k/2^B, (k+1)/2^B]; the digit statistics are
-computed from the prefix that every point of the cell shares (the lockstep
-walk of expansion.expand_interval), so no floating-point drift can corrupt
-a digit.  The walk first tries the coarse cells of k's top bits at two
-precisions derived from the depth, and falls back to all B bits; it takes
-a coarse result only when it is exactly the drawn cell's.
+computed from the prefix that every point of the cell shares, so no
+floating-point drift can corrupt a digit.  A cell is certified when it lies
+inside one open depth-n cylinder: its lower end is walked, one divmod per
+digit, and its upper end is carried through the same Möbius map and tested
+against the cylinder's image (0, 1/b_n).  The certificate is tried on the
+coarse cells of k's top bits at two precisions derived from the depth, then
+on all B bits; a cell that certifies nowhere gets its exact partial prefix
+from the lockstep walk of expansion.expand_interval.
 
 Trials are keyed by (seed, index) through a counter-based generator
 (numpy Philox4x64, recorded as the algorithm name in reports): one bit
@@ -20,7 +23,7 @@ of the trials from one cached pass (_final_digits), which holds the last
 config's finals only, one int per certified trial.  tail_counts answers
 many tail events from its own single pass.
 
-Uncertified trials (cell wider than the depth-n cylinder) are excluded
+Uncertified trials (cell not inside one open depth-n cylinder) are excluded
 from both numerator and denominator but always reported.
 """
 
@@ -119,23 +122,54 @@ def _walk_schedule(depth: int, bits: int) -> tuple[int, ...]:
     return tuple(b for b in (4 * need // 3, 9 * need // 5) if b < bits)
 
 
+def _cell_certificate(p: int, q: int, depth: int) -> list[int] | None:
+    """The `depth` digits of the cell [p/q, (p+1)/q] when it lies inside one
+    open depth-`depth` cylinder, else None.
+
+    Only the lower end is walked, one divmod per digit: d, r = divmod(q, p),
+    then (p, q) <- (r, q - r) = (r, d p).  The upper end, (p + a)/(q + c) in
+    the walked coordinates, goes through the same linear digit map,
+    (a, c) <- (c - d a, d a), from (1, 0).  The composed digit maps are one
+    Möbius map, a bijection of the projective line that sends the open
+    cylinder of the walked digits, and nothing else, onto (0, 1/b_n).  So
+    the lower end lies in that cylinder when no remainder is 0, and the
+    upper end when P = p + a, Q = q + c satisfy 0 < P/Q < 1/b_n; the
+    cylinder is an interval, so the whole cell lies in it.  This holds
+    exactly when _lockstep_walk(p, q, p + 1, q, depth) returns
+    (digits, True).
+    """
+    if p == 0:
+        return None
+    a, c = 1, 0
+    digits = []
+    for _ in range(depth):
+        d, r = divmod(q, p)
+        if not r:
+            return None
+        digits.append(d)
+        da = d * a
+        p, q, a, c = r, q - r, c - da, da
+    big_p, big_q = p + a, q + c
+    b = digits[-1]
+    if 0 < big_p and b * big_p < big_q or big_p < 0 and big_q < b * big_p:
+        return digits
+    return None
+
+
 def _cell_prefix(k: int, bits: int, depth: int) -> tuple[list[int], bool]:
-    """(digits, truncated) of the cell [k/2^B, (k+1)/2^B], walked coarse first.
+    """(digits, truncated) of the cell [k/2^B, (k+1)/2^B], certified coarse first.
 
     The coarse cell [K/2^b, (K+1)/2^b], K = k >> (B-b), contains the drawn
-    cell.  A truncated coarse walk is exact for the drawn cell: every point
-    of the coarse cell shares the `depth` digits, and none has an expansion
-    that ends within `depth` digits (at an endpoint the walk would have
-    stopped; inside, sub-cylinders would accumulate there and split the
-    prefix), so the drawn cell's walk reaches `depth` too.  Any other coarse
-    result decides nothing, and the next rung, last all B bits, is walked.
+    cell, so when it lies inside one open depth-n cylinder the drawn cell
+    does too, with the same digits.  _cell_certificate is tried on each
+    rung, last on all B bits; it accepts exactly when the lockstep walk
+    would return truncated=True.  Only a cell that certifies nowhere is
+    walked by _lockstep_walk, for its exact partial prefix.
     """
-    for b in _walk_schedule(depth, bits):
-        coarse = k >> (bits - b)
-        if coarse:
-            digits, truncated = _lockstep_walk(coarse, 1 << b, coarse + 1, 1 << b, depth)
-            if truncated:
-                return digits, truncated
+    for b in _walk_schedule(depth, bits) + (bits,):
+        digits = _cell_certificate(k >> (bits - b), 1 << b, depth)
+        if digits is not None:
+            return digits, True
     den = 1 << bits
     return _lockstep_walk(k, den, k + 1, den, depth)
 

@@ -37,11 +37,14 @@ def _outward(value, prec: int) -> tuple:
 
     An int or a Fraction goes in directly; a float or a decimal string is
     first made the exact Fraction it denotes.  Each endpoint is one
-    correctly rounded conversion, so the pair is at most 1 ulp wide.
+    correctly rounded conversion, so the pair is at most 1 ulp wide; an int
+    of at most prec bits is exact, so it is converted once.
     """
     if isinstance(value, int):
-        return (libmp.from_int(value, prec, libmp.round_floor),
-                libmp.from_int(value, prec, libmp.round_ceiling))
+        lo = libmp.from_int(value, prec, libmp.round_floor)
+        if value.bit_length() <= prec:
+            return lo, lo
+        return lo, libmp.from_int(value, prec, libmp.round_ceiling)
     if not isinstance(value, Fraction):
         value = Fraction(value)
     p, q = value.numerator, value.denominator
@@ -132,6 +135,13 @@ class OutwardInterval:
 
     # -- predicates ----------------------------------------------------
 
+    def _lo_sign(self) -> int:
+        """The sign of lo, read from the mpf endpoint without a Fraction."""
+        return libmp.mpf_sign(self._mpi[0])
+
+    def _contains_zero(self) -> bool:
+        return self._lo_sign() <= 0 <= libmp.mpf_sign(self._mpi[1])
+
     def contains(self, value: RationalLike | "OutwardInterval") -> bool:
         if isinstance(value, OutwardInterval):
             return self.lo <= value.lo and value.hi <= self.hi
@@ -186,14 +196,14 @@ class OutwardInterval:
 
     def __truediv__(self, other):
         if isinstance(other, OutwardInterval):
-            if other.contains(0):
+            if other._contains_zero():
                 raise ZeroDivisionError("division by an interval containing 0")
         elif other == 0:
             raise ZeroDivisionError("division by zero")
         return self._binop(libmp.mpi_div, other)
 
     def __rtruediv__(self, other):
-        if self.contains(0):
+        if self._contains_zero():
             raise ZeroDivisionError("division by an interval containing 0")
         return self._binop(libmp.mpi_div, other, reflected=True)
 
@@ -204,9 +214,9 @@ class OutwardInterval:
         # mpi_pow takes an integer exponent and 1/2 directly (mpi_pow_int,
         # mpi_sqrt), and any other exponent through log and exp.
         if isinstance(exponent, int):
-            if exponent < 0 and self.contains(0):
+            if exponent < 0 and self._contains_zero():
                 raise ZeroDivisionError("negative power of an interval containing 0")
-        elif self.lo <= 0:
+        elif self._lo_sign() <= 0:
             raise ValueError("non-integer power requires a positive base interval")
         return self._binop(libmp.mpi_pow, exponent)
 
@@ -289,7 +299,7 @@ def interval_pow(base, exponent, prec: int = DEFAULT_PRECISION_BITS) -> OutwardI
     exponent: int, Fraction, or OutwardInterval.
     """
     b = _as_interval(base, prec)
-    if b.lo <= 0:
+    if b._lo_sign() <= 0:
         raise ValueError("interval_pow requires a positive base")
     if isinstance(exponent, int):
         return b ** exponent
@@ -299,7 +309,7 @@ def interval_pow(base, exponent, prec: int = DEFAULT_PRECISION_BITS) -> OutwardI
 def interval_log(x, prec: int = DEFAULT_PRECISION_BITS) -> OutwardInterval:
     """Enclosure of the natural log of a positive rational or interval."""
     v = _as_interval(x, prec)
-    if v.lo <= 0:
+    if v._lo_sign() <= 0:
         raise ValueError(f"interval_log requires a positive argument, got lo={v.lo}")
     return _kernel(libmp.mpi_log, v)
 
@@ -310,6 +320,6 @@ def interval_exp(x, prec: int = DEFAULT_PRECISION_BITS) -> OutwardInterval:
 
 def interval_sqrt(x, prec: int = DEFAULT_PRECISION_BITS) -> OutwardInterval:
     v = _as_interval(x, prec)
-    if v.lo < 0:
+    if v._lo_sign() < 0:
         raise ValueError("interval_sqrt requires a nonnegative argument")
     return _kernel(libmp.mpi_sqrt, v)

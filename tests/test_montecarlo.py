@@ -1,5 +1,6 @@
 """Reproducible sampling, certified digit streams, tail estimates."""
 
+import hashlib
 import math
 from fractions import Fraction
 from unittest import mock
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecfrac import montecarlo
+from ecfrac.checks import MC_SEED_MEAN, MC_SEED_TAILS, TAIL_N_LOWER, TAIL_N_UPPER
 from ecfrac.expansion import _lockstep_walk, cylinder_endpoints, expand_interval
 from ecfrac.montecarlo import (LOWER, UPPER, SampleConfig, TailRequest,
                                clopper_pearson, clt_report, default_bits,
@@ -134,6 +136,21 @@ def test_lazy_walk_matches_full_precision_walk(cell):
     assert all(b < bits for b in montecarlo._walk_schedule(depth, bits))
     assert (montecarlo._cell_prefix(k, bits, depth)
             == _lockstep_walk(k, den, k + 1, den, depth))
+
+
+def test_cell_certificate_matches_lockstep_walk_on_small_cells():
+    # Every cell [p/q, (p+1)/q] with q <= 64, dyadic or not: among them are
+    # cells with an end on a cylinder endpoint (whose expansion stops there),
+    # the top cell ending at 1 and the cell at 0, which draws almost never hit.
+    accepted = 0
+    for q in range(1, 65):
+        for p in range(q):
+            for depth in range(1, 9):
+                digits, truncated = _lockstep_walk(p, q, p + 1, q, depth)
+                certified = montecarlo._cell_certificate(p, q, depth)
+                assert certified == (digits if truncated else None), (p, q, depth)
+                accepted += truncated
+    assert 0 < accepted < 64 * 65 * 8 // 2
 
 
 def test_estimate_event_passes_walk_truncation():
@@ -389,6 +406,23 @@ def test_ldp_slope_shape():
     assert rep.rows[0].estimate.p_hat > rep.rows[1].estimate.p_hat
     assert rep.slope > 0
     assert rep.slope_lo <= rep.slope <= rep.slope_hi
+
+
+# SHA-256 of the reports below, recorded before the cells were certified by
+# _cell_certificate: a change to the sampler that is not meant to move any
+# report must leave it as it is.
+_REPORTS_DIGEST = "acabdbff4a9e75ab733cd477b4d4c4d47da841a705e987bce90e297277cd7802"
+
+
+def test_seeded_reports_match_recorded_digest():
+    half = Fraction(1, 2)
+    requests = ([TailRequest(LOWER, half, n) for n in TAIL_N_LOWER]
+                + [TailRequest(UPPER, half, n) for n in TAIL_N_LOWER]
+                + [TailRequest(UPPER, Fraction(1), n) for n in TAIL_N_UPPER])
+    tails = tail_counts(SampleConfig(seed=MC_SEED_TAILS, trials=2000, depth=40), requests)
+    deep = SampleConfig(seed=MC_SEED_MEAN, trials=50, depth=100)
+    text = repr([list(tails.items()), lln_report(deep), clt_report(deep)])
+    assert hashlib.sha256(text.encode()).hexdigest() == _REPORTS_DIGEST
 
 
 def test_sample_config_validation():
