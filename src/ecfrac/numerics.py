@@ -135,16 +135,11 @@ class OutwardInterval:
 
     # -- predicates ----------------------------------------------------
 
-    def _lo_sign(self) -> int:
-        """The sign of lo, read from the mpf endpoint without a Fraction."""
-        return libmp.mpf_sign(self._mpi[0])
-
-    def _contains_zero(self) -> bool:
-        return self._lo_sign() <= 0 <= libmp.mpf_sign(self._mpi[1])
-
     def contains(self, value: RationalLike | "OutwardInterval") -> bool:
         if isinstance(value, OutwardInterval):
             return self.lo <= value.lo and value.hi <= self.hi
+        if isinstance(value, int):
+            return self.compare_lo(value) <= 0 <= self.compare_hi(value)
         return self.lo <= value <= self.hi
 
     def below(self, other: "OutwardInterval") -> bool:
@@ -196,14 +191,14 @@ class OutwardInterval:
 
     def __truediv__(self, other):
         if isinstance(other, OutwardInterval):
-            if other._contains_zero():
+            if other.contains(0):
                 raise ZeroDivisionError("division by an interval containing 0")
         elif other == 0:
             raise ZeroDivisionError("division by zero")
         return self._binop(libmp.mpi_div, other)
 
     def __rtruediv__(self, other):
-        if self._contains_zero():
+        if self.contains(0):
             raise ZeroDivisionError("division by an interval containing 0")
         return self._binop(libmp.mpi_div, other, reflected=True)
 
@@ -214,9 +209,9 @@ class OutwardInterval:
         # mpi_pow takes an integer exponent and 1/2 directly (mpi_pow_int,
         # mpi_sqrt), and any other exponent through log and exp.
         if isinstance(exponent, int):
-            if exponent < 0 and self._contains_zero():
+            if exponent < 0 and self.contains(0):
                 raise ZeroDivisionError("negative power of an interval containing 0")
-        elif self._lo_sign() <= 0:
+        elif self.compare_lo(0) <= 0:
             raise ValueError("non-integer power requires a positive base interval")
         return self._binop(libmp.mpi_pow, exponent)
 
@@ -299,7 +294,7 @@ def interval_pow(base, exponent, prec: int = DEFAULT_PRECISION_BITS) -> OutwardI
     exponent: int, Fraction, or OutwardInterval.
     """
     b = _as_interval(base, prec)
-    if b._lo_sign() <= 0:
+    if b.compare_lo(0) <= 0:
         raise ValueError("interval_pow requires a positive base")
     if isinstance(exponent, int):
         return b ** exponent
@@ -309,7 +304,7 @@ def interval_pow(base, exponent, prec: int = DEFAULT_PRECISION_BITS) -> OutwardI
 def interval_log(x, prec: int = DEFAULT_PRECISION_BITS) -> OutwardInterval:
     """Enclosure of the natural log of a positive rational or interval."""
     v = _as_interval(x, prec)
-    if v._lo_sign() <= 0:
+    if v.compare_lo(0) <= 0:
         raise ValueError(f"interval_log requires a positive argument, got lo={v.lo}")
     return _kernel(libmp.mpi_log, v)
 
@@ -320,6 +315,6 @@ def interval_exp(x, prec: int = DEFAULT_PRECISION_BITS) -> OutwardInterval:
 
 def interval_sqrt(x, prec: int = DEFAULT_PRECISION_BITS) -> OutwardInterval:
     v = _as_interval(x, prec)
-    if v._lo_sign() < 0:
+    if v.compare_lo(0) < 0:
         raise ValueError("interval_sqrt requires a nonnegative argument")
     return _kernel(libmp.mpi_sqrt, v)
