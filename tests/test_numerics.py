@@ -148,6 +148,29 @@ def test_division_by_zero_straddle_rejected():
         OutwardInterval.from_value(1) / zero
 
 
+def test_domain_checks_match_exact_endpoint_signs():
+    # The domain checks read endpoint signs from the mpf tuples; at the
+    # boundaries they must agree with comparisons of the exact endpoints.
+    edges = [Fraction(-1), Fraction(-1, 2**300), Fraction(0), Fraction(1, 2**300), Fraction(1)]
+    for lo, hi in [(a, b) for a in edges for b in edges if a <= b]:
+        x = OutwardInterval.from_endpoints(lo, hi, 53)
+        assert (x.lo, x.hi) == (lo, hi)
+        assert [x.contains(k) for k in (-1, 0, 1)] == [lo <= k <= hi for k in (-1, 0, 1)]
+        cases = [(lambda: 1 / x, ZeroDivisionError, lo <= 0 <= hi),
+                 (lambda: OutwardInterval.from_value(1) / x, ZeroDivisionError, lo <= 0 <= hi),
+                 (lambda: x ** -1, ZeroDivisionError, lo <= 0 <= hi),
+                 (lambda: x ** Fraction(1, 3), ValueError, lo <= 0),
+                 (lambda: interval_pow(x, 2), ValueError, lo <= 0),
+                 (lambda: interval_log(x), ValueError, lo <= 0),
+                 (lambda: interval_sqrt(x), ValueError, lo < 0)]
+        for call, error, rejected in cases:
+            if rejected:
+                with pytest.raises(error):
+                    call()
+            else:
+                call()
+
+
 def test_extended_real_ordering():
     inf = ExtendedReal.infinity()
     fin = ExtendedReal.finite(OutwardInterval.from_value(Fraction(3)))
