@@ -112,7 +112,7 @@ def _cell_indices(config: SampleConfig) -> Iterator[int]:
 
 
 def _walk_schedule(depth: int, bits: int) -> tuple[int, ...]:
-    """Coarse precisions to walk before the full B bits.
+    """Coarse precisions to certify before the full B bits.
 
     A cell certifies `depth` digits from about 0.72 depth^2 bits on (the
     median); the two rungs sit above that, and a rung at or past B is
