@@ -151,7 +151,7 @@ def _cell_certificate(p: int, q: int, depth: int) -> list[int] | None:
         p, q, a, c = r, q - r, c - da, da
     big_p, big_q = p + a, q + c
     b = digits[-1]
-    if 0 < big_p and b * big_p < big_q or big_p < 0 and big_q < b * big_p:
+    if (0 < big_p and b * big_p < big_q) or (big_p < 0 and big_q < b * big_p):
         return digits
     return None
 
