@@ -50,40 +50,48 @@ def _require_admissible(word: Sequence[int]) -> DigitWord:
     return w
 
 
-def _lockstep_walk(p_lo: int, q_lo: int, p_hi: int, q_hi: int,
+def _walk(p: int, q: int, max_digits: int) -> tuple[list[int], int, int]:
+    """The first max_digits digits of p/q, or all of them, and the pair left.
+
+    One step maps p/q to (q - d*p)/(d*p) with d = q // p on unnormalized
+    integer pairs, that is to (r, q - r) with d, r = divmod(q, p), so the
+    operands never grow past the initial denominator.  The walk stops after
+    the digit whose remainder is 0, returning p = 0, or after max_digits.
+    """
+    digits: list[int] = []
+    while p and len(digits) < max_digits:
+        d, r = divmod(q, p)
+        digits.append(d)
+        p, q = r, q - r
+    return digits, p, q
+
+
+def _common_prefix(p_lo: int, q_lo: int, p_hi: int, q_hi: int,
                    max_digits: int) -> tuple[list[int], bool]:
     """Digit prefix shared by every point of [p_lo/q_lo, p_hi/q_hi], and
     whether max_digits cut it off.
 
-    Both endpoints are expanded in lockstep until they disagree or one
-    terminates; cylinders are intervals, so a prefix shared by the
-    endpoints is shared by everything in between.  One step maps p/q to
-    (q - d*p)/(d*p) with d = q // p on unnormalized integer pairs, that is
-    to (r, q - r) with r = q mod p, so the operands never grow past the
-    initial denominators.
-    The digit map is decreasing, so the two images trade places as the
-    smaller end at every step; every test below is symmetric in them, so
-    the walk never reorders them.  A cell touching 0 shares no digit (b_1
-    is unbounded there).
+    Cylinders are intervals, so a prefix shared by the two endpoints is
+    shared by everything in between: this is the common prefix of the
+    endpoints' walks.  It ends after a digit where either endpoint's
+    expansion ends, since nearby interior points have arbitrarily large
+    next digits; so it is truncated only when both walks ran max_digits
+    digits with nonzero remainders.  A cell touching 0 shares no digit
+    (b_1 is unbounded there).
     """
-    if p_lo == 0:
-        return [], False
-    digits: list[int] = []
-    while len(digits) < max_digits:
-        d_lo, r_lo = divmod(q_lo, p_lo)
-        d_hi, r_hi = divmod(q_hi, p_hi)
-        if d_lo != d_hi:
-            return digits, False
-        digits.append(d_lo)
-        p_lo, q_lo = r_lo, q_lo - r_lo
-        p_hi, q_hi = r_hi, q_hi - r_hi
-        if p_lo == 0 or p_hi == 0:
-            # One endpoint's expansion ended here.  Nearby interior points
-            # have arbitrarily large next digits, so nothing more is shared.
-            # (Both end together only for a degenerate interval, whose full
-            # expansion is then complete.)
-            return digits, False
-    return digits, True
+    digits, p_lo, _ = _walk(p_lo, q_lo, max_digits)
+    other, p_hi, _ = _walk(p_hi, q_hi, len(digits))
+    shared = next((i for i, (a, b) in enumerate(zip(digits, other)) if a != b), len(other))
+    return digits[:shared], shared == max_digits and p_lo != 0 and p_hi != 0
+
+
+def _checked(lo: Fraction, hi: Fraction, max_digits: int) -> tuple[Fraction, Fraction]:
+    if max_digits < 1:
+        raise ValueError("max_digits must be >= 1")
+    lo, hi = Fraction(lo), Fraction(hi)
+    if not (0 < lo <= hi <= 1):
+        raise ValueError(f"expansion needs 0 < lo <= hi <= 1, got [{lo}, {hi}]")
+    return lo, hi
 
 
 def expand_rational(x: Fraction, max_digits: int = 64) -> CertifiedExpansion:
@@ -92,22 +100,20 @@ def expand_rational(x: Fraction, max_digits: int = 64) -> CertifiedExpansion:
     truncated=False means the remainder reached 0 and ``digits`` is the
     complete expansion: reconstruct(digits) == x.
     """
-    return expand_interval(x, x, max_digits)
+    x, _ = _checked(x, x, max_digits)
+    digits, p, _ = _walk(x.numerator, x.denominator, max_digits)
+    return CertifiedExpansion(tuple(digits), p != 0)
 
 
 def expand_interval(lo: Fraction, hi: Fraction, max_digits: int = 64) -> CertifiedExpansion:
     """Longest common digit prefix of every point in [lo, hi], from the
-    lockstep walk over its endpoints.
+    walks of its endpoints.
 
     (When an endpoint's expansion terminates at depth n, no digit b_{n+1}
     is shared: the sub-cylinders accumulate at that endpoint.)
     """
-    if max_digits < 1:
-        raise ValueError("max_digits must be >= 1")
-    lo, hi = Fraction(lo), Fraction(hi)
-    if not (0 < lo <= hi <= 1):
-        raise ValueError(f"expansion needs 0 < lo <= hi <= 1, got [{lo}, {hi}]")
-    digits, truncated = _lockstep_walk(lo.numerator, lo.denominator,
+    lo, hi = _checked(lo, hi, max_digits)
+    digits, truncated = _common_prefix(lo.numerator, lo.denominator,
                                        hi.numerator, hi.denominator, max_digits)
     return CertifiedExpansion(tuple(digits), truncated)
 

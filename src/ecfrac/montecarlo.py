@@ -4,12 +4,13 @@ Sampling is exact: each trial draws k uniformly from [0, 2^B) and
 samples the dyadic cell [k/2^B, (k+1)/2^B]; the digit statistics are
 computed from the prefix that every point of the cell shares, so no
 floating-point drift can corrupt a digit.  A cell is certified when it lies
-inside one open depth-n cylinder: its lower end is walked, one divmod per
-digit, and its upper end is carried through the same Möbius map and tested
-against the cylinder's image (0, 1/b_n).  The certificate is tried on the
-coarse cells of k's top bits at two precisions derived from the depth, then
-on all B bits; a cell that certifies nowhere gets its exact partial prefix
-from the lockstep walk of expansion.expand_interval.
+inside one open depth-n cylinder: its lower end is walked by
+expansion._walk, one divmod per digit, and its upper end is carried through
+the composed Möbius map of the walked digits and tested against the
+cylinder's image (0, 1/b_n).  The certificate is tried on the coarse cells
+of k's top bits at two precisions derived from the depth, then on all B
+bits; a cell that certifies nowhere gets its exact partial prefix as the
+common prefix of its two ends' walks, the rule of expansion.expand_interval.
 
 Trials are keyed by (seed, index) through a counter-based generator
 (numpy Philox4x64, recorded as the algorithm name in reports): one bit
@@ -38,7 +39,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .expansion import CertifiedExpansion, _lockstep_walk
+from .expansion import CertifiedExpansion, _common_prefix, _walk
 from .numerics import interval_exp, interval_log
 
 RNG_ALGORITHM = "philox4x64 (numpy.random.Philox, key=seed, counter word 1=trial index)"
@@ -126,29 +127,25 @@ def _cell_certificate(p: int, q: int, depth: int) -> list[int] | None:
     """The `depth` digits of the cell [p/q, (p+1)/q] when it lies inside one
     open depth-`depth` cylinder, else None.
 
-    Only the lower end is walked, one divmod per digit: d, r = divmod(q, p),
-    then (p, q) <- (r, q - r) = (r, d p).  The upper end, (p + a)/(q + c) in
-    the walked coordinates, goes through the same linear digit map,
-    (a, c) <- (c - d a, d a), from (1, 0).  The composed digit maps are one
-    Möbius map, a bijection of the projective line that sends the open
+    Only the lower end is walked, by _walk: d, r = divmod(q, p), then
+    (p, q) <- (r, q - r) = (r, d p).  The upper end, (p + a)/(q + c) in the
+    walked coordinates, goes through the same linear digit maps, composed
+    over the walked digits: (a, c) <- (c - d a, d a) from (1, 0).  They are
+    one Möbius map, a bijection of the projective line that sends the open
     cylinder of the walked digits, and nothing else, onto (0, 1/b_n).  So
     the lower end lies in that cylinder when no remainder is 0, and the
     upper end when P = p + a, Q = q + c satisfy 0 < P/Q < 1/b_n; the
     cylinder is an interval, so the whole cell lies in it.  This holds
-    exactly when _lockstep_walk(p, q, p + 1, q, depth) returns
+    exactly when _common_prefix(p, q, p + 1, q, depth) returns
     (digits, True).
     """
-    if p == 0:
+    digits, p, q = _walk(p, q, depth)
+    if not p:
         return None
     a, c = 1, 0
-    digits = []
-    for _ in range(depth):
-        d, r = divmod(q, p)
-        if not r:
-            return None
-        digits.append(d)
+    for d in digits:
         da = d * a
-        p, q, a, c = r, q - r, c - da, da
+        a, c = c - da, da
     big_p, big_q = p + a, q + c
     b = digits[-1]
     if (0 < big_p and b * big_p < big_q) or (big_p < 0 and big_q < b * big_p):
@@ -162,16 +159,16 @@ def _cell_prefix(k: int, bits: int, depth: int) -> tuple[list[int], bool]:
     The coarse cell [K/2^b, (K+1)/2^b], K = k >> (B-b), contains the drawn
     cell, so when it lies inside one open depth-n cylinder the drawn cell
     does too, with the same digits.  _cell_certificate is tried on each
-    rung, last on all B bits; it accepts exactly when the lockstep walk
-    would return truncated=True.  Only a cell that certifies nowhere is
-    walked by _lockstep_walk, for its exact partial prefix.
+    rung, last on all B bits; it accepts exactly when _common_prefix would
+    return truncated=True.  Only a cell that certifies nowhere gets its
+    exact partial prefix from _common_prefix, which walks both of its ends.
     """
     for b in _walk_schedule(depth, bits) + (bits,):
         digits = _cell_certificate(k >> (bits - b), 1 << b, depth)
         if digits is not None:
             return digits, True
     den = 1 << bits
-    return _lockstep_walk(k, den, k + 1, den, depth)
+    return _common_prefix(k, den, k + 1, den, depth)
 
 
 def _digit_stream(config: SampleConfig) -> Iterator[tuple[list[int], bool]]:
@@ -248,20 +245,13 @@ def _start_term(n: int, h: int, big_k: int) -> tuple[Fraction, int] | None:
     e^-k) < 1/(12k), and m = 0.
     """
     p, q = big_k / _GRID, (_GRID - big_k) / _GRID
-    if h <= n - h:
-        t = _power(q, n)
-        if t >= _TINY:
-            pq = p / q
-            for j in range(h):
-                t *= (n - j) * pq / (j + 1)
-            return (Fraction(t), n - 1 + 4 * h) if t >= _TINY else None
-    else:
-        t = _power(p, n)
-        if t >= _TINY:
-            qp = q / p
-            for j in range(n, h, -1):
-                t *= j * qp / (n - j + 1)
-            return (Fraction(t), n - 1 + 4 * (n - h)) if t >= _TINY else None
+    s, near, far = (h, q, p) if h <= n - h else (n - h, p, q)
+    t = _power(near, n)
+    if t >= _TINY:
+        ratio = far / near
+        for j in range(s):
+            t *= (n - j) * ratio / (j + 1)
+        return (Fraction(t), n - 1 + 4 * s) if t >= _TINY else None
     if not 0 < h < n:
         return None
     log_t = (h * interval_log(Fraction(n * big_k, h * _GRID))

@@ -154,6 +154,24 @@ def test_walk_matches_reference(a, b, max_digits):
         reference_expand_interval(a, a, max_digits)
 
 
+@pytest.mark.parametrize("lo_word, hi_word, max_digits, truncated", [
+    ((1, 2, 6), (1, 2, 6), 2, True),             # the point 7/10
+    ((1, 2, 6), (1, 2, 6), 3, False),
+    ((1, 2, 6), (1, 2, 6), 4, False),
+    ((1, 2, 6, 7), (1, 2, 6, 7, 8), 4, False),   # the lower end ends at max_digits
+    ((1, 2, 6, 7), (1, 2, 6), 3, False),         # the upper end ends at max_digits
+])
+def test_stop_rule_at_max_digits(lo_word, hi_word, max_digits, truncated):
+    lo, hi = reconstruct(lo_word), reconstruct(hi_word)
+    assert lo <= hi
+    cell = expand_interval(lo, hi, max_digits)
+    assert cell == reference_expand_interval(lo, hi, max_digits)
+    assert cell.digits == min(lo_word, hi_word, key=len)[:max_digits]
+    assert cell.truncated is truncated
+    if lo == hi:
+        assert expand_rational(lo, max_digits) == cell
+
+
 def test_expand_interval_certifies_shared_prefix():
     # both endpoints start 1, 2, ... but diverge later
     lo, hi = Fraction(7, 10), Fraction(71, 100)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ecfrac import montecarlo
 from ecfrac.checks import MC_SEED_MEAN, MC_SEED_TAILS, TAIL_N_LOWER, TAIL_N_UPPER
-from ecfrac.expansion import _lockstep_walk, cylinder_endpoints, expand_interval
+from ecfrac.expansion import cylinder_endpoints, expand_interval
 from ecfrac.montecarlo import (LOWER, UPPER, SampleConfig, TailRequest,
                                clopper_pearson, clt_report, default_bits,
                                estimate_event, ldp_slope, lln_report,
@@ -111,10 +111,11 @@ def test_stream_walks_drawn_cells_at_full_precision():
     # depth 12 at the default B = 317 walks coarse rungs of 137 and 185 bits
     config = SampleConfig(seed=99, trials=300, depth=12)
     assert montecarlo._walk_schedule(config.depth, config.bits) == (137, 185)
-    den = 1 << config.bits
-    for index, cell in enumerate(montecarlo._digit_stream(config)):
+    for index, (prefix, truncated) in enumerate(montecarlo._digit_stream(config)):
         k = reference_cell_index(config.seed, index, config.bits)
-        assert cell == _lockstep_walk(k, den, k + 1, den, config.depth)
+        expected = reference_expand_interval(Fraction(k, 2**config.bits),
+                                             Fraction(k + 1, 2**config.bits), config.depth)
+        assert (tuple(prefix), truncated) == (expected.digits, expected.truncated)
 
 
 @st.composite
@@ -132,10 +133,10 @@ def deep_cells(draw):
 @settings(max_examples=300, deadline=None)
 def test_lazy_walk_matches_full_precision_walk(cell):
     bits, k, depth = cell
-    den = 1 << bits
     assert all(b < bits for b in montecarlo._walk_schedule(depth, bits))
-    assert (montecarlo._cell_prefix(k, bits, depth)
-            == _lockstep_walk(k, den, k + 1, den, depth))
+    prefix, truncated = montecarlo._cell_prefix(k, bits, depth)
+    expected = reference_expand_interval(Fraction(k, 2**bits), Fraction(k + 1, 2**bits), depth)
+    assert (tuple(prefix), truncated) == (expected.digits, expected.truncated)
 
 
 def test_cell_certificate_matches_lockstep_walk_on_small_cells():
@@ -145,10 +146,10 @@ def test_cell_certificate_matches_lockstep_walk_on_small_cells():
     cells = [(p, q, depth) for q in range(1, 65) for p in range(q) for depth in range(1, 9)]
     accepted = 0
     for p, q, depth in cells:
-        digits, truncated = _lockstep_walk(p, q, p + 1, q, depth)
-        assert montecarlo._cell_certificate(p, q, depth) == (digits if truncated else None), \
-            (p, q, depth)
-        accepted += truncated
+        expected = reference_expand_interval(Fraction(p, q), Fraction(p + 1, q), depth)
+        certified = list(expected.digits) if expected.truncated else None
+        assert montecarlo._cell_certificate(p, q, depth) == certified, (p, q, depth)
+        accepted += expected.truncated
     assert 0 < accepted < len(cells)
 
 
