@@ -329,13 +329,13 @@ def criterion_13():
         hits = min(lo_est.hits + up_est.hits, certified)
         return clopper_pearson(hits, certified)[1]
 
-    beta_max, report = exponential_bound_check(half, TAIL_N_LOWER, two_sided_ci_hi)
+    report = exponential_bound_check(half, TAIL_N_LOWER, two_sided_ci_hi)
     # Re-verify the claimed bound row by row with outward exponentials.
     for row in report.rows:
         decay = interval_exp(-report.beta * row.n)
         if row.prob_bound > report.alpha * decay.hi:
             return False, f"bound violated at n={row.n}"
-    passed = report.alpha > 0 and report.beta > 0 and beta_max.lo > 0
+    passed = report.alpha > 0 and report.beta > 0 and report.beta_max.lo > 0
     return passed, (f"beta={float(report.beta):.5f} alpha={float(report.alpha):.4f} "
                     f"over n={list(TAIL_N_LOWER)}")
 

@@ -490,8 +490,7 @@ class BoundReport:
 
 def exponential_bound_check(eps: Fraction, n_list: Sequence[int],
                             estimator: Callable[[int], Fraction],
-                            prec: int = DEFAULT_PRECISION_BITS
-                            ) -> tuple[OutwardInterval, BoundReport]:
+                            prec: int = DEFAULT_PRECISION_BITS) -> BoundReport:
     """Best LDP-permitted exponent and the smallest feasible prefactor.
 
     beta_max = min(I(eps), I(-eps)) is the fastest decay the deviation
@@ -517,4 +516,4 @@ def exponential_bound_check(eps: Fraction, n_list: Sequence[int],
         alpha_n = p_bound * growth.hi
         rows.append(BoundRow(n, p_bound, alpha_n))
         alpha = max(alpha, alpha_n)
-    return beta_max, BoundReport(beta_max, beta, alpha, tuple(rows))
+    return BoundReport(beta_max, beta, alpha, tuple(rows))

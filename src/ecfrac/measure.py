@@ -35,7 +35,6 @@ from .numerics import (
     interval_sqrt,
 )
 from .words import (
-    DEFAULT_BUDGET,
     EXACT_LAST,
     LAST_AT_MOST,
     WordFamily,
@@ -109,7 +108,7 @@ def conditional_probability(prefix: Sequence[int], next_digit: int) -> Fraction:
     return cylinder_measure(w + (next_digit,)) / cylinder_measure(w)
 
 
-def conditional_given_last(n: int, j: int, k: int, budget: int = DEFAULT_BUDGET) -> Fraction:
+def conditional_given_last(n: int, j: int, k: int) -> Fraction:
     """P(b_n = k | b_{n-1} = j), exact, by summing over all histories.
 
     This is the history-summed quantity that differs from the single-history
@@ -121,7 +120,7 @@ def conditional_given_last(n: int, j: int, k: int, budget: int = DEFAULT_BUDGET)
         raise ValueError(f"need 1 <= j <= k, got j={j}, k={k}")
     numer = Fraction(0)
     denom = Fraction(0)
-    for prefix in enumerate_words(WordFamily(n - 1, j, EXACT_LAST), budget):
+    for prefix in enumerate_words(WordFamily(n - 1, j, EXACT_LAST)):
         denom += cylinder_measure(prefix)
         numer += cylinder_measure(prefix + (k,))
     return numer / denom
@@ -134,14 +133,14 @@ def transition_bounds(j: int, k: int) -> ProbInterval:
     return ProbInterval(Fraction(j, k * (k + 2)), Fraction(j + 1, k * (k + 1)))
 
 
-def marginal_exact(n: int, kmax: int, budget: int = DEFAULT_BUDGET) -> MarginalTable:
+def marginal_exact(n: int, kmax: int) -> MarginalTable:
     """Exact P(b_n = k) for k <= kmax by full cylinder enumeration."""
     if n < 1 or kmax < 1:
         raise ValueError("marginal_exact needs n >= 1 and kmax >= 1")
     sums = {k: Fraction(0) for k in range(1, kmax + 1)}
     family = WordFamily(n, kmax, LAST_AT_MOST)
     visited = 0
-    for w in enumerate_words(family, budget):
+    for w in enumerate_words(family):
         sums[w[-1]] += cylinder_measure(w)
         visited += 1
     # Self-check: the enumeration must visit exactly the closed-form count.
@@ -163,13 +162,14 @@ def _dp_bits(n: int, cap: int, prec: int) -> int:
     return prec + 2 * n + 2 * cap.bit_length()
 
 
-def _propagate(n: int, cap: int, bits: int):
+def _propagate(n: int, cap: int, prec: int):
     """The marginal/moment DP over (depth, last digit <= cap) in fixed point.
 
-    Returns (mass_lo, mass_up, exit_lo, exit_up), all integers over
-    2^bits: index j-1 of the mass lists bounds P(b_n = j, b_1..b_n <= cap)
-    from below and above, and entry d-1 of the exit lists is the exact sum
-    over j of mass_lo[j] * j, resp. mass_up[j] * (j+1), at depth d < n.
+    Runs at bits = _dp_bits(n, cap, prec) and returns (mass_lo, mass_up,
+    exit_lo, exit_up), all dyadic Fractions m / 2^bits: index j-1 of the
+    mass lists bounds P(b_n = j, b_1..b_n <= cap) from below and above, and
+    entry d-1 of the exit lists is the exact sum over j of mass_lo[j] * j,
+    resp. mass_up[j] * (j+1), at depth d < n.
 
     A step uses the exact conditional Phi = (j+z)/((k+z)(k+1+z)), where
     z = b_d Q_{d-1}/Q_d satisfies z_1 = 1 and z' = k/(k+z), carried as a
@@ -179,6 +179,7 @@ def _propagate(n: int, cap: int, bits: int):
     every entry stays a bound; the all-ones state keeps a 1-ulp z interval,
     which is what lets the Fibonacci decay of the digit-1 mass survive.
     """
+    bits = _dp_bits(n, cap, prec)
     one = 1 << bits
     mass_lo = [one // (k * (k + 1)) for k in range(1, cap + 1)]
     mass_up = [-(-one // (k * (k + 1))) for k in range(1, cap + 1)]
@@ -213,7 +214,8 @@ def _propagate(n: int, cap: int, bits: int):
             new_z_lo.append((k0 << bits) // (k0 + zmax))
             new_z_hi.append(-(-(k0 << bits) // (k0 + zmin)))
         mass_lo, mass_up, z_lo, z_hi = new_lo, new_up, new_z_lo, new_z_hi
-    return mass_lo, mass_up, exit_lo, exit_up
+    return tuple([Fraction(m, one) for m in masses]
+                 for masses in (mass_lo, mass_up, exit_lo, exit_up))
 
 
 def marginal_interval_dp(n: int, cap: int) -> MarginalTable:
@@ -228,12 +230,10 @@ def marginal_interval_dp(n: int, cap: int) -> MarginalTable:
     """
     if n < 1 or cap < 1:
         raise ValueError("marginal_interval_dp needs n >= 1 and cap >= 1")
-    bits = _dp_bits(n, cap, DEFAULT_PRECISION_BITS)
-    one = 1 << bits
-    lo, up, _, _ = _propagate(n, cap, bits)
-    entries = {k: ProbInterval(Fraction(lo[k - 1], one), Fraction(min(up[k - 1], one), one))
+    lo, up, _, _ = _propagate(n, cap, DEFAULT_PRECISION_BITS)
+    entries = {k: ProbInterval(lo[k - 1], min(up[k - 1], Fraction(1)))
                for k in range(1, cap + 1)}
-    tail = ProbInterval(Fraction(max(0, one - sum(up)), one), Fraction(one - sum(lo), one))
+    tail = ProbInterval(max(Fraction(0), 1 - sum(up)), 1 - sum(lo))
     return MarginalTable(n, cap, entries, tail)
 
 
@@ -333,16 +333,14 @@ def _moment_intervals(n: int, thetas: Sequence[Fraction], cap: int,
             enclosures.append(ProbInterval.point(Fraction(1)))
         else:
             if kernel is None:
-                bits = _dp_bits(n, cap, prec)
-                kernel = _propagate(n, cap, bits)
-            enclosures.append(_weighted_moment(n, theta, cap, prec, bits, kernel))
+                kernel = _propagate(n, cap, prec)
+            enclosures.append(_weighted_moment(n, theta, cap, prec, kernel))
     return enclosures
 
 
-def _weighted_moment(n: int, theta: Fraction, cap: int, prec: int, bits: int,
+def _weighted_moment(n: int, theta: Fraction, cap: int, prec: int,
                      kernel) -> ProbInterval:
-    """E(b_n^theta), 0 != theta < 1, from the output of _propagate(n, cap, bits)."""
-    one = 1 << bits
+    """E(b_n^theta), 0 != theta < 1, from the output of _propagate(n, cap, prec)."""
     mass_lo, mass_up, exit_lo, exit_up = kernel
     m = cap + 1
     integral, sum_bound = _integral_tail(m, theta, prec)
@@ -359,14 +357,14 @@ def _weighted_moment(n: int, theta: Fraction, cap: int, prec: int, bits: int,
     tail_up = sum_bound * s_up ** (n - 1)
     for depth, (out_lo, out_up) in enumerate(zip(exit_lo, exit_up), 1):
         remaining = n - depth - 1  # levels left after arriving beyond the cap
-        tail_lo = tail_lo + Fraction(out_lo, one) * exit_lo_per_j * s_lo ** remaining
-        tail_up = tail_up + Fraction(out_up, one) * exit_up_per_j * s_up ** remaining
+        tail_lo = tail_lo + out_lo * exit_lo_per_j * s_lo ** remaining
+        tail_up = tail_up + out_up * exit_up_per_j * s_up ** remaining
 
     tracked_lo = tracked_hi = OutwardInterval.from_value(0, prec)
     for j, (m_lo, m_up) in enumerate(zip(mass_lo, mass_up), 1):
         jpow = interval_pow(j, theta, prec)
-        tracked_lo = tracked_lo + Fraction(m_lo, one) * jpow
-        tracked_hi = tracked_hi + Fraction(m_up, one) * jpow
+        tracked_lo = tracked_lo + m_lo * jpow
+        tracked_hi = tracked_hi + m_up * jpow
 
     lo = tracked_lo.lo + tail_lo.lo
     hi = tracked_hi.hi + tail_up.hi

@@ -8,9 +8,9 @@ inside one open depth-n cylinder: its lower end is walked by
 expansion._walk, one divmod per digit, and its upper end is carried through
 the composed Möbius map of the walked digits and tested against the
 cylinder's image (0, 1/b_n).  The certificate is tried on the coarse cells
-of k's top bits at two precisions derived from the depth, then on all B
-bits; a cell that certifies nowhere gets its exact partial prefix as the
-common prefix of its two ends' walks, the rule of expansion.expand_interval.
+of k's top bits at two precisions below B, derived once per pass from the
+depth; a cell that certifies on neither gets its exact prefix at all B bits
+as the common prefix of its two ends' walks, the rule of expand_interval.
 
 Trials are keyed by (seed, index) through a counter-based generator
 (numpy Philox4x64, recorded as the algorithm name in reports): one bit
@@ -113,14 +113,15 @@ def _cell_indices(config: SampleConfig) -> Iterator[int]:
 
 
 def _walk_schedule(depth: int, bits: int) -> tuple[int, ...]:
-    """Coarse precisions to certify before the full B bits.
+    """Coarse precisions at which to certify a cell, each 0 < b < B.
 
     A cell certifies `depth` digits from about 0.72 depth^2 bits on (the
-    median); the two rungs sit above that, and a rung at or past B is
-    skipped.
+    median); the two rungs sit above that.  A rung at 0 bits, the cell
+    [0, 1] that touches 0, certifies nothing, and one at or past B decides
+    nothing that the common prefix of the drawn cell does not.
     """
     need = 18 * depth * depth // 25
-    return tuple(b for b in (4 * need // 3, 9 * need // 5) if b < bits)
+    return tuple(b for b in (4 * need // 3, 9 * need // 5) if 0 < b < bits)
 
 
 def _cell_certificate(p: int, q: int, depth: int) -> list[int] | None:
@@ -153,34 +154,28 @@ def _cell_certificate(p: int, q: int, depth: int) -> list[int] | None:
     return None
 
 
-def _cell_prefix(k: int, bits: int, depth: int) -> tuple[list[int], bool]:
-    """(digits, truncated) of the cell [k/2^B, (k+1)/2^B], certified coarse first.
-
-    The coarse cell [K/2^b, (K+1)/2^b], K = k >> (B-b), contains the drawn
-    cell, so when it lies inside one open depth-n cylinder the drawn cell
-    does too, with the same digits.  _cell_certificate is tried on each
-    rung, last on all B bits; it accepts exactly when _common_prefix would
-    return truncated=True.  Only a cell that certifies nowhere gets its
-    exact partial prefix from _common_prefix, which walks both of its ends.
-    """
-    for b in _walk_schedule(depth, bits) + (bits,):
-        digits = _cell_certificate(k >> (bits - b), 1 << b, depth)
-        if digits is not None:
-            return digits, True
-    den = 1 << bits
-    return _common_prefix(k, den, k + 1, den, depth)
-
-
 def _digit_stream(config: SampleConfig) -> Iterator[tuple[list[int], bool]]:
     """(certified digit prefix of length <= depth, truncated), one per trial.
 
-    A trial that draws k samples the cell [k/2^B, (k+1)/2^B]; the cell at
-    k = 0 touches 0 and certifies no digit.  Trials are independent functions
-    of (seed, index), and the aggregations below are exact integer counters,
-    independent of order.
+    A trial that draws k samples the cell [k/2^B, (k+1)/2^B].  It lies in
+    the coarse cell [K/2^b, (K+1)/2^b], K = k >> (B-b), of each rung, so a
+    rung's certificate holds for it too.  A cell that certifies on no rung
+    gets _common_prefix at all B bits, which is truncated exactly when the
+    certificate would accept it there (the cell at k = 0 certifies no
+    digit).  Trials are independent functions of (seed, index), and the
+    aggregations below are exact integer counters, independent of order.
     """
+    bits, depth = config.bits, config.depth
+    rungs = _walk_schedule(depth, bits)
+    den = 1 << bits
     for k in _cell_indices(config):
-        yield _cell_prefix(k, config.bits, config.depth)
+        for b in rungs:
+            digits = _cell_certificate(k >> (bits - b), 1 << b, depth)
+            if digits is not None:
+                yield digits, True
+                break
+        else:
+            yield _common_prefix(k, den, k + 1, den, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -504,20 +499,15 @@ def _ldp_rows(eps: Fraction, tail: str, n_list: Sequence[int],
     if len(fit) < 2:
         raise SampleLimitError("need at least two n with hits to fit a slope")
     xs = [n for n, _ in fit]
-    slope, intercept = _fit(xs, [-math.log(e.p_hat) for _, e in fit])
-    slope_lo, _ = _fit(xs, [-math.log(e.ci_hi) for _, e in fit])
+    slope, intercept = statistics.linear_regression(xs, [-math.log(e.p_hat) for _, e in fit])
+    slope_lo, _ = statistics.linear_regression(xs, [-math.log(e.ci_hi) for _, e in fit])
     hi_ys = [-math.log(e.ci_lo) if e.ci_lo > 0 else None for _, e in fit]
     if any(y is None for y in hi_ys):
         slope_hi = math.inf
     else:
-        slope_hi, _ = _fit(xs, hi_ys)
+        slope_hi, _ = statistics.linear_regression(xs, hi_ys)
     lo, hi = min(slope_lo, slope_hi), max(slope_lo, slope_hi)
     return LdpReport(eps, tail, tuple(rows), slope, intercept, lo, hi)
-
-
-def _fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
-    res = statistics.linear_regression(xs, ys)
-    return res.slope, res.intercept
 
 
 def ldp_slope(eps: Fraction, n_list: Sequence[int], config: SampleConfig,

@@ -509,9 +509,9 @@ def test_mdp_runs_one_moment_dp_per_feasible_row(monkeypatch):
     runs = []
     propagate = measure._propagate
 
-    def counting(n, cap, bits):
+    def counting(n, cap, prec):
         runs.append(n)
-        return propagate(n, cap, bits)
+        return propagate(n, cap, prec)
 
     monkeypatch.setattr(measure, "_propagate", counting)
     table = mdp_curve(Fraction(1), [1, 4, 8], cap=20)
@@ -535,10 +535,10 @@ def test_mdp_validates_p():
 
 
 def test_exponential_bound_check_invariant():
-    beta_max, report = exponential_bound_check(
+    report = exponential_bound_check(
         Fraction(1, 2), [5, 10, 15],
         estimator=lambda n: Fraction(1, 2**n))
-    assert report.beta == Fraction(9, 10) * beta_max.lo
+    assert report.beta == Fraction(9, 10) * report.beta_max.lo
     assert report.alpha == max(row.alpha_n for row in report.rows)
     # re-verify each row: prob <= alpha * exp(-beta n)
     for row in report.rows:

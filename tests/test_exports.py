@@ -1,5 +1,6 @@
 """The package namespace: every exported name resolves, none is listed twice,
-importing it loads no scipy, and no module reads the environment."""
+importing it loads no scipy, no module reads the environment, and one
+function applies the digit map."""
 
 import ast
 import os
@@ -54,3 +55,20 @@ def test_no_module_reads_the_environment():
             if {"environ", "getenv"} & set(names):
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == []
+
+
+def test_one_digit_walk():
+    # expansion._walk is the one loop that applies the digit map; a divmod
+    # anywhere else would be a second digit walk to keep in step with it.
+    package = Path(ecfrac.__file__).resolve().parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "divmod":
+                enclosing = [f.name for f in functions
+                             if f.lineno <= node.lineno <= f.end_lineno]
+                callers.add((path.stem, enclosing[-1] if enclosing else None))
+    assert callers == {("expansion", "_walk")}

@@ -133,9 +133,24 @@ def deep_cells(draw):
 @settings(max_examples=300, deadline=None)
 def test_lazy_walk_matches_full_precision_walk(cell):
     bits, k, depth = cell
-    assert all(b < bits for b in montecarlo._walk_schedule(depth, bits))
-    prefix, truncated = montecarlo._cell_prefix(k, bits, depth)
+    assert all(0 < b < bits for b in montecarlo._walk_schedule(depth, bits))
+    prefix, truncated = _sampled_cell(k, bits, depth)
     expected = reference_expand_interval(Fraction(k, 2**bits), Fraction(k + 1, 2**bits), depth)
+    assert (tuple(prefix), truncated) == (expected.digits, expected.truncated)
+
+
+@pytest.mark.parametrize("index", [199, 328, 1858, 1868])
+def test_cells_that_fail_every_rung_certify_at_full_precision(index):
+    # The only draws among the first 3,000 of seed 271828 at depth 40 whose
+    # coarse cells at both rungs straddle a cylinder end: their digits come
+    # from the common prefix of the drawn cell's two ends.
+    depth, bits = 40, default_bits(40)
+    k = reference_cell_index(271828, index, bits)
+    for b in montecarlo._walk_schedule(depth, bits):
+        assert montecarlo._cell_certificate(k >> (bits - b), 1 << b, depth) is None, b
+    prefix, truncated = _sampled_cell(k, bits, depth)
+    expected = reference_expand_interval(Fraction(k, 2**bits), Fraction(k + 1, 2**bits), depth)
+    assert (len(prefix), truncated) == (depth, True)
     assert (tuple(prefix), truncated) == (expected.digits, expected.truncated)
 
 
@@ -438,17 +453,18 @@ def test_sample_config_validation():
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Count the cells walked, with the finals cache empty before and after."""
-    walked = []
-    walk = montecarlo._cell_prefix
+    """Count the cells drawn, with the finals cache empty before and after."""
+    drawn = []
+    draws = montecarlo._cell_indices
 
-    def counting(k, bits, depth):
-        walked.append(k)
-        return walk(k, bits, depth)
+    def counting(config):
+        for k in draws(config):
+            drawn.append(k)
+            yield k
 
-    monkeypatch.setattr(montecarlo, "_cell_prefix", counting)
+    monkeypatch.setattr(montecarlo, "_cell_indices", counting)
     montecarlo._final_digits.cache_clear()
-    yield walked
+    yield drawn
     montecarlo._final_digits.cache_clear()
 
 
