@@ -33,6 +33,7 @@ from .numerics import (
     OutwardInterval,
     _as_interval,
     _first_highest_lower_end,
+    _lower_end_gap,
     interval_exp,
     interval_log,
     interval_pow,
@@ -187,16 +188,23 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
                      prec: int = DEFAULT_PRECISION_BITS) -> ExtendedReal:
     """Enclose sup_theta { theta*x - pressure_fn(theta) } over the bracket.
 
-    The objective is concave (pressure functions are convex), so certified
-    golden-section search applies, and the bracket shrinks only on certified
-    comparisons.  Each cut keeps one interior probe and adds its mirror
-    image in the bracket; when the kept probe drifts out of [0.30, 0.45] of
-    the bracket, the pair is placed again at 89/233 and 144/233 of it.  When
-    the pair's values overlap, its midpoint is probed: the bracket is cut to
-    the pair if the midpoint is certified above both, and the search stops
-    otherwise.  It also stops once the bracket is at most target_width wide
-    (which must be positive), after at least one pair.  A point is probed
-    at most once.
+    The objective is concave (pressure functions are convex), so a probe
+    certified below the best probe, the one with the highest lower end,
+    moves the bracket end on its side to it, and a probe where the pressure
+    is infinite moves the right end; the bracket shrinks only on such
+    certified comparisons.  Probes are placed by safeguarded parabolic
+    search (Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 5): the next probe is the vertex of the parabola through the three
+    probes with the highest lower ends, if it lies inside the bracket and
+    moves less than half the step before last, else a golden-section step
+    from the best probe into the larger side.  A step shorter than
+    target_width/64 instead probes at that distance from the best probe, on
+    the wider side, to close the bracket.  While that probe ties with the
+    best, the distance doubles (a fixed one ties at low precision), and it
+    starts past the probes inside the bracket on its side, which all tie;
+    the search stops once the closing probe would leave the bracket.  It
+    also stops once the bracket is at most target_width wide (which must be
+    positive), after at least one probe.  A point is probed at most once.
 
     After the search, one probe goes to the vertex of the parabola through
     the best probe (highest lower end) and its two neighbours, where a
@@ -247,41 +255,14 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
             probes[key] = theta, g(OutwardInterval.from_value(theta, prec))
         return probes[key][1]
 
-    # The bracket is [A/D, B/D] in integers; D grows by 233 each time the
-    # pair is placed again and by 2 at a tie cut.
-    A, B = a.numerator * b.denominator, b.numerator * a.denominator
+    # The search runs on numerators over one denominator D: the bracket's
+    # denominators times the least power of two that makes 1/D at most
+    # target/2^16, so that a closing step of target/64 is 1024 units or more.
     D = a.denominator * b.denominator
-    probe(a)
-    probe(b)
-    kept = None  # (numerator, objective) of the interior probe the last cut kept
-    while True:
-        span = B - A
-        if kept is not None and 6 * span <= 20 * min(kept[0] - A, B - kept[0]) <= 9 * span:
-            mirror = A + B - kept[0]
-            (m1, g1), (m2, g2) = sorted((kept, (mirror, probe(Fraction(mirror, D)))),
-                                        key=itemgetter(0))
-        else:
-            A, B, D = 233 * A, 233 * B, 233 * D
-            m1, m2 = A + 89 * span, A + 144 * span
-            g1, g2 = probe(Fraction(m1, D)), probe(Fraction(m2, D))
-        if g1 is None:
-            # Infinite pressure marks territory right of the finite domain
-            # (Lambda blows up at theta >= 1), so the objective is -inf from
-            # m1 onward.
-            B, kept = m1, None
-        elif g2 is None:
-            B, kept = m2, (m1, g1)
-        elif g1.below(g2):
-            A, kept = m1, (m2, g2)  # maximizer certified right of m1
-        elif g2.below(g1):
-            B, kept = m2, (m1, g1)
-        else:
-            mid = probe(Fraction(m1 + m2, 2 * D))
-            if mid is None or not (g1.below(mid) and g2.below(mid)):
-                break  # probes no longer separate as intervals
-            A, B, D, kept = 2 * m1, 2 * m2, 2 * D, (m1 + m2, mid)
-        if (B - A) * target.denominator <= target.numerator * D:
-            break
+    D <<= ((target.denominator << 16) // (target.numerator * D)).bit_length()
+    A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
+    A, B = _parabolic_search(lambda n: probe(Fraction(n, D)), A, B,
+                             target.numerator * D // target.denominator)
 
     if all(value is None for _, value in probes.values()):
         return ExtendedReal.infinity()
@@ -312,6 +293,112 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
         probe(peak)
     best = _first_highest_lower_end([value for _, value in probes.values() if value is not None])
     return ExtendedReal.finite(OutwardInterval.from_endpoints(best.lo, upper, prec))
+
+
+_GOLDEN = round((3 - math.sqrt(5)) / 2 * 2**53)  # the shorter golden section of 2^53
+
+
+def _parabolic_search(objective: Callable[[int], OutwardInterval | None], A: int, B: int,
+                      target: int) -> tuple[int, int]:
+    """The search of legendre_numeric on integer points: the bracket [A, B]
+    shrunk around the maximizer of a concave objective to at most target
+    wide, or as far as ties allow.
+
+    objective(n) is the objective at n, an OutwardInterval, or None where it
+    is -infinity, right of the finite domain; it is called once per point.
+    Steps are integers too; only the vertex is placed in floats, from
+    53-bit differences of the lower ends, as it only places a probe.
+    """
+    values = {A: objective(A), B: objective(B)}
+    top = []  # the finite probes with the three highest lower ends, best first
+
+    def rank(n: int) -> None:
+        value = values[n]
+        top.insert(next((i for i, m in enumerate(top)
+                         if _lower_end_gap(value, values[m]) > 0), len(top)), n)
+        del top[3:]
+
+    def separates(u: int) -> bool:
+        # Probe u, cut the bracket, and tell whether a comparison certified
+        # u apart from the best probe.
+        nonlocal A, B
+        new = u not in values
+        if new:
+            values[u] = objective(u)
+        value, best = values[u], top[0]
+        if value is None:
+            B = u
+            return True
+        if new:
+            rank(u)
+        if top[0] != u:
+            if not value.below(values[best]):
+                return False
+            A, B = (u, B) if u < best else (A, u)
+            return True
+        # u is the new best: every probe inside the bracket below it cuts.
+        for n, other in values.items():
+            if A < n < B and other is not None and other.below(value):
+                A, B = (n, B) if n < u else (A, n)
+        return values[best].below(value)
+
+    for n in (A, B):
+        if values[n] is not None:
+            rank(n)
+    if not top:
+        return A, B
+    closing = target // 64
+    step = before = 0  # the last step and the step before it, signed
+    reach = closing  # the closing distance, doubled by ties
+    while True:
+        x = top[0]
+        u = None
+        if abs(before) > closing and len(top) == 3:
+            offset = _vertex_offset(values, top)
+            if offset is not None and 2 * abs(offset) < abs(before) and A < x + offset < B:
+                before, step = step, offset
+                u = x + offset
+        if u is None:
+            before = (A - x) if 2 * x >= A + B else (B - x)
+            step = before * _GOLDEN >> 53
+            u = x + step
+        if abs(u - x) < closing or u in values:
+            side = 1 if B - x >= x - A else -1
+            # A probe inside the bracket ties with the best probe, so the
+            # closing probe goes past those on its side.
+            far = max((side * (n - x) for n in values if A < n < B), default=0)
+            while reach <= far:
+                reach *= 2
+            while True:
+                u = x + side * reach
+                if not A < u < B:
+                    return A, B
+                if separates(u):
+                    break
+                reach *= 2
+            step = u - x
+        else:
+            separates(u)
+        if B - A <= target:
+            return A, B
+
+
+def _vertex_offset(values: dict[int, OutwardInterval | None], top: list[int]) -> int | None:
+    """How far the vertex of the parabola through the probes top[0], top[1]
+    and top[2], by their lower ends, lies from top[0], rounded; None where
+    the three lie nearly on a line.  It is found in floats, on the
+    distances scaled by a power of two that keeps them in range."""
+    x, w, v = top
+    scale = max(abs(w - x), abs(v - x)).bit_length()
+    dw, dv = (w - x) / (1 << scale), (v - x) / (1 << scale)
+    fw, fv = (_lower_end_gap(values[n], values[x]) for n in (w, v))
+    den = dw * fv - dv * fw
+    if den == 0:
+        return None
+    offset = (dw * dw * fv - dv * dv * fw) / (2 * den)
+    if not abs(offset) < 2.0**64:
+        return None
+    return (round(math.ldexp(offset, 53)) << scale) >> 53
 
 
 def _by_theta(point: tuple[Fraction, OutwardInterval | None]) -> tuple[int, Fraction]:

@@ -37,8 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from .expansion import CertifiedExpansion, _common_prefix, _walk
 from .numerics import interval_exp, interval_log
 
@@ -98,8 +96,11 @@ def _cell_indices(config: SampleConfig) -> Iterator[int]:
     (Philox increments word 0 before it encrypts), and keeps the low B bits
     of ceil(B/64) raw words taken little-endian.  No two trials share a
     block: with the index in word 0, trial i+1 would re-read all but the
-    first of trial i's blocks.
+    first of trial i's blocks.  numpy is imported here, its only use, so
+    that commands which do not sample never load it.
     """
+    import numpy as np
+
     bitgen = np.random.Philox(key=config.seed)
     state = bitgen.state
     counter = state["state"]["counter"]

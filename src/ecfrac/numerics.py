@@ -283,6 +283,12 @@ def _first_highest_lower_end(values):
     return best
 
 
+def _lower_end_gap(a: OutwardInterval, b: OutwardInterval) -> float:
+    """a.lo - b.lo rounded to 53 bits, as a float: its sign is exact, and
+    it stays accurate where the two ends agree in more than 53 bits."""
+    return libmp.to_float(libmp.mpf_sub(a._mpi[0], b._mpi[0], 53))
+
+
 def _kernel(kernel, v: OutwardInterval) -> OutwardInterval:
     return OutwardInterval(kernel(v._mpi, v._prec), v._prec)
 

@@ -4,7 +4,7 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecfrac import deviations, measure
@@ -221,14 +221,15 @@ def test_legendre_honors_bracket():
     enc = legendre_numeric(pressure, Fraction(1),
                            bracket=(Fraction(-5), Fraction(9, 10))).value
     assert enc.overlaps(1 - interval_log(2, 400))
-    # A bracket no wider than the target still gets one golden pair, which
-    # certifies one cut; then the gap with the largest bound is evaluated.
+    # A bracket no wider than the target still gets one step, a golden step
+    # from its better end, which certifies one cut; then the gap with the
+    # largest bound is evaluated.
     pressure_fn, calls = _counted(pressure)
     enc = legendre_numeric(pressure_fn, Fraction(1), bracket=(Fraction(-5), Fraction(9, 10)),
                            target_width=Fraction(10)).value
     assert enc.overlaps(1 - interval_log(2, 400))
-    assert len(calls) == 5
-    # The same on (0, 2), whose right end lies past theta = 1: the pair gives
+    assert len(calls) == 4
+    # The same on (0, 2), whose right end lies past theta = 1: the step gives
     # the gap across the edge a left secant.
     enc = legendre_numeric(pressure, Fraction(1), bracket=(Fraction(0), Fraction(2)),
                            target_width=Fraction(10)).value
@@ -251,7 +252,7 @@ def _counted(pressure_fn):
 
 def _agrees_with_reference(pressure_fn, x, **kwargs):
     # The reference is the earlier 3/8-2/3 search with 32 interval slices:
-    # both enclose the same supremum, and the golden-section search must be
+    # both enclose the same supremum, and legendre_numeric must be
     # no wider, up to 1e-20, after fewer pressure calls.
     ours, our_calls = _counted(pressure_fn)
     ref, ref_calls = _counted(pressure_fn)
@@ -282,6 +283,7 @@ def test_legendre_matches_fraction_reference_on_lambda(x, lo, hi, width, prec):
 @given(x=grid_x, lo=st.fractions(min_value=-20, max_value=-1, max_denominator=100),
        hi=st.fractions(min_value=1, max_value=20, max_denominator=100),
        width=widths, prec=st.sampled_from([53, 128, 300]))
+@example(x=Fraction(33, 200), lo=Fraction(-1), hi=Fraction(1), width=Fraction(1, 10**8), prec=53)
 @settings(max_examples=60, deadline=None)
 def test_legendre_matches_fraction_reference_on_j(x, lo, hi, width, prec):
     _agrees_with_reference(_j_pressure, x, bracket=(lo, hi), target_width=width, prec=prec)
@@ -304,34 +306,31 @@ def test_legendre_default_bracket_matches_fraction_reference():
         _agrees_with_reference(pressure, x)
 
 
-@pytest.mark.parametrize("x, target, points, gap", [
-    pytest.param(1000, 21, [0, 233, 89, 144, 178, 199, 212, 220], (220, 233), id="rising"),
-    pytest.param(-1000, 21, [0, 233, 89, 144, 55, 34, 21, 13], (0, 13), id="falling"),
-    # At a width of 2 the kept probe 232 sits at the middle of [231, 233],
-    # outside [0.30, 0.45] of it, so the pair is placed again.
-    pytest.param(1000, 1, [0, 233, 89, 144, 178, 199, 212, 220, 225, 228, 230, 231, 232,
-                           231 + Fraction(178, 233), 231 + Fraction(288, 233),
-                           233 - Fraction(110, 233)], (233 - Fraction(110, 233), 233),
-                 id="placed-again"),
+@pytest.mark.parametrize("x, target, count", [
+    pytest.param(1000, 21, 6, id="rising"),
+    pytest.param(-1000, 21, 6, id="falling"),
+    pytest.param(1000, 1, 9, id="rising-fine"),
 ])
-def test_legendre_golden_cuts_mirror_the_kept_probe(x, target, points, gap):
+def test_legendre_marches_to_the_end_of_a_monotone_objective(x, target, count):
     # On (0, 233) the objective theta*x - theta^2/2 is monotone for x = +-1000,
-    # so every cut drops the same side.  The first pair sits at 89/233 and
-    # 144/233 of the bracket, each cut keeps one interior probe and adds its
-    # mirror image, so the probes walk down the Fibonacci numbers, and the
-    # search stops as soon as the bracket is target wide, not one cut later.
-    # The one call after the search evaluates the objective over the end gap
-    # of the final bracket, where the maximizer is; the best probe sits at
-    # the bracket's end, so it has no neighbour for a vertex probe.
+    # so the vertex of every parabola lies outside the bracket, and each step
+    # is a golden step from the best probe, the end the objective rises to,
+    # into the larger side.  Each probe is certified below the best and cuts
+    # there, so the probes march to that end, and the search stops as soon as
+    # the bracket is target wide.  The one call after the search evaluates the
+    # objective over the final bracket; the best probe sits at the bracket's
+    # end, so it has no neighbour for a vertex probe.
+    end = 233 if x > 0 else 0
     pressure_fn, calls = _counted(_j_pressure)
     legendre_numeric(pressure_fn, x, bracket=(Fraction(0), Fraction(233)),
                      target_width=Fraction(target))
-    assert len(calls) == len(points) + 1
-    for theta, point in zip(calls, points):
-        assert theta.contains(point) and theta.width < Fraction(1, 10**30)
-    over = calls[-1]
-    assert over.contains(gap[0]) and over.contains(gap[1])
-    assert over.width < gap[1] - gap[0] + Fraction(1, 10**30)
+    assert len(calls) == count
+    probes, over = calls[2:-1], calls[-1]
+    assert all(theta.width == 0 for theta in probes)
+    distances = [abs(theta.lo - end) for theta in probes]
+    assert distances == sorted(distances, reverse=True)
+    assert over.contains(end) and over.contains(probes[-1].lo)
+    assert over.width <= target
 
 
 @pytest.mark.parametrize("x", [Fraction(0), Fraction(15, 4)], ids=["x=0", "x=15/4"])
@@ -360,11 +359,12 @@ def test_legendre_resolves_ties_at_dyadic_x(x, half):
 
 def test_legendre_stops_at_a_tie_its_midpoint_cannot_break():
     # theta*(-1) - Lambda(theta) is the constant 2 log phi for theta <= -phi:
-    # the pair ties, the midpoint ties with both, and the search stops with
-    # the whole bracket, which the concavity bound still encloses tightly.
-    # The sixth call evaluates the objective over the gap with the largest
-    # bound; the best probe is the bracket's left end, which has no left
-    # neighbour, so no vertex probe is made.
+    # the golden probe ties with both ends, and the closing probe, which goes
+    # past it, ties twice more and then leaves the bracket, so the search
+    # stops with the whole bracket, which the concavity bound still encloses
+    # tightly.  The sixth call evaluates the objective over the gap with the
+    # largest bound; the best probe is the bracket's right end, which has no
+    # right neighbour, so no vertex probe is made.
     pressure_fn, calls = _counted(pressure)
     enc = legendre_numeric(pressure_fn, Fraction(-1), bracket=(Fraction(-50), Fraction(-2))).value
     assert len(calls) == 6
@@ -373,10 +373,10 @@ def test_legendre_stops_at_a_tie_its_midpoint_cannot_break():
 
 
 def test_legendre_bounds_each_probe_at_its_own_point(monkeypatch):
-    # The search ties and stops on (-50, 1/2), which contains 0, after the
-    # midpoint -99/4 of its first pair.  Every probe the concavity bound
-    # reads must sit where it was taken: the midpoint must not be read at
-    # theta = 0, where the objective is 0, not 2 log phi.
+    # The search ties and stops on the flat stretch of (-50, 1/2), which
+    # contains 0.  Every probe the concavity bound reads must sit where it
+    # was taken: a probe inside the bracket must not be read at theta = 0,
+    # where the objective is 0, not 2 log phi.
     read = []
 
     def spy(points, k):
@@ -389,7 +389,7 @@ def test_legendre_bounds_each_probe_at_its_own_point(monkeypatch):
     enc = legendre_numeric(pressure_fn, Fraction(-1), bracket=(Fraction(-50), Fraction(1, 2))).value
     assert enc.overlaps(GoldenConstants.compute(400).two_log_phi)
     assert enc.width < Fraction(1, 10**30)
-    assert any(theta.contains(Fraction(-99, 4)) and theta.width == 0 for theta in calls)
+    assert any(theta.width == 0 and -50 < theta.lo < -2 for theta in calls[2:])
     assert read
     for points in read:
         for theta, value in points:
@@ -415,11 +415,33 @@ def test_legendre_pressure_calls_are_pinned():
     # transform at x = 1; a change that adds probes fails here.
     pressure_fn, calls = _counted(pressure)
     legendre_numeric(pressure_fn, Fraction(1))
-    assert len(calls) == 57
+    assert len(calls) == 21
     pressure_fn, calls = _counted(_j_pressure)
     legendre_numeric(pressure_fn, Fraction(1), bracket=(Fraction(-10), Fraction(10)),
                      target_width=Fraction(1, 10**10))
-    assert len(calls) == 66
+    assert len(calls) == 8
+
+
+def test_legendre_on_criterion_9_grids():
+    # Every transform of criterion 9's 200-point grid overlaps I(x) and is
+    # under 1e-16 wide (before the parabolic search the widest was 9.5e-17),
+    # and the two grids' call counts have a ceiling: the golden-section
+    # search made 11,400 and 1,628.
+    eye = RateFunctionId("I")
+    pressure_fn, calls = _counted(pressure)
+    for i in range(200):
+        x = Fraction(-99, 100) + i * Fraction(599, 100) / 199
+        enc = legendre_numeric(pressure_fn, x).value
+        assert enc.overlaps(rate(eye, x, 400).value), x
+        assert enc.width < Fraction(1, 10**16), x
+    assert len(calls) <= 6000
+    pressure_fn, calls = _counted(_j_pressure)
+    for i in range(25):
+        x = Fraction(-3) + i * Fraction(6, 24)
+        enc = legendre_numeric(pressure_fn, x, bracket=(Fraction(-10), Fraction(10)),
+                               target_width=Fraction(1, 10**10)).value
+        assert enc.contains(x * x / 2), x
+    assert len(calls) <= 300
 
 
 def test_legendre_rejects_a_nonpositive_target_width():

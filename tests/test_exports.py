@@ -30,6 +30,17 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_import_loads_no_numpy():
+    # numpy costs about 0.14 s and 13 MB at import, and only sampling uses
+    # it; a fresh interpreter shows whether importing the package loads it.
+    src = Path(ecfrac.__file__).resolve().parents[1]
+    script = "import sys, ecfrac, ecfrac.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_no_module_names_scipy():
     # scipy is a test-only oracle: no module of the package mentions it,
     # not even behind a lazy import.
