@@ -319,28 +319,22 @@ def _parabolic_search(objective: Callable[[int], OutwardInterval | None], A: int
         del top[3:]
 
     def separates(u: int) -> bool:
-        # Probe u, cut the bracket, and tell whether a comparison certified
-        # u apart from the best probe.
+        # Probe u, cut at every probe inside the bracket certified below the
+        # best, and tell whether u and the previous best probe are apart.
         nonlocal A, B
-        new = u not in values
-        if new:
+        previous = values[top[0]]
+        if u not in values:
             values[u] = objective(u)
-        value, best = values[u], top[0]
-        if value is None:
+            if values[u] is not None:
+                rank(u)
+        if values[u] is None:
             B = u
             return True
-        if new:
-            rank(u)
-        if top[0] != u:
-            if not value.below(values[best]):
-                return False
-            A, B = (u, B) if u < best else (A, u)
-            return True
-        # u is the new best: every probe inside the bracket below it cuts.
-        for n, other in values.items():
-            if A < n < B and other is not None and other.below(value):
-                A, B = (n, B) if n < u else (A, n)
-        return values[best].below(value)
+        x = top[0]
+        for n, value in values.items():
+            if A < n < B and value is not None and value.below(values[x]):
+                A, B = (n, B) if n < x else (A, n)
+        return not values[u].overlaps(previous)
 
     for n in (A, B):
         if values[n] is not None:

@@ -335,9 +335,9 @@ def test_legendre_marches_to_the_end_of_a_monotone_objective(x, target, count):
 
 @pytest.mark.parametrize("x", [Fraction(0), Fraction(15, 4)], ids=["x=0", "x=15/4"])
 def test_legendre_resolves_ties_on_j(x):
-    # At x = 0 every pair is symmetric about the maximizer, so its two values
-    # tie exactly; only the midpoint probe lets the search cut.  Each pair
-    # placed again has the same midpoint, theta = 0, which is probed once.
+    # At x = 0 the bracket's ends are symmetric about the maximizer, so their
+    # values tie exactly; the search must still cut to the target width,
+    # and probe no point twice.
     pressure_fn, calls = _counted(_j_pressure)
     enc = legendre_numeric(pressure_fn, x, bracket=(Fraction(-10), Fraction(10)),
                            target_width=Fraction(1, 10**10)).value
@@ -350,7 +350,7 @@ def test_legendre_resolves_ties_on_j(x):
        half=st.integers(1, 20))
 @settings(max_examples=40, deadline=None)
 def test_legendre_resolves_ties_at_dyadic_x(x, half):
-    # A bracket centred on x puts every pair symmetric about the maximizer.
+    # A bracket centred on x puts its ends symmetric about the maximizer.
     enc = legendre_numeric(_j_pressure, x, bracket=(x - half, x + half),
                            target_width=Fraction(1, 10**10)).value
     assert enc.contains(x * x / 2)
