@@ -77,9 +77,12 @@ def _fraction(text: str) -> Fraction:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        values = [int(part) for part in text.split(",") if part != ""]
     except ValueError:
+        values = []
+    if not values:
         raise _CliError(f"not a comma-separated integer list: {text!r}", EXIT_USAGE)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +194,16 @@ def _cmd_mdp(args):
 _EVENT_RE = re.compile(r"^b(\d+)\s*(>=|<=|==?)\s*(\d+)$")
 
 
-def _parse_event(text: str):
+def _parse_event(text: str, depth: int | None = None):
     match = _EVENT_RE.match(text.strip())
     if not match:
         raise _CliError(f"cannot parse event {text!r} (use e.g. 'b1>=2')", EXIT_USAGE)
     position, op, value = int(match.group(1)), match.group(2), int(match.group(3))
     if position < 1:
         raise _CliError("digit position must be >= 1", EXIT_USAGE)
+    if depth is not None and position > depth:  # a certified prefix holds at most depth digits
+        raise _CliError(f"digit position {position} exceeds the sampled depth --n {depth}",
+                        EXIT_USAGE)
 
     def predicate(expansion):
         if len(expansion.digits) < position:
@@ -254,7 +260,7 @@ def _cmd_mc(args):
     # task == "event"
     if not args.event:
         raise _CliError("mc --task event needs --event (e.g. 'b1>=2')", EXIT_USAGE)
-    est = estimate_event(config, _parse_event(args.event))
+    est = estimate_event(config, _parse_event(args.event, args.n))
     return {**head, "event": args.event, **_estimate(est)}, None
 
 

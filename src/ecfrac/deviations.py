@@ -32,7 +32,6 @@ from .numerics import (
     ExtendedReal,
     OutwardInterval,
     _as_interval,
-    _first_highest_lower_end,
     _lower_end_gap,
     interval_exp,
     interval_log,
@@ -205,6 +204,8 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
     the search stops once the closing probe would leave the bracket.  It
     also stops once the bracket is at most target_width wide (which must be
     positive), after at least one probe.  A point is probed at most once.
+    Every probe is a numerator over one denominator, and the search returns
+    its table of probes; everything after it reads and extends that table.
 
     After the search, one probe goes to the vertex of the parabola through
     the best probe (highest lower end) and its two neighbours, where a
@@ -245,53 +246,49 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
         lam = pressure_fn(t, prec)
         return None if lam.is_infinite else x_iv * t - lam.value
 
-    # (theta, objective) of each probe, in probe order, under theta's
-    # numerator and denominator, which hash far faster than a Fraction.
-    probes: dict[tuple[int, int], tuple[Fraction, OutwardInterval | None]] = {}
-
-    def probe(theta: Fraction) -> OutwardInterval | None:
-        key = theta.numerator, theta.denominator
-        if key not in probes:
-            probes[key] = theta, g(OutwardInterval.from_value(theta, prec))
-        return probes[key][1]
-
-    # The search runs on numerators over one denominator D: the bracket's
+    # Every probe is a numerator n over one denominator D: the bracket's
     # denominators times the least power of two that makes 1/D at most
     # target/2^16, so that a closing step of target/64 is 1024 units or more.
+    # The search's probes are integers; the vertex and peak probes after it
+    # are exact Fractions in the same unit.
     D = a.denominator * b.denominator
     D <<= ((target.denominator << 16) // (target.numerator * D)).bit_length()
     A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
-    A, B = _parabolic_search(lambda n: probe(Fraction(n, D)), A, B,
-                             target.numerator * D // target.denominator)
 
-    if all(value is None for _, value in probes.values()):
+    def objective(n) -> OutwardInterval | None:  # at the probe theta = n/D
+        return g(OutwardInterval.from_value(Fraction(n, D), prec))
+
+    table, A, B = _parabolic_search(objective, A, B, target.numerator * D // target.denominator)
+
+    if all(value is None for value in table.values()):
         return ExtendedReal.infinity()
-    vertex = _vertex(sorted(probes.values(), key=_by_theta))
-    if vertex is not None:
-        probe(vertex)
-    points = sorted(probes.values(), key=_by_theta)
-    thetas = [theta for theta, _ in points]
+    vertex = _vertex(sorted(table.items()))
+    if vertex is not None and vertex not in table:
+        table[vertex] = objective(vertex)
+    points = sorted(table.items())
+    ends = [n for n, _ in points]
     gaps = {k: _secant_bound(points, k)  # gap k runs from probe k to probe k + 1
-            for k in range(thetas.index(Fraction(A, D)), thetas.index(Fraction(B, D)))
+            for k in range(ends.index(A), ends.index(B))
             if points[k][1] is not None}  # else the objective is -inf on the whole gap
     bounds = {k: bound for k, (bound, _) in gaps.items()}
     evaluated = set()
     while (k := max(bounds, key=lambda k: math.inf if bounds[k] is None else bounds[k])) \
             not in evaluated:
         evaluated.add(k)
-        over = g(OutwardInterval.from_endpoints(thetas[k], thetas[k + 1], prec))
+        lo, hi = Fraction(ends[k], D), Fraction(ends[k + 1], D)
+        over = g(OutwardInterval.from_endpoints(lo, hi, prec))
         if over is not None and (bounds[k] is None or over.hi < bounds[k]):
             bounds[k] = over.hi
         elif bounds[k] is None:
             raise ValueError(
-                f"the pressure is infinite on [{float(thetas[k])}, {float(thetas[k + 1])}] "
+                f"the pressure is infinite on [{float(lo)}, {float(hi)}] "
                 "with fewer than two finite cut points left of it; "
                 "keep the bracket inside the pressure's finite domain")
     upper = max(bounds.values())
     secants = [bound for bound in gaps.values() if bound[0] is not None]
     if secants and (peak := max(secants, key=itemgetter(0))[1]) is not None:
-        probe(peak)
-    best = _first_highest_lower_end([value for _, value in probes.values() if value is not None])
+        table[peak] = objective(peak)  # strictly inside a gap, so not yet probed
+    best = max((value for value in table.values() if value is not None), key=lambda v: v.lo)
     return ExtendedReal.finite(OutwardInterval.from_endpoints(best.lo, upper, prec))
 
 
@@ -299,8 +296,9 @@ _GOLDEN = round((3 - math.sqrt(5)) / 2 * 2**53)  # the shorter golden section of
 
 
 def _parabolic_search(objective: Callable[[int], OutwardInterval | None], A: int, B: int,
-                      target: int) -> tuple[int, int]:
-    """The search of legendre_numeric on integer points: the bracket [A, B]
+                      target: int) -> tuple[dict[int, OutwardInterval | None], int, int]:
+    """The search of legendre_numeric on integer points: the table
+    {n: objective(n)} of its probes, in probe order, and the bracket [A, B]
     shrunk around the maximizer of a concave objective to at most target
     wide, or as far as ties allow.
 
@@ -340,7 +338,7 @@ def _parabolic_search(objective: Callable[[int], OutwardInterval | None], A: int
         if values[n] is not None:
             rank(n)
     if not top:
-        return A, B
+        return values, A, B
     closing = target // 64
     step = before = 0  # the last step and the step before it, signed
     reach = closing  # the closing distance, doubled by ties
@@ -366,7 +364,7 @@ def _parabolic_search(objective: Callable[[int], OutwardInterval | None], A: int
             while True:
                 u = x + side * reach
                 if not A < u < B:
-                    return A, B
+                    return values, A, B
                 if separates(u):
                     break
                 reach *= 2
@@ -374,7 +372,7 @@ def _parabolic_search(objective: Callable[[int], OutwardInterval | None], A: int
         else:
             separates(u)
         if B - A <= target:
-            return A, B
+            return values, A, B
 
 
 def _vertex_offset(values: dict[int, OutwardInterval | None], top: list[int]) -> int | None:
@@ -395,19 +393,12 @@ def _vertex_offset(values: dict[int, OutwardInterval | None], top: list[int]) ->
     return (round(math.ldexp(offset, 53)) << scale) >> 53
 
 
-def _by_theta(point: tuple[Fraction, OutwardInterval | None]) -> tuple[int, Fraction]:
-    """Sort key of a (theta, objective) probe: the floor of theta * 2^64
-    orders probes by integer comparison, and theta breaks its ties."""
-    theta = point[0]
-    return (theta.numerator << 64) // theta.denominator, theta
-
-
 def _secant_bound(points: list[tuple[Fraction, OutwardInterval | None]],
                   k: int) -> tuple[Fraction | None, Fraction | None]:
     """An upper bound, by concavity, of the objective between probes k and k + 1.
 
-    points lists (theta, objective) by theta, with None where the objective
-    is -infinity, and probe k is finite.  For probes s < t the objective at
+    points lists (theta, objective) by theta, in any one unit of theta, with
+    None where the objective is -infinity, and probe k is finite.  For probes s < t the objective at
     theta >= t is at most the secant g(t) + (theta - t)(g(t) - g(s))/(t - s),
     and at theta <= s at most the same line anchored at s; with intervals
     for g the line is raised by taking hi at its anchor and lo at the other
@@ -445,12 +436,11 @@ def _vertex(points: list[tuple[Fraction, OutwardInterval | None]]) -> Fraction |
     """The vertex of the parabola through the probe with the highest lower
     end and its finite neighbours, by their lower ends; None where the best
     probe has no neighbour on a side or the three lie on a line."""
-    finite = [(theta, value) for theta, value in points if value is not None]
-    best = _first_highest_lower_end([value for _, value in finite])
-    i = next(i for i, (_, value) in enumerate(finite) if value is best)
+    finite = [(theta, value.lo) for theta, value in points if value is not None]
+    i = max(range(len(finite)), key=lambda i: finite[i][1])
     if not 0 < i < len(finite) - 1:
         return None
-    (a, fa), (b, fb), (c, fc) = ((theta, value.lo) for theta, value in finite[i - 1:i + 2])
+    (a, fa), (b, fb), (c, fc) = finite[i - 1:i + 2]
     p, q = (b - a) * (fb - fc), (c - b) * (fb - fa)  # both >= 0, fb being highest
     if p + q == 0:
         return None

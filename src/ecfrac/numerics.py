@@ -274,15 +274,6 @@ def _as_interval(x, prec: int) -> OutwardInterval:
     return OutwardInterval.from_value(x, prec)
 
 
-def _first_highest_lower_end(values):
-    """The first of a nonempty sequence of intervals whose lower end is largest."""
-    best = values[0]
-    for value in values[1:]:
-        if libmp.mpf_lt(best._mpi[0], value._mpi[0]):
-            best = value
-    return best
-
-
 def _lower_end_gap(a: OutwardInterval, b: OutwardInterval) -> float:
     """a.lo - b.lo rounded to 53 bits, as a float: its sign is exact, and
     it stays accurate where the two ends agree in more than 53 bits."""

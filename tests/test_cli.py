@@ -330,14 +330,29 @@ def test_rate_rejects_digit_parameter_of_other_kinds(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--task", "lln", "--seed", "1", "--trials", "10", "--n", "3", "--bits", "2"],
      "no trial certified"),
-    (["--task", "event", "--seed", "1", "--trials", "10", "--n", "2",
-      "--event", "b5>=2"], "no trial certified"),
+    (["--task", "event", "--seed", "1", "--trials", "10", "--n", "2", "--bits", "2",
+      "--event", "b2>=2"], "no trial certified"),
     (["--task", "ldp", "--seed", "1", "--trials", "3", "--n", "3", "--eps", "2",
       "--tail", "upper", "--n-list", "2,3"], "need at least two n with hits"),
-], ids=["lln-bits", "event-beyond-depth", "ldp-without-hits"])
+], ids=["lln-bits", "event-bits", "ldp-without-hits"])
 def test_mc_limit_exit_3(capsys, argv, message):
     code, out, err = run(capsys, "mc", *argv)
     assert code == 3 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["growth", "--theta", "1/2", "--n-list", ","], "not a comma-separated integer list"),
+    (["mdp", "--lambda", "1", "--n-list", ","], "not a comma-separated integer list"),
+    (["mc", "--task", "ldp", "--seed", "1", "--trials", "5", "--n", "3", "--eps", "1/2",
+      "--n-list", ","], "not a comma-separated integer list"),
+    # A certified prefix holds at most --n digits, so no --bits decides b3.
+    (["mc", "--task", "event", "--seed", "1", "--trials", "5", "--n", "2",
+      "--event", "b3>=1"], "digit position 3 exceeds the sampled depth --n 2"),
+], ids=["growth-empty-n-list", "mdp-empty-n-list", "ldp-empty-n-list", "event-beyond-depth"])
+def test_usage_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
     assert message in err
 
 

@@ -1,5 +1,6 @@
 """Pressure, rate functions, Legendre transform, growth and MDP tables."""
 
+import hashlib
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -376,7 +377,8 @@ def test_legendre_bounds_each_probe_at_its_own_point(monkeypatch):
     # The search ties and stops on the flat stretch of (-50, 1/2), which
     # contains 0.  Every probe the concavity bound reads must sit where it
     # was taken: a probe inside the bracket must not be read at theta = 0,
-    # where the objective is 0, not 2 log phi.
+    # where the objective is 0, not 2 log phi.  The bound reads numerators
+    # over one denominator; the left bracket end, -50, is always the first.
     read = []
 
     def spy(points, k):
@@ -392,7 +394,9 @@ def test_legendre_bounds_each_probe_at_its_own_point(monkeypatch):
     assert any(theta.width == 0 and -50 < theta.lo < -2 for theta in calls[2:])
     assert read
     for points in read:
-        for theta, value in points:
+        unit = Fraction(-50) / points[0][0]
+        for n, value in points:
+            theta = n * unit
             want = -theta - pressure(theta).value
             assert (value.lo, value.hi) == (want.lo, want.hi), theta
 
@@ -422,16 +426,25 @@ def test_legendre_pressure_calls_are_pinned():
     assert len(calls) == 8
 
 
+# SHA-256 of the exact (lo, hi) of every enclosure below, the 200 Lambda
+# transforms and then the 25 J transforms, recorded when the bound after the
+# search read Fraction-keyed probes: a change to the transform that is not
+# meant to move any enclosure must leave it as it is.
+_GRIDS_DIGEST = "3120eb5f3293f22612a4ffd50a12185f88db3b64cabd06d13d6cc70d1c706b2d"
+
+
 def test_legendre_on_criterion_9_grids():
     # Every transform of criterion 9's 200-point grid overlaps I(x) and is
     # under 1e-16 wide (before the parabolic search the widest was 9.5e-17),
     # and the two grids' call counts have a ceiling: the golden-section
     # search made 11,400 and 1,628.
     eye = RateFunctionId("I")
+    ends = []
     pressure_fn, calls = _counted(pressure)
     for i in range(200):
         x = Fraction(-99, 100) + i * Fraction(599, 100) / 199
         enc = legendre_numeric(pressure_fn, x).value
+        ends.append((enc.lo, enc.hi))
         assert enc.overlaps(rate(eye, x, 400).value), x
         assert enc.width < Fraction(1, 10**16), x
     assert len(calls) <= 6000
@@ -440,8 +453,10 @@ def test_legendre_on_criterion_9_grids():
         x = Fraction(-3) + i * Fraction(6, 24)
         enc = legendre_numeric(pressure_fn, x, bracket=(Fraction(-10), Fraction(10)),
                                target_width=Fraction(1, 10**10)).value
+        ends.append((enc.lo, enc.hi))
         assert enc.contains(x * x / 2), x
     assert len(calls) <= 300
+    assert hashlib.sha256(repr(ends).encode()).hexdigest() == _GRIDS_DIGEST
 
 
 def test_legendre_rejects_a_nonpositive_target_width():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from mpmath import libmp
 from mpmath.ctx_iv import MPIntervalContext
 
-from ecfrac.numerics import (ExtendedReal, OutwardInterval, _first_highest_lower_end,
-                             interval_exp, interval_log, interval_pow, interval_sqrt)
+from ecfrac.numerics import (ExtendedReal, OutwardInterval, interval_exp, interval_log,
+                             interval_pow, interval_sqrt)
 
 getcontext().prec = 60
 
@@ -132,14 +132,6 @@ def test_hull_covers_both():
     b = OutwardInterval.from_value(Fraction(2, 3))
     h = a.hull(b)
     assert h.contains(Fraction(1, 3)) and h.contains(Fraction(2, 3))
-
-
-def test_first_highest_lower_end_keeps_the_first_of_a_tie():
-    wide = OutwardInterval.from_endpoints(0, 5)
-    first = OutwardInterval.from_endpoints(1, 2)
-    second = OutwardInterval.from_endpoints(1, 3)
-    assert _first_highest_lower_end([wide, first, second]) is first
-    assert _first_highest_lower_end([second, first]) is second
 
 
 def test_division_by_zero_straddle_rejected():
