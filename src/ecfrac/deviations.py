@@ -33,6 +33,10 @@ from .numerics import (
     OutwardInterval,
     _as_interval,
     _lower_end_gap,
+    _lower_end_key,
+    _ratio_interval,
+    _scaled_ends,
+    _up_to,
     interval_exp,
     interval_log,
     interval_pow,
@@ -256,7 +260,7 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
     A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
 
     def objective(n) -> OutwardInterval | None:  # at the probe theta = n/D
-        return g(OutwardInterval.from_value(Fraction(n, D), prec))
+        return g(_ratio_interval(n, n, D, prec))
 
     table, A, B = _parabolic_search(objective, A, B, target.numerator * D // target.denominator)
 
@@ -275,21 +279,21 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
     while (k := max(bounds, key=lambda k: math.inf if bounds[k] is None else bounds[k])) \
             not in evaluated:
         evaluated.add(k)
-        lo, hi = Fraction(ends[k], D), Fraction(ends[k + 1], D)
-        over = g(OutwardInterval.from_endpoints(lo, hi, prec))
-        if over is not None and (bounds[k] is None or over.hi < bounds[k]):
-            bounds[k] = over.hi
+        over = g(_ratio_interval(ends[k], ends[k + 1], D, prec))
+        hi = None if over is None else over.hi
+        if hi is not None and (bounds[k] is None or hi < bounds[k]):
+            bounds[k] = hi
         elif bounds[k] is None:
             raise ValueError(
-                f"the pressure is infinite on [{float(lo)}, {float(hi)}] "
+                f"the pressure is infinite on [{float(ends[k] / D)}, {float(ends[k + 1] / D)}] "
                 "with fewer than two finite cut points left of it; "
                 "keep the bracket inside the pressure's finite domain")
     upper = max(bounds.values())
     secants = [bound for bound in gaps.values() if bound[0] is not None]
     if secants and (peak := max(secants, key=itemgetter(0))[1]) is not None:
         table[peak] = objective(peak)  # strictly inside a gap, so not yet probed
-    best = max((value for value in table.values() if value is not None), key=lambda v: v.lo)
-    return ExtendedReal.finite(OutwardInterval.from_endpoints(best.lo, upper, prec))
+    best = max((value for value in table.values() if value is not None), key=_lower_end_key)
+    return ExtendedReal.finite(_up_to(best, upper, prec))
 
 
 _GOLDEN = round((3 - math.sqrt(5)) / 2 * 2**53)  # the shorter golden section of 2^53
@@ -404,47 +408,65 @@ def _secant_bound(points: list[tuple[Fraction, OutwardInterval | None]],
     for g the line is raised by taking hi at its anchor and lo at the other
     probe.  Returns the bound and, where it is reached strictly inside the
     gap, the point where it is reached; the bound is None where neither
-    secant exists.
+    secant exists.  The arithmetic is on integers, the thetas over their
+    common denominator and the ends of g over one power of two; only the
+    two results are made Fractions.
     """
     def point(i):
         return points[i] if 0 <= i < len(points) else (None, None)
 
     (s, gs), (l, gl), (r, gr), (u, gu) = (point(i) for i in range(k - 1, k + 3))
-    lines = []  # (anchor, value at the anchor, slope)
+    common = math.lcm(*(t.denominator for t in (s, l, r, u) if t is not None))
+    s, l, r, u = (None if t is None else t.numerator * (common // t.denominator)
+                  for t in (s, l, r, u))
+    (fs, fl, fr, fu), e = _scaled_ends([gs, gl, gr, gu])
+    lines = []  # (anchor, value at the anchor, rise, run): the slope is rise/run, run > 0
     if gs is not None:  # the secant through s and l, extended rightward
-        lines.append((l, gl.hi, (gl.hi - gs.lo) / (l - s)))
+        lines.append((l, fl[1], fl[1] - fs[0], l - s))
     if gr is not None and gu is not None:  # through r and u, extended leftward
-        lines.append((r, gr.hi, (gu.lo - gr.hi) / (u - r)))
+        lines.append((r, fr[1], fu[0] - fr[1], u - r))
     if not lines:
         return None, None
 
-    def at(line, t):
-        anchor, height, slope = line
-        return height + (t - anchor) * slope
+    def at(line, t):  # run times the line's value at t
+        anchor, height, rise, run = line
+        return height * run + (t - anchor) * rise
+
+    def exact(num, den):  # num/den times 2^e
+        return Fraction(num << e, den) if e >= 0 else Fraction(num, den << -e)
 
     if len(lines) == 1:
-        return max(at(lines[0], l), at(lines[0], r)), None
+        return exact(max(at(lines[0], l), at(lines[0], r)), lines[0][3]), None
     left, right = lines
-    dl, dr = at(left, l) - at(right, l), at(left, r) - at(right, r)
-    if dl * dr < 0:  # the lines cross inside the gap, where the smaller one peaks
-        cross = l + (r - l) * dl / (dl - dr)
-        return at(left, cross), cross
-    return max(min(at(left, l), at(right, l)), min(at(left, r), at(right, r))), None
+    # Both lines at l and at r, over the product of their runs.
+    ll, rl = at(left, l) * right[3], at(right, l) * left[3]
+    lr, rr = at(left, r) * right[3], at(right, r) * left[3]
+    dl, dr = ll - rl, lr - rr
+    if dl < 0 < dr or dr < 0 < dl:  # the lines cross inside the gap, where the smaller one peaks
+        _, height, rise, run = left
+        apart = dl - dr
+        return (exact(height * run * apart + (r - l) * dl * rise, run * apart),
+                Fraction(r * dl - l * dr, apart * common))
+    return exact(max(min(ll, rl), min(lr, rr)), left[3] * right[3]), None
 
 
 def _vertex(points: list[tuple[Fraction, OutwardInterval | None]]) -> Fraction | None:
     """The vertex of the parabola through the probe with the highest lower
     end and its finite neighbours, by their lower ends; None where the best
-    probe has no neighbour on a side or the three lie on a line."""
-    finite = [(theta, value.lo) for theta, value in points if value is not None]
-    i = max(range(len(finite)), key=lambda i: finite[i][1])
+    probe has no neighbour on a side or the three lie on a line.  It is
+    computed on integers, as _secant_bound is."""
+    finite = [(theta, value) for theta, value in points if value is not None]
+    i = max(range(len(finite)), key=lambda i: _lower_end_key(finite[i][1]))
     if not 0 < i < len(finite) - 1:
         return None
-    (a, fa), (b, fb), (c, fc) = finite[i - 1:i + 2]
+    trio = finite[i - 1:i + 2]
+    common = math.lcm(*(theta.denominator for theta, _ in trio))
+    a, b, c = (theta.numerator * (common // theta.denominator) for theta, _ in trio)
+    ((fa, _), (fb, _), (fc, _)), _ = _scaled_ends([value for _, value in trio])
     p, q = (b - a) * (fb - fc), (c - b) * (fb - fa)  # both >= 0, fb being highest
     if p + q == 0:
         return None
-    return b - ((b - a) * p - (c - b) * q) / (2 * (p + q))
+    return Fraction(2 * b * (p + q) - (b - a) * p + (c - b) * q, 2 * (p + q) * common)
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +549,8 @@ def mdp_curve(lam: Fraction, n_list: Sequence[int], p: Fraction = Fraction(3, 4)
     p = Fraction(p)
     if not Fraction(1, 2) < p < 1:
         raise ValueError(f"mdp_curve needs p in (1/2, 1), got {p}")
+    if min(n_list, default=1) < 1:
+        raise ValueError(f"mdp_curve needs n >= 1, got {min(n_list)}")
     rows = []
     for n in n_list:
         a_iv = interval_pow(n, p, prec)

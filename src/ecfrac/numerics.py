@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Union
 
 from mpmath import libmp
@@ -245,7 +246,7 @@ class OutwardInterval:
         return f"OutwardInterval[{libmp.to_float(lo)}, {libmp.to_float(hi)}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtendedReal:
     """A finite enclosed value or +infinity (rate functions need no -inf)."""
 
@@ -278,6 +279,42 @@ def _lower_end_gap(a: OutwardInterval, b: OutwardInterval) -> float:
     """a.lo - b.lo rounded to 53 bits, as a float: its sign is exact, and
     it stays accurate where the two ends agree in more than 53 bits."""
     return libmp.to_float(libmp.mpf_sub(a._mpi[0], b._mpi[0], 53))
+
+
+_mpf_key = cmp_to_key(libmp.mpf_cmp)
+
+
+def _lower_end_key(v: OutwardInterval):
+    """A key that orders intervals by their exact lower ends, as mpf tuples."""
+    return _mpf_key(v._mpi[0])
+
+
+def _scaled_ends(intervals) -> tuple[list[tuple[int, int] | None], int]:
+    """The exact ends of each interval as integers times 2^e, for one e, with
+    None kept in place and no Fraction made: ([(lo, hi), ...], e)."""
+    ends = [t for v in intervals if v is not None for t in v._mpi]
+    if any(bc < 0 for _, _, _, bc in ends):  # an infinity or nan, whose mantissa is 0
+        raise ValueError("interval endpoint is not finite")
+    e = min(exp for _, _, exp, _ in ends)
+    ints = iter([(-man if sign else man) << (exp - e) for sign, man, exp, _ in ends])
+    return [None if v is None else (next(ints), next(ints)) for v in intervals], e
+
+
+def _ratio_interval(lo: RationalLike, hi: RationalLike, unit: int, prec: int) -> OutwardInterval:
+    """from_endpoints(lo/unit, hi/unit, prec) for lo <= hi, rounded from the
+    numerators and denominators with no Fraction made."""
+    return OutwardInterval((
+        libmp.from_rational(lo.numerator, lo.denominator * unit, prec, libmp.round_floor),
+        libmp.from_rational(hi.numerator, hi.denominator * unit, prec, libmp.round_ceiling)), prec)
+
+
+def _up_to(v: OutwardInterval, hi: Fraction, prec: int) -> OutwardInterval:
+    """from_endpoints(v.lo, hi, prec), read from v's lower end as an mpf."""
+    lo = libmp.mpf_pos(v._mpi[0], prec, libmp.round_floor)
+    up = libmp.from_rational(hi.numerator, hi.denominator, prec, libmp.round_ceiling)
+    if libmp.mpf_lt(up, lo):
+        raise ValueError(f"interval endpoints out of order: {v.lo} > {hi}")
+    return OutwardInterval((lo, up), prec)
 
 
 def _kernel(kernel, v: OutwardInterval) -> OutwardInterval:

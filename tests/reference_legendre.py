@@ -1,11 +1,16 @@
-"""Fraction-domain Legendre transform: the test oracle for legendre_numeric.
+"""Fraction-domain Legendre transform: the test oracles for legendre_numeric.
 
-This is an earlier search: asymmetric ternary cuts at 3/8 and 2/3 of a
-Fraction bracket, decided on Fraction endpoints, and an upper bound from
-32 interval slices of the final bracket.  It is the oracle for containment
-and width, not for bit-identity: on brackets inside the pressure's finite
-domain, legendre_numeric's enclosure must overlap this one and be no wider,
-up to 1e-20, after fewer pressure calls.
+reference_legendre_numeric is an earlier search: asymmetric ternary cuts at
+3/8 and 2/3 of a Fraction bracket, decided on Fraction endpoints, and an
+upper bound from 32 interval slices of the final bracket.  It is the oracle
+for containment and width, not for bit-identity: on brackets inside the
+pressure's finite domain, legendre_numeric's enclosure must overlap this one
+and be no wider, up to 1e-20, after fewer pressure calls.
+
+reference_secant_bound and reference_vertex are the concavity bound and the
+vertex of legendre_numeric in exact Fractions, the endpoints read as
+Fractions; deviations._secant_bound and deviations._vertex compute them on
+scaled integers and must return equal Fractions.
 """
 
 from fractions import Fraction
@@ -86,3 +91,45 @@ def reference_legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
         # certified point values alone.
         return ExtendedReal.finite(best)
     return ExtendedReal.finite(OutwardInterval.from_endpoints(best.lo, hi, prec))
+
+
+def reference_secant_bound(points: list[tuple[Fraction, OutwardInterval | None]],
+                           k: int) -> tuple[Fraction | None, Fraction | None]:
+    """The bound of deviations._secant_bound, in Fractions."""
+    def point(i):
+        return points[i] if 0 <= i < len(points) else (None, None)
+
+    (s, gs), (l, gl), (r, gr), (u, gu) = (point(i) for i in range(k - 1, k + 3))
+    lines = []  # (anchor, value at the anchor, slope)
+    if gs is not None:  # the secant through s and l, extended rightward
+        lines.append((l, gl.hi, (gl.hi - gs.lo) / (l - s)))
+    if gr is not None and gu is not None:  # through r and u, extended leftward
+        lines.append((r, gr.hi, (gu.lo - gr.hi) / (u - r)))
+    if not lines:
+        return None, None
+
+    def at(line, t):
+        anchor, height, slope = line
+        return height + (t - anchor) * slope
+
+    if len(lines) == 1:
+        return max(at(lines[0], l), at(lines[0], r)), None
+    left, right = lines
+    dl, dr = at(left, l) - at(right, l), at(left, r) - at(right, r)
+    if dl * dr < 0:  # the lines cross inside the gap, where the smaller one peaks
+        cross = l + (r - l) * dl / (dl - dr)
+        return at(left, cross), cross
+    return max(min(at(left, l), at(right, l)), min(at(left, r), at(right, r))), None
+
+
+def reference_vertex(points: list[tuple[Fraction, OutwardInterval | None]]) -> Fraction | None:
+    """The vertex of deviations._vertex, in Fractions."""
+    finite = [(theta, value.lo) for theta, value in points if value is not None]
+    i = max(range(len(finite)), key=lambda i: finite[i][1])
+    if not 0 < i < len(finite) - 1:
+        return None
+    (a, fa), (b, fb), (c, fc) = finite[i - 1:i + 2]
+    p, q = (b - a) * (fb - fc), (c - b) * (fb - fa)  # both >= 0, fb being highest
+    if p + q == 0:
+        return None
+    return b - ((b - a) * p - (c - b) * q) / (2 * (p + q))

@@ -349,7 +349,10 @@ def test_mc_limit_exit_3(capsys, argv, message):
     # A certified prefix holds at most --n digits, so no --bits decides b3.
     (["mc", "--task", "event", "--seed", "1", "--trials", "5", "--n", "2",
       "--event", "b3>=1"], "digit position 3 exceeds the sampled depth --n 2"),
-], ids=["growth-empty-n-list", "mdp-empty-n-list", "ldp-empty-n-list", "event-beyond-depth"])
+    # Refused before any moment DP runs, naming n, not inside interval_pow.
+    (["mdp", "--lambda", "1", "--n-list", "4,0"], "mdp_curve needs n >= 1, got 0"),
+], ids=["growth-empty-n-list", "mdp-empty-n-list", "ldp-empty-n-list", "event-beyond-depth",
+        "mdp-n-below-one"])
 def test_usage_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecfrac import deviations, measure
+from mpmath import libmp
+
+from ecfrac import deviations, measure, numerics
 from ecfrac.deviations import (GoldenConstants, RateFunctionId,
                                exponential_bound_check, legendre_numeric, mdp_curve,
                                moment_growth_rate, moment_limit, pressure, rate, xi_b)
 from ecfrac.measure import moment_interval
 from ecfrac.numerics import OutwardInterval, interval_exp, interval_log
-from reference_legendre import reference_legendre_numeric
+from reference_legendre import (reference_legendre_numeric, reference_secant_bound,
+                                reference_vertex)
 
 getcontext().prec = 50
 
@@ -426,6 +429,99 @@ def test_legendre_pressure_calls_are_pinned():
     assert len(calls) == 8
 
 
+def test_legendre_fractions_from_endpoints_are_pinned(monkeypatch):
+    # The bound after the search reads the probes' ends as integers and mpf
+    # tuples; only the evaluated gap's upper end becomes a Fraction.  A change
+    # that goes back to a Fraction per probe (62 and 31 before) fails here.
+    made = []
+    to_fraction = numerics._mpf_tuple_to_fraction
+
+    def counting(t):
+        made.append(t)
+        return to_fraction(t)
+
+    monkeypatch.setattr(numerics, "_mpf_tuple_to_fraction", counting)
+    legendre_numeric(pressure, Fraction(1))
+    assert len(made) == 1
+    made.clear()
+    legendre_numeric(_j_pressure, Fraction(1), bracket=(Fraction(-10), Fraction(10)),
+                     target_width=Fraction(1, 10**10))
+    assert len(made) == 1
+
+
+def _point(lo: Fraction, hi: Fraction | None = None) -> OutwardInterval:
+    return OutwardInterval.from_endpoints(lo, lo if hi is None else hi)
+
+
+# Hand-made tables for each case of the concavity bound: one secant (the
+# right one needs a finite probe right of the gap), two that cross inside the
+# gap, and two that do not, with Fraction thetas as the vertex and peak
+# probes have.
+_ONE_LINE = ([(0, _point(0)), (1, _point(1)), (2, None)], 1)
+_CROSSING = ([(0, _point(Fraction(-9, 4))), (Fraction(1, 3), _point(Fraction(-1, 4), 0)),
+              (2, _point(Fraction(-1, 4))), (Fraction(7, 2), _point(Fraction(-9, 4)))], 1)
+_APART = ([(0, _point(0)), (1, _point(0)), (Fraction(5, 2), _point(5)), (3, _point(4))], 1)
+
+
+@st.composite
+def probe_tables(draw):
+    # Sorted distinct thetas, ints and Fractions; each value an interval
+    # whose ends are dyadics with exponents up to 800 apart, some of them
+    # small or zero so that lower ends tie, or else the values of a concave
+    # parabola times a power of two, where the secants cross; and up to two
+    # None entries at the right end, where the pressure is infinite.
+    thetas = sorted(draw(st.lists(
+        st.one_of(st.integers(-10**6, 10**6),
+                  st.fractions(-1000, 1000, max_denominator=10**4)),
+        min_size=3, max_size=8, unique=True)))
+    mantissas = st.one_of(st.integers(-4, 4), st.integers(-2**130, 2**130))
+    exponents = st.integers(-400, 400)
+    peak, scale = draw(st.fractions(-1000, 1000)), draw(exponents)
+    concave = draw(st.booleans())
+    values = []
+    for theta in thetas:
+        if concave:
+            height = -(theta - peak) ** 2
+            lo = libmp.mpf_shift(libmp.from_rational(height.numerator, height.denominator, 128,
+                                                     libmp.round_floor), scale)
+        else:
+            lo = libmp.from_man_exp(draw(mantissas), draw(exponents))
+        rise = libmp.from_man_exp(abs(draw(mantissas)), draw(exponents))
+        values.append(OutwardInterval((lo, libmp.mpf_add(lo, rise)), 128))  # exact sum
+    cut = len(thetas) - draw(st.integers(0, min(2, len(thetas) - 1)))
+    points = [(theta, value if i < cut else None) for i, (theta, value) in
+              enumerate(zip(thetas, values))]
+    # Mostly an inner gap, where both secants may exist; else any gap whose
+    # left probe is finite.
+    gaps = st.integers(0, cut - 1)
+    k = draw(st.one_of(st.integers(1, cut - 3), gaps) if cut >= 4 else gaps)
+    return points, min(k, len(points) - 2)
+
+
+@given(table=probe_tables())
+@example(table=_ONE_LINE)
+@example(table=_CROSSING)
+@example(table=_APART)
+@settings(max_examples=300, deadline=None)
+def test_integer_bound_matches_fraction_reference(table):
+    points, k = table
+    got, want = deviations._secant_bound(points, k), reference_secant_bound(points, k)
+    assert got == want
+    assert all(value is None or type(value) is Fraction for value in got)
+    vertex = deviations._vertex(points)
+    assert vertex == reference_vertex(points)
+    assert vertex is None or type(vertex) is Fraction
+
+
+def test_bound_examples_cover_each_case():
+    # One secant gives no crossing point; two give one only where they cross.
+    assert reference_secant_bound(*_ONE_LINE)[1] is None
+    assert reference_secant_bound(*_CROSSING)[1] is not None
+    assert reference_secant_bound(*_APART) == (Fraction(0), None)
+    # 27/4 (t - 1/3) = -1/4 - 4/3 (t - 2) at t = 56/97.
+    assert deviations._secant_bound(*_CROSSING) == (Fraction(639, 388), Fraction(56, 97))
+
+
 # SHA-256 of the exact (lo, hi) of every enclosure below, the 200 Lambda
 # transforms and then the 25 J transforms, recorded when the bound after the
 # search read Fraction-keyed probes: a change to the transform that is not
@@ -561,6 +657,15 @@ def test_mdp_runs_one_moment_dp_per_feasible_row(monkeypatch):
     runs.clear()
     assert measure._moment_intervals(3, (Fraction(0), Fraction(1)), 20, 128) == [
         moment_interval(3, Fraction(0)), moment_interval(3, Fraction(1))]
+    assert runs == []
+
+
+def test_mdp_validates_n(monkeypatch):
+    # A row n < 1 is refused by name before any moment DP runs.
+    runs = []
+    monkeypatch.setattr(measure, "_propagate", lambda *args: runs.append(args))
+    with pytest.raises(ValueError, match="mdp_curve needs n >= 1, got 0"):
+        mdp_curve(Fraction(1), [4, 0])
     assert runs == []
 
 

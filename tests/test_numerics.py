@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from mpmath import libmp
 from mpmath.ctx_iv import MPIntervalContext
 
-from ecfrac.numerics import (ExtendedReal, OutwardInterval, interval_exp, interval_log,
-                             interval_pow, interval_sqrt)
+from ecfrac.numerics import (ExtendedReal, OutwardInterval, _scaled_ends, interval_exp,
+                             interval_log, interval_pow, interval_sqrt)
 
 getcontext().prec = 60
 
@@ -167,6 +167,31 @@ def test_extended_real_ordering():
     inf = ExtendedReal.infinity()
     fin = ExtendedReal.finite(OutwardInterval.from_value(Fraction(3)))
     assert inf.is_infinite and not fin.is_infinite
+
+
+def test_extended_real_has_slots_and_stays_frozen():
+    # A slotted instance holds no per-instance dict; every rate and Legendre
+    # result is one of these.
+    fin = ExtendedReal.finite(OutwardInterval.from_value(Fraction(3)))
+    assert not hasattr(fin, "__dict__")
+    with pytest.raises(AttributeError):
+        fin.value = None
+    assert fin == ExtendedReal.finite(fin.value) and hash(fin) == hash(ExtendedReal(fin.value))
+    assert repr(ExtendedReal.infinity()) == "ExtendedReal(+inf)"
+
+
+def test_scaled_ends_are_exact_and_refuse_infinities():
+    # Ends 2^800 apart share one exponent; an infinite end, whose mpf
+    # mantissa is 0, must not be read as 0.
+    ivs = [OutwardInterval.from_endpoints(Fraction(-3, 2**400), Fraction(5) * 2**400), None,
+           OutwardInterval.from_value(0)]
+    pairs, e = _scaled_ends(ivs)
+    assert pairs[1] is None
+    assert [Fraction(n) * Fraction(2) ** e for n in pairs[0] + pairs[2]] == [
+        ivs[0].lo, ivs[0].hi, 0, 0]
+    for end in (libmp.finf, libmp.fninf, libmp.fnan):
+        with pytest.raises(ValueError, match="not finite"):
+            _scaled_ends([OutwardInterval((libmp.fzero, end), 128)])
 
 
 def test_with_precision_still_encloses():
