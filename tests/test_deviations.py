@@ -431,8 +431,8 @@ def test_legendre_pressure_calls_are_pinned():
 
 def test_legendre_fractions_from_endpoints_are_pinned(monkeypatch):
     # The bound after the search reads the probes' ends as integers and mpf
-    # tuples; only the evaluated gap's upper end becomes a Fraction.  A change
-    # that goes back to a Fraction per probe (62 and 31 before) fails here.
+    # tuples; only the evaluated gap's upper end becomes a Fraction.  Reading
+    # every probe's ends as Fractions made 62 and 31 here, and fails.
     made = []
     to_fraction = numerics._mpf_tuple_to_fraction
 
