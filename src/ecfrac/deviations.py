@@ -502,8 +502,13 @@ def moment_growth_rate(theta: Fraction, n_list: Sequence[int], cap_schedule: int
     """Rows (1/n) log E(b_n^theta) against the closed-form limit.
 
     Every row runs the moment DP at the same digit cap, cap_schedule.
+    Every n and the cap are checked before any DP runs.
     """
     theta = Fraction(theta)
+    if min(n_list, default=1) < 1:
+        raise ValueError(f"moment_growth_rate needs n >= 1, got {min(n_list)}")
+    if cap_schedule < 1:
+        raise ValueError(f"moment_growth_rate needs cap_schedule >= 1, got {cap_schedule}")
     rows = []
     for n in n_list:
         enc = moment_interval(n, theta, cap=cap_schedule, prec=prec)
@@ -551,6 +556,8 @@ def mdp_curve(lam: Fraction, n_list: Sequence[int], p: Fraction = Fraction(3, 4)
         raise ValueError(f"mdp_curve needs p in (1/2, 1), got {p}")
     if min(n_list, default=1) < 1:
         raise ValueError(f"mdp_curve needs n >= 1, got {min(n_list)}")
+    if cap < 1:
+        raise ValueError(f"mdp_curve needs cap >= 1, got {cap}")
     rows = []
     for n in n_list:
         a_iv = interval_pow(n, p, prec)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence, Union
 
 from .expansion import continuants, is_admissible
@@ -31,6 +32,8 @@ from .numerics import (
     DEFAULT_PRECISION_BITS,
     ExtendedReal,
     OutwardInterval,
+    _dyadic_interval,
+    _scaled_ends,
     interval_pow,
     interval_sqrt,
 )
@@ -166,10 +169,11 @@ def _propagate(n: int, cap: int, prec: int):
     """The marginal/moment DP over (depth, last digit <= cap) in fixed point.
 
     Runs at bits = _dp_bits(n, cap, prec) and returns (mass_lo, mass_up,
-    exit_lo, exit_up), all dyadic Fractions m / 2^bits: index j-1 of the
-    mass lists bounds P(b_n = j, b_1..b_n <= cap) from below and above, and
-    entry d-1 of the exit lists is the exact sum over j of mass_lo[j] * j,
-    resp. mass_up[j] * (j+1), at depth d < n.
+    exit_lo, exit_up, bits), whose lists hold integers, each the numerator
+    of a dyadic m / 2^bits: index j-1 of the mass lists bounds
+    P(b_n = j, b_1..b_n <= cap) from below and above, and entry d-1 of the
+    exit lists is the exact sum over j of mass_lo[j] * j, resp.
+    mass_up[j] * (j+1), at depth d < n.  No Fraction is made.
 
     A step uses the exact conditional Phi = (j+z)/((k+z)(k+1+z)), where
     z = b_d Q_{d-1}/Q_d satisfies z_1 = 1 and z' = k/(k+z), carried as a
@@ -178,9 +182,16 @@ def _propagate(n: int, cap: int, prec: int):
     down (floor division), upper masses and z_hi up (ceiling division), so
     every entry stays a bound; the all-ones state keeps a 1-ulp z interval,
     which is what lets the Fibonacci decay of the digit-1 mass survive.
+    A step runs source by source: a source's two numerators are formed
+    once, and u = k + z steps up by one unit per target k, so its two
+    denominators u(u+1) step up by 2(u+1) with no multiplication.  Every
+    entry is a sum of floored integers, so the order of summation does not
+    change it.
     """
     bits = _dp_bits(n, cap, prec)
     one = 1 << bits
+    step = bits + 1
+    top = (cap + 1) * one
     mass_lo = [one // (k * (k + 1)) for k in range(1, cap + 1)]
     mass_up = [-(-one // (k * (k + 1))) for k in range(1, cap + 1)]
     z_lo = [one] * cap
@@ -190,32 +201,32 @@ def _propagate(n: int, cap: int, prec: int):
     for _ in range(n - 1):
         exit_lo.append(sum(m * j for j, m in enumerate(mass_lo, 1)))
         exit_up.append(sum(m * (j + 1) for j, m in enumerate(mass_up, 1)))
-        # Per source state: mass times the Phi numerator, shifted so that
-        # dividing by a Phi denominator (over one^2) leaves a mass over one.
-        num_lo = [(m * (j * one + a)) << bits
-                  for j, (m, a) in enumerate(zip(mass_lo, z_lo), 1)]
-        num_up = [(m * (j * one + b)) << bits
-                  for j, (m, b) in enumerate(zip(mass_up, z_hi), 1)]
-        new_lo, new_up, new_z_lo, new_z_hi = [], [], [], []
-        zmin, zmax = one, 0
-        for k in range(1, cap + 1):
-            zmin = min(zmin, z_lo[k - 1])
-            zmax = max(zmax, z_hi[k - 1])
-            k0 = k * one
-            k1 = k0 + one
-            acc_lo = acc_up = 0
-            for j in range(k):
-                b = z_hi[j]
-                acc_lo += num_lo[j] // ((k0 + b) * (k1 + b))
-                a = z_lo[j]
-                acc_up -= -num_up[j] // ((k0 + a) * (k1 + a))
-            new_lo.append(acc_lo)
-            new_up.append(acc_up)
-            new_z_lo.append((k0 << bits) // (k0 + zmax))
-            new_z_hi.append(-(-(k0 << bits) // (k0 + zmin)))
-        mass_lo, mass_up, z_lo, z_hi = new_lo, new_up, new_z_lo, new_z_hi
-    return tuple([Fraction(m, one) for m in masses]
-                 for masses in (mass_lo, mass_up, exit_lo, exit_up))
+        new_lo = [0] * cap
+        new_up = [0] * cap
+        for j, (m_lo, m_up, a, b) in enumerate(zip(mass_lo, mass_up, z_lo, z_hi), 1):
+            # Mass times the Phi numerator, shifted so that dividing by a
+            # Phi denominator (over one^2) leaves a mass over one; the upper
+            # numerator is negated, so that floor division rounds it up.
+            num_lo = (m_lo * (j * one + a)) << bits
+            neg_up = -((m_up * (j * one + b)) << bits)
+            u_lo = j * one + b
+            u_up = j * one + a
+            d_lo = u_lo * (u_lo + one)
+            d_up = u_up * (u_up + one)
+            for k in range(j - 1, cap):
+                new_lo[k] += num_lo // d_lo
+                new_up[k] -= neg_up // d_up
+                # u(u+1) -> (u+1)(u+2) adds 2(u+1)
+                u_lo += one
+                u_up += one
+                d_lo += u_lo << step
+                d_up += u_up << step
+        targets = range(one, top, one)
+        z_lo, z_hi = (
+            [(k0 << bits) // (k0 + zmax) for k0, zmax in zip(targets, accumulate(z_hi, max))],
+            [-(-(k0 << bits) // (k0 + zmin)) for k0, zmin in zip(targets, accumulate(z_lo, min))])
+        mass_lo, mass_up = new_lo, new_up
+    return mass_lo, mass_up, exit_lo, exit_up, bits
 
 
 def marginal_interval_dp(n: int, cap: int) -> MarginalTable:
@@ -230,10 +241,12 @@ def marginal_interval_dp(n: int, cap: int) -> MarginalTable:
     """
     if n < 1 or cap < 1:
         raise ValueError("marginal_interval_dp needs n >= 1 and cap >= 1")
-    lo, up, _, _ = _propagate(n, cap, DEFAULT_PRECISION_BITS)
-    entries = {k: ProbInterval(lo[k - 1], min(up[k - 1], Fraction(1)))
-               for k in range(1, cap + 1)}
-    tail = ProbInterval(max(Fraction(0), 1 - sum(up)), 1 - sum(lo))
+    lo, up, _, _, bits = _propagate(n, cap, DEFAULT_PRECISION_BITS)
+    one = 1 << bits
+    entries = {k: ProbInterval(Fraction(m_lo, one), Fraction(min(m_up, one), one))
+               for k, (m_lo, m_up) in enumerate(zip(lo, up), 1)}
+    tail = ProbInterval(max(Fraction(0), 1 - Fraction(sum(up), one)),
+                        1 - Fraction(sum(lo), one))
     return MarginalTable(n, cap, entries, tail)
 
 
@@ -309,7 +322,9 @@ def moment_interval(n: int, theta: Fraction, cap: int = 60,
         upper: (1+1/j)(1-1/j)^(theta-1)/(1-theta) at j = cap+1,
 
     with integral enclosures of sum_{k>cap} k^(theta-2) at the exit step
-    itself.  theta = 0 returns the exact point [1,1].
+    itself.  The kernel's integers are weighted exactly: the tracked sum
+    and the tail sum are each rounded outward once, at prec bits.
+    theta = 0 returns the exact point [1,1].
     """
     return _moment_intervals(n, (theta,), cap, prec)[0]
 
@@ -340,32 +355,45 @@ def _moment_intervals(n: int, thetas: Sequence[Fraction], cap: int,
 
 def _weighted_moment(n: int, theta: Fraction, cap: int, prec: int,
                      kernel) -> ProbInterval:
-    """E(b_n^theta), 0 != theta < 1, from the output of _propagate(n, cap, prec)."""
-    mass_lo, mass_up, exit_lo, exit_up = kernel
+    """E(b_n^theta), 0 != theta < 1, from the output of _propagate(n, cap, prec).
+
+    Every term is positive, so the lower end needs only the lower ends of
+    the factors and the upper end only the upper ends.  Each of the two
+    sums, tracked and tail, is formed exactly in integers over one power of
+    two and rounded outward once at prec, then the two are added exactly.
+    The tracked sum weights the masses by the ends of a j^theta table; the
+    tail sums the exit cohorts by Horner's rule in the level factor s.
+    """
+    mass_lo, mass_up, exit_lo, exit_up, bits = kernel
     m = cap + 1
     integral, sum_bound = _integral_tail(m, theta, prec)
-    # Exit-step series over k > cap: sum (j+1) k^(theta-1)/(k+1) and
-    # sum j k^(theta-1)/(k+2), per unit of j-weighted mass.
-    exit_up_per_j = sum_bound                              # times (j+1)
-    exit_lo_per_j = Fraction(m, m + 2) * integral          # times j
-    s_up = s_upper_factor(m, theta, prec)                  # per remaining level
     s_lo = OutwardInterval.from_value(Fraction(m, m + 2) / (1 - theta), prec)
 
     # Words whose very first digit already exceeds the cap:
-    # P(b_1 = j) j^theta = j^(theta-1)/(j+1) in [k^(theta-2) m/(m+1), k^(theta-2)].
-    tail_lo = Fraction(m, m + 1) * integral * s_lo ** (n - 1)
-    tail_up = sum_bound * s_up ** (n - 1)
-    for depth, (out_lo, out_up) in enumerate(zip(exit_lo, exit_up), 1):
-        remaining = n - depth - 1  # levels left after arriving beyond the cap
-        tail_lo = tail_lo + out_lo * exit_lo_per_j * s_lo ** remaining
-        tail_up = tail_up + out_up * exit_up_per_j * s_up ** remaining
+    # P(b_1 = j) j^theta = j^(theta-1)/(j+1) in [k^(theta-2) m/(m+1), k^(theta-2)];
+    # an exit at depth d carries the series over k > cap of j k^(theta-1)/(k+2)
+    # from below and (j+1) k^(theta-1)/(k+1) from above, per unit of its
+    # j-weighted mass; s bounds each remaining level's growth.
+    ((first_lo, _), (per_exit_lo, _), (level_lo, _), (_, bound_up), (_, level_up)), e = \
+        _scaled_ends([Fraction(m, m + 1) * integral, Fraction(m, m + 2) * integral, s_lo,
+                      sum_bound, s_upper_factor(m, theta, prec)])
+    # Each factor is its integer times 2^-t, with t >= 0.
+    t = max(-e, 0)
+    first_lo, per_exit_lo, level_lo, bound_up, level_up = (
+        f << (e + t) for f in (first_lo, per_exit_lo, level_lo, bound_up, level_up))
+    # Horner over the exit cohorts: after the exit at depth d = i + 1,
+    # acc * 2^-(bits + t i) is the sum over d' <= d of exit_d' s^(d - d').
+    acc_lo = acc_up = 0
+    for i, (out_lo, out_up) in enumerate(zip(exit_lo, exit_up)):
+        acc_lo = acc_lo * level_lo + (out_lo << (t * i))
+        acc_up = acc_up * level_up + (out_up << (t * i))
+    # Over 2^(bits + t n): first * s^(n-1) + per_exit * acc.
+    tail = _dyadic_interval((first_lo * level_lo ** (n - 1) << bits) + (per_exit_lo * acc_lo << t),
+                            (bound_up * level_up ** (n - 1) << bits) + (bound_up * acc_up << t),
+                            -(bits + t * n), prec)
 
-    tracked_lo = tracked_hi = OutwardInterval.from_value(0, prec)
-    for j, (m_lo, m_up) in enumerate(zip(mass_lo, mass_up), 1):
-        jpow = interval_pow(j, theta, prec)
-        tracked_lo = tracked_lo + m_lo * jpow
-        tracked_hi = tracked_hi + m_up * jpow
-
-    lo = tracked_lo.lo + tail_lo.lo
-    hi = tracked_hi.hi + tail_up.hi
-    return ProbInterval(max(Fraction(0), lo), hi)
+    jpow, e = _scaled_ends([interval_pow(j, theta, prec) for j in range(1, cap + 1)])
+    tracked = _dyadic_interval(sum(a * lo for a, (lo, _) in zip(mass_lo, jpow)),
+                               sum(a * hi for a, (_, hi) in zip(mass_up, jpow)),
+                               e - bits, prec)
+    return ProbInterval(max(Fraction(0), tracked.lo + tail.lo), tracked.hi + tail.hi)

@@ -308,6 +308,13 @@ def _ratio_interval(lo: RationalLike, hi: RationalLike, unit: int, prec: int) ->
         libmp.from_rational(hi.numerator, hi.denominator * unit, prec, libmp.round_ceiling)), prec)
 
 
+def _dyadic_interval(lo: int, hi: int, exp: int, prec: int) -> OutwardInterval:
+    """from_endpoints(lo * 2^exp, hi * 2^exp, prec) for integers lo <= hi,
+    each end rounded once, with no Fraction made."""
+    return OutwardInterval((libmp.from_man_exp(lo, exp, prec, libmp.round_floor),
+                            libmp.from_man_exp(hi, exp, prec, libmp.round_ceiling)), prec)
+
+
 def _up_to(v: OutwardInterval, hi: Fraction, prec: int) -> OutwardInterval:
     """from_endpoints(v.lo, hi, prec), read from v's lower end as an mpf."""
     lo = libmp.mpf_pos(v._mpi[0], prec, libmp.round_floor)

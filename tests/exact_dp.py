@@ -3,12 +3,15 @@
 These are the rational-arithmetic forms of the marginal and moment DPs.
 Their denominators grow with depth, so they are only fit for small (n, cap);
 the tests check that the fixed-point enclosures of ecfrac.measure contain
-theirs, and are no wider beyond fixed-point rounding.
+theirs, and are no wider beyond fixed-point rounding.  moment_oracle also
+weights the fixed-point kernel's own masses with one outward-rounded
+interval operation per term, which ecfrac.measure.moment_interval must lie
+inside.
 """
 
 from fractions import Fraction
 
-from ecfrac.measure import (MarginalTable, ProbInterval, _integral_tail,
+from ecfrac.measure import (MarginalTable, ProbInterval, _integral_tail, _propagate,
                             s_upper_factor)
 from ecfrac.numerics import OutwardInterval, default_precision, interval_pow
 
@@ -28,7 +31,8 @@ def uniform_marginal(n: int, cap: int) -> MarginalTable:
 
 def exact_propagate(n: int, cap: int):
     """The z-refined DP in exact rationals: (mass_lo, mass_up, exit_lo, exit_up)
-    in the layout of ecfrac.measure._propagate, with Fractions for integers."""
+    in the layout of ecfrac.measure._propagate, whose integers over 2^bits
+    are Fractions here, with no bits entry."""
     kk = range(1, cap + 1)
     mass_lo = [Fraction(1, j * (j + 1)) for j in kk]
     mass_up = list(mass_lo)
@@ -52,12 +56,27 @@ def exact_propagate(n: int, cap: int):
     return mass_lo, mass_up, exit_lo, exit_up
 
 
-def moment_oracle(n: int, theta: Fraction, cap: int, prec: int | None = None) -> ProbInterval:
-    """Enclosure of E(b_n^theta), 0 != theta < 1, from the exact DP and the
-    exit-cohort tail bounds of ecfrac.measure.moment_interval."""
+def fixed_point_propagate(n: int, cap: int, prec: int | None = None):
+    """ecfrac.measure._propagate(n, cap, prec) in the layout of
+    exact_propagate: its integers over 2^bits as Fractions."""
+    prec = default_precision() if prec is None else prec
+    *flows, bits = _propagate(n, cap, prec)
+    return tuple([Fraction(x, 1 << bits) for x in flow] for flow in flows)
+
+
+def moment_oracle(n: int, theta: Fraction, cap: int, prec: int | None = None,
+                  kernel=None) -> ProbInterval:
+    """Enclosure of E(b_n^theta), 0 != theta < 1, from a kernel's masses and
+    exit flows (by default exact_propagate(n, cap)) and the exit-cohort tail
+    bounds of ecfrac.measure.moment_interval.
+
+    The weighting is one OutwardInterval operation per term, each rounded
+    outward, in the order the library used before it summed each part
+    exactly; on fixed_point_propagate's output it is that earlier
+    moment_interval, bit for bit."""
     theta = Fraction(theta)
     prec = default_precision() if prec is None else prec
-    mass_lo, mass_up, exit_lo, exit_up = exact_propagate(n, cap)
+    mass_lo, mass_up, exit_lo, exit_up = exact_propagate(n, cap) if kernel is None else kernel
     m = cap + 1
     integral, sum_bound = _integral_tail(m, theta, prec)
     s_up = s_upper_factor(m, theta, prec)

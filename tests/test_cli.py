@@ -351,8 +351,10 @@ def test_mc_limit_exit_3(capsys, argv, message):
       "--event", "b3>=1"], "digit position 3 exceeds the sampled depth --n 2"),
     # Refused before any moment DP runs, naming n, not inside interval_pow.
     (["mdp", "--lambda", "1", "--n-list", "4,0"], "mdp_curve needs n >= 1, got 0"),
+    (["growth", "--theta", "1/2", "--n-list", "8,0"], "moment_growth_rate needs n >= 1, got 0"),
+    (["mdp", "--lambda", "1", "--n-list", "4", "--cap", "0"], "mdp_curve needs cap >= 1, got 0"),
 ], ids=["growth-empty-n-list", "mdp-empty-n-list", "ldp-empty-n-list", "event-beyond-depth",
-        "mdp-n-below-one"])
+        "mdp-n-below-one", "growth-n-below-one", "mdp-cap-below-one"])
 def test_usage_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

@@ -669,6 +669,25 @@ def test_mdp_validates_n(monkeypatch):
     assert runs == []
 
 
+def test_mdp_validates_cap(monkeypatch):
+    runs = []
+    monkeypatch.setattr(measure, "_propagate", lambda *args: runs.append(args))
+    with pytest.raises(ValueError, match="mdp_curve needs cap >= 1, got 0"):
+        mdp_curve(Fraction(1), [4], cap=0)
+    assert runs == []
+
+
+def test_growth_validates_every_n_and_the_cap(monkeypatch):
+    # Refused by name before the n = 8 row's DP runs, not inside moment_interval.
+    runs = []
+    monkeypatch.setattr(measure, "_propagate", lambda *args: runs.append(args))
+    with pytest.raises(ValueError, match="moment_growth_rate needs n >= 1, got 0"):
+        moment_growth_rate(Fraction(1, 2), [8, 0])
+    with pytest.raises(ValueError, match="moment_growth_rate needs cap_schedule >= 1, got 0"):
+        moment_growth_rate(Fraction(1, 2), [8], cap_schedule=0)
+    assert runs == []
+
+
 def test_mdp_validates_p():
     with pytest.raises(ValueError):
         mdp_curve(Fraction(1), [4], p=Fraction(1, 2))

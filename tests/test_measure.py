@@ -1,5 +1,6 @@
 """Lebesgue laws of the digit sequence: cylinders, marginals, moments."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -8,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecfrac.expansion import continuants
-from ecfrac.measure import (ProbInterval, _dp_bits, _integral_tail, binet_q,
+from ecfrac.measure import (ProbInterval, _dp_bits, _integral_tail, _propagate, binet_q,
                             conditional_given_last, conditional_probability,
                             cylinder_measure, marginal_exact,
                             marginal_interval_dp, moment_interval,
                             prob_digit_one, s_upper_factor, transition_bounds)
 from ecfrac.numerics import (ExtendedReal, OutwardInterval, default_precision,
                              interval_pow)
-from exact_dp import moment_oracle, uniform_marginal
+from exact_dp import fixed_point_propagate, moment_oracle, uniform_marginal
 
 # hand-computed golden measures: prod(b_i, i < n) / (Q_n (Q_n + Q_{n-1}))
 GOLDEN_MEASURES = [
@@ -157,6 +158,70 @@ def test_moment_fixed_point_matches_exact_dp_at_cap_60():
     # |r - 1| < 5e-21 gives |log(hi/lo) - log(oracle hi/lo)| = |log r| < 1e-20
     ratio = (enc.hi * oracle.lo) / (enc.lo * oracle.hi)
     assert abs(ratio - 1) < Fraction(1, 2 * 10**20)
+
+
+# SHA-256 of repr of criterion 7's 72 marginal tables and the (12, 60) one, and
+# of the kernel's four lists, as integers over 2^bits, at n = 4, 8, 12 and
+# cap 60; recorded from the target-major kernel that returned Fractions.
+_MARGINAL_DIGEST = "efd102b4b21f0dea071db4edeced2e19c62b2b4e89e0968ab73b365e4c45d678"
+_KERNEL_DIGEST = "f58624052e69260d78b230d3117f5ec8822949b0d55de4505172ee58cf0c85a1"
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_marginal_tables_are_pinned():
+    tables = [marginal_interval_dp(n, cap) for n in range(1, 7) for cap in range(1, 13)]
+    tables.append(marginal_interval_dp(12, 60))
+    assert _digest(tables) == _MARGINAL_DIGEST
+
+
+def test_kernel_is_pinned():
+    flows = []
+    for n in (4, 8, 12):
+        *lists, bits = _propagate(n, 60, 128)
+        assert bits == _dp_bits(n, 60, 128)
+        flows.append(lists)
+    assert _digest(flows) == _KERNEL_DIGEST
+
+
+_DYADIC_THETAS = st.builds(lambda sign, man, shift: Fraction(sign * man, 2**shift),
+                           st.sampled_from([-1, 1]), st.integers(2**127, 2**128 - 1),
+                           st.integers(128, 140))
+_THETAS = st.one_of(
+    st.sampled_from([Fraction(-3), Fraction(-1, 2), Fraction(1, 3), Fraction(1, 2),
+                     Fraction(9, 10)]),
+    st.fractions(min_value=-5, max_value=1, max_denominator=1000).filter(lambda t: t not in (0, 1)),
+    _DYADIC_THETAS)
+
+
+@given(st.integers(1, 8), st.integers(1, 40), _THETAS)
+@settings(max_examples=80, deadline=None)
+def test_moment_lies_inside_the_per_term_weighting_of_its_own_kernel(n, cap, theta):
+    # The oracle weights the same fixed-point masses with one outward-rounded
+    # interval operation per term.  Every term is positive, so the exact sums
+    # dominate that chain of roundings, and neither end may move outward.
+    oracle = moment_oracle(n, theta, cap, kernel=fixed_point_propagate(n, cap))
+    assert oracle.contains(moment_interval(n, theta, cap=cap)), (n, cap, theta)
+
+
+def test_moment_weighting_cost_does_not_grow_with_the_cap(monkeypatch):
+    # Additions and multiplications of intervals, which the j^theta table
+    # (one interval_pow per j) makes none of; weighting each mass by interval
+    # arithmetic would add four per j.
+    counts = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        def counted(self, other, _op=getattr(OutwardInterval, name)):
+            counts.append(1)
+            return _op(self, other)
+        monkeypatch.setattr(OutwardInterval, name, counted)
+    ops = []
+    for cap in (20, 60):
+        counts.clear()
+        moment_interval(8, Fraction(1, 2), cap=cap)
+        ops.append(len(counts))
+    assert ops[0] == ops[1] > 0, ops
 
 
 def test_prob_digit_one_sandwich():
