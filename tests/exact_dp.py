@@ -56,11 +56,10 @@ def exact_propagate(n: int, cap: int):
     return mass_lo, mass_up, exit_lo, exit_up
 
 
-def fixed_point_propagate(n: int, cap: int, prec: int | None = None):
-    """ecfrac.measure._propagate(n, cap, prec) in the layout of
+def fixed_point_propagate(n: int, cap: int):
+    """ecfrac.measure._propagate at the default precision, in the layout of
     exact_propagate: its integers over 2^bits as Fractions."""
-    prec = default_precision() if prec is None else prec
-    *flows, bits = _propagate(n, cap, prec)
+    *flows, bits = _propagate(n, cap, default_precision())
     return tuple([Fraction(x, 1 << bits) for x in flow] for flow in flows)
 
 

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecfrac.expansion import continuants
@@ -197,6 +197,7 @@ _THETAS = st.one_of(
 
 
 @given(st.integers(1, 8), st.integers(1, 40), _THETAS)
+@example(3, 5, 1 - Fraction(1, 2**200))  # factors past 2^128: integer ends, no 2^-t scale
 @settings(max_examples=80, deadline=None)
 def test_moment_lies_inside_the_per_term_weighting_of_its_own_kernel(n, cap, theta):
     # The oracle weights the same fixed-point masses with one outward-rounded
