@@ -255,8 +255,7 @@ def _cmd_mc(args):
                         tail=args.tail)
         rows = [{"n": r.n, **_estimate(r.estimate), "rate": r.rate} for r in rep.rows]
         return {**head, "eps": rep.eps, "tail": rep.tail, "slope": rep.slope,
-                "intercept": rep.intercept, "slope_lo": rep.slope_lo,
-                "slope_hi": rep.slope_hi, "rows": rows}, rows
+                "intercept": rep.intercept, "rows": rows}, rows
     # task == "event"
     if not args.event:
         raise _CliError("mc --task event needs --event (e.g. 'b1>=2')", EXIT_USAGE)

@@ -136,12 +136,18 @@ def transition_bounds(j: int, k: int) -> ProbInterval:
     return ProbInterval(Fraction(j, k * (k + 2)), Fraction(j + 1, k * (k + 1)))
 
 
-def marginal_exact(n: int, kmax: int) -> MarginalTable:
-    """Exact P(b_n = k) for k <= kmax by full cylinder enumeration."""
-    if n < 1 or kmax < 1:
-        raise ValueError("marginal_exact needs n >= 1 and kmax >= 1")
-    sums = {k: Fraction(0) for k in range(1, kmax + 1)}
-    family = WordFamily(n, kmax, LAST_AT_MOST)
+def _check_positive(function: str, **values: int) -> None:
+    """Refuse a value below 1, naming the function, the argument and the value."""
+    for name, value in values.items():
+        if value < 1:
+            raise ValueError(f"{function} needs {name} >= 1, got {value}")
+
+
+def marginal_exact(n: int, cap: int) -> MarginalTable:
+    """Exact P(b_n = k) for k <= cap by full cylinder enumeration."""
+    _check_positive("marginal_exact", n=n, cap=cap)
+    sums = {k: Fraction(0) for k in range(1, cap + 1)}
+    family = WordFamily(n, cap, LAST_AT_MOST)
     visited = 0
     for w in enumerate_words(family):
         sums[w[-1]] += cylinder_measure(w)
@@ -152,7 +158,7 @@ def marginal_exact(n: int, kmax: int) -> MarginalTable:
         raise AssertionError(f"enumeration visited {visited} words, expected {expected}")
     entries = {k: ProbInterval.point(v) for k, v in sums.items()}
     tail = ProbInterval.point(1 - sum(sums.values()))
-    return MarginalTable(n, kmax, entries, tail)
+    return MarginalTable(n, cap, entries, tail)
 
 
 def _dp_bits(n: int, cap: int, prec: int) -> int:
@@ -239,8 +245,7 @@ def marginal_interval_dp(n: int, cap: int) -> MarginalTable:
     > cap can never return to a tracked digit, so tracked entries receive
     no tail inflow and the tail itself is bounded by complementation.
     """
-    if n < 1 or cap < 1:
-        raise ValueError("marginal_interval_dp needs n >= 1 and cap >= 1")
+    _check_positive("marginal_interval_dp", n=n, cap=cap)
     lo, up, _, _, bits = _propagate(n, cap, DEFAULT_PRECISION_BITS)
     one = 1 << bits
     entries = {k: ProbInterval(Fraction(m_lo, one), Fraction(min(m_up, one), one))
@@ -337,8 +342,7 @@ def _moment_intervals(n: int, thetas: Sequence[Fraction], cap: int,
     weighting does, so the kernel runs once for all thetas, and not at all
     when every theta is 0 or >= 1.
     """
-    if n < 1 or cap < 1:
-        raise ValueError("moment_interval needs n >= 1 and cap >= 1")
+    _check_positive("moment_interval", n=n, cap=cap)
     enclosures = []
     kernel = None
     for theta in map(Fraction, thetas):

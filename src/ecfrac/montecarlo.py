@@ -434,10 +434,8 @@ def tail_threshold(request: TailRequest) -> int:
     """
     eps = Fraction(request.eps)
     w = request.n * ((1 + eps) if request.tail == UPPER else (1 - eps))
-    if w == 0:
-        return 1  # both events reduce to b_n >= 1 resp. b_n <= 1
-    if w < 0:
-        return 0 if request.tail == LOWER else 1  # b >= 1 > e^w; b <= e^w < 1 impossible
+    if w <= 0:  # lower tail only (eps >= 0): b <= 1 at w = 0, and b <= e^w < 1 never
+        return int(w == 0)
     for prec in (128, 256, 512, 1024, 2048):
         enc = interval_exp(w, prec)
         f_lo = math.floor(enc.lo)
@@ -485,8 +483,6 @@ class LdpReport:
     rows: tuple[LdpRow, ...]
     slope: float             # least-squares slope of -log p_hat against n
     intercept: float
-    slope_lo: float          # same fit at the CI-extreme probabilities
-    slope_hi: float
 
 
 def _ldp_rows(eps: Fraction, tail: str, n_list: Sequence[int],
@@ -499,16 +495,9 @@ def _ldp_rows(eps: Fraction, tail: str, n_list: Sequence[int],
     fit = [(r.n, r.estimate) for r in rows if r.estimate.hits > 0]
     if len(fit) < 2:
         raise SampleLimitError("need at least two n with hits to fit a slope")
-    xs = [n for n, _ in fit]
-    slope, intercept = statistics.linear_regression(xs, [-math.log(e.p_hat) for _, e in fit])
-    slope_lo, _ = statistics.linear_regression(xs, [-math.log(e.ci_hi) for _, e in fit])
-    hi_ys = [-math.log(e.ci_lo) if e.ci_lo > 0 else None for _, e in fit]
-    if any(y is None for y in hi_ys):
-        slope_hi = math.inf
-    else:
-        slope_hi, _ = statistics.linear_regression(xs, hi_ys)
-    lo, hi = min(slope_lo, slope_hi), max(slope_lo, slope_hi)
-    return LdpReport(eps, tail, tuple(rows), slope, intercept, lo, hi)
+    slope, intercept = statistics.linear_regression(
+        [n for n, _ in fit], [-math.log(e.p_hat) for _, e in fit])
+    return LdpReport(eps, tail, tuple(rows), slope, intercept)
 
 
 def ldp_slope(eps: Fraction, n_list: Sequence[int], config: SampleConfig,

@@ -33,24 +33,18 @@ def default_precision() -> int:
     return DEFAULT_PRECISION_BITS
 
 
-def _outward(value, prec: int) -> tuple:
-    """The tightest pair of prec-bit mpf tuples (lo, hi) around a number.
+def _outward(value, prec: int, rounding: str) -> tuple:
+    """A number rounded once to a prec-bit mpf tuple: down for
+    libmp.round_floor, up for libmp.round_ceiling.
 
     An int or a Fraction goes in directly; a float or a decimal string is
-    first made the exact Fraction it denotes.  Each endpoint is one
-    correctly rounded conversion, so the pair is at most 1 ulp wide; an int
-    of at most prec bits is exact, so it is converted once.
+    first made the exact Fraction it denotes.
     """
     if isinstance(value, int):
-        lo = libmp.from_int(value, prec, libmp.round_floor)
-        if value.bit_length() <= prec:
-            return lo, lo
-        return lo, libmp.from_int(value, prec, libmp.round_ceiling)
+        return libmp.from_int(value, prec, rounding)
     if not isinstance(value, Fraction):
         value = Fraction(value)
-    p, q = value.numerator, value.denominator
-    return (libmp.from_rational(p, q, prec, libmp.round_floor),
-            libmp.from_rational(p, q, prec, libmp.round_ceiling))
+    return libmp.from_rational(value.numerator, value.denominator, prec, rounding)
 
 
 def _mpf_tuple_to_fraction(t) -> Fraction:
@@ -92,17 +86,26 @@ class OutwardInterval:
 
     @classmethod
     def from_value(cls, value, prec: int = DEFAULT_PRECISION_BITS) -> "OutwardInterval":
-        """Enclose a single number: int, Fraction, float, or decimal string."""
-        return cls(_outward(value, prec), prec)
+        """Enclose a single number: int, Fraction, float, or decimal string.
+
+        Each end is one correctly rounded conversion, so the interval is at
+        most 1 ulp wide; an int of at most prec bits is exact, so it is
+        converted once.
+        """
+        lo = _outward(value, prec, libmp.round_floor)
+        if isinstance(value, int) and value.bit_length() <= prec:
+            return cls((lo, lo), prec)
+        return cls((lo, _outward(value, prec, libmp.round_ceiling)), prec)
 
     @classmethod
     def from_endpoints(cls, lo, hi, prec: int = DEFAULT_PRECISION_BITS) -> "OutwardInterval":
-        """Hull of two numbers (each int, Fraction, float, or string)."""
-        a = cls.from_value(lo, prec)
-        b = cls.from_value(hi, prec)
-        if a.lo > b.hi:
+        """[lo, hi], lo <= hi, each end an int, Fraction, float, or decimal
+        string: lo is rounded down once and hi up once.  Refused exactly
+        when lo > hi."""
+        if Fraction(lo) > Fraction(hi):
             raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
-        return a.hull(b)
+        return cls((_outward(lo, prec, libmp.round_floor),
+                    _outward(hi, prec, libmp.round_ceiling)), prec)
 
     def with_precision(self, prec: int) -> "OutwardInterval":
         if prec == self._prec:
@@ -161,15 +164,12 @@ class OutwardInterval:
     # -- arithmetic ------------------------------------------------------
 
     def _binop(self, kernel, other, reflected: bool = False) -> "OutwardInterval":
-        # An interval operand raises the precision to the larger of the two;
-        # an mpf tuple carries no precision, so that relabels without rounding.
-        if isinstance(other, OutwardInterval):
-            prec = max(self._prec, other._prec)
-            b = other._mpi
-        else:
-            prec = self._prec
-            b = _outward(other, prec)
-        a = self._mpi
+        # A number is enclosed at self's precision.  The result carries the
+        # larger precision; relabelling the other's mpf tuples rounds nothing.
+        if not isinstance(other, OutwardInterval):
+            other = OutwardInterval.from_value(other, self._prec)
+        prec = max(self._prec, other._prec)
+        a, b = self._mpi, other._mpi
         if reflected:
             a, b = b, a
         return OutwardInterval(kernel(a, b, prec), prec)
@@ -316,7 +316,8 @@ def _dyadic_interval(lo: int, hi: int, exp: int, prec: int) -> OutwardInterval:
 
 
 def _up_to(v: OutwardInterval, hi: Fraction, prec: int) -> OutwardInterval:
-    """from_endpoints(v.lo, hi, prec), read from v's lower end as an mpf."""
+    """from_endpoints(v.lo, hi, prec) for v.lo <= hi, read from v's lower end
+    as an mpf; refused when hi rounded up lies below v.lo rounded down."""
     lo = libmp.mpf_pos(v._mpi[0], prec, libmp.round_floor)
     up = libmp.from_rational(hi.numerator, hi.denominator, prec, libmp.round_ceiling)
     if libmp.mpf_lt(up, lo):

@@ -57,8 +57,10 @@ def enumerate_words(family: WordFamily, budget: int = DEFAULT_BUDGET) -> Iterato
     """Yield every word of the family exactly once, lexicographically.
 
     Refuses up front (naming the count) when the family is larger than the
-    budget.
+    budget; a negative budget is malformed, a ValueError.
     """
+    if budget < 0:
+        raise ValueError(f"enumerate_words needs budget >= 0, got {budget}")
     count = count_words(family)
     if count > budget:
         raise BudgetError(count, budget, f"enumerating {family}")

@@ -231,8 +231,7 @@ def _cmd_mc(args):
                          "rate": "" if r.rate is None else str(r.rate)})
         payload = {"task": "ldp", "rng": RNG_ALGORITHM, "eps": _rat(rep.eps),
                    "tail": rep.tail, "slope": rep.slope,
-                   "intercept": rep.intercept, "slope_lo": rep.slope_lo,
-                   "slope_hi": rep.slope_hi, "rows": rows}
+                   "intercept": rep.intercept, "rows": rows}
         return payload, rows
     # task == "event"
     if not args.event:

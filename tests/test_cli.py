@@ -353,8 +353,18 @@ def test_mc_limit_exit_3(capsys, argv, message):
     (["mdp", "--lambda", "1", "--n-list", "4,0"], "mdp_curve needs n >= 1, got 0"),
     (["growth", "--theta", "1/2", "--n-list", "8,0"], "moment_growth_rate needs n >= 1, got 0"),
     (["mdp", "--lambda", "1", "--n-list", "4", "--cap", "0"], "mdp_curve needs cap >= 1, got 0"),
+    (["moment", "--n", "4", "--theta", "1/2", "--cap", "0"],
+     "moment_interval needs cap >= 1, got 0"),
+    (["marginal", "--n", "2", "--cap", "0"], "marginal_interval_dp needs cap >= 1, got 0"),
+    (["marginal", "--n", "0", "--cap", "3", "--exact"], "marginal_exact needs n >= 1, got 0"),
+    (["marginal", "--n", "2", "--cap", "0", "--exact"], "marginal_exact needs cap >= 1, got 0"),
+    # A negative budget is malformed input, not a budget refusal (exit 3).
+    (["enumerate", "--n", "3", "--m", "2", "--limit", "-1"],
+     "enumerate_words needs budget >= 0, got -1"),
 ], ids=["growth-empty-n-list", "mdp-empty-n-list", "ldp-empty-n-list", "event-beyond-depth",
-        "mdp-n-below-one", "growth-n-below-one", "mdp-cap-below-one"])
+        "mdp-n-below-one", "growth-n-below-one", "mdp-cap-below-one", "moment-cap-below-one",
+        "marginal-cap-below-one", "marginal-exact-n-below-one", "marginal-exact-cap-below-one",
+        "enumerate-negative-limit"])
 def test_usage_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

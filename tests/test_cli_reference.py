@@ -6,6 +6,7 @@ must agree byte for byte once the timestamp line is masked.
 """
 
 import argparse
+import json
 import re
 
 import pytest
@@ -77,3 +78,27 @@ def test_corpus_names_every_subcommand():
     commands = next(action.choices for action in parser._actions
                     if isinstance(action, argparse._SubParsersAction))
     assert {argv[0] for argv in CORPUS} == set(commands) - {"verify"}
+
+
+def _numbers_named_like_bounds(value, path="data"):
+    """The paths of JSON numbers whose key ends in _lo or _hi."""
+    found = []
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key.endswith(("_lo", "_hi")) and type(item) in (int, float):
+                found.append(f"{path}.{key}")
+            found += _numbers_named_like_bounds(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            found += _numbers_named_like_bounds(item, f"{path}[{i}]")
+    return found
+
+
+@pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
+def test_no_json_number_is_named_like_a_bound(capsys, argv):
+    # A key ending in _lo or _hi promises one end of a bound, which the
+    # serializer prints as an exact or outward-rounded string; a bare JSON
+    # number there would be a float estimate named like a bound.
+    assert cli.main(["--format", "json", *argv]) == 0
+    data = json.loads(capsys.readouterr().out)["data"]
+    assert _numbers_named_like_bounds(data) == []

@@ -49,6 +49,12 @@ def test_pressure_infinite_at_and_above_one():
     assert pressure(Fraction(1)).is_infinite
     assert pressure(Fraction(2)).is_infinite
     assert not pressure(Fraction(999, 1000)).is_infinite
+    # rate's pressure_Lambda kind is the pressure itself, +infinity included
+    for theta in (Fraction(-2), Fraction(1, 2), Fraction(999, 1000), Fraction(1), Fraction(2)):
+        ours, direct = rate(RateFunctionId("pressure_Lambda"), theta), pressure(theta)
+        assert ours.is_infinite == direct.is_infinite
+        if not ours.is_infinite:
+            assert (ours.value.lo, ours.value.hi) == (direct.value.lo, direct.value.hi)
 
 
 def test_pressure_continuous_at_golden_breakpoint():
@@ -210,6 +216,9 @@ def test_moment_limits():
     enc = moment_limit(Fraction(1, 2)).value
     assert enc.contains(LOG2)
     assert moment_limit(Fraction(1)).is_infinite
+    for kind in ("engel_moment_limit", "modified_moment_limit"):
+        for theta in (Fraction(1), Fraction(3, 2)):
+            assert rate(RateFunctionId(kind), theta).is_infinite
 
 
 def test_legendre_recovers_rate_at_points():
@@ -238,6 +247,8 @@ def test_legendre_honors_bracket():
     enc = legendre_numeric(pressure, Fraction(1), bracket=(Fraction(0), Fraction(2)),
                            target_width=Fraction(10)).value
     assert enc.overlaps(1 - interval_log(2, 400))
+    # A bracket wholly past theta = 1 holds no finite value of the pressure.
+    assert legendre_numeric(pressure, Fraction(1), bracket=(2, 3)).is_infinite
 
 
 def _j_pressure(theta, prec=None):

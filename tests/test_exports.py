@@ -1,6 +1,6 @@
 """The package namespace: every exported name resolves, none is listed twice,
-importing it loads no scipy, no module reads the environment, and one
-function applies the digit map."""
+importing it loads no scipy, no module reads the environment, one
+function applies the digit map, and no float field is named like a bound."""
 
 import ast
 import os
@@ -83,3 +83,24 @@ def test_one_digit_walk():
                              if f.lineno <= node.lineno <= f.end_lineno]
                 callers.add((path.stem, enclosing[-1] if enclosing else None))
     assert callers == {("expansion", "_walk")}
+
+
+def test_no_float_field_is_named_like_a_bound():
+    # A field named *_lo or *_hi reads as one end of a bound; a float there
+    # is an estimate, so every such field holds an exact or enclosed value.
+    package = Path(ecfrac.__file__).resolve().parent
+    floats = {"float", "float | None", "Optional[float]"}
+    named = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            decorators = [d.func if isinstance(d, ast.Call) else d
+                          for d in getattr(node, "decorator_list", [])]
+            if not (isinstance(node, ast.ClassDef)
+                    and any(ast.unparse(d).endswith("dataclass") for d in decorators)):
+                continue
+            named += [f"{path.name}:{field.lineno} {field.target.id}"
+                      for field in node.body
+                      if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+                      and field.target.id.endswith(("_lo", "_hi"))
+                      and ast.unparse(field.annotation) in floats]
+    assert named == []

@@ -370,6 +370,7 @@ def test_tail_threshold_golden():
     assert tail_threshold(TailRequest(UPPER, Fraction(1, 2), 10)) == 3269018
     assert tail_threshold(TailRequest(LOWER, Fraction(1), 4)) == 1  # exp(0)
     assert tail_threshold(TailRequest(UPPER, Fraction(1), 3)) == 404
+    assert tail_threshold(TailRequest(LOWER, Fraction(2), 3)) == 0  # e^-3 < 1: no digit
 
 
 def test_tail_request_validation():
@@ -380,6 +381,9 @@ def test_tail_request_validation():
     with pytest.raises(ValueError):
         TailRequest(LOWER, Fraction(1, 2), 0)
     TailRequest(LOWER, Fraction(0), 5)  # degenerate but well defined
+    with pytest.raises(ValueError, match="exceeds config.depth"):
+        tail_counts(SampleConfig(seed=1, trials=10, depth=3),
+                    [TailRequest(LOWER, Fraction(1, 2), 4)])
 
 
 def test_tail_counts_shared_pass():
@@ -420,7 +424,6 @@ def test_ldp_slope_shape():
     assert [row.n for row in rep.rows] == [5, 10]
     assert rep.rows[0].estimate.p_hat > rep.rows[1].estimate.p_hat
     assert rep.slope > 0
-    assert rep.slope_lo <= rep.slope <= rep.slope_hi
 
 
 # SHA-256 of the reports below, recorded before the cells were certified by

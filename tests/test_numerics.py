@@ -134,6 +134,19 @@ def test_hull_covers_both():
     assert h.contains(Fraction(1, 3)) and h.contains(Fraction(2, 3))
 
 
+def test_from_endpoints_refuses_exactly_when_out_of_order():
+    # Each end is rounded once, outward, so ends that round onto each other
+    # are still refused when lo > hi.
+    third = Fraction(1, 3)
+    for lo, hi in [(third + Fraction(1, 10**60), third), (Fraction(2, 3), third),
+                   ("0.5", "1/3"), (1, 0.5)]:
+        with pytest.raises(ValueError, match="out of order"):
+            OutwardInterval.from_endpoints(lo, hi)
+    x = OutwardInterval.from_endpoints(third, third + Fraction(1, 10**60))
+    assert x.lo < third and x.hi > third + Fraction(1, 10**60)
+    assert x.width <= Fraction(2, 2**128)
+
+
 def test_division_by_zero_straddle_rejected():
     zero = OutwardInterval.from_endpoints(Fraction(-1), Fraction(1))
     with pytest.raises((ValueError, ZeroDivisionError)):

@@ -66,6 +66,10 @@ def test_budget_error_names_the_count():
         enumerate_words(family, budget=10**6)
     assert err.value.count == count_words(family)
     assert str(err.value.count) in str(err.value)
+    # a negative budget is malformed, not a refusal of any count
+    with pytest.raises(ValueError, match="budget >= 0, got -1"):
+        enumerate_words(WordFamily(1, 1, "exact-last"), budget=-1)
+    assert list(enumerate_words(WordFamily(1, 1, "exact-last"), budget=1)) == [(1,)]
 
 
 def test_count_never_enumerates():
