@@ -135,8 +135,8 @@ def test_hull_covers_both():
 
 
 def test_from_endpoints_refuses_exactly_when_out_of_order():
-    # Each end is rounded once, outward, so ends that round onto each other
-    # are still refused when lo > hi.
+    # The order is checked on the exact ends, not the rounded ones, so ends
+    # that round onto each other are still refused when lo > hi.
     third = Fraction(1, 3)
     for lo, hi in [(third + Fraction(1, 10**60), third), (Fraction(2, 3), third),
                    ("0.5", "1/3"), (1, 0.5)]:
