@@ -106,11 +106,8 @@ def _cmd_cylinder(args):
     return {"lo": lo, "hi": hi, "measure": cylinder_measure(word)}, None
 
 
-_MODE_ALIASES = {"exact": "exact-last", "at-most": "last-at-most"}
-
-
 def _family(args) -> WordFamily:
-    return WordFamily(args.n, args.m, _MODE_ALIASES.get(args.mode, args.mode))
+    return WordFamily(args.n, args.m, args.mode)
 
 
 def _cmd_count(args):
@@ -162,7 +159,7 @@ def _cmd_pressure(args):
 
 
 _RATE_KINDS = {
-    "I": "I", "Ib": "I_b", "Iinf": "I_inf", "J": "J", "Lambda": "pressure_Lambda",
+    "I": "I", "Ib": "I_b", "Iinf": "I_inf", "J": "J",
     "engel-moment-limit": "engel_moment_limit",
     "modified-moment-limit": "modified_moment_limit",
 }
@@ -433,8 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub_parser(name, help=f"{name} admissible words")
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--m", type=int, required=True)
-        p.add_argument("--mode", default="exact-last",
-                       choices=("exact-last", "last-at-most", "exact", "at-most"))
+        p.add_argument("--mode", default="exact-last", choices=("exact-last", "last-at-most"))
         if name == "enumerate":
             p.add_argument("--limit", type=int, default=DEFAULT_BUDGET)
             p.set_defaults(func=_cmd_enumerate)
@@ -444,9 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub_parser("marginal", help="law of the n-th digit")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cap", type=int, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true")
-    group.add_argument("--interval", action="store_true")
+    p.add_argument("--exact", action="store_true")
     p.set_defaults(func=_cmd_marginal)
 
     p = sub_parser("conditional", help="next-digit conditional probability")

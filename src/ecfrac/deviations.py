@@ -26,7 +26,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .measure import _moment_intervals, moment_interval
+from .measure import _check_positive, _moment_intervals, moment_interval
 from .numerics import (
     DEFAULT_PRECISION_BITS,
     ExtendedReal,
@@ -48,7 +48,6 @@ RATE_KINDS = (
     "I_b",
     "I_inf",
     "J",
-    "pressure_Lambda",
     "engel_moment_limit",
     "modified_moment_limit",
 )
@@ -123,10 +122,6 @@ def xi_b(b: int, prec: int = DEFAULT_PRECISION_BITS) -> OutwardInterval:
     return (root + (b * b + 2)) / (2 * b)
 
 
-def _first_branch(x_iv: OutwardInterval, prec: int) -> OutwardInterval:
-    return x_iv - interval_log(x_iv + 1, prec)
-
-
 def rate(rid: RateFunctionId, x, prec: int = DEFAULT_PRECISION_BITS) -> ExtendedReal:
     """Evaluate a rate function (or comparison limit) at a point.
 
@@ -135,9 +130,6 @@ def rate(rid: RateFunctionId, x, prec: int = DEFAULT_PRECISION_BITS) -> Extended
     branches; outside the effective domain the value is +infinity.
     """
     x_iv = _as_interval(x, prec)
-
-    if rid.kind == "pressure_Lambda":
-        return pressure(x_iv, prec)
 
     if rid.kind == "J":
         return ExtendedReal.finite(x_iv * x_iv / 2)
@@ -152,11 +144,14 @@ def rate(rid: RateFunctionId, x, prec: int = DEFAULT_PRECISION_BITS) -> Extended
         floored = log_term.max(-interval_log(2, prec))
         return ExtendedReal.finite(floored.with_precision(prec))
 
+    def first_branch(ti):
+        return ti - interval_log(ti + 1, prec)
+
     if rid.kind == "I_inf":
         if x_iv.compare_lo(-1) <= 0:
             # Left of -1, or touching the singular edge: no finite enclosure.
             return ExtendedReal.infinity()
-        return ExtendedReal.finite(_first_branch(x_iv, prec))
+        return ExtendedReal.finite(first_branch(x_iv))
 
     # Piecewise I / I_b: +inf left of -1, linear middle, x - log(x+1) right.
     if x_iv.compare_lo(-1) < 0:
@@ -176,8 +171,7 @@ def rate(rid: RateFunctionId, x, prec: int = DEFAULT_PRECISION_BITS) -> Extended
         def middle(ti):
             return (1 - xi) * (ti + 1) + interval_log(xi, prec)
 
-    return ExtendedReal.finite(_piecewise(x_iv, breakpoint_iv, middle,
-                                          lambda ti: _first_branch(ti, prec)))
+    return ExtendedReal.finite(_piecewise(x_iv, breakpoint_iv, middle, first_branch))
 
 
 # ---------------------------------------------------------------------------
@@ -488,38 +482,35 @@ class GrowthTable:
     rows: tuple[GrowthRow, ...]
 
 
-def moment_limit(theta: Fraction, prec: int = DEFAULT_PRECISION_BITS) -> ExtendedReal:
+def moment_limit(theta: Fraction) -> ExtendedReal:
     """The limit of (1/n) log E(b_n^theta): max of the two branch values."""
     theta = Fraction(theta)
     if theta >= 1:
         return ExtendedReal.infinity()
-    fib_branch = -GoldenConstants.compute(prec).two_log_phi
-    return ExtendedReal.finite(fib_branch.max(-interval_log(1 - theta, prec)))
+    fib_branch = -GoldenConstants.compute().two_log_phi
+    return ExtendedReal.finite(fib_branch.max(-interval_log(1 - theta)))
 
 
-def moment_growth_rate(theta: Fraction, n_list: Sequence[int], cap_schedule: int = 60,
-                       prec: int = DEFAULT_PRECISION_BITS) -> GrowthTable:
+def moment_growth_rate(theta: Fraction, n_list: Sequence[int],
+                       cap_schedule: int = 60) -> GrowthTable:
     """Rows (1/n) log E(b_n^theta) against the closed-form limit.
 
     Every row runs the moment DP at the same digit cap, cap_schedule.
     Every n and the cap are checked before any DP runs.
     """
     theta = Fraction(theta)
-    if min(n_list, default=1) < 1:
-        raise ValueError(f"moment_growth_rate needs n >= 1, got {min(n_list)}")
-    if cap_schedule < 1:
-        raise ValueError(f"moment_growth_rate needs cap_schedule >= 1, got {cap_schedule}")
+    _check_positive("moment_growth_rate", n=min(n_list, default=1), cap_schedule=cap_schedule)
     rows = []
     for n in n_list:
-        enc = moment_interval(n, theta, cap=cap_schedule, prec=prec)
+        enc = moment_interval(n, theta, cap=cap_schedule)
         if isinstance(enc, ExtendedReal):
             value = enc
         else:
             # theta = 0 gives the exact [1, 1], whose log is exactly [0, 0].
-            log_iv = interval_log(OutwardInterval.from_endpoints(enc.lo, enc.hi, prec), prec)
+            log_iv = interval_log(OutwardInterval.from_endpoints(enc.lo, enc.hi))
             value = ExtendedReal.finite(log_iv / n)
         rows.append(GrowthRow(n, cap_schedule, value))
-    return GrowthTable(theta, moment_limit(theta, prec), tuple(rows))
+    return GrowthTable(theta, moment_limit(theta), tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -540,7 +531,7 @@ class MdpTable:
 
 
 def mdp_curve(lam: Fraction, n_list: Sequence[int], p: Fraction = Fraction(3, 4),
-              cap: int = 60, prec: int = DEFAULT_PRECISION_BITS) -> MdpTable:
+              cap: int = 60) -> MdpTable:
     """Moderate-deviation normalization of the log moment-generating rows.
 
     With a_n = n^p, p in (1/2, 1), the growth conditions (a_n/sqrt(n) ->
@@ -554,13 +545,10 @@ def mdp_curve(lam: Fraction, n_list: Sequence[int], p: Fraction = Fraction(3, 4)
     p = Fraction(p)
     if not Fraction(1, 2) < p < 1:
         raise ValueError(f"mdp_curve needs p in (1/2, 1), got {p}")
-    if min(n_list, default=1) < 1:
-        raise ValueError(f"mdp_curve needs n >= 1, got {min(n_list)}")
-    if cap < 1:
-        raise ValueError(f"mdp_curve needs cap >= 1, got {cap}")
+    _check_positive("mdp_curve", n=min(n_list, default=1), cap=cap)
     rows = []
     for n in n_list:
-        a_iv = interval_pow(n, p, prec)
+        a_iv = interval_pow(n, p)
         theta_iv = (lam * a_iv) / n
         if theta_iv.compare_hi(1) >= 0:
             rows.append(MdpRow(n, theta_iv, False, None))
@@ -568,9 +556,9 @@ def mdp_curve(lam: Fraction, n_list: Sequence[int], p: Fraction = Fraction(3, 4)
         # E(b^theta) is increasing in theta (b >= 1), so the moments at the
         # rational endpoints, weighted from one DP run, bracket the
         # irrational-theta moment.
-        enc_lo, enc_hi = _moment_intervals(n, (theta_iv.lo, theta_iv.hi), cap, prec)
-        e_iv = OutwardInterval.from_endpoints(enc_lo.lo, enc_hi.hi, prec)
-        value = (interval_log(e_iv, prec) - n * theta_iv) * (n / (a_iv * a_iv))
+        enc_lo, enc_hi = _moment_intervals(n, (theta_iv.lo, theta_iv.hi), cap)
+        e_iv = OutwardInterval.from_endpoints(enc_lo.lo, enc_hi.hi)
+        value = (interval_log(e_iv) - n * theta_iv) * (n / (a_iv * a_iv))
         rows.append(MdpRow(n, theta_iv, True, value))
     return MdpTable(lam, p, 2 * p - 1, lam * lam / 2, tuple(rows))
 
@@ -591,8 +579,7 @@ class BoundReport:
 
 
 def exponential_bound_check(eps: Fraction, n_list: Sequence[int],
-                            estimator: Callable[[int], Fraction],
-                            prec: int = DEFAULT_PRECISION_BITS) -> BoundReport:
+                            estimator: Callable[[int], Fraction]) -> BoundReport:
     """Best LDP-permitted exponent and the smallest feasible prefactor.
 
     beta_max = min(I(eps), I(-eps)) is the fastest decay the deviation
@@ -604,17 +591,15 @@ def exponential_bound_check(eps: Fraction, n_list: Sequence[int],
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    upper = rate(RateFunctionId("I"), eps, prec)
-    lower = rate(RateFunctionId("I"), -eps, prec)
-    if upper.is_infinite:
-        raise ValueError("I(eps) must be finite for eps > 0")
+    upper = rate(RateFunctionId("I"), eps)
+    lower = rate(RateFunctionId("I"), -eps)
     beta_max = upper.value if lower.is_infinite else upper.value.min(lower.value)
     beta = Fraction(9, 10) * beta_max.lo
     rows = []
     alpha = Fraction(0)
     for n in n_list:
         p_bound = Fraction(estimator(n))
-        growth = interval_exp(beta * n, prec)
+        growth = interval_exp(beta * n)
         alpha_n = p_bound * growth.hi
         rows.append(BoundRow(n, p_bound, alpha_n))
         alpha = max(alpha, alpha_n)

@@ -161,24 +161,24 @@ def marginal_exact(n: int, cap: int) -> MarginalTable:
     return MarginalTable(n, cap, entries, tail)
 
 
-def _dp_bits(n: int, cap: int, prec: int) -> int:
-    """Fixed-point bits for a depth-n, cap-`cap` DP at interval precision prec.
+def _dp_bits(n: int, cap: int) -> int:
+    """Fixed-point bits for a depth-n, cap-`cap` DP: 128 + 2n + 2 log2(cap).
 
     The smallest tracked mass, P(b_n = 1) ~ phi^(-2n), needs about 1.4 n
-    bits above prec to keep prec relative bits; the first-digit law
-    1/(k(k+1)) needs 2 log2(cap).
+    bits above DEFAULT_PRECISION_BITS (128) to keep that many relative
+    bits; the first-digit law 1/(k(k+1)) needs 2 log2(cap).
     """
-    return prec + 2 * n + 2 * cap.bit_length()
+    return DEFAULT_PRECISION_BITS + 2 * n + 2 * cap.bit_length()
 
 
-def _propagate(n: int, cap: int, prec: int):
+def _propagate(n: int, cap: int):
     """The marginal/moment DP over (depth, last digit <= cap) in fixed point.
 
-    Runs at bits = _dp_bits(n, cap, prec) and returns (mass_lo, mass_up,
-    exit_lo, exit_up, bits), whose lists hold integers, each the numerator
-    of a dyadic m / 2^bits: index j-1 of the mass lists bounds
-    P(b_n = j, b_1..b_n <= cap) from below and above, and entry d-1 of the
-    exit lists is the exact sum over j of mass_lo[j] * j, resp.
+    Runs at bits = _dp_bits(n, cap) = 128 + 2n + 2 log2(cap) and returns
+    (mass_lo, mass_up, exit_lo, exit_up, bits), whose lists hold integers,
+    each the numerator of a dyadic m / 2^bits: index j-1 of the mass lists
+    bounds P(b_n = j, b_1..b_n <= cap) from below and above, and entry d-1
+    of the exit lists is the exact sum over j of mass_lo[j] * j, resp.
     mass_up[j] * (j+1), at depth d < n.  No Fraction is made.
 
     A step uses the exact conditional Phi = (j+z)/((k+z)(k+1+z)), where
@@ -194,7 +194,7 @@ def _propagate(n: int, cap: int, prec: int):
     entry is a sum of floored integers, so the order of summation does not
     change it.
     """
-    bits = _dp_bits(n, cap, prec)
+    bits = _dp_bits(n, cap)
     one = 1 << bits
     step = bits + 1
     top = (cap + 1) * one
@@ -246,7 +246,7 @@ def marginal_interval_dp(n: int, cap: int) -> MarginalTable:
     no tail inflow and the tail itself is bounded by complementation.
     """
     _check_positive("marginal_interval_dp", n=n, cap=cap)
-    lo, up, _, _, bits = _propagate(n, cap, DEFAULT_PRECISION_BITS)
+    lo, up, _, _, bits = _propagate(n, cap)
     one = 1 << bits
     entries = {k: ProbInterval(Fraction(m_lo, one), Fraction(min(m_up, one), one))
                for k, (m_lo, m_up) in enumerate(zip(lo, up), 1)}
@@ -255,12 +255,12 @@ def marginal_interval_dp(n: int, cap: int) -> MarginalTable:
     return MarginalTable(n, cap, entries, tail)
 
 
-def binet_q(n: int, prec: int = DEFAULT_PRECISION_BITS) -> OutwardInterval:
+def binet_q(n: int) -> OutwardInterval:
     """Enclosure of the all-ones continuant Q_n by the closed Binet form.
 
     Q_n = F_{n+1} = (phi^{n+1} - psi^{n+1})/sqrt(5) with psi = (1-sqrt5)/2.
     """
-    sqrt5 = interval_sqrt(5, prec)
+    sqrt5 = interval_sqrt(5)
     phi = (sqrt5 + 1) / 2
     psi = (1 - sqrt5) / 2
     return (phi ** (n + 1) - psi ** (n + 1)) / sqrt5
@@ -309,8 +309,7 @@ def s_upper_factor(j: int, theta: Fraction, prec: int = DEFAULT_PRECISION_BITS) 
     return (lead * power) / (1 - theta)
 
 
-def moment_interval(n: int, theta: Fraction, cap: int = 60,
-                    prec: int = DEFAULT_PRECISION_BITS) -> ProbInterval | ExtendedReal:
+def moment_interval(n: int, theta: Fraction, cap: int = 60) -> ProbInterval | ExtendedReal:
     """Two-sided enclosure of E(b_n^theta) for theta < 1 (else +infinity).
 
     The tracked part is the mass output of the fixed-point DP kernel over
@@ -327,15 +326,16 @@ def moment_interval(n: int, theta: Fraction, cap: int = 60,
         upper: (1+1/j)(1-1/j)^(theta-1)/(1-theta) at j = cap+1,
 
     with integral enclosures of sum_{k>cap} k^(theta-2) at the exit step
-    itself.  The kernel's integers are weighted exactly: the tracked sum
-    and the tail sum are each rounded outward once, at prec bits.
+    itself.  The kernel runs at 128 + 2n + 2 log2(cap) bits, and its
+    integers are weighted exactly: the tracked sum and the tail sum are each
+    rounded outward once, at DEFAULT_PRECISION_BITS (128).
     theta = 0 returns the exact point [1,1].
     """
-    return _moment_intervals(n, (theta,), cap, prec)[0]
+    return _moment_intervals(n, (theta,), cap)[0]
 
 
-def _moment_intervals(n: int, thetas: Sequence[Fraction], cap: int,
-                      prec: int = DEFAULT_PRECISION_BITS) -> list[ProbInterval | ExtendedReal]:
+def _moment_intervals(n: int, thetas: Sequence[Fraction],
+                      cap: int) -> list[ProbInterval | ExtendedReal]:
     """moment_interval at each theta, from at most one run of the DP kernel.
 
     The kernel's masses and exit flows do not depend on theta, only their
@@ -352,26 +352,26 @@ def _moment_intervals(n: int, thetas: Sequence[Fraction], cap: int,
             enclosures.append(ProbInterval.point(Fraction(1)))
         else:
             if kernel is None:
-                kernel = _propagate(n, cap, prec)
-            enclosures.append(_weighted_moment(n, theta, cap, prec, kernel))
+                kernel = _propagate(n, cap)
+            enclosures.append(_weighted_moment(n, theta, cap, kernel))
     return enclosures
 
 
-def _weighted_moment(n: int, theta: Fraction, cap: int, prec: int,
-                     kernel) -> ProbInterval:
-    """E(b_n^theta), 0 != theta < 1, from the output of _propagate(n, cap, prec).
+def _weighted_moment(n: int, theta: Fraction, cap: int, kernel) -> ProbInterval:
+    """E(b_n^theta), 0 != theta < 1, from the output of _propagate(n, cap).
 
     Every term is positive, so the lower end needs only the lower ends of
     the factors and the upper end only the upper ends.  Each of the two
     sums, tracked and tail, is formed exactly in integers over one power of
-    two and rounded outward once at prec, then the two are added exactly.
-    The tracked sum weights the masses by the ends of a j^theta table; the
-    tail sums the exit cohorts by Horner's rule in the level factor s.
+    two and rounded outward once at DEFAULT_PRECISION_BITS, then the two are
+    added exactly.  The tracked sum weights the masses by the ends of a
+    j^theta table; the tail sums the exit cohorts by Horner's rule in the
+    level factor s.
     """
     mass_lo, mass_up, exit_lo, exit_up, bits = kernel
     m = cap + 1
-    integral, sum_bound = _integral_tail(m, theta, prec)
-    s_lo = OutwardInterval.from_value(Fraction(m, m + 2) / (1 - theta), prec)
+    integral, sum_bound = _integral_tail(m, theta, DEFAULT_PRECISION_BITS)
+    s_lo = OutwardInterval.from_value(Fraction(m, m + 2) / (1 - theta))
 
     # Words whose very first digit already exceeds the cap:
     # P(b_1 = j) j^theta = j^(theta-1)/(j+1) in [k^(theta-2) m/(m+1), k^(theta-2)];
@@ -380,7 +380,7 @@ def _weighted_moment(n: int, theta: Fraction, cap: int, prec: int,
     # j-weighted mass; s bounds each remaining level's growth.
     ((first_lo, _), (per_exit_lo, _), (level_lo, _), (_, bound_up), (_, level_up)), e = \
         _scaled_ends([Fraction(m, m + 1) * integral, Fraction(m, m + 2) * integral, s_lo,
-                      sum_bound, s_upper_factor(m, theta, prec)])
+                      sum_bound, s_upper_factor(m, theta)])
     # Each factor is its integer times 2^-t, with t >= 0.
     t = max(-e, 0)
     first_lo, per_exit_lo, level_lo, bound_up, level_up = (
@@ -394,10 +394,10 @@ def _weighted_moment(n: int, theta: Fraction, cap: int, prec: int,
     # Over 2^(bits + t n): first * s^(n-1) + per_exit * acc.
     tail = _dyadic_interval((first_lo * level_lo ** (n - 1) << bits) + (per_exit_lo * acc_lo << t),
                             (bound_up * level_up ** (n - 1) << bits) + (bound_up * acc_up << t),
-                            -(bits + t * n), prec)
+                            -(bits + t * n), DEFAULT_PRECISION_BITS)
 
-    jpow, e = _scaled_ends([interval_pow(j, theta, prec) for j in range(1, cap + 1)])
+    jpow, e = _scaled_ends([interval_pow(j, theta) for j in range(1, cap + 1)])
     tracked = _dyadic_interval(sum(a * lo for a, (lo, _) in zip(mass_lo, jpow)),
                                sum(a * hi for a, (_, hi) in zip(mass_up, jpow)),
-                               e - bits, prec)
+                               e - bits, DEFAULT_PRECISION_BITS)
     return ProbInterval(max(Fraction(0), tracked.lo + tail.lo), tracked.hi + tail.hi)

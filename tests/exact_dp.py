@@ -57,9 +57,9 @@ def exact_propagate(n: int, cap: int):
 
 
 def fixed_point_propagate(n: int, cap: int):
-    """ecfrac.measure._propagate at the default precision, in the layout of
-    exact_propagate: its integers over 2^bits as Fractions."""
-    *flows, bits = _propagate(n, cap, default_precision())
+    """ecfrac.measure._propagate in the layout of exact_propagate: its
+    integers over 2^bits as Fractions."""
+    *flows, bits = _propagate(n, cap)
     return tuple([Fraction(x, 1 << bits) for x in flow] for flow in flows)
 
 

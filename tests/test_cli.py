@@ -14,6 +14,7 @@ import pytest
 import ecfrac
 from ecfrac.checks import CheckResult
 from ecfrac.cli import main
+from ecfrac.montecarlo import SampleConfig, estimate_event
 from ecfrac.numerics import OutwardInterval, interval_log
 
 RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
@@ -134,6 +135,25 @@ def test_mc_event_reports_rng_and_uncertified(capsys):
     assert RATIONAL.match(data["p_hat"])
 
 
+@pytest.mark.parametrize("event, holds", [
+    ("b1>=2", lambda digit: digit >= 2),
+    ("b2<=3", lambda digit: digit <= 3),
+    ("b2==2", lambda digit: digit == 2),
+], ids=[">=", "<=", "=="])
+def test_mc_event_matches_estimate_event(capsys, event, holds):
+    # Each comparison decides the same trials as a predicate written out.
+    position = int(event[1])
+    code, out, _ = run(capsys, "mc", "--task", "event", "--seed", "3", "--trials",
+                       "60", "--n", "2", "--event", event)
+    est = estimate_event(
+        SampleConfig(seed=3, trials=60, depth=2),
+        lambda e: holds(e.digits[position - 1]) if len(e.digits) >= position else None)
+    data = json.loads(out)["data"]
+    assert code == 0
+    assert (data["hits"], data["trials"], data["uncertified"], data["p_hat"]) == \
+        (est.hits, est.trials, est.uncertified, str(est.p_hat))
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -208,15 +228,6 @@ def test_negative_rational_values_parse(capsys):
     assert abs(float(value["lo"]) - 0.19314718) < 1e-6
 
 
-def test_mode_alias(capsys):
-    _, canonical, _ = run(capsys, "count", "--n", "3", "--m", "3",
-                          "--mode", "exact-last")
-    _, alias, _ = run(capsys, "count", "--n", "3", "--m", "3",
-                      "--mode", "exact")
-    assert json.loads(alias)["data"]["count"] == \
-        json.loads(canonical)["data"]["count"] == 6
-
-
 def test_data_payload_reproducible(capsys):
     _, first, _ = run(capsys, "mc", "--task", "event", "--seed", "3",
                       "--trials", "40", "--n", "2", "--event", "b1>=2")
@@ -280,6 +291,20 @@ def test_mc_has_no_workers_flag():
     with pytest.raises(SystemExit) as exc:
         main(["mc", "--task", "lln", "--seed", "1", "--trials", "5", "--n", "2",
               "--workers", "2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["marginal", "--n", "3", "--cap", "4", "--interval"],
+    ["count", "--n", "3", "--m", "3", "--mode", "exact"],
+    ["count", "--n", "3", "--m", "3", "--mode", "at-most"],
+    ["rate", "--which", "Lambda", "--x", "1"],
+], ids=["marginal-interval", "mode-exact", "mode-at-most", "rate-lambda"])
+def test_no_second_spelling(argv):
+    # One spelling per value: the interval marginal is the default, the
+    # modes are exact-last and last-at-most, and the pressure is `pressure`.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2
 
 
@@ -361,10 +386,21 @@ def test_mc_limit_exit_3(capsys, argv, message):
     # A negative budget is malformed input, not a budget refusal (exit 3).
     (["enumerate", "--n", "3", "--m", "2", "--limit", "-1"],
      "enumerate_words needs budget >= 0, got -1"),
+    (["mc", "--task", "event", "--seed", "1", "--trials", "5", "--n", "2",
+      "--event", "b0>=1"], "digit position must be >= 1"),
+    (["mc", "--task", "event", "--seed", "1", "--trials", "5", "--n", "2"],
+     "mc --task event needs --event"),
+    (["mc", "--task", "ldp", "--seed", "1", "--trials", "5", "--n", "3", "--n-list", "2,3"],
+     "mc --task ldp needs --eps and --n-list"),
+    (["conditional", "--given-last", "--next", "3"], "--given-last needs --n and --last"),
+    (["conditional", "--next", "3"], "need --prefix"),
+    (["reconstruct", "--digits", "1,x"], "not a comma-separated integer list"),
 ], ids=["growth-empty-n-list", "mdp-empty-n-list", "ldp-empty-n-list", "event-beyond-depth",
         "mdp-n-below-one", "growth-n-below-one", "mdp-cap-below-one", "moment-cap-below-one",
         "marginal-cap-below-one", "marginal-exact-n-below-one", "marginal-exact-cap-below-one",
-        "enumerate-negative-limit"])
+        "enumerate-negative-limit", "event-position-zero", "event-without-event",
+        "ldp-without-eps", "given-last-without-n-and-last", "conditional-without-prefix",
+        "reconstruct-non-integer-digit"])
 def test_usage_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

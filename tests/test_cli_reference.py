@@ -20,10 +20,9 @@ CORPUS = [
     ["reconstruct", "--digits", "1,2,6"],
     ["cylinder", "--digits", "1,2,6"],
     ["count", "--n", "4", "--m", "2"],
-    ["count", "--n", "3", "--m", "3", "--mode", "at-most"],
+    ["count", "--n", "3", "--m", "3", "--mode", "last-at-most"],
     ["enumerate", "--n", "3", "--m", "2", "--mode", "last-at-most"],
     ["marginal", "--n", "3", "--cap", "4", "--exact"],
-    ["marginal", "--n", "3", "--cap", "4", "--interval"],
     ["marginal", "--n", "3", "--cap", "4"],
     ["conditional", "--prefix", "1,2", "--next", "3"],
     ["conditional", "--given-last", "--n", "3", "--last", "2", "--next", "3"],

@@ -49,12 +49,6 @@ def test_pressure_infinite_at_and_above_one():
     assert pressure(Fraction(1)).is_infinite
     assert pressure(Fraction(2)).is_infinite
     assert not pressure(Fraction(999, 1000)).is_infinite
-    # rate's pressure_Lambda kind is the pressure itself, +infinity included
-    for theta in (Fraction(-2), Fraction(1, 2), Fraction(999, 1000), Fraction(1), Fraction(2)):
-        ours, direct = rate(RateFunctionId("pressure_Lambda"), theta), pressure(theta)
-        assert ours.is_infinite == direct.is_infinite
-        if not ours.is_infinite:
-            assert (ours.value.lo, ours.value.hi) == (direct.value.lo, direct.value.hi)
 
 
 def test_pressure_continuous_at_golden_breakpoint():
@@ -199,6 +193,10 @@ def test_rate_id_validation():
         RateFunctionId("nope")
     with pytest.raises(ValueError):
         RateFunctionId("I", b=3)       # b only belongs to I_b
+    with pytest.raises(ValueError, match="unknown rate function"):
+        RateFunctionId("pressure_Lambda")  # the pressure is pressure(), not a rate
+    with pytest.raises(ValueError, match="xi_b needs b >= 1"):
+        xi_b(0)
 
 
 def test_moment_limits():
@@ -572,6 +570,12 @@ def test_legendre_rejects_a_nonpositive_target_width():
             legendre_numeric(pressure, Fraction(1), target_width=width)
 
 
+def test_legendre_rejects_an_empty_bracket():
+    for bracket in ((Fraction(1, 2), Fraction(1, 2)), (Fraction(0), Fraction(-1))):
+        with pytest.raises(ValueError, match="empty bracket"):
+            legendre_numeric(pressure, Fraction(1), bracket=bracket)
+
+
 def test_legendre_encloses_rate_past_the_domain_edge():
     # Brackets reaching past theta = 1, where Lambda is +infinity: a gap
     # between probes straddling the edge may hold the maximizer
@@ -653,20 +657,20 @@ def test_mdp_runs_one_moment_dp_per_feasible_row(monkeypatch):
     runs = []
     propagate = measure._propagate
 
-    def counting(n, cap, prec):
+    def counting(n, cap):
         runs.append(n)
-        return propagate(n, cap, prec)
+        return propagate(n, cap)
 
     monkeypatch.setattr(measure, "_propagate", counting)
     table = mdp_curve(Fraction(1), [1, 4, 8], cap=20)
     assert [row.feasible for row in table.rows] == [False, True, True]  # theta_1 = 1
     assert runs == [4, 8]
     for row in table.rows[1:]:
-        pair = measure._moment_intervals(row.n, (row.theta.lo, row.theta.hi), 20, 128)
+        pair = measure._moment_intervals(row.n, (row.theta.lo, row.theta.hi), 20)
         assert pair == [moment_interval(row.n, row.theta.lo, cap=20),
                         moment_interval(row.n, row.theta.hi, cap=20)]
     runs.clear()
-    assert measure._moment_intervals(3, (Fraction(0), Fraction(1)), 20, 128) == [
+    assert measure._moment_intervals(3, (Fraction(0), Fraction(1)), 20) == [
         moment_interval(3, Fraction(0)), moment_interval(3, Fraction(1))]
     assert runs == []
 
@@ -716,3 +720,5 @@ def test_exponential_bound_check_invariant():
     for row in report.rows:
         bound = report.alpha * interval_exp(-report.beta * row.n)
         assert row.prob_bound <= bound.hi
+    with pytest.raises(ValueError, match="eps must be positive"):
+        exponential_bound_check(Fraction(0), [5], estimator=lambda n: Fraction(1, 2**n))

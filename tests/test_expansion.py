@@ -187,6 +187,15 @@ def test_expand_interval_rejects_bad_bounds():
         expand_interval(Fraction(0), Fraction(1, 2))
     with pytest.raises(ValueError):
         expand_interval(Fraction(1, 2), Fraction(3, 2))
+    with pytest.raises(ValueError, match="max_digits must be >= 1"):
+        expand_rational(Fraction(1, 3), max_digits=0)
+
+
+def test_empty_word_refused():
+    with pytest.raises(ValueError, match="empty word"):
+        reconstruct(())
+    with pytest.raises(ValueError, match="empty word"):
+        cylinder_endpoints(())
 
 
 def test_expansion_dataclass_fields():

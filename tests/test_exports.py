@@ -1,7 +1,10 @@
 """The package namespace: every exported name resolves, none is listed twice,
 importing it loads no scipy, no module reads the environment, one
-function applies the digit map, and no float field is named like a bound."""
+function applies the digit map, no float field is named like a bound, only
+the functions that some caller runs at another precision take prec, and
+every CLI flag is read."""
 
+import argparse
 import ast
 import os
 import subprocess
@@ -9,6 +12,7 @@ import sys
 from pathlib import Path
 
 import ecfrac
+from ecfrac import cli
 
 
 def test_all_names_resolve_once():
@@ -104,3 +108,57 @@ def test_no_float_field_is_named_like_a_bound():
                       and field.target.id.endswith(("_lo", "_hi"))
                       and ast.unparse(field.annotation) in floats]
     assert named == []
+
+
+def test_prec_only_where_a_caller_sets_another():
+    # A prec parameter that every caller leaves at its default is a setting
+    # no one uses; the cap DP and all weighted from it run at
+    # DEFAULT_PRECISION_BITS.  The numerics core takes prec throughout
+    # (tail_threshold runs interval_exp at 128 to 2048 bits).  Elsewhere:
+    # the tests run pressure, rate, legendre_numeric and the golden
+    # constants at 53, 128 and 300 bits, and legendre_numeric calls its
+    # pressure as fn(theta, prec); rate forwards its prec to xi_b; the
+    # 256-bit moment oracle of the tests calls s_upper_factor and
+    # _integral_tail.
+    package = Path(ecfrac.__file__).resolve().parent
+    takers = set()
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "numerics":
+            continue
+        tree = ast.parse(path.read_text())
+        scopes = {child: node.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) for child in node.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                    "prec" in [a.arg for a in node.args.args + node.args.kwonlyargs]:
+                name = f"{scopes[node]}.{node.name}" if node in scopes else node.name
+                takers.add((path.stem, name))
+    assert takers == {
+        ("deviations", "GoldenConstants.compute"), ("deviations", "pressure"),
+        ("deviations", "rate"), ("deviations", "legendre_numeric"), ("deviations", "xi_b"),
+        ("measure", "s_upper_factor"), ("measure", "_integral_tail"),
+    }
+
+
+def test_every_cli_flag_is_read():
+    # A flag that no handler reads is accepted and then ignored.  Every dest
+    # the parser defines must appear as args.<dest> outside the parser; the
+    # mc flags that only one task reads are checked through _MC_TASK_FLAGS.
+    def dests(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                yield action.dest
+                for sub in action.choices.values():
+                    yield from dests(sub)
+            elif not isinstance(action, argparse._HelpAction):
+                yield action.dest
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    parser_def = next(node for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef) and node.name == "_build_parser")
+    inside = set(ast.walk(parser_def))
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node not in inside
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    read |= set(cli._MC_TASK_FLAGS)
+    assert set(dests(cli._build_parser())) - read == set()

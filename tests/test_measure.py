@@ -48,6 +48,19 @@ def test_cylinder_measure_rejects_bad_words():
         cylinder_measure((3, 2))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: transition_bounds(3, 2), "needs 1 <= j <= k"),
+    (lambda: conditional_given_last(1, 1, 1), "needs depth n >= 2"),
+    (lambda: conditional_probability((), 1), "prefix must be nonempty"),
+    (lambda: prob_digit_one(0), "needs n >= 1"),
+    (lambda: s_upper_factor(1, Fraction(1, 2)), "needs j >= 2"),
+], ids=["transition-bounds-k-below-j", "given-last-depth-one", "empty-prefix",
+        "digit-one-depth-zero", "level-factor-j-one"])
+def test_measure_refuses_arguments_outside_its_domain(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @st.composite
 def words(draw, max_len=6, max_digit=20):
     length = draw(st.integers(1, max_len))
@@ -134,7 +147,7 @@ def test_marginal_dp_encloses_exact_and_beats_uniform_sandwich(n, cap):
     uniform = uniform_marginal(n, cap)
     # each of the n - 1 steps rounds at most cap terms per entry, one ulp
     # of 2^-bits each, on either side
-    slack = Fraction(n * cap, 2 ** (_dp_bits(n, cap, default_precision()) - 2))
+    slack = Fraction(n * cap, 2 ** (_dp_bits(n, cap) - 2))
     for k in range(1, cap + 1):
         assert table.entries[k].contains(exact.entries[k].lo), (n, cap, k)
         assert table.entries[k].width <= uniform.entries[k].width + slack, (n, cap, k)
@@ -180,8 +193,8 @@ def test_marginal_tables_are_pinned():
 def test_kernel_is_pinned():
     flows = []
     for n in (4, 8, 12):
-        *lists, bits = _propagate(n, 60, 128)
-        assert bits == _dp_bits(n, 60, 128)
+        *lists, bits = _propagate(n, 60)
+        assert bits == _dp_bits(n, 60)
         flows.append(lists)
     assert _digest(flows) == _KERNEL_DIGEST
 

@@ -450,6 +450,8 @@ def test_sample_config_validation():
         SampleConfig(seed=1, trials=0, depth=1)
     with pytest.raises(ValueError):
         SampleConfig(seed=1, trials=10, depth=0)
+    with pytest.raises(ValueError, match="bits must be >= 1"):
+        SampleConfig(seed=1, trials=10, depth=3, bits=0)
     config = SampleConfig(seed=1, trials=10, depth=3)
     assert config.bits == default_bits(3)
 

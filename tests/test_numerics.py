@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from mpmath import libmp
 from mpmath.ctx_iv import MPIntervalContext
 
-from ecfrac.numerics import (ExtendedReal, OutwardInterval, _scaled_ends, interval_exp,
-                             interval_log, interval_pow, interval_sqrt)
+from ecfrac.numerics import (ExtendedReal, OutwardInterval, _scaled_ends, _up_to,
+                             interval_exp, interval_log, interval_pow, interval_sqrt)
 
 getcontext().prec = 60
 
@@ -145,12 +145,28 @@ def test_from_endpoints_refuses_exactly_when_out_of_order():
     x = OutwardInterval.from_endpoints(third, third + Fraction(1, 10**60))
     assert x.lo < third and x.hi > third + Fraction(1, 10**60)
     assert x.width <= Fraction(2, 2**128)
+    # _up_to, which reads the lower end from an interval, refuses the same way.
+    with pytest.raises(ValueError, match="out of order"):
+        _up_to(OutwardInterval.from_value(1), Fraction(1, 2), 128)
+
+
+def test_from_value_takes_floats_and_decimal_strings():
+    # A float is the dyadic it denotes, exact at 128 bits; a decimal string
+    # is the rational it denotes, enclosed within one ulp.
+    x = OutwardInterval.from_value(0.1)
+    assert x.lo == x.hi == Fraction(0.1)
+    y = OutwardInterval.from_value("0.1")
+    assert y.lo < Fraction(1, 10) < y.hi and y.width <= Fraction(1, 2**131)
+    z = OutwardInterval.from_value(Fraction(1, 10))
+    assert (y.lo, y.hi) == (z.lo, z.hi)
 
 
 def test_division_by_zero_straddle_rejected():
     zero = OutwardInterval.from_endpoints(Fraction(-1), Fraction(1))
     with pytest.raises((ValueError, ZeroDivisionError)):
         OutwardInterval.from_value(1) / zero
+    with pytest.raises(ZeroDivisionError, match="division by zero"):
+        OutwardInterval.from_value(1) / 0
 
 
 def test_domain_checks_match_exact_endpoint_signs():
