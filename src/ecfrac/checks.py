@@ -299,12 +299,12 @@ def _shared_tail_run():
     requests = ([TailRequest(LOWER, half, n) for n in TAIL_N_LOWER]
                 + [TailRequest(UPPER, half, n) for n in TAIL_N_LOWER]
                 + [TailRequest(UPPER, Fraction(1), n) for n in TAIL_N_UPPER])
-    return config, tail_counts(config, requests)
+    return tail_counts(config, requests)
 
 
 @_criterion(12, "tail decay slopes match the rate function")
 def criterion_12():
-    _, estimates = _shared_tail_run()
+    estimates = _shared_tail_run()
     half = Fraction(1, 2)
     lower = _ldp_rows(half, LOWER, TAIL_N_LOWER, estimates)
     upper = _ldp_rows(Fraction(1), UPPER, TAIL_N_UPPER, estimates)
@@ -319,7 +319,7 @@ def criterion_12():
 
 @_criterion(13, "single exponential bound covers all depths")
 def criterion_13():
-    config, estimates = _shared_tail_run()
+    estimates = _shared_tail_run()
     half = Fraction(1, 2)
 
     def two_sided_ci_hi(n: int) -> Fraction:

@@ -62,17 +62,11 @@ EXIT_VERIFY = 4
 DECIMAL_DIGITS = 40
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise _CliError(f"not a rational number: {text!r}", EXIT_USAGE)
+        raise ValueError(f"not a rational number: {text!r}")
 
 
 def _int_list(text: str) -> list[int]:
@@ -81,7 +75,7 @@ def _int_list(text: str) -> list[int]:
     except ValueError:
         values = []
     if not values:
-        raise _CliError(f"not a comma-separated integer list: {text!r}", EXIT_USAGE)
+        raise ValueError(f"not a comma-separated integer list: {text!r}")
     return values
 
 
@@ -130,15 +124,15 @@ def _cmd_marginal(args):
 def _cmd_conditional(args):
     if args.given_last:
         if args.prefix is not None:
-            raise _CliError("--prefix does not apply with --given-last", EXIT_USAGE)
+            raise ValueError("--prefix does not apply with --given-last")
         if args.n is None or args.last is None:
-            raise _CliError("--given-last needs --n and --last", EXIT_USAGE)
+            raise ValueError("--given-last needs --n and --last")
         p = conditional_given_last(args.n, args.last, args.next)
     else:
         if args.n is not None or args.last is not None:
-            raise _CliError("--n and --last apply only with --given-last", EXIT_USAGE)
+            raise ValueError("--n and --last apply only with --given-last")
         if not args.prefix:
-            raise _CliError("need --prefix (or --given-last with --n/--last)", EXIT_USAGE)
+            raise ValueError("need --prefix (or --given-last with --n/--last)")
         p = conditional_probability(tuple(_int_list(args.prefix)), args.next)
     return {"p": p}, None
 
@@ -191,16 +185,15 @@ def _cmd_mdp(args):
 _EVENT_RE = re.compile(r"^b(\d+)\s*(>=|<=|==?)\s*(\d+)$")
 
 
-def _parse_event(text: str, depth: int | None = None):
+def _parse_event(text: str, depth: int):
     match = _EVENT_RE.match(text.strip())
     if not match:
-        raise _CliError(f"cannot parse event {text!r} (use e.g. 'b1>=2')", EXIT_USAGE)
+        raise ValueError(f"cannot parse event {text!r} (use e.g. 'b1>=2')")
     position, op, value = int(match.group(1)), match.group(2), int(match.group(3))
     if position < 1:
-        raise _CliError("digit position must be >= 1", EXIT_USAGE)
-    if depth is not None and position > depth:  # a certified prefix holds at most depth digits
-        raise _CliError(f"digit position {position} exceeds the sampled depth --n {depth}",
-                        EXIT_USAGE)
+        raise ValueError("digit position must be >= 1")
+    if position > depth:  # a certified prefix holds at most depth digits
+        raise ValueError(f"digit position {position} exceeds the sampled depth --n {depth}")
 
     def predicate(expansion):
         if len(expansion.digits) < position:
@@ -233,7 +226,7 @@ def _cmd_mc(args):
     for dest, task in _MC_TASK_FLAGS.items():
         if getattr(args, dest) is not None and args.task != task:
             flag = "--" + dest.replace("_", "-")
-            raise _CliError(f"{flag} applies only to --task {task}", EXIT_USAGE)
+            raise ValueError(f"{flag} applies only to --task {task}")
     config = _mc_config(args)
     head = {"task": args.task, "rng": RNG_ALGORITHM}
     if args.task == "lln":
@@ -245,7 +238,7 @@ def _cmd_mc(args):
         return {**head, **dataclasses.asdict(rep), "quantiles": quantiles}, quantiles
     if args.task == "ldp":
         if args.eps is None or args.n_list is None:
-            raise _CliError("mc --task ldp needs --eps and --n-list", EXIT_USAGE)
+            raise ValueError("mc --task ldp needs --eps and --n-list")
         if args.tail is None:
             args.tail = LOWER  # recorded in the manifest like a given flag
         rep = ldp_slope(_fraction(args.eps), _int_list(args.n_list), config,
@@ -255,7 +248,7 @@ def _cmd_mc(args):
                 "intercept": rep.intercept, "rows": rows}, rows
     # task == "event"
     if not args.event:
-        raise _CliError("mc --task event needs --event (e.g. 'b1>=2')", EXIT_USAGE)
+        raise ValueError("mc --task event needs --event (e.g. 'b1>=2')")
     est = estimate_event(config, _parse_event(args.event, args.n))
     return {**head, "event": args.event, **_estimate(est)}, None
 
@@ -365,7 +358,7 @@ def _check_output(path: str):
     try:
         open(path, "a").close()
     except OSError as err:
-        raise _CliError(str(err), EXIT_USAGE)
+        raise ValueError(str(err))
     if not existed:
         os.remove(path)
 
@@ -376,7 +369,7 @@ def _emit(args, text: str):
             with open(args.output, "w") as handle:
                 handle.write(text)
         except OSError as err:
-            raise _CliError(str(err), EXIT_USAGE)
+            raise ValueError(str(err))
     else:
         sys.stdout.write(text)
 
@@ -524,9 +517,6 @@ def main(argv=None) -> int:
     except SampleLimitError as err:
         sys.stderr.write(f"limit reached: {err}\n")
         return EXIT_BUDGET
-    except _CliError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return err.code
     except (ValueError, ZeroDivisionError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE

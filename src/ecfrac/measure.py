@@ -353,22 +353,24 @@ def _moment_intervals(n: int, thetas: Sequence[Fraction],
         else:
             if kernel is None:
                 kernel = _propagate(n, cap)
-            enclosures.append(_weighted_moment(n, theta, cap, kernel))
+            enclosures.append(_weighted_moment(theta, kernel))
     return enclosures
 
 
-def _weighted_moment(n: int, theta: Fraction, cap: int, kernel) -> ProbInterval:
+def _weighted_moment(theta: Fraction, kernel) -> ProbInterval:
     """E(b_n^theta), 0 != theta < 1, from the output of _propagate(n, cap).
 
-    Every term is positive, so the lower end needs only the lower ends of
-    the factors and the upper end only the upper ends.  Each of the two
-    sums, tracked and tail, is formed exactly in integers over one power of
-    two and rounded outward once at DEFAULT_PRECISION_BITS, then the two are
-    added exactly.  The tracked sum weights the masses by the ends of a
-    j^theta table; the tail sums the exit cohorts by Horner's rule in the
-    level factor s.
+    The kernel alone fixes n and cap: it holds one exit flow per depth
+    below n and one mass per last digit up to cap.  Every term is positive,
+    so the lower end needs only the lower ends of the factors and the upper
+    end only the upper ends.  Each of the two sums, tracked and tail, is
+    formed exactly in integers over one power of two and rounded outward
+    once at DEFAULT_PRECISION_BITS, then the two are added exactly.  The
+    tracked sum weights the masses by the ends of a j^theta table; the tail
+    sums the exit cohorts by Horner's rule in the level factor s.
     """
     mass_lo, mass_up, exit_lo, exit_up, bits = kernel
+    n, cap = len(exit_lo) + 1, len(mass_lo)
     m = cap + 1
     integral, sum_bound = _integral_tail(m, theta, DEFAULT_PRECISION_BITS)
     s_lo = OutwardInterval.from_value(Fraction(m, m + 2) / (1 - theta))

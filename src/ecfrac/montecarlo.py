@@ -204,19 +204,17 @@ def _power(x: float, n: int) -> float:
     return result
 
 
-def _window(n: int, h: int, p: float, q: float) -> tuple[float, float, int] | None:
+def _window(n: int, h: int, p: float, q: float) -> tuple[float, float, int]:
     """The terms t_h, t_{h+1}, ..., t_j of P(Bin(n, p) >= h), relative to t_h.
 
-    t_{j+1} = t_j rho_j with rho_j = (n - j) p / ((j + 1) q), decreasing in j,
-    so once rho_j < 1 the terms past j sum to at most t_j rho_j / (1 - rho_j);
-    the walk stops when that is below _WINDOW_EPS of the sum.  Returns
-    (sigma, last, j): the float sum of the kept terms, the last one and its
-    index, after 5 (j - h) roundings; None when rho_h > 1 (the mode lies past
-    h, so the tail is at least about 1/2).
+    Assumes p <= h / n, which every caller keeps: then rho_j = (n - j) p /
+    ((j + 1) q) <= h / (h + 1) < 1 for every j >= h.  t_{j+1} = t_j rho_j
+    with rho_j decreasing in j, so the terms past j sum to at most
+    t_j rho_j / (1 - rho_j); the walk stops when that is below _WINDOW_EPS
+    of the sum.  Returns (sigma, last, j): the float sum of the kept terms,
+    the last one and its index, after 5 (j - h) roundings.
     """
     pq = p / q
-    if (n - h) * pq > h + 1:
-        return None
     sigma = last = 1.0
     ahead, behind = float(n - h), float(h + 1)   # n - j and j + 1, exact
     while ahead:
@@ -261,19 +259,20 @@ def _start_term(n: int, h: int, big_k: int) -> tuple[Fraction, int] | None:
 def _tail_bound(n: int, h: int, big_k: int) -> Fraction | None:
     """An upper bound on P(Bin(n, K / 2^53) >= h), or None if none is found.
 
-    The float sum of the window is certified a posteriori: it uses only
-    multiplications, divisions and additions of positive normal floats, so
-    with m roundings in all it is within a factor 1 + gamma_m, gamma_m =
-    m u / (1 - m u), u = 2^-53, of the exact sum (Higham, Accuracy and
-    Stability of Numerical Algorithms, section 3.1).  The bound adds the
-    geometric remainder and is evaluated in exact rationals.
+    Assumes K / 2^53 <= h / n, as _window does, so the geometric ratio rho
+    of the remainder is below 1.  The float sum of the window is certified
+    a posteriori: it uses only multiplications, divisions and additions of
+    positive normal floats, so with m roundings in all it is within a factor
+    1 + gamma_m, gamma_m = m u / (1 - m u), u = 2^-53, of the exact sum
+    (Higham, Accuracy and Stability of Numerical Algorithms, section 3.1).
+    The bound adds the geometric remainder and is evaluated in exact
+    rationals.  None means a term fell below _TINY or m u reached 1/2.
     """
-    p, q = big_k / _GRID, (_GRID - big_k) / _GRID
-    window = _window(n, h, p, q)
-    start = _start_term(n, h, big_k) if window else None
+    start = _start_term(n, h, big_k)
     if start is None:
         return None
-    (sigma, last, j), (t, m) = window, start
+    t, m = start
+    sigma, last, j = _window(n, h, big_k / _GRID, (_GRID - big_k) / _GRID)
     m += 5 * (j - h)
     if last < _TINY or 2 * m >= _GRID:
         return None
@@ -281,8 +280,6 @@ def _tail_bound(n: int, h: int, big_k: int) -> Fraction | None:
     num, den = sigma.as_integer_ratio()
     if j < n:
         rho_num, rho_den = (n - j) * big_k, (j + 1) * (_GRID - big_k)
-        if rho_num >= rho_den:
-            return None
         last_num, last_den = last.as_integer_ratio()
         num, den = (num * last_den * (rho_den - rho_num) + last_num * rho_num * den,
                     den * last_den * (rho_den - rho_num))
@@ -316,11 +313,7 @@ def _lower_candidate(h: int, n: int) -> float:
     log_comb = _log_comb(n, h)
     for _ in range(64):
         q = 1 - p
-        window = _window(n, h, p, q)
-        if window is None:
-            p /= 2
-            continue
-        sigma, last, j = window
+        sigma, last, j = _window(n, h, p, q)
         if j < n:
             r = (n - j) * p / ((j + 1) * q)
             sigma += last * r / (1 - r)

@@ -5,29 +5,99 @@ Each handler here formats its own values and returns a JSON payload and
 CSV rows in two hand-made shapes; ``_render`` writes them.  The current
 handlers return native values, and ``ecfrac.cli._render`` alone formats
 them.  For every input both must print the same document, byte for byte
-apart from the timestamp.  Parsing, the manifest and argument checks are
-shared with ``ecfrac.cli``; only the formatting is kept here.
+apart from the timestamp.  Only argv is shared: ``ecfrac.cli._build_parser``
+turns it into args.  The value tables, the value parsers, the argument
+checks and the manifest are written out again here, so a wrong entry in
+one of ``ecfrac.cli``'s tables prints a document that differs from this
+one.
 """
 
 import csv
 import io
 import json
+import operator
+import re
+from datetime import datetime, timezone
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction
 
-from ecfrac.cli import (DECIMAL_DIGITS, EXIT_USAGE, _CliError, _MC_TASK_FLAGS,
-                        _RATE_KINDS, _family, _fraction, _int_list, _manifest,
-                        _mc_config, _parse_event)
+from ecfrac import __version__
 from ecfrac.deviations import (RateFunctionId, legendre_numeric, mdp_curve,
                                moment_growth_rate, pressure, rate)
 from ecfrac.expansion import cylinder_endpoints, expand_rational, reconstruct
 from ecfrac.measure import (conditional_given_last, conditional_probability,
                             cylinder_measure, marginal_exact,
                             marginal_interval_dp, moment_interval)
-from ecfrac.montecarlo import (LOWER, RNG_ALGORITHM, clt_report,
+from ecfrac.montecarlo import (LOWER, RNG_ALGORITHM, SampleConfig, clt_report,
                                estimate_event, ldp_slope, lln_report)
-from ecfrac.numerics import ExtendedReal, OutwardInterval
-from ecfrac.words import count_words, enumerate_words
+from ecfrac.numerics import ExtendedReal, OutwardInterval, default_precision
+from ecfrac.words import WordFamily, count_words, enumerate_words
+
+DECIMAL_DIGITS = 40
+
+RATE_KINDS = {
+    "I": "I", "Ib": "I_b", "Iinf": "I_inf", "J": "J",
+    "engel-moment-limit": "engel_moment_limit",
+    "modified-moment-limit": "modified_moment_limit",
+}
+
+# The mc flags that only one task reads, and that task.
+MC_TASK_FLAGS = {"eps": "ldp", "n_list": "ldp", "tail": "ldp", "event": "event"}
+
+_COMPARE = {">=": operator.ge, "<=": operator.le, "==": operator.eq, "=": operator.eq}
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a rational number: {text!r}")
+
+
+def _int_list(text: str) -> list[int]:
+    values = [int(part) for part in text.split(",") if part]
+    if not values:
+        raise ValueError(f"not a comma-separated integer list: {text!r}")
+    return values
+
+
+def _parse_event(text: str, depth: int):
+    match = re.fullmatch(r"b(\d+)\s*(>=|<=|==|=)\s*(\d+)", text.strip())
+    if match is None:
+        raise ValueError(f"cannot parse event {text!r} (use e.g. 'b1>=2')")
+    position, compare, value = int(match[1]), _COMPARE[match[2]], int(match[3])
+    if position < 1:
+        raise ValueError("digit position must be >= 1")
+    if position > depth:
+        raise ValueError(f"digit position {position} exceeds the sampled depth --n {depth}")
+
+    def predicate(expansion):
+        if len(expansion.digits) < position:
+            return None
+        return compare(expansion.digits[position - 1], value)
+
+    return predicate
+
+
+def _family(args) -> WordFamily:
+    return WordFamily(args.n, args.m, args.mode)
+
+
+def _mc_config(args) -> SampleConfig:
+    return SampleConfig(seed=args.seed, trials=args.trials, depth=args.n,
+                        bits=args.bits)
+
+
+def _manifest(args) -> dict:
+    params = {}
+    for key in sorted(vars(args)):
+        value = getattr(args, key)
+        if key not in ("func", "output", "format", "command") and value is not None:
+            params[key] = str(value)
+    return {"command": args.command, "params": params,
+            "seed": getattr(args, "seed", None), "precision": default_precision(),
+            "version": __version__,
+            "timestamp": datetime.now(timezone.utc).isoformat()}
 
 
 def _rat(value) -> str:
@@ -113,15 +183,15 @@ def _cmd_marginal(args):
 def _cmd_conditional(args):
     if args.given_last:
         if args.prefix is not None:
-            raise _CliError("--prefix does not apply with --given-last", EXIT_USAGE)
+            raise ValueError("--prefix does not apply with --given-last")
         if args.n is None or args.last is None:
-            raise _CliError("--given-last needs --n and --last", EXIT_USAGE)
+            raise ValueError("--given-last needs --n and --last")
         p = conditional_given_last(args.n, args.last, args.next)
     else:
         if args.n is not None or args.last is not None:
-            raise _CliError("--n and --last apply only with --given-last", EXIT_USAGE)
+            raise ValueError("--n and --last apply only with --given-last")
         if not args.prefix:
-            raise _CliError("need --prefix (or --given-last with --n/--last)", EXIT_USAGE)
+            raise ValueError("need --prefix (or --given-last with --n/--last)")
         p = conditional_probability(tuple(_int_list(args.prefix)), args.next)
     return {"p": _rat(p)}, [{"p": _rat(p)}]
 
@@ -156,7 +226,7 @@ def _cmd_pressure(args):
 
 
 def _cmd_rate(args):
-    kind = _RATE_KINDS[args.which]
+    kind = RATE_KINDS[args.which]
     rid = RateFunctionId(kind, b=args.b) if kind == "I_b" else RateFunctionId(kind)
     value = rate(rid, _fraction(args.x))
     out = _extended(value)
@@ -190,10 +260,10 @@ def _cmd_mdp(args):
 
 
 def _cmd_mc(args):
-    for dest, task in _MC_TASK_FLAGS.items():
+    for dest, task in MC_TASK_FLAGS.items():
         if getattr(args, dest) is not None and args.task != task:
             flag = "--" + dest.replace("_", "-")
-            raise _CliError(f"{flag} applies only to --task {task}", EXIT_USAGE)
+            raise ValueError(f"{flag} applies only to --task {task}")
     config = _mc_config(args)
     if args.task == "lln":
         rep = lln_report(config)
@@ -215,7 +285,7 @@ def _cmd_mc(args):
         return payload, rows
     if args.task == "ldp":
         if args.eps is None or args.n_list is None:
-            raise _CliError("mc --task ldp needs --eps and --n-list", EXIT_USAGE)
+            raise ValueError("mc --task ldp needs --eps and --n-list")
         if args.tail is None:
             args.tail = LOWER  # recorded in the manifest like a given flag
         rep = ldp_slope(_fraction(args.eps), _int_list(args.n_list), config,
@@ -235,8 +305,8 @@ def _cmd_mc(args):
         return payload, rows
     # task == "event"
     if not args.event:
-        raise _CliError("mc --task event needs --event (e.g. 'b1>=2')", EXIT_USAGE)
-    est = estimate_event(config, _parse_event(args.event))
+        raise ValueError("mc --task event needs --event (e.g. 'b1>=2')")
+    est = estimate_event(config, _parse_event(args.event, args.n))
     payload = {"task": "event", "rng": RNG_ALGORITHM, "event": args.event,
                "hits": est.hits, "trials": est.trials,
                "uncertified": est.uncertified, "p_hat": _rat(est.p_hat),

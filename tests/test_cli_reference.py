@@ -36,6 +36,13 @@ CORPUS = [
     ["pressure", "--theta", "-2"],
     ["rate", "--which", "I", "--x", "-1/2"],
     ["rate", "--which", "I", "--x", "-2"],
+    # Every --which value, at a point where its kind differs from the
+    # others: I and I_inf on I's linear middle branch, the rest at -2.
+    ["rate", "--which", "I", "--x", "-9/10"],
+    ["rate", "--which", "Iinf", "--x", "-9/10"],
+    ["rate", "--which", "J", "--x", "-2"],
+    ["rate", "--which", "engel-moment-limit", "--x", "-2"],
+    ["rate", "--which", "modified-moment-limit", "--x", "-2"],
     ["rate", "--which", "Ib", "--x", "1", "--b", "3"],
     ["legendre", "--x", "1"],
     ["legendre", "--x", "1000", "--bracket-lo", "0", "--bracket-hi", "3/2",

@@ -99,6 +99,10 @@ def test_inadmissible_rejected():
     assert not is_admissible((0,))
     assert not is_admissible((1, 3, 2))
     assert is_admissible(())  # the trivial prefix
+    with pytest.raises(ValueError, match="inadmissible digit word"):
+        reconstruct((2, 1))
+    with pytest.raises(ValueError, match="inadmissible digit word"):
+        continuants((2, 1))
 
 
 def test_continuants_all_ones_are_fibonacci():

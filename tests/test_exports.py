@@ -1,8 +1,8 @@
 """The package namespace: every exported name resolves, none is listed twice,
 importing it loads no scipy, no module reads the environment, one
 function applies the digit map, no float field is named like a bound, only
-the functions that some caller runs at another precision take prec, and
-every CLI flag is read."""
+the functions that some caller runs at another precision take prec,
+every CLI flag is read, and the CLI defines no exception class."""
 
 import argparse
 import ast
@@ -87,6 +87,17 @@ def test_one_digit_walk():
                              if f.lineno <= node.lineno <= f.end_lineno]
                 callers.add((path.stem, enclosing[-1] if enclosing else None))
     assert callers == {("expansion", "_walk")}
+
+
+def test_cli_defines_no_exception_class():
+    # A usage error is a ValueError, which main prints as "error: ..." and
+    # turns into exit code 2; an exception class of the CLI's own would be
+    # a second path to the same message and code.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    defined = [node.name for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)
+               and any(ast.unparse(base).endswith(("Error", "Exception")) for base in node.bases)]
+    assert defined == []
 
 
 def test_no_float_field_is_named_like_a_bound():

@@ -51,11 +51,14 @@ def test_cylinder_measure_rejects_bad_words():
 @pytest.mark.parametrize("call, message", [
     (lambda: transition_bounds(3, 2), "needs 1 <= j <= k"),
     (lambda: conditional_given_last(1, 1, 1), "needs depth n >= 2"),
+    (lambda: conditional_given_last(3, 2, 1), "need 1 <= j <= k, got j=2, k=1"),
     (lambda: conditional_probability((), 1), "prefix must be nonempty"),
+    (lambda: conditional_probability((1, 3), 2), "inadmissible extension: 2 after 3"),
     (lambda: prob_digit_one(0), "needs n >= 1"),
     (lambda: s_upper_factor(1, Fraction(1, 2)), "needs j >= 2"),
-], ids=["transition-bounds-k-below-j", "given-last-depth-one", "empty-prefix",
-        "digit-one-depth-zero", "level-factor-j-one"])
+], ids=["transition-bounds-k-below-j", "given-last-depth-one", "given-last-k-below-j",
+        "empty-prefix", "inadmissible-extension", "digit-one-depth-zero",
+        "level-factor-j-one"])
 def test_measure_refuses_arguments_outside_its_domain(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -8,7 +8,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecfrac import montecarlo
@@ -290,6 +290,24 @@ def test_robbins_start_term_bounds_the_exact_term(n, h, p):
     exact = Fraction(math.comb(n, h) * big_k**h * (grid - big_k)**(n - h), grid**n)
     assert roundings == 0
     assert exact <= bound <= exact * (1 + Fraction(1, 10**7))
+
+
+@given(st.integers(1, 10**4).flatmap(lambda n: st.tuples(st.integers(1, n), st.just(n))))
+@example((1, 10**6))
+@example((2, 10**6))
+@example((500, 10**6))
+@example((10**6 // 2, 10**6))
+@example((10**6 - 1, 10**6))
+@example((10**6, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_endpoints_stay_on_their_side_of_the_hit_rate(case):
+    # _window and _tail_bound assume p <= h / n, which keeps the ratio of
+    # consecutive tail terms below 1 past h; the Newton candidate is
+    # clamped to h / n, and the certified ends only move outward from it.
+    h, n = case
+    assert montecarlo._lower_candidate(h, n) <= h / n
+    lo, hi = clopper_pearson(h, n)
+    assert lo <= Fraction(h, n) <= hi
 
 
 def test_clopper_pearson_raises_when_no_bound_certifies():
