@@ -447,8 +447,8 @@ def _secant_bound(points: list[tuple[Fraction, OutwardInterval | None]],
 def _vertex(points: list[tuple[Fraction, OutwardInterval | None]]) -> Fraction | None:
     """The vertex of the parabola through the probe with the highest lower
     end and its finite neighbours, by their lower ends; None where the best
-    probe has no neighbour on a side or the three lie on a line.  It is
-    computed on integers, as _secant_bound is."""
+    probe has no neighbour on a side.  It is computed on integers, as
+    _secant_bound is."""
     finite = [(theta, value) for theta, value in points if value is not None]
     i = max(range(len(finite)), key=lambda i: _lower_end_key(finite[i][1]))
     if not 0 < i < len(finite) - 1:
@@ -457,9 +457,7 @@ def _vertex(points: list[tuple[Fraction, OutwardInterval | None]]) -> Fraction |
     common = math.lcm(*(theta.denominator for theta, _ in trio))
     a, b, c = (theta.numerator * (common // theta.denominator) for theta, _ in trio)
     ((fa, _), (fb, _), (fc, _)), _ = _scaled_ends([value for _, value in trio])
-    p, q = (b - a) * (fb - fc), (c - b) * (fb - fa)  # both >= 0, fb being highest
-    if p + q == 0:
-        return None
+    p, q = (b - a) * (fb - fc), (c - b) * (fb - fa)  # p >= 0 and q > 0: b is the first highest
     return Fraction(2 * b * (p + q) - (b - a) * p + (c - b) * q, 2 * (p + q) * common)
 
 

@@ -285,18 +285,18 @@ def prob_digit_one(n: int) -> tuple[Fraction, ProbInterval]:
 # ---------------------------------------------------------------------------
 
 
-def _integral_tail(m: int, theta: Fraction, prec: int) -> tuple[OutwardInterval, OutwardInterval]:
+def _integral_tail(m: int, theta: Fraction) -> tuple[OutwardInterval, OutwardInterval]:
     """Enclosures of int_m^inf x^(theta-2) dx and of sum_{k>=m} k^(theta-2).
 
     The summand is decreasing, so the sum lies between the integral and the
     integral plus the first term.
     """
-    integral = interval_pow(m, theta - 1, prec) / (1 - theta)
-    first = interval_pow(m, theta - 2, prec)
+    integral = interval_pow(m, theta - 1) / (1 - theta)
+    first = interval_pow(m, theta - 2)
     return integral, integral + first
 
 
-def s_upper_factor(j: int, theta: Fraction, prec: int = DEFAULT_PRECISION_BITS) -> OutwardInterval:
+def s_upper_factor(j: int, theta: Fraction) -> OutwardInterval:
     """The per-level factor (1+1/j) (1-1/j)^(theta-1) / (1-theta), j >= 2.
 
     Decreasing in j, so it bounds every deeper level once digits exceed j.
@@ -305,7 +305,7 @@ def s_upper_factor(j: int, theta: Fraction, prec: int = DEFAULT_PRECISION_BITS) 
         raise ValueError("s_upper_factor needs j >= 2")
     theta = Fraction(theta)
     lead = Fraction(j + 1, j)
-    power = interval_pow(Fraction(j - 1, j), theta - 1, prec)
+    power = interval_pow(Fraction(j - 1, j), theta - 1)
     return (lead * power) / (1 - theta)
 
 
@@ -372,7 +372,7 @@ def _weighted_moment(theta: Fraction, kernel) -> ProbInterval:
     mass_lo, mass_up, exit_lo, exit_up, bits = kernel
     n, cap = len(exit_lo) + 1, len(mass_lo)
     m = cap + 1
-    integral, sum_bound = _integral_tail(m, theta, DEFAULT_PRECISION_BITS)
+    integral, sum_bound = _integral_tail(m, theta)
     s_lo = OutwardInterval.from_value(Fraction(m, m + 2) / (1 - theta))
 
     # Words whose very first digit already exceeds the cap:

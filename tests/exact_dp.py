@@ -11,8 +11,7 @@ inside.
 
 from fractions import Fraction
 
-from ecfrac.measure import (MarginalTable, ProbInterval, _integral_tail, _propagate,
-                            s_upper_factor)
+from ecfrac.measure import MarginalTable, ProbInterval, _propagate
 from ecfrac.numerics import OutwardInterval, default_precision, interval_pow
 
 
@@ -69,16 +68,22 @@ def moment_oracle(n: int, theta: Fraction, cap: int, prec: int | None = None,
     exit flows (by default exact_propagate(n, cap)) and the exit-cohort tail
     bounds of ecfrac.measure.moment_interval.
 
-    The weighting is one OutwardInterval operation per term, each rounded
-    outward, in the order the library used before it summed each part
-    exactly; on fixed_point_propagate's output it is that earlier
-    moment_interval, bit for bit."""
+    It computes its own tail factors, at its own prec, with m = cap + 1: the
+    integral m^(theta-1)/(1-theta), the sum bound (that integral plus
+    m^(theta-2)) and the upper level factor (1+1/m)(1-1/m)^(theta-1)/(1-theta),
+    each in ecfrac.measure's order of operations.  So a fault in the
+    library's factors shows as a difference here.  The weighting is one
+    OutwardInterval operation per term, each rounded outward, in the order
+    the library used before it summed each part exactly; on
+    fixed_point_propagate's output it is that earlier moment_interval, bit
+    for bit."""
     theta = Fraction(theta)
     prec = default_precision() if prec is None else prec
     mass_lo, mass_up, exit_lo, exit_up = exact_propagate(n, cap) if kernel is None else kernel
     m = cap + 1
-    integral, sum_bound = _integral_tail(m, theta, prec)
-    s_up = s_upper_factor(m, theta, prec)
+    integral = interval_pow(m, theta - 1, prec) / (1 - theta)
+    sum_bound = integral + interval_pow(m, theta - 2, prec)
+    s_up = (Fraction(m + 1, m) * interval_pow(Fraction(m - 1, m), theta - 1, prec)) / (1 - theta)
     s_lo = OutwardInterval.from_value(Fraction(m, m + 2) / (1 - theta), prec)
     tail_lo = Fraction(m, m + 1) * integral * s_lo ** (n - 1)
     tail_up = sum_bound * s_up ** (n - 1)

@@ -436,6 +436,25 @@ def test_unwritable_output_stops_verify(tmp_path, capsys, monkeypatch):
     _unwritable_output(tmp_path, capsys, monkeypatch, "_cmd_verify", "verify")
 
 
+def test_output_directory_removed_during_the_command_exit_2(tmp_path, capsys, monkeypatch):
+    # The directory is removed after _check_output has passed, so _emit
+    # cannot write the document; rmdir rather than permissions, since root
+    # may write anywhere.
+    directory = tmp_path / "gone"
+    directory.mkdir()
+    target = directory / "x.json"
+    count = ecfrac.cli._cmd_count
+
+    def removing(args):
+        directory.rmdir()
+        return count(args)
+
+    monkeypatch.setattr("ecfrac.cli._cmd_count", removing)
+    code, out, err = run(capsys, "count", "--n", "5", "--m", "4", "--output", str(target))
+    assert code == 2 and out == ""
+    assert str(target) in err and not target.exists()
+
+
 def test_failed_command_leaves_output_as_it_was(tmp_path, capsys):
     kept = tmp_path / "kept.json"
     kept.write_text("earlier document\n")

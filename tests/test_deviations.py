@@ -522,6 +522,14 @@ def test_integer_bound_matches_fraction_reference(table):
     assert vertex is None or type(vertex) is Fraction
 
 
+def test_vertex_offset_refuses_a_gap_past_the_float_range():
+    # A lower-end gap of -2^3000 overflows a float, and the offset it gives
+    # is not a number.
+    values = {0: OutwardInterval.from_value(0), 1: OutwardInterval.from_value(-1),
+              4: OutwardInterval.from_value(-2**3000)}
+    assert deviations._vertex_offset(values, [0, 1, 4]) is None
+
+
 def test_bound_examples_cover_each_case():
     # One secant gives no crossing point; two give one only where they cross.
     assert reference_secant_bound(*_ONE_LINE)[1] is None

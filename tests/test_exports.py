@@ -128,9 +128,7 @@ def test_prec_only_where_a_caller_sets_another():
     # (tail_threshold runs interval_exp at 128 to 2048 bits).  Elsewhere:
     # the tests run pressure, rate, legendre_numeric and the golden
     # constants at 53, 128 and 300 bits, and legendre_numeric calls its
-    # pressure as fn(theta, prec); rate forwards its prec to xi_b; the
-    # 256-bit moment oracle of the tests calls s_upper_factor and
-    # _integral_tail.
+    # pressure as fn(theta, prec); rate forwards its prec to xi_b.
     package = Path(ecfrac.__file__).resolve().parent
     takers = set()
     for path in sorted(package.glob("*.py")):
@@ -147,7 +145,6 @@ def test_prec_only_where_a_caller_sets_another():
     assert takers == {
         ("deviations", "GoldenConstants.compute"), ("deviations", "pressure"),
         ("deviations", "rate"), ("deviations", "legendre_numeric"), ("deviations", "xi_b"),
-        ("measure", "s_upper_factor"), ("measure", "_integral_tail"),
     }
 
 

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ecfrac.deviations import mdp_curve, moment_growth_rate
 from ecfrac.expansion import continuants
-from ecfrac.measure import (ProbInterval, _dp_bits, _integral_tail, _propagate, binet_q,
+from ecfrac.measure import (ProbInterval, _dp_bits, _integral_tail, _moment_intervals,
+                            _propagate, binet_q,
                             conditional_given_last, conditional_probability,
                             cylinder_measure, marginal_exact,
                             marginal_interval_dp, moment_interval,
@@ -181,6 +183,11 @@ def test_moment_fixed_point_matches_exact_dp_at_cap_60():
 # cap 60; recorded from the target-major kernel that returned Fractions.
 _MARGINAL_DIGEST = "efd102b4b21f0dea071db4edeced2e19c62b2b4e89e0968ab73b365e4c45d678"
 _KERNEL_DIGEST = "f58624052e69260d78b230d3117f5ec8822949b0d55de4505172ee58cf0c85a1"
+# SHA-256 of repr of the (lo, hi) ends of _moment_intervals over the grid of
+# test_moment_enclosures_are_pinned, then of the rows of mdp_curve(+-1) and
+# moment_growth_rate(1/2) at n = 4, 8, 12; recorded before the tail factors
+# lost their precision argument.
+_MOMENT_DIGEST = "ac401254299f7ef0685abbbf815887ab946f4b65d24e9bcc2a57f83bebe00f44"
 
 
 def _digest(value) -> str:
@@ -200,6 +207,18 @@ def test_kernel_is_pinned():
         assert bits == _dp_bits(n, 60)
         flows.append(lists)
     assert _digest(flows) == _KERNEL_DIGEST
+
+
+def test_moment_enclosures_are_pinned():
+    thetas = [Fraction(-3), Fraction(-1, 2), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10),
+              1 - Fraction(1, 2**200)]
+    ends = [(enc.lo, enc.hi) for n in (1, 2, 5, 9, 12) for cap in (1, 7, 30, 60)
+            for enc in _moment_intervals(n, thetas, cap)]
+    for lam in (1, -1):
+        ends += [(row.value.lo, row.value.hi) for row in mdp_curve(lam, [4, 8, 12]).rows]
+    ends += [(row.value.value.lo, row.value.value.hi)
+             for row in moment_growth_rate(Fraction(1, 2), [4, 8, 12]).rows]
+    assert _digest(ends) == _MOMENT_DIGEST
 
 
 _DYADIC_THETAS = st.builds(lambda sign, man, shift: Fraction(sign * man, 2**shift),
@@ -330,7 +349,7 @@ def series_bounds_check(j: int, theta: Fraction, terms: int) -> tuple[bool, bool
 
     # Only the lower series' lower end and the upper series' upper end are
     # compared, so each needs only that side of its tail over k >= m.
-    integral, sum_bound = _integral_tail(m, theta, prec)
+    integral, sum_bound = _integral_tail(m, theta)
     # lower tail terms: t_k = j^(1-theta) k^(theta-1)/(k+2)
     # >= j^(1-theta) k^(theta-2) m/(m+2)
     lower_tail_lo = interval_pow(j, 1 - theta, prec) * Fraction(m, m + 2) * integral
@@ -339,7 +358,7 @@ def series_bounds_check(j: int, theta: Fraction, terms: int) -> tuple[bool, bool
     upper_tail_hi = interval_pow(j, -theta, prec) * (j + 1) * sum_bound
 
     lower_ok = (lower_sum + lower_tail_lo).lo >= Fraction(j, j + 2) / (1 - theta)
-    upper_ok = (upper_sum + upper_tail_hi).hi <= s_upper_factor(j, theta, prec).lo
+    upper_ok = (upper_sum + upper_tail_hi).hi <= s_upper_factor(j, theta).lo
     return lower_ok, upper_ok
 
 

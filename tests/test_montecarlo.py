@@ -324,6 +324,8 @@ def test_clopper_pearson_edges():
     assert lo == 0 and hi < Fraction(1, 4)
     lo, hi = clopper_pearson(40, 40)
     assert hi == 1 and lo > Fraction(3, 4)
+    lo, hi = clopper_pearson(1, 10**14)  # the lower end falls below the 2^-53 grid
+    assert lo == 0 < hi
     with pytest.raises(ValueError):
         clopper_pearson(5, 4)
 

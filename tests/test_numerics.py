@@ -221,12 +221,16 @@ def test_scaled_ends_are_exact_and_refuse_infinities():
     for end in (libmp.finf, libmp.fninf, libmp.fnan):
         with pytest.raises(ValueError, match="not finite"):
             _scaled_ends([OutwardInterval((libmp.fzero, end), 128)])
+    infinite = OutwardInterval((libmp.finf, libmp.finf), 128)
+    for end in ("lo", "hi"):
+        with pytest.raises(ValueError, match="interval endpoint is not finite"):
+            getattr(infinite, end)
 
 
 def test_with_precision_still_encloses():
     iv = OutwardInterval.from_value(Fraction(1, 3), prec=256)
     wide = iv.with_precision(32)
-    assert wide.lo <= iv.lo and iv.hi <= wide.hi
+    assert wide.contains(iv) and not iv.contains(wide)
 
 
 def _ulp(x: Fraction, prec: int) -> Fraction:
