@@ -26,7 +26,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .measure import _check_positive, _moment_intervals, moment_interval
+from .measure import _check_positive, _moment_rows
 from .numerics import (
     DEFAULT_PRECISION_BITS,
     ExtendedReal,
@@ -493,14 +493,15 @@ def moment_growth_rate(theta: Fraction, n_list: Sequence[int],
                        cap_schedule: int = 60) -> GrowthTable:
     """Rows (1/n) log E(b_n^theta) against the closed-form limit.
 
-    Every row runs the moment DP at the same digit cap, cap_schedule.
-    Every n and the cap are checked before any DP runs.
+    Every row runs the moment DP at the same digit cap, cap_schedule, and
+    all rows are weighted from one run of the DP kernel, to the largest n,
+    at that n's bits; none runs for theta = 0 or theta >= 1.  Every n and
+    the cap are checked before any DP runs.
     """
     theta = Fraction(theta)
     _check_positive("moment_growth_rate", n=min(n_list, default=1), cap_schedule=cap_schedule)
     rows = []
-    for n in n_list:
-        enc = moment_interval(n, theta, cap=cap_schedule)
+    for n, (enc,) in zip(n_list, _moment_rows([(n, (theta,)) for n in n_list], cap_schedule)):
         if isinstance(enc, ExtendedReal):
             value = enc
         else:
@@ -536,25 +537,29 @@ def mdp_curve(lam: Fraction, n_list: Sequence[int], p: Fraction = Fraction(3, 4)
     infinity, a_n/n -> 0) hold symbolically.  Each row encloses
     (n/a_n^2)(log E(b_n^{theta_n}) - n theta_n), theta_n = a_n lam/n, which
     should approach lam^2/2.  theta_n is irrational in general, so E is
-    enclosed by running the (theta-monotone) moment DP at the rational
-    endpoints of a theta_n enclosure.
+    enclosed by weighting the (theta-monotone) moment DP at the rational
+    endpoints of a theta_n enclosure.  All feasible rows are weighted from
+    one run of the DP kernel, to the largest feasible n, at that n's bits;
+    a row with theta_n >= 1 runs none.
     """
     lam = Fraction(lam)
     p = Fraction(p)
     if not Fraction(1, 2) < p < 1:
         raise ValueError(f"mdp_curve needs p in (1/2, 1), got {p}")
     _check_positive("mdp_curve", n=min(n_list, default=1), cap=cap)
+    scales = [interval_pow(n, p) for n in n_list]
+    thetas = [(lam * a_iv) / n for n, a_iv in zip(n_list, scales)]
+    feasible = [theta_iv.compare_hi(1) < 0 for theta_iv in thetas]
+    # E(b^theta) is increasing in theta (b >= 1), so the moments at the
+    # rational endpoints bracket the irrational-theta moment.
+    moments = iter(_moment_rows([(n, (theta_iv.lo, theta_iv.hi))
+                                 for n, theta_iv, ok in zip(n_list, thetas, feasible) if ok], cap))
     rows = []
-    for n in n_list:
-        a_iv = interval_pow(n, p)
-        theta_iv = (lam * a_iv) / n
-        if theta_iv.compare_hi(1) >= 0:
+    for n, a_iv, theta_iv, ok in zip(n_list, scales, thetas, feasible):
+        if not ok:
             rows.append(MdpRow(n, theta_iv, False, None))
             continue
-        # E(b^theta) is increasing in theta (b >= 1), so the moments at the
-        # rational endpoints, weighted from one DP run, bracket the
-        # irrational-theta moment.
-        enc_lo, enc_hi = _moment_intervals(n, (theta_iv.lo, theta_iv.hi), cap)
+        enc_lo, enc_hi = next(moments)
         e_iv = OutwardInterval.from_endpoints(enc_lo.lo, enc_hi.hi)
         value = (interval_log(e_iv) - n * theta_iv) * (n / (a_iv * a_iv))
         rows.append(MdpRow(n, theta_iv, True, value))

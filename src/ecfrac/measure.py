@@ -33,6 +33,7 @@ from .numerics import (
     ExtendedReal,
     OutwardInterval,
     _dyadic_interval,
+    _int_powers,
     _scaled_ends,
     interval_pow,
     interval_sqrt,
@@ -172,14 +173,26 @@ def _dp_bits(n: int, cap: int) -> int:
 
 
 def _propagate(n: int, cap: int):
-    """The marginal/moment DP over (depth, last digit <= cap) in fixed point.
+    """The kernel of depth n from a run of its own, at bits = _dp_bits(n, cap):
+    (mass_lo, mass_up, exit_lo, exit_up, bits), as _propagate_depths hands
+    it out."""
+    return _propagate_depths({n}, cap)[n]
 
-    Runs at bits = _dp_bits(n, cap) = 128 + 2n + 2 log2(cap) and returns
+
+def _propagate_depths(depths, cap: int) -> dict:
+    """The marginal/moment DP over (depth, last digit <= cap) in fixed point:
+    one run that serves every depth in depths.
+
+    The run goes to the deepest n at bits = _dp_bits(n, cap) =
+    128 + 2n + 2 log2(cap), and maps each depth d of depths to its kernel
     (mass_lo, mass_up, exit_lo, exit_up, bits), whose lists hold integers,
     each the numerator of a dyadic m / 2^bits: index j-1 of the mass lists
-    bounds P(b_n = j, b_1..b_n <= cap) from below and above, and entry d-1
+    bounds P(b_d = j, b_1..b_d <= cap) from below and above, and entry i-1
     of the exit lists is the exact sum over j of mass_lo[j] * j, resp.
-    mass_up[j] * (j+1), at depth d < n.  No Fraction is made.
+    mass_up[j] * (j+1), at depth i < d, so depth d gets the run's first
+    d - 1 exit flows.  A depth below n is thus held at n's bits, more than a
+    run of its own would use; more bits never move a bound outward.  No
+    Fraction is made.
 
     A step uses the exact conditional Phi = (j+z)/((k+z)(k+1+z)), where
     z = b_d Q_{d-1}/Q_d satisfies z_1 = 1 and z' = k/(k+z), carried as a
@@ -188,51 +201,61 @@ def _propagate(n: int, cap: int):
     down (floor division), upper masses and z_hi up (ceiling division), so
     every entry stays a bound; the all-ones state keeps a 1-ulp z interval,
     which is what lets the Fibonacci decay of the digit-1 mass survive.
-    A step runs source by source: a source's two numerators are formed
-    once, and u = k + z steps up by one unit per target k, so its two
-    denominators u(u+1) step up by 2(u+1) with no multiplication.  Every
-    entry is a sum of floored integers, so the order of summation does not
-    change it.
+    A step runs source by source, and a source's two numerators are formed
+    once.  An upper mass is a ceiling taken as ceil(N/D) = (N - 1) // D + 1,
+    true for every N >= 0 and D > 0: the numerator is stored as N - 1, and
+    target k starts at k, the +1 of each of its sources j <= k.  The
+    denominators go by second differences: with u = k + z, u(u+1) steps to
+    the next target by 2(u+1), and that step grows by 2 per target, so each
+    denominator takes two additions per target.  Every entry is a sum of
+    floored integers, so the order of summation does not change it.
     """
-    bits = _dp_bits(n, cap)
+    top = max(depths)
+    bits = _dp_bits(top, cap)
     one = 1 << bits
     step = bits + 1
-    top = (cap + 1) * one
+    two_sq = 2 << (2 * bits)
+    last = (cap + 1) * one
     mass_lo = [one // (k * (k + 1)) for k in range(1, cap + 1)]
     mass_up = [-(-one // (k * (k + 1))) for k in range(1, cap + 1)]
     z_lo = [one] * cap
     z_hi = [one] * cap
     exit_lo = []
     exit_up = []
-    for _ in range(n - 1):
+    kernels = {}
+    for depth in range(1, top + 1):
+        if depth in depths:
+            kernels[depth] = (mass_lo, mass_up, exit_lo[:], exit_up[:], bits)
+        if depth == top:
+            return kernels
         exit_lo.append(sum(m * j for j, m in enumerate(mass_lo, 1)))
         exit_up.append(sum(m * (j + 1) for j, m in enumerate(mass_up, 1)))
         new_lo = [0] * cap
-        new_up = [0] * cap
+        new_up = list(range(1, cap + 1))
         for j, (m_lo, m_up, a, b) in enumerate(zip(mass_lo, mass_up, z_lo, z_hi), 1):
             # Mass times the Phi numerator, shifted so that dividing by a
-            # Phi denominator (over one^2) leaves a mass over one; the upper
-            # numerator is negated, so that floor division rounds it up.
+            # Phi denominator (over one^2) leaves a mass over one.
             num_lo = (m_lo * (j * one + a)) << bits
-            neg_up = -((m_up * (j * one + b)) << bits)
+            num_up = ((m_up * (j * one + b)) << bits) - 1
             u_lo = j * one + b
             u_up = j * one + a
             d_lo = u_lo * (u_lo + one)
             d_up = u_up * (u_up + one)
+            # u(u+1) -> (u+1)(u+2) adds 2(u+1), then 2(u+2), ...
+            i_lo = (u_lo + one) << step
+            i_up = (u_up + one) << step
             for k in range(j - 1, cap):
                 new_lo[k] += num_lo // d_lo
-                new_up[k] -= neg_up // d_up
-                # u(u+1) -> (u+1)(u+2) adds 2(u+1)
-                u_lo += one
-                u_up += one
-                d_lo += u_lo << step
-                d_up += u_up << step
-        targets = range(one, top, one)
+                new_up[k] += num_up // d_up
+                d_lo += i_lo
+                d_up += i_up
+                i_lo += two_sq
+                i_up += two_sq
+        targets = range(one, last, one)
         z_lo, z_hi = (
             [(k0 << bits) // (k0 + zmax) for k0, zmax in zip(targets, accumulate(z_hi, max))],
             [-(-(k0 << bits) // (k0 + zmin)) for k0, zmin in zip(targets, accumulate(z_lo, min))])
         mass_lo, mass_up = new_lo, new_up
-    return mass_lo, mass_up, exit_lo, exit_up, bits
 
 
 def marginal_interval_dp(n: int, cap: int) -> MarginalTable:
@@ -336,29 +359,34 @@ def moment_interval(n: int, theta: Fraction, cap: int = 60) -> ProbInterval | Ex
 
 def _moment_intervals(n: int, thetas: Sequence[Fraction],
                       cap: int) -> list[ProbInterval | ExtendedReal]:
-    """moment_interval at each theta, from at most one run of the DP kernel.
+    """moment_interval at each theta, from at most one run of the DP kernel,
+    at depth n's own bits."""
+    return _moment_rows([(n, thetas)], cap)[0]
+
+
+def _moment_rows(rows: Sequence[tuple[int, Sequence[Fraction]]],
+                 cap: int) -> list[list[ProbInterval | ExtendedReal]]:
+    """_moment_intervals(n, thetas, cap) for each (n, thetas) of rows, in
+    order, from at most one run of the DP kernel.
 
     The kernel's masses and exit flows do not depend on theta, only their
-    weighting does, so the kernel runs once for all thetas, and not at all
-    when every theta is 0 or >= 1.
+    weighting does, and one run hands out every depth.  So the kernel runs
+    once, at the bits of the deepest n that has a theta to weight, and not
+    at all when every theta is 0 or >= 1.
     """
-    _check_positive("moment_interval", n=n, cap=cap)
-    enclosures = []
-    kernel = None
-    for theta in map(Fraction, thetas):
-        if theta >= 1:
-            enclosures.append(ExtendedReal.infinity())
-        elif theta == 0:
-            enclosures.append(ProbInterval.point(Fraction(1)))
-        else:
-            if kernel is None:
-                kernel = _propagate(n, cap)
-            enclosures.append(_weighted_moment(theta, kernel))
-    return enclosures
+    rows = [(n, [Fraction(theta) for theta in thetas]) for n, thetas in rows]
+    for n, _ in rows:
+        _check_positive("moment_interval", n=n, cap=cap)
+    depths = {n for n, thetas in rows if any(theta != 0 and theta < 1 for theta in thetas)}
+    kernels = _propagate_depths(depths, cap) if depths else {}
+    return [[ExtendedReal.infinity() if theta >= 1
+             else ProbInterval.point(Fraction(1)) if theta == 0
+             else _weighted_moment(theta, kernels[n]) for theta in thetas]
+            for n, thetas in rows]
 
 
 def _weighted_moment(theta: Fraction, kernel) -> ProbInterval:
-    """E(b_n^theta), 0 != theta < 1, from the output of _propagate(n, cap).
+    """E(b_n^theta), 0 != theta < 1, from a kernel of _propagate_depths.
 
     The kernel alone fixes n and cap: it holds one exit flow per depth
     below n and one mass per last digit up to cap.  Every term is positive,
@@ -398,7 +426,7 @@ def _weighted_moment(theta: Fraction, kernel) -> ProbInterval:
                             (bound_up * level_up ** (n - 1) << bits) + (bound_up * acc_up << t),
                             -(bits + t * n), DEFAULT_PRECISION_BITS)
 
-    jpow, e = _scaled_ends([interval_pow(j, theta) for j in range(1, cap + 1)])
+    jpow, e = _scaled_ends(_int_powers(range(1, cap + 1), theta))
     tracked = _dyadic_interval(sum(a * lo for a, (lo, _) in zip(mass_lo, jpow)),
                                sum(a * hi for a, (_, hi) in zip(mass_up, jpow)),
                                e - bits, DEFAULT_PRECISION_BITS)

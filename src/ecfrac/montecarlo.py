@@ -24,8 +24,12 @@ of the trials from one cached pass (_final_digits), which holds the last
 config's finals only, one int per certified trial.  tail_counts answers
 many tail events from its own single pass.
 
-Uncertified trials (cell not inside one open depth-n cylinder) are excluded
-from both numerator and denominator but always reported.
+Uncertified trials (cell not inside one open depth-n cylinder, or an event
+its prefix cannot decide) are left out of the point estimate p_hat, which
+is hits over certified trials, and always reported.  The confidence
+bracket is taken over all trials, as if none of the uncertified trials
+were a hit at its lower end and all of them were at its upper end, so
+trials that could not be decided cannot bias it.
 """
 
 from __future__ import annotations
@@ -77,10 +81,10 @@ class SampleConfig:
 @dataclass(frozen=True)
 class EventEstimate:
     hits: int
-    trials: int          # certified trials only (the denominator)
+    trials: int          # certified trials only, the denominator of p_hat
     p_hat: Fraction
-    ci_lo: Fraction      # 99% Clopper-Pearson, certified
-    ci_hi: Fraction
+    ci_lo: Fraction      # 99% Clopper-Pearson over all trials, no uncertified hit
+    ci_hi: Fraction      # the same, every uncertified trial a hit
     uncertified: int
 
     def __post_init__(self):
@@ -360,17 +364,33 @@ def clopper_pearson(hits: int, trials: int) -> tuple[Fraction, Fraction]:
     """
     if not 0 <= hits <= trials or trials < 1:
         raise ValueError("need 0 <= hits <= trials, trials >= 1")
-    lo = _lower_endpoint(hits, trials) if hits else Fraction(0)
-    hi = 1 - _lower_endpoint(trials - hits, trials) if hits < trials else Fraction(1)
-    return lo, hi
+    return _ci_lo(hits, trials), _ci_hi(hits, trials)
+
+
+def _ci_lo(hits: int, trials: int) -> Fraction:
+    """The lower end of clopper_pearson(hits, trials)."""
+    return _lower_endpoint(hits, trials) if hits else Fraction(0)
+
+
+def _ci_hi(hits: int, trials: int) -> Fraction:
+    """The upper end of clopper_pearson(hits, trials)."""
+    return 1 - _lower_endpoint(trials - hits, trials) if hits < trials else Fraction(1)
 
 
 def _estimate_from_counts(hits: int, certified: int, uncertified: int) -> EventEstimate:
+    """The estimate of hits among certified trials, bracketed over all trials.
+
+    An uncertified trial may be a hit or not, so the bracket is the lower
+    Clopper-Pearson end with none of them a hit and the upper end with all
+    of them hits, each over all certified + uncertified trials: it holds
+    clopper_pearson(h, N) for every h from hits to hits + uncertified.
+    With no uncertified trial it is clopper_pearson(hits, certified).
+    """
     if certified == 0:
         raise SampleLimitError("no trial certified enough digits; raise bits")
-    ci_lo, ci_hi = clopper_pearson(hits, certified)
-    return EventEstimate(hits, certified, Fraction(hits, certified), ci_lo, ci_hi,
-                         uncertified)
+    trials = certified + uncertified
+    return EventEstimate(hits, certified, Fraction(hits, certified), _ci_lo(hits, trials),
+                         _ci_hi(hits + uncertified, trials), uncertified)
 
 
 def estimate_event(config: SampleConfig,

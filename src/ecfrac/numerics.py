@@ -343,6 +343,17 @@ def interval_pow(base, exponent, prec: int = DEFAULT_PRECISION_BITS) -> OutwardI
     return b ** _as_interval(exponent, prec)
 
 
+def _int_powers(bases, exponent) -> list[OutwardInterval]:
+    """[interval_pow(j, exponent) for j in bases], bit for bit, for positive
+    ints j of at most DEFAULT_PRECISION_BITS bits: the exponent is enclosed
+    once, and each j is the exact interval [j, j] that interval_pow makes
+    of it."""
+    t = _as_interval(exponent, DEFAULT_PRECISION_BITS)._mpi
+    return [OutwardInterval(libmp.mpi_pow((j_mpf, j_mpf), t, DEFAULT_PRECISION_BITS),
+                            DEFAULT_PRECISION_BITS)
+            for j_mpf in map(libmp.from_int, bases)]
+
+
 def interval_log(x, prec: int = DEFAULT_PRECISION_BITS) -> OutwardInterval:
     """Enclosure of the natural log of a positive rational or interval."""
     v = _as_interval(x, prec)

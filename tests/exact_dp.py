@@ -6,12 +6,14 @@ the tests check that the fixed-point enclosures of ecfrac.measure contain
 theirs, and are no wider beyond fixed-point rounding.  moment_oracle also
 weights the fixed-point kernel's own masses with one outward-rounded
 interval operation per term, which ecfrac.measure.moment_interval must lie
-inside.
+inside.  reference_propagate is the fixed-point kernel in its plainest
+integer form, which ecfrac.measure._propagate must equal list for list.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 
-from ecfrac.measure import MarginalTable, ProbInterval, _propagate
+from ecfrac.measure import MarginalTable, ProbInterval, _dp_bits, _propagate
 from ecfrac.numerics import OutwardInterval, default_precision, interval_pow
 
 
@@ -53,6 +55,45 @@ def exact_propagate(n: int, cap: int):
             new_z_hi.append(k / (k + min(z_lo[:k])))
         mass_lo, mass_up, z_lo, z_hi = new_lo, new_up, new_z_lo, new_z_hi
     return mass_lo, mass_up, exit_lo, exit_up
+
+
+def reference_propagate(n: int, cap: int):
+    """ecfrac.measure._propagate(n, cap) in its plainest integer form: an
+    upper mass is the floor of a negated numerator, negated, and u = k + z
+    steps up one unit per target, its denominator u(u+1) by 2(u+1)."""
+    bits = _dp_bits(n, cap)
+    one = 1 << bits
+    step = bits + 1
+    mass_lo = [one // (k * (k + 1)) for k in range(1, cap + 1)]
+    mass_up = [-(-one // (k * (k + 1))) for k in range(1, cap + 1)]
+    z_lo = [one] * cap
+    z_hi = [one] * cap
+    exit_lo, exit_up = [], []
+    for _ in range(n - 1):
+        exit_lo.append(sum(m * j for j, m in enumerate(mass_lo, 1)))
+        exit_up.append(sum(m * (j + 1) for j, m in enumerate(mass_up, 1)))
+        new_lo = [0] * cap
+        new_up = [0] * cap
+        for j, (m_lo, m_up, a, b) in enumerate(zip(mass_lo, mass_up, z_lo, z_hi), 1):
+            num_lo = (m_lo * (j * one + a)) << bits
+            neg_up = -((m_up * (j * one + b)) << bits)
+            u_lo = j * one + b
+            u_up = j * one + a
+            d_lo = u_lo * (u_lo + one)
+            d_up = u_up * (u_up + one)
+            for k in range(j - 1, cap):
+                new_lo[k] += num_lo // d_lo
+                new_up[k] -= neg_up // d_up
+                u_lo += one
+                u_up += one
+                d_lo += u_lo << step
+                d_up += u_up << step
+        targets = range(one, (cap + 1) * one, one)
+        z_lo, z_hi = (
+            [(k0 << bits) // (k0 + zmax) for k0, zmax in zip(targets, accumulate(z_hi, max))],
+            [-(-(k0 << bits) // (k0 + zmin)) for k0, zmin in zip(targets, accumulate(z_lo, min))])
+        mass_lo, mass_up = new_lo, new_up
+    return mass_lo, mass_up, exit_lo, exit_up, bits
 
 
 def fixed_point_propagate(n: int, cap: int):

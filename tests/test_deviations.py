@@ -15,7 +15,7 @@ from ecfrac.deviations import (GoldenConstants, RateFunctionId,
                                exponential_bound_check, legendre_numeric, mdp_curve,
                                moment_growth_rate, moment_limit, pressure, rate, xi_b)
 from ecfrac.measure import moment_interval
-from ecfrac.numerics import OutwardInterval, interval_exp, interval_log
+from ecfrac.numerics import ExtendedReal, OutwardInterval, interval_exp, interval_log
 from reference_legendre import (reference_legendre_numeric, reference_secant_bound,
                                 reference_vertex)
 
@@ -661,18 +661,31 @@ def test_mdp_negative_lambda():
     assert table.rows[0].theta.hi < 0
 
 
-def test_mdp_runs_one_moment_dp_per_feasible_row(monkeypatch):
+def _count_kernel_runs(monkeypatch) -> list:
+    # Each run of the DP kernel, as the sorted depths it hands out.
     runs = []
-    propagate = measure._propagate
+    propagate = measure._propagate_depths
 
-    def counting(n, cap):
-        runs.append(n)
-        return propagate(n, cap)
+    def counting(depths, cap):
+        runs.append(sorted(depths))
+        return propagate(depths, cap)
 
-    monkeypatch.setattr(measure, "_propagate", counting)
+    monkeypatch.setattr(measure, "_propagate_depths", counting)
+    return runs
+
+
+def _ends(value):
+    # An ExtendedReal, an interval or None as comparable ends; None for none.
+    if isinstance(value, ExtendedReal):
+        value = value.value
+    return None if value is None else (value.lo, value.hi)
+
+
+def test_mdp_runs_one_moment_dp_per_call(monkeypatch):
+    runs = _count_kernel_runs(monkeypatch)
     table = mdp_curve(Fraction(1), [1, 4, 8], cap=20)
     assert [row.feasible for row in table.rows] == [False, True, True]  # theta_1 = 1
-    assert runs == [4, 8]
+    assert runs == [[4, 8]]
     for row in table.rows[1:]:
         pair = measure._moment_intervals(row.n, (row.theta.lo, row.theta.hi), 20)
         assert pair == [moment_interval(row.n, row.theta.lo, cap=20),
@@ -681,12 +694,63 @@ def test_mdp_runs_one_moment_dp_per_feasible_row(monkeypatch):
     assert measure._moment_intervals(3, (Fraction(0), Fraction(1)), 20) == [
         moment_interval(3, Fraction(0)), moment_interval(3, Fraction(1))]
     assert runs == []
+    mdp_curve(Fraction(-1), [8, 12, 16])
+    assert runs == [[8, 12, 16]]
+
+
+def test_growth_runs_one_moment_dp_per_call_and_none_without_a_weighting(monkeypatch):
+    runs = _count_kernel_runs(monkeypatch)
+    moment_growth_rate(Fraction(1, 2), [4, 8, 12])
+    assert runs == [[4, 8, 12]]
+    runs.clear()
+    for theta in (0, 1):
+        moment_growth_rate(Fraction(theta), [2, 4])
+    assert runs == []
+
+
+def test_shared_run_rows_keep_the_callers_order():
+    growth = moment_growth_rate(Fraction(1, 2), [12, 4, 4, 8], cap_schedule=20)
+    assert [row.n for row in growth.rows] == [12, 4, 4, 8]
+    assert [_ends(row.value) for row in growth.rows] == [
+        _ends(moment_growth_rate(Fraction(1, 2), [n], cap_schedule=20).rows[0].value)
+        for n in (12, 4, 4, 8)]
+    mdp = mdp_curve(Fraction(1), [12, 4, 4, 8], cap=20)
+    assert [row.n for row in mdp.rows] == [12, 4, 4, 8]
+    assert [_ends(row.value) for row in mdp.rows] == [
+        _ends(mdp_curve(Fraction(1), [n], cap=20).rows[0].value) for n in (12, 4, 4, 8)]
+
+
+@pytest.mark.parametrize("theta", [Fraction(-3), Fraction(-1, 2), Fraction(0),
+                                   Fraction(1, 2), Fraction(9, 10)])
+def test_shared_run_growth_rows_equal_single_depth_moments(theta):
+    # Criterion 8's grid: one run at n = 12's bits gives each row the ends of
+    # the run at its own depth's bits.
+    shared = measure._moment_rows([(n, (theta,)) for n in (4, 8, 12)], 60)
+    assert shared == [[moment_interval(n, theta, cap=60)] for n in (4, 8, 12)]
+    table = moment_growth_rate(theta, [4, 8, 12], cap_schedule=60)
+    for row, (enc,) in zip(table.rows, shared):
+        expected = interval_log(OutwardInterval.from_endpoints(enc.lo, enc.hi)) / row.n
+        assert _ends(row.value) == _ends(expected)
+
+
+@pytest.mark.parametrize("lam, n_list, cap", [(Fraction(-1), [8, 12, 16], 60),
+                                              (Fraction(1), [8, 12, 16], 60),
+                                              (Fraction(1), [1, 4, 8], 20)])
+def test_shared_run_mdp_rows_equal_single_depth_moments(lam, n_list, cap):
+    # Criterion 14's grid, and the rows of test_mdp_runs_one_moment_dp_per_call.
+    table = mdp_curve(lam, n_list, cap=cap)
+    rows = [row for row in table.rows if row.feasible]
+    shared = measure._moment_rows([(row.n, (row.theta.lo, row.theta.hi)) for row in rows], cap)
+    assert shared == [measure._moment_intervals(row.n, (row.theta.lo, row.theta.hi), cap)
+                      for row in rows]
+    for row in table.rows:
+        assert _ends(row.value) == _ends(mdp_curve(lam, [row.n], cap=cap).rows[0].value)
 
 
 def test_mdp_validates_n(monkeypatch):
     # A row n < 1 is refused by name before any moment DP runs.
     runs = []
-    monkeypatch.setattr(measure, "_propagate", lambda *args: runs.append(args))
+    monkeypatch.setattr(measure, "_propagate_depths", lambda *args: runs.append(args))
     with pytest.raises(ValueError, match="mdp_curve needs n >= 1, got 0"):
         mdp_curve(Fraction(1), [4, 0])
     assert runs == []
@@ -694,7 +758,7 @@ def test_mdp_validates_n(monkeypatch):
 
 def test_mdp_validates_cap(monkeypatch):
     runs = []
-    monkeypatch.setattr(measure, "_propagate", lambda *args: runs.append(args))
+    monkeypatch.setattr(measure, "_propagate_depths", lambda *args: runs.append(args))
     with pytest.raises(ValueError, match="mdp_curve needs cap >= 1, got 0"):
         mdp_curve(Fraction(1), [4], cap=0)
     assert runs == []
@@ -703,7 +767,7 @@ def test_mdp_validates_cap(monkeypatch):
 def test_growth_validates_every_n_and_the_cap(monkeypatch):
     # Refused by name before the n = 8 row's DP runs, not inside moment_interval.
     runs = []
-    monkeypatch.setattr(measure, "_propagate", lambda *args: runs.append(args))
+    monkeypatch.setattr(measure, "_propagate_depths", lambda *args: runs.append(args))
     with pytest.raises(ValueError, match="moment_growth_rate needs n >= 1, got 0"):
         moment_growth_rate(Fraction(1, 2), [8, 0])
     with pytest.raises(ValueError, match="moment_growth_rate needs cap_schedule >= 1, got 0"):

@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 from ecfrac.deviations import mdp_curve, moment_growth_rate
 from ecfrac.expansion import continuants
 from ecfrac.measure import (ProbInterval, _dp_bits, _integral_tail, _moment_intervals,
-                            _propagate, binet_q,
+                            _propagate, _propagate_depths, binet_q,
                             conditional_given_last, conditional_probability,
                             cylinder_measure, marginal_exact,
                             marginal_interval_dp, moment_interval,
                             prob_digit_one, s_upper_factor, transition_bounds)
 from ecfrac.numerics import (ExtendedReal, OutwardInterval, default_precision,
                              interval_pow)
-from exact_dp import fixed_point_propagate, moment_oracle, uniform_marginal
+from exact_dp import (fixed_point_propagate, moment_oracle, reference_propagate,
+                      uniform_marginal)
 
 # hand-computed golden measures: prod(b_i, i < n) / (Q_n (Q_n + Q_{n-1}))
 GOLDEN_MEASURES = [
@@ -209,6 +210,35 @@ def test_kernel_is_pinned():
     assert _digest(flows) == _KERNEL_DIGEST
 
 
+@given(st.integers(1, 12), st.integers(1, 40))
+@example(120, 3)
+@example(40, 60)
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_the_reference_loop(n, cap):
+    # Ceilings as (N - 1) // D + 1 and denominators by second differences
+    # against negated floors and one-unit steps: the same lists and bits.
+    assert _propagate(n, cap) == reference_propagate(n, cap)
+
+
+@given(st.sets(st.integers(1, 10), min_size=1), st.integers(1, 20))
+@settings(max_examples=30, deadline=None)
+def test_one_run_hands_out_every_depth(depths, cap):
+    # One run at the deepest depth's bits: that depth is its own run, and a
+    # shallower one has the deepest's first exit flows and finer masses.
+    kernels = _propagate_depths(depths, cap)
+    top = max(depths)
+    assert sorted(kernels) == sorted(depths)
+    assert kernels[top] == _propagate(top, cap)
+    for d in depths:
+        mass_lo, mass_up, exit_lo, exit_up, bits = kernels[d]
+        assert bits == _dp_bits(top, cap)
+        assert (exit_lo, exit_up) == (kernels[top][2][:d - 1], kernels[top][3][:d - 1])
+        own_lo, own_up, _, _, own_bits = _propagate(d, cap)
+        shift = bits - own_bits
+        assert all(a >= b << shift for a, b in zip(mass_lo, own_lo))
+        assert all(a <= b << shift for a, b in zip(mass_up, own_up))
+
+
 def test_moment_enclosures_are_pinned():
     thetas = [Fraction(-3), Fraction(-1, 2), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10),
               1 - Fraction(1, 2**200)]
@@ -244,7 +274,7 @@ def test_moment_lies_inside_the_per_term_weighting_of_its_own_kernel(n, cap, the
 
 def test_moment_weighting_cost_does_not_grow_with_the_cap(monkeypatch):
     # Additions and multiplications of intervals, which the j^theta table
-    # (one interval_pow per j) makes none of; weighting each mass by interval
+    # (one interval power per j) makes none of; weighting each mass by interval
     # arithmetic would add four per j.
     counts = []
     for name in ("__add__", "__radd__", "__mul__", "__rmul__"):

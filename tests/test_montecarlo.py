@@ -350,6 +350,25 @@ def test_estimate_event_uncertified_counted():
     assert est.trials == 80
 
 
+@given(st.integers(2, 40), st.data())
+@settings(max_examples=40, deadline=None)
+def test_event_bracket_holds_every_way_to_decide_the_undecided(trials, data):
+    # An undecided trial may be a hit or not: the bracket over all trials
+    # must hold the interval of every count in between.
+    undecided = data.draw(st.sets(st.integers(0, trials - 1), max_size=trials - 1))
+    seed = data.draw(st.integers(0, 2**16))
+    index = iter(range(trials))
+    est = estimate_event(SampleConfig(seed=seed, trials=trials, depth=1, bits=32),
+                         lambda e: None if next(index) in undecided
+                         else bool(e.digits) and e.digits[0] >= 2)
+    assert (est.trials, est.uncertified) == (trials - len(undecided), len(undecided))
+    for h in range(est.hits, est.hits + est.uncertified + 1):
+        lo, hi = clopper_pearson(h, trials)
+        assert est.ci_lo <= lo and hi <= est.ci_hi, h
+    if not undecided:
+        assert (est.ci_lo, est.ci_hi) == clopper_pearson(est.hits, trials)
+
+
 def test_estimate_event_all_uncertified_raises():
     config = SampleConfig(seed=4, trials=10, depth=1, bits=32)
     with pytest.raises(RuntimeError):
