@@ -31,8 +31,8 @@ from .expansion import (continuants, cylinder_endpoints, expand_rational,
 from .measure import (binet_q, conditional_given_last, conditional_probability,
                       cylinder_measure, marginal_exact, marginal_interval_dp,
                       prob_digit_one, transition_bounds)
-from .montecarlo import (LOWER, UPPER, SampleConfig, TailRequest, _ldp_rows,
-                         clopper_pearson, clt_report, lln_report, tail_counts)
+from .montecarlo import (LOWER, UPPER, SampleConfig, TailRequest, _estimate_from_counts,
+                         _ldp_rows, clt_report, lln_report, tail_counts)
 from .numerics import OutwardInterval, interval_exp, interval_log
 from .words import EXACT_LAST, LAST_AT_MOST, WordFamily, count_words, enumerate_words
 
@@ -323,11 +323,10 @@ def criterion_13():
     half = Fraction(1, 2)
 
     def two_sided_ci_hi(n: int) -> Fraction:
-        lo_est = estimates[TailRequest(LOWER, half, n)]
-        up_est = estimates[TailRequest(UPPER, half, n)]
-        certified = min(lo_est.trials, up_est.trials)
-        hits = min(lo_est.hits + up_est.hits, certified)
-        return clopper_pearson(hits, certified)[1]
+        # Both events are decided by b_n (the same trials) and disjoint (hits add).
+        lo = estimates[TailRequest(LOWER, half, n)]
+        up = estimates[TailRequest(UPPER, half, n)]
+        return _estimate_from_counts(lo.hits + up.hits, lo.trials, lo.uncertified).ci_hi
 
     report = exponential_bound_check(half, TAIL_N_LOWER, two_sided_ci_hi)
     # Re-verify the claimed bound row by row with outward exponentials.

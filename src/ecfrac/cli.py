@@ -42,10 +42,10 @@ from fractions import Fraction
 
 from . import __version__
 from .checks import run_suite
-from .deviations import (RateFunctionId, legendre_numeric, mdp_curve,
-                         moment_growth_rate, pressure, rate)
-from .expansion import cylinder_endpoints, expand_rational, reconstruct
-from .measure import (ProbInterval, conditional_given_last,
+from .deviations import (DEFAULT_BRACKET, DEFAULT_MDP_P, DEFAULT_TARGET_WIDTH, RateFunctionId,
+                         legendre_numeric, mdp_curve, moment_growth_rate, pressure, rate)
+from .expansion import DEFAULT_MAX_DIGITS, cylinder_endpoints, expand_rational, reconstruct
+from .measure import (DEFAULT_CAP, ProbInterval, conditional_given_last,
                       conditional_probability, cylinder_measure,
                       marginal_exact, marginal_interval_dp, moment_interval)
 from .montecarlo import (LOWER, RNG_ALGORITHM, UPPER, SampleConfig,
@@ -408,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub_parser("expand", help="digit expansion of a rational")
     p.add_argument("--x", required=True)
-    p.add_argument("--max-digits", type=int, default=64)
+    p.add_argument("--max-digits", type=int, default=DEFAULT_MAX_DIGITS)
     p.set_defaults(func=_cmd_expand)
 
     p = sub_parser("reconstruct", help="value of a digit word")
@@ -447,13 +447,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub_parser("moment", help="enclosure of E(b_n^theta)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theta", required=True)
-    p.add_argument("--cap", type=int, default=60)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_moment)
 
     p = sub_parser("growth", help="(1/n) log E(b_n^theta) against its limit")
     p.add_argument("--theta", required=True)
     p.add_argument("--n-list", required=True)
-    p.add_argument("--cap", type=int, default=60)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_growth)
 
     p = sub_parser("pressure", help="log moment generating limit")
@@ -468,16 +468,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub_parser("legendre", help="numeric Legendre transform of the pressure")
     p.add_argument("--x", required=True)
-    p.add_argument("--bracket-lo", default="-50")
-    p.add_argument("--bracket-hi", default=str(Fraction(10**12 - 1, 10**12)))
-    p.add_argument("--target-width", default="1/100000000")
+    p.add_argument("--bracket-lo", default=str(DEFAULT_BRACKET[0]))
+    p.add_argument("--bracket-hi", default=str(DEFAULT_BRACKET[1]))
+    p.add_argument("--target-width", default=str(DEFAULT_TARGET_WIDTH))
     p.set_defaults(func=_cmd_legendre)
 
     p = sub_parser("mdp", help="moderate deviation normalization rows")
     p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--p", default="3/4")
+    p.add_argument("--p", default=str(DEFAULT_MDP_P))
     p.add_argument("--n-list", required=True)
-    p.add_argument("--cap", type=int, default=60)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_mdp)
 
     p = sub_parser("mc", help="Monte Carlo reports")

@@ -26,7 +26,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .measure import _check_positive, _moment_rows
+from .measure import DEFAULT_CAP, _check_positive, _moment_rows
 from .numerics import (
     DEFAULT_PRECISION_BITS,
     ExtendedReal,
@@ -42,6 +42,10 @@ from .numerics import (
     interval_pow,
     interval_sqrt,
 )
+
+DEFAULT_BRACKET = (Fraction(-50), 1 - Fraction(1, 10**12))
+DEFAULT_TARGET_WIDTH = Fraction(1, 10**8)
+DEFAULT_MDP_P = Fraction(3, 4)
 
 RATE_KINDS = (
     "I",
@@ -180,9 +184,8 @@ def rate(rid: RateFunctionId, x, prec: int = DEFAULT_PRECISION_BITS) -> Extended
 
 
 def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
-                     bracket: tuple[Fraction, Fraction] | None = None,
-                     target_width: Fraction = Fraction(1, 10**8),
-                     prec: int = DEFAULT_PRECISION_BITS) -> ExtendedReal:
+                     bracket: tuple[Fraction, Fraction] = DEFAULT_BRACKET,
+                     target_width: Fraction = DEFAULT_TARGET_WIDTH) -> ExtendedReal:
     """Enclose sup_theta { theta*x - pressure_fn(theta) } over the bracket.
 
     The objective is concave (pressure functions are convex), so a probe
@@ -197,11 +200,12 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
     from the best probe into the larger side.  A step shorter than
     target_width/64 instead probes at that distance from the best probe, on
     the wider side, to close the bracket.  While that probe ties with the
-    best, the distance doubles (a fixed one ties at low precision), and it
-    starts past the probes inside the bracket on its side, which all tie;
-    the search stops once the closing probe would leave the bracket.  It
-    also stops once the bracket is at most target_width wide (which must be
-    positive), after at least one probe.  A point is probed at most once.
+    best, the distance doubles (near the maximizer the objective moves by
+    less than the width of its enclosures), and it starts past the probes
+    inside the bracket on its side, which all tie; the search stops once
+    the closing probe would leave the bracket.  It also stops once the
+    bracket is at most target_width wide (which must be positive), after
+    at least one probe.  A point is probed at most once.
     Every probe is a numerator over one denominator, and the search returns
     its table of probes; everything after it reads and extends that table.
 
@@ -224,24 +228,23 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
     lower end, the best certified probe value.  Returns +infinity when no
     finite value exists in the bracket.
 
-    pressure_fn(theta, prec) is always called with theta an OutwardInterval:
-    a probe point enclosed at prec bits, or a gap of the final bracket.  It
-    must be +infinity from the edge of its finite domain onward.
+    The transform runs at DEFAULT_PRECISION_BITS (128): pressure_fn is
+    always called as pressure_fn(theta, DEFAULT_PRECISION_BITS), with theta
+    an OutwardInterval at those bits, a probe point or a gap of the final
+    bracket.  It must be +infinity from the edge of its finite domain onward.
     """
-    if bracket is None:
-        bracket = (Fraction(-50), 1 - Fraction(1, 10**12))
     a, b = Fraction(bracket[0]), Fraction(bracket[1])
     if a >= b:
         raise ValueError("empty bracket")
     target = Fraction(target_width)
     if target <= 0:
         raise ValueError(f"target width must be positive, got {target}")
-    x_iv = OutwardInterval.from_value(Fraction(x), prec)
+    x_iv = OutwardInterval.from_value(Fraction(x))
 
     def g(t: OutwardInterval) -> OutwardInterval | None:
         # The objective over t; None where the pressure is +infinity, i.e.
         # the objective is -infinity.
-        lam = pressure_fn(t, prec)
+        lam = pressure_fn(t, DEFAULT_PRECISION_BITS)
         return None if lam.is_infinite else x_iv * t - lam.value
 
     # Every probe is a numerator n over one denominator D: the bracket's
@@ -254,7 +257,7 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
     A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
 
     def objective(n) -> OutwardInterval | None:  # at the probe theta = n/D
-        return g(_ratio_interval(n, n, D, prec))
+        return g(_ratio_interval(n, n, D))
 
     table, A, B = _parabolic_search(objective, A, B, target.numerator * D // target.denominator)
 
@@ -273,7 +276,7 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
     while (k := max(bounds, key=lambda k: math.inf if bounds[k] is None else bounds[k])) \
             not in evaluated:
         evaluated.add(k)
-        over = g(_ratio_interval(ends[k], ends[k + 1], D, prec))
+        over = g(_ratio_interval(ends[k], ends[k + 1], D))
         hi = None if over is None else over.hi
         if hi is not None and (bounds[k] is None or hi < bounds[k]):
             bounds[k] = hi
@@ -287,7 +290,7 @@ def legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
     if secants and (peak := max(secants, key=itemgetter(0))[1]) is not None:
         table[peak] = objective(peak)  # strictly inside a gap, so not yet probed
     best = max((value for value in table.values() if value is not None), key=_lower_end_key)
-    return ExtendedReal.finite(_up_to(best, upper, prec))
+    return ExtendedReal.finite(_up_to(best, upper))
 
 
 _GOLDEN = round((3 - math.sqrt(5)) / 2 * 2**53)  # the shorter golden section of 2^53
@@ -490,7 +493,7 @@ def moment_limit(theta: Fraction) -> ExtendedReal:
 
 
 def moment_growth_rate(theta: Fraction, n_list: Sequence[int],
-                       cap_schedule: int = 60) -> GrowthTable:
+                       cap_schedule: int = DEFAULT_CAP) -> GrowthTable:
     """Rows (1/n) log E(b_n^theta) against the closed-form limit.
 
     Every row runs the moment DP at the same digit cap, cap_schedule, and
@@ -529,8 +532,8 @@ class MdpTable:
     rows: tuple[MdpRow, ...]
 
 
-def mdp_curve(lam: Fraction, n_list: Sequence[int], p: Fraction = Fraction(3, 4),
-              cap: int = 60) -> MdpTable:
+def mdp_curve(lam: Fraction, n_list: Sequence[int], p: Fraction = DEFAULT_MDP_P,
+              cap: int = DEFAULT_CAP) -> MdpTable:
     """Moderate-deviation normalization of the log moment-generating rows.
 
     With a_n = n^p, p in (1/2, 1), the growth conditions (a_n/sqrt(n) ->

@@ -19,6 +19,8 @@ from typing import Sequence
 
 DigitWord = tuple[int, ...]
 
+DEFAULT_MAX_DIGITS = 64
+
 
 @dataclass(frozen=True)
 class CertifiedExpansion:
@@ -94,7 +96,7 @@ def _checked(lo: Fraction, hi: Fraction, max_digits: int) -> tuple[Fraction, Fra
     return lo, hi
 
 
-def expand_rational(x: Fraction, max_digits: int = 64) -> CertifiedExpansion:
+def expand_rational(x: Fraction, max_digits: int = DEFAULT_MAX_DIGITS) -> CertifiedExpansion:
     """Full ECF expansion of a rational; always terminates (possibly truncated).
 
     truncated=False means the remainder reached 0 and ``digits`` is the
@@ -105,7 +107,8 @@ def expand_rational(x: Fraction, max_digits: int = 64) -> CertifiedExpansion:
     return CertifiedExpansion(tuple(digits), p != 0)
 
 
-def expand_interval(lo: Fraction, hi: Fraction, max_digits: int = 64) -> CertifiedExpansion:
+def expand_interval(lo: Fraction, hi: Fraction,
+                    max_digits: int = DEFAULT_MAX_DIGITS) -> CertifiedExpansion:
     """Longest common digit prefix of every point in [lo, hi], from the
     walks of its endpoints.
 

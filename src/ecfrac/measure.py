@@ -33,7 +33,6 @@ from .numerics import (
     ExtendedReal,
     OutwardInterval,
     _dyadic_interval,
-    _int_powers,
     _scaled_ends,
     interval_pow,
     interval_sqrt,
@@ -45,6 +44,8 @@ from .words import (
     count_words,
     enumerate_words,
 )
+
+DEFAULT_CAP = 60
 
 
 @dataclass(frozen=True)
@@ -172,13 +173,6 @@ def _dp_bits(n: int, cap: int) -> int:
     return DEFAULT_PRECISION_BITS + 2 * n + 2 * cap.bit_length()
 
 
-def _propagate(n: int, cap: int):
-    """The kernel of depth n from a run of its own, at bits = _dp_bits(n, cap):
-    (mass_lo, mass_up, exit_lo, exit_up, bits), as _propagate_depths hands
-    it out."""
-    return _propagate_depths({n}, cap)[n]
-
-
 def _propagate_depths(depths, cap: int) -> dict:
     """The marginal/moment DP over (depth, last digit <= cap) in fixed point:
     one run that serves every depth in depths.
@@ -191,8 +185,8 @@ def _propagate_depths(depths, cap: int) -> dict:
     of the exit lists is the exact sum over j of mass_lo[j] * j, resp.
     mass_up[j] * (j+1), at depth i < d, so depth d gets the run's first
     d - 1 exit flows.  A depth below n is thus held at n's bits, more than a
-    run of its own would use; more bits never move a bound outward.  No
-    Fraction is made.
+    run of its own would use; more bits never move a bound outward.  So
+    depths = {n} gives depth n at its own bits.  No Fraction is made.
 
     A step uses the exact conditional Phi = (j+z)/((k+z)(k+1+z)), where
     z = b_d Q_{d-1}/Q_d satisfies z_1 = 1 and z' = k/(k+z), carried as a
@@ -269,7 +263,7 @@ def marginal_interval_dp(n: int, cap: int) -> MarginalTable:
     no tail inflow and the tail itself is bounded by complementation.
     """
     _check_positive("marginal_interval_dp", n=n, cap=cap)
-    lo, up, _, _, bits = _propagate(n, cap)
+    lo, up, _, _, bits = _propagate_depths({n}, cap)[n]
     one = 1 << bits
     entries = {k: ProbInterval(Fraction(m_lo, one), Fraction(min(m_up, one), one))
                for k, (m_lo, m_up) in enumerate(zip(lo, up), 1)}
@@ -332,7 +326,7 @@ def s_upper_factor(j: int, theta: Fraction) -> OutwardInterval:
     return (lead * power) / (1 - theta)
 
 
-def moment_interval(n: int, theta: Fraction, cap: int = 60) -> ProbInterval | ExtendedReal:
+def moment_interval(n: int, theta: Fraction, cap: int = DEFAULT_CAP) -> ProbInterval | ExtendedReal:
     """Two-sided enclosure of E(b_n^theta) for theta < 1 (else +infinity).
 
     The tracked part is the mass output of the fixed-point DP kernel over
@@ -352,31 +346,25 @@ def moment_interval(n: int, theta: Fraction, cap: int = 60) -> ProbInterval | Ex
     itself.  The kernel runs at 128 + 2n + 2 log2(cap) bits, and its
     integers are weighted exactly: the tracked sum and the tail sum are each
     rounded outward once, at DEFAULT_PRECISION_BITS (128).
-    theta = 0 returns the exact point [1,1].
+    theta = 0 returns the exact point [1,1].  n and cap are checked before
+    the kernel runs.
     """
-    return _moment_intervals(n, (theta,), cap)[0]
-
-
-def _moment_intervals(n: int, thetas: Sequence[Fraction],
-                      cap: int) -> list[ProbInterval | ExtendedReal]:
-    """moment_interval at each theta, from at most one run of the DP kernel,
-    at depth n's own bits."""
-    return _moment_rows([(n, thetas)], cap)[0]
+    theta = Fraction(theta)
+    _check_positive("moment_interval", n=n, cap=cap)
+    return _moment_rows([(n, (theta,))], cap)[0][0]
 
 
 def _moment_rows(rows: Sequence[tuple[int, Sequence[Fraction]]],
                  cap: int) -> list[list[ProbInterval | ExtendedReal]]:
-    """_moment_intervals(n, thetas, cap) for each (n, thetas) of rows, in
-    order, from at most one run of the DP kernel.
+    """moment_interval(n, theta, cap) for each theta of each (n, thetas) of
+    rows, in order, from at most one run of the DP kernel; each theta is a
+    Fraction, and every n and the cap are positive, as the callers check.
 
     The kernel's masses and exit flows do not depend on theta, only their
     weighting does, and one run hands out every depth.  So the kernel runs
     once, at the bits of the deepest n that has a theta to weight, and not
     at all when every theta is 0 or >= 1.
     """
-    rows = [(n, [Fraction(theta) for theta in thetas]) for n, thetas in rows]
-    for n, _ in rows:
-        _check_positive("moment_interval", n=n, cap=cap)
     depths = {n for n, thetas in rows if any(theta != 0 and theta < 1 for theta in thetas)}
     kernels = _propagate_depths(depths, cap) if depths else {}
     return [[ExtendedReal.infinity() if theta >= 1
@@ -426,7 +414,8 @@ def _weighted_moment(theta: Fraction, kernel) -> ProbInterval:
                             (bound_up * level_up ** (n - 1) << bits) + (bound_up * acc_up << t),
                             -(bits + t * n), DEFAULT_PRECISION_BITS)
 
-    jpow, e = _scaled_ends(_int_powers(range(1, cap + 1), theta))
+    theta_iv = OutwardInterval.from_value(theta)
+    jpow, e = _scaled_ends([interval_pow(j, theta_iv) for j in range(1, cap + 1)])
     tracked = _dyadic_interval(sum(a * lo for a, (lo, _) in zip(mass_lo, jpow)),
                                sum(a * hi for a, (_, hi) in zip(mass_up, jpow)),
                                e - bits, DEFAULT_PRECISION_BITS)

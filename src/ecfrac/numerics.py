@@ -10,8 +10,9 @@ Everything downstream computes with two kinds of numbers:
   endpoint down and the upper endpoint up, so any bound derived from an
   interval endpoint is a true mathematical bound, not an estimate.
 
-The working precision is ``DEFAULT_PRECISION_BITS`` (128 bits); every
-function that rounds takes ``prec=`` to run at another.
+The working precision is ``DEFAULT_PRECISION_BITS`` (128 bits).  Only the
+public functions take ``prec=`` to run at another; a private helper is
+handed its caller's precision or runs at DEFAULT_PRECISION_BITS.
 """
 
 from __future__ import annotations
@@ -300,9 +301,10 @@ def _scaled_ends(intervals) -> tuple[list[tuple[int, int] | None], int]:
     return [None if v is None else (next(ints), next(ints)) for v in intervals], e
 
 
-def _ratio_interval(lo: RationalLike, hi: RationalLike, unit: int, prec: int) -> OutwardInterval:
-    """from_endpoints(lo/unit, hi/unit, prec) for lo <= hi, rounded from the
+def _ratio_interval(lo: RationalLike, hi: RationalLike, unit: int) -> OutwardInterval:
+    """from_endpoints(lo/unit, hi/unit) for lo <= hi, rounded from the
     numerators and denominators with no Fraction made."""
+    prec = DEFAULT_PRECISION_BITS
     return OutwardInterval((
         libmp.from_rational(lo.numerator, lo.denominator * unit, prec, libmp.round_floor),
         libmp.from_rational(hi.numerator, hi.denominator * unit, prec, libmp.round_ceiling)), prec)
@@ -315,9 +317,10 @@ def _dyadic_interval(lo: int, hi: int, exp: int, prec: int) -> OutwardInterval:
                             libmp.from_man_exp(hi, exp, prec, libmp.round_ceiling)), prec)
 
 
-def _up_to(v: OutwardInterval, hi: Fraction, prec: int) -> OutwardInterval:
-    """from_endpoints(v.lo, hi, prec) for v.lo <= hi, read from v's lower end
-    as an mpf; refused when hi rounded up lies below v.lo rounded down."""
+def _up_to(v: OutwardInterval, hi: Fraction) -> OutwardInterval:
+    """from_endpoints(v.lo, hi) for v.lo <= hi, read from v's lower end as an
+    mpf; refused when hi rounded up lies below v.lo rounded down."""
+    prec = DEFAULT_PRECISION_BITS
     lo = libmp.mpf_pos(v._mpi[0], prec, libmp.round_floor)
     up = libmp.from_rational(hi.numerator, hi.denominator, prec, libmp.round_ceiling)
     if libmp.mpf_lt(up, lo):
@@ -333,25 +336,13 @@ def interval_pow(base, exponent, prec: int = DEFAULT_PRECISION_BITS) -> OutwardI
     """Enclosure of base**exponent for positive base.
 
     base: positive int or Fraction (or positive OutwardInterval);
-    exponent: int, Fraction, or OutwardInterval.
+    exponent: int, Fraction, or OutwardInterval, which is used as it is at
+    prec bits or more, so that one enclosed exponent serves many bases.
     """
     b = _as_interval(base, prec)
     if b.compare_lo(0) <= 0:
         raise ValueError("interval_pow requires a positive base")
-    if isinstance(exponent, int):
-        return b ** exponent
-    return b ** _as_interval(exponent, prec)
-
-
-def _int_powers(bases, exponent) -> list[OutwardInterval]:
-    """[interval_pow(j, exponent) for j in bases], bit for bit, for positive
-    ints j of at most DEFAULT_PRECISION_BITS bits: the exponent is enclosed
-    once, and each j is the exact interval [j, j] that interval_pow makes
-    of it."""
-    t = _as_interval(exponent, DEFAULT_PRECISION_BITS)._mpi
-    return [OutwardInterval(libmp.mpi_pow((j_mpf, j_mpf), t, DEFAULT_PRECISION_BITS),
-                            DEFAULT_PRECISION_BITS)
-            for j_mpf in map(libmp.from_int, bases)]
+    return b._binop(libmp.mpi_pow, _as_interval(exponent, prec))
 
 
 def interval_log(x, prec: int = DEFAULT_PRECISION_BITS) -> OutwardInterval:

@@ -7,13 +7,14 @@ theirs, and are no wider beyond fixed-point rounding.  moment_oracle also
 weights the fixed-point kernel's own masses with one outward-rounded
 interval operation per term, which ecfrac.measure.moment_interval must lie
 inside.  reference_propagate is the fixed-point kernel in its plainest
-integer form, which ecfrac.measure._propagate must equal list for list.
+integer form, which ecfrac.measure._propagate_depths({n}, cap)[n] must
+equal list for list.
 """
 
 from fractions import Fraction
 from itertools import accumulate
 
-from ecfrac.measure import MarginalTable, ProbInterval, _dp_bits, _propagate
+from ecfrac.measure import MarginalTable, ProbInterval, _dp_bits, _propagate_depths
 from ecfrac.numerics import OutwardInterval, default_precision, interval_pow
 
 
@@ -32,7 +33,7 @@ def uniform_marginal(n: int, cap: int) -> MarginalTable:
 
 def exact_propagate(n: int, cap: int):
     """The z-refined DP in exact rationals: (mass_lo, mass_up, exit_lo, exit_up)
-    in the layout of ecfrac.measure._propagate, whose integers over 2^bits
+    in the layout of ecfrac.measure._propagate_depths, whose integers over 2^bits
     are Fractions here, with no bits entry."""
     kk = range(1, cap + 1)
     mass_lo = [Fraction(1, j * (j + 1)) for j in kk]
@@ -58,7 +59,7 @@ def exact_propagate(n: int, cap: int):
 
 
 def reference_propagate(n: int, cap: int):
-    """ecfrac.measure._propagate(n, cap) in its plainest integer form: an
+    """ecfrac.measure._propagate_depths({n}, cap)[n] in its plainest integer form: an
     upper mass is the floor of a negated numerator, negated, and u = k + z
     steps up one unit per target, its denominator u(u+1) by 2(u+1)."""
     bits = _dp_bits(n, cap)
@@ -97,9 +98,9 @@ def reference_propagate(n: int, cap: int):
 
 
 def fixed_point_propagate(n: int, cap: int):
-    """ecfrac.measure._propagate in the layout of exact_propagate: its
-    integers over 2^bits as Fractions."""
-    *flows, bits = _propagate(n, cap)
+    """ecfrac.measure._propagate_depths({n}, cap)[n] in the layout of
+    exact_propagate: its integers over 2^bits as Fractions."""
+    *flows, bits = _propagate_depths({n}, cap)[n]
     return tuple([Fraction(x, 1 << bits) for x in flow] for flow in flows)
 
 

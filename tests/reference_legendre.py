@@ -21,10 +21,10 @@ from ecfrac.numerics import ExtendedReal, OutwardInterval, default_precision
 
 def reference_legendre_numeric(pressure_fn: Callable[..., ExtendedReal], x,
                                bracket: tuple[Fraction, Fraction] | None = None,
-                               target_width: Fraction = Fraction(1, 10**8),
-                               prec: int | None = None) -> ExtendedReal:
-    """Enclose sup_theta { theta*x - pressure_fn(theta) } over the bracket."""
-    prec = default_precision() if prec is None else prec
+                               target_width: Fraction = Fraction(1, 10**8)) -> ExtendedReal:
+    """Enclose sup_theta { theta*x - pressure_fn(theta) } over the bracket,
+    at the working precision, as legendre_numeric runs."""
+    prec = default_precision()
     if bracket is None:
         bracket = (Fraction(-50), 1 - Fraction(1, 10**12))
     a, b = Fraction(bracket[0]), Fraction(bracket[1])

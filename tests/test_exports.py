@@ -123,12 +123,14 @@ def test_no_float_field_is_named_like_a_bound():
 
 def test_prec_only_where_a_caller_sets_another():
     # A prec parameter that every caller leaves at its default is a setting
-    # no one uses; the cap DP and all weighted from it run at
-    # DEFAULT_PRECISION_BITS.  The numerics core takes prec throughout
+    # no one uses; the cap DP and all weighted from it, and legendre_numeric,
+    # run at DEFAULT_PRECISION_BITS.  The numerics core takes prec throughout
     # (tail_threshold runs interval_exp at 128 to 2048 bits).  Elsewhere:
-    # the tests run pressure, rate, legendre_numeric and the golden
-    # constants at 53, 128 and 300 bits, and legendre_numeric calls its
-    # pressure as fn(theta, prec); rate forwards its prec to xi_b.
+    # legendre_numeric calls its pressure as fn(theta, DEFAULT_PRECISION_BITS),
+    # and perfbench's fn(theta, prec=None) wrappers pass that prec on to
+    # pressure and rate; rate forwards its prec to xi_b and the golden
+    # constants, and the tests run rate at 400 bits and the golden constants
+    # at 53, 128, 300 and 400.
     package = Path(ecfrac.__file__).resolve().parent
     takers = set()
     for path in sorted(package.glob("*.py")):
@@ -144,7 +146,7 @@ def test_prec_only_where_a_caller_sets_another():
                 takers.add((path.stem, name))
     assert takers == {
         ("deviations", "GoldenConstants.compute"), ("deviations", "pressure"),
-        ("deviations", "rate"), ("deviations", "legendre_numeric"), ("deviations", "xi_b"),
+        ("deviations", "rate"), ("deviations", "xi_b"),
     }
 
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from ecfrac.deviations import mdp_curve, moment_growth_rate
 from ecfrac.expansion import continuants
-from ecfrac.measure import (ProbInterval, _dp_bits, _integral_tail, _moment_intervals,
-                            _propagate, _propagate_depths, binet_q,
+from ecfrac.measure import (ProbInterval, _dp_bits, _integral_tail, _moment_rows,
+                            _propagate_depths, binet_q,
                             conditional_given_last, conditional_probability,
                             cylinder_measure, marginal_exact,
                             marginal_interval_dp, moment_interval,
@@ -184,7 +184,7 @@ def test_moment_fixed_point_matches_exact_dp_at_cap_60():
 # cap 60; recorded from the target-major kernel that returned Fractions.
 _MARGINAL_DIGEST = "efd102b4b21f0dea071db4edeced2e19c62b2b4e89e0968ab73b365e4c45d678"
 _KERNEL_DIGEST = "f58624052e69260d78b230d3117f5ec8822949b0d55de4505172ee58cf0c85a1"
-# SHA-256 of repr of the (lo, hi) ends of _moment_intervals over the grid of
+# SHA-256 of repr of the (lo, hi) ends of _moment_rows over the grid of
 # test_moment_enclosures_are_pinned, then of the rows of mdp_curve(+-1) and
 # moment_growth_rate(1/2) at n = 4, 8, 12; recorded before the tail factors
 # lost their precision argument.
@@ -204,7 +204,7 @@ def test_marginal_tables_are_pinned():
 def test_kernel_is_pinned():
     flows = []
     for n in (4, 8, 12):
-        *lists, bits = _propagate(n, 60)
+        *lists, bits = _propagate_depths({n}, 60)[n]
         assert bits == _dp_bits(n, 60)
         flows.append(lists)
     assert _digest(flows) == _KERNEL_DIGEST
@@ -217,7 +217,7 @@ def test_kernel_is_pinned():
 def test_kernel_matches_the_reference_loop(n, cap):
     # Ceilings as (N - 1) // D + 1 and denominators by second differences
     # against negated floors and one-unit steps: the same lists and bits.
-    assert _propagate(n, cap) == reference_propagate(n, cap)
+    assert _propagate_depths({n}, cap)[n] == reference_propagate(n, cap)
 
 
 @given(st.sets(st.integers(1, 10), min_size=1), st.integers(1, 20))
@@ -228,12 +228,12 @@ def test_one_run_hands_out_every_depth(depths, cap):
     kernels = _propagate_depths(depths, cap)
     top = max(depths)
     assert sorted(kernels) == sorted(depths)
-    assert kernels[top] == _propagate(top, cap)
+    assert kernels[top] == _propagate_depths({top}, cap)[top]
     for d in depths:
         mass_lo, mass_up, exit_lo, exit_up, bits = kernels[d]
         assert bits == _dp_bits(top, cap)
         assert (exit_lo, exit_up) == (kernels[top][2][:d - 1], kernels[top][3][:d - 1])
-        own_lo, own_up, _, _, own_bits = _propagate(d, cap)
+        own_lo, own_up, _, _, own_bits = _propagate_depths({d}, cap)[d]
         shift = bits - own_bits
         assert all(a >= b << shift for a, b in zip(mass_lo, own_lo))
         assert all(a <= b << shift for a, b in zip(mass_up, own_up))
@@ -243,7 +243,7 @@ def test_moment_enclosures_are_pinned():
     thetas = [Fraction(-3), Fraction(-1, 2), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10),
               1 - Fraction(1, 2**200)]
     ends = [(enc.lo, enc.hi) for n in (1, 2, 5, 9, 12) for cap in (1, 7, 30, 60)
-            for enc in _moment_intervals(n, thetas, cap)]
+            for enc in _moment_rows([(n, thetas)], cap)[0]]
     for lam in (1, -1):
         ends += [(row.value.lo, row.value.hi) for row in mdp_curve(lam, [4, 8, 12]).rows]
     ends += [(row.value.value.lo, row.value.value.hi)

@@ -147,7 +147,7 @@ def test_from_endpoints_refuses_exactly_when_out_of_order():
     assert x.width <= Fraction(2, 2**128)
     # _up_to, which reads the lower end from an interval, refuses the same way.
     with pytest.raises(ValueError, match="out of order"):
-        _up_to(OutwardInterval.from_value(1), Fraction(1, 2), 128)
+        _up_to(OutwardInterval.from_value(1), Fraction(1, 2))
 
 
 def test_from_value_takes_floats_and_decimal_strings():
@@ -328,8 +328,10 @@ def test_powers_and_kernels_match_interval_context(x, k, r, prec):
     if k >= 0 or x != 0:
         assert _same(ix ** k, X ** k)
     if x > 0:
-        # rational exponents, including the exactly handled 1/2
-        for e, E in ((r, R), (Fraction(1, 2), ctx.mpf(1) / 2)):
+        # rational exponents, including the exactly handled 1/2, an exponent
+        # that is already an interval and an int
+        for e, E in ((r, R), (Fraction(1, 2), ctx.mpf(1) / 2),
+                     (OutwardInterval.from_value(r, prec), R), (k, k)):
             assert _same(ix ** e, X ** E)
             assert _same(interval_pow(x, e, prec), X ** E)
         assert _same(interval_log(x, prec), ctx.log(X))
