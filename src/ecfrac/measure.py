@@ -412,11 +412,11 @@ def _weighted_moment(theta: Fraction, kernel) -> ProbInterval:
     # Over 2^(bits + t n): first * s^(n-1) + per_exit * acc.
     tail = _dyadic_interval((first_lo * level_lo ** (n - 1) << bits) + (per_exit_lo * acc_lo << t),
                             (bound_up * level_up ** (n - 1) << bits) + (bound_up * acc_up << t),
-                            -(bits + t * n), DEFAULT_PRECISION_BITS)
+                            -(bits + t * n))
 
     theta_iv = OutwardInterval.from_value(theta)
     jpow, e = _scaled_ends([interval_pow(j, theta_iv) for j in range(1, cap + 1)])
     tracked = _dyadic_interval(sum(a * lo for a, (lo, _) in zip(mass_lo, jpow)),
                                sum(a * hi for a, (_, hi) in zip(mass_up, jpow)),
-                               e - bits, DEFAULT_PRECISION_BITS)
+                               e - bits)
     return ProbInterval(max(Fraction(0), tracked.lo + tail.lo), tracked.hi + tail.hi)

@@ -5,12 +5,13 @@ samples the dyadic cell [k/2^B, (k+1)/2^B]; the digit statistics are
 computed from the prefix that every point of the cell shares, so no
 floating-point drift can corrupt a digit.  A cell is certified when it lies
 inside one open depth-n cylinder: its lower end is walked by
-expansion._walk, one divmod per digit, and its upper end is carried through
-the composed Möbius map of the walked digits and tested against the
-cylinder's image (0, 1/b_n).  The certificate is tried on the coarse cells
-of k's top bits at two precisions below B, derived once per pass from the
-depth; a cell that certifies on neither gets its exact prefix at all B bits
-as the common prefix of its two ends' walks, the rule of expand_interval.
+expansion._walk, and its upper end is tested against the cylinder's image
+(0, 1/b_n) under the walked digits' Möbius map, by a size bound on that map
+or, for cells near a cylinder end, by the composed map itself.  The
+certificate is tried on the coarse cells of k's top bits at two precisions
+below B, derived once per pass from the depth; a cell that certifies on
+neither gets its exact prefix at all B bits as the common prefix of its two
+ends' walks, the rule of expand_interval.
 
 Trials are keyed by (seed, index) through a counter-based generator
 (numpy Philox4x64, recorded as the algorithm name in reports): one bit
@@ -133,8 +134,8 @@ def _cell_certificate(p: int, q: int, depth: int) -> list[int] | None:
     """The `depth` digits of the cell [p/q, (p+1)/q] when it lies inside one
     open depth-`depth` cylinder, else None.
 
-    Only the lower end is walked, by _walk: d, r = divmod(q, p), then
-    (p, q) <- (r, q - r) = (r, d p).  The upper end, (p + a)/(q + c) in the
+    Only the lower end is walked, by _walk: d = q // p, then
+    (p, q) <- (q - d p, d p).  The upper end, (p + a)/(q + c) in the
     walked coordinates, goes through the same linear digit maps, composed
     over the walked digits: (a, c) <- (c - d a, d a) from (1, 0).  They are
     one Möbius map, a bijection of the projective line that sends the open
@@ -144,16 +145,25 @@ def _cell_certificate(p: int, q: int, depth: int) -> list[int] | None:
     cylinder is an interval, so the whole cell lies in it.  This holds
     exactly when _common_prefix(p, q, p + 1, q, depth) returns
     (digits, True).
+
+    Each step multiplies max(|a|, |c|) by at most d + 1 <= 2^len(d), so with
+    L the sum of the digits' bit lengths, |a| and |c| are at most 2^L.  Then
+    p > 2^L and q - b_n p > (b_n + 1) 2^L give 0 < P and b_n P < Q without
+    (a, c); the map is composed only when that bound cannot decide, that is
+    for cells near a cylinder end.
     """
     digits, p, q = _walk(p, q, depth)
     if not p:
         return None
+    b = digits[-1]
+    bound = 1 << sum(map(int.bit_length, digits))
+    if p > bound and q - b * p > (b + 1) * bound:
+        return digits
     a, c = 1, 0
     for d in digits:
         da = d * a
         a, c = c - da, da
     big_p, big_q = p + a, q + c
-    b = digits[-1]
     if (0 < big_p and b * big_p < big_q) or (big_p < 0 and big_q < b * big_p):
         return digits
     return None

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from ecfrac import montecarlo
 from ecfrac.checks import MC_SEED_MEAN, MC_SEED_TAILS, TAIL_N_LOWER, TAIL_N_UPPER
-from ecfrac.expansion import cylinder_endpoints, expand_interval
+from ecfrac.expansion import _common_prefix, _walk, cylinder_endpoints, expand_interval
 from ecfrac.montecarlo import (LOWER, UPPER, SampleConfig, TailRequest,
                                clopper_pearson, clt_report, default_bits,
                                estimate_event, ldp_slope, lln_report,
@@ -166,6 +167,67 @@ def test_cell_certificate_matches_lockstep_walk_on_small_cells():
         assert montecarlo._cell_certificate(p, q, depth) == certified, (p, q, depth)
         accepted += expected.truncated
     assert 0 < accepted < len(cells)
+
+
+def _prefix_verdict(p: int, q: int, depth: int) -> list[int] | None:
+    """The certificate's verdict on [p/q, (p+1)/q] by the equivalence its
+    docstring states: the common prefix of the two ends, if truncated."""
+    digits, truncated = _common_prefix(p, q, p + 1, q, depth)
+    return digits if truncated else None
+
+
+def _bound_decides(p: int, q: int, depth: int) -> bool:
+    """Whether the size bound alone accepts the cell: 2^L, L the sum of the
+    walked digits' bit lengths, bounds the composed map's column."""
+    digits, p, q = _walk(p, q, depth)
+    if not p:
+        return False
+    b, bound = digits[-1], 1 << sum(map(int.bit_length, digits))
+    return p > bound and q - b * p > (b + 1) * bound
+
+
+def test_cell_certificate_on_rung_cells():
+    # Random coarse cells at both rungs of depths 20 to 100: the size bound
+    # decides most of them without composing the map.
+    rng = random.Random(20)
+    decided = cells = 0
+    for depth in range(20, 101, 10):
+        for b in montecarlo._walk_schedule(depth, default_bits(depth)):
+            for _ in range(12):
+                k = rng.getrandbits(b)
+                assert montecarlo._cell_certificate(k, 1 << b, depth) == \
+                    _prefix_verdict(k, 1 << b, depth), (k, b, depth)
+                decided += _bound_decides(k, 1 << b, depth)
+                cells += 1
+    assert decided > cells * 3 // 4
+
+
+def test_cell_certificate_near_cylinder_ends():
+    # Cells at a rung whose lower end lies one cell inside an end of a
+    # depth-n cylinder, or that straddle that end.  The word is the prefix
+    # of a random point at the rung, so its cylinder is about as wide as
+    # those the rung's cells certify in.  The size bound decides none of
+    # these cells, so the map is composed for them, and it accepts the
+    # cells just inside and refuses the others.
+    rng = random.Random(21)
+    verdicts = []
+    for depth in (20, 40, 70, 100):
+        for b in montecarlo._walk_schedule(depth, default_bits(depth)):
+            q = 1 << b
+            for _ in range(3):
+                word = _walk(rng.getrandbits(b) | 1, q, depth)[0]
+                assert len(word) == depth
+                lo, hi = cylinder_endpoints(word)
+                p_lo = lo.numerator * q // lo.denominator   # p/q <= end < (p + 1)/q
+                p_hi = hi.numerator * q // hi.denominator
+                for cell, inside in ((p_lo, False), (p_lo + 1, True),
+                                     (p_hi - 1, True), (p_hi, False)):
+                    verdict = _prefix_verdict(cell, q, depth)
+                    assert montecarlo._cell_certificate(cell, q, depth) == verdict, \
+                        (cell, b, depth)
+                    assert not _bound_decides(cell, q, depth)
+                    verdicts.append((inside, verdict is not None))
+    assert (True, True) in verdicts and (False, True) not in verdicts
 
 
 def test_estimate_event_passes_walk_truncation():
