@@ -185,7 +185,8 @@ def _cmd_mdp(args):
 _EVENT_RE = re.compile(r"^b(\d+)\s*(>=|<=|==?)\s*(\d+)$")
 
 
-def _parse_event(text: str, depth: int):
+def _parse_event(text: str, depth: int) -> tuple[int, int, int | None]:
+    """The event as the digit range (n, lo, hi) of lo <= b_n <= hi."""
     match = _EVENT_RE.match(text.strip())
     if not match:
         raise ValueError(f"cannot parse event {text!r} (use e.g. 'b1>=2')")
@@ -194,18 +195,11 @@ def _parse_event(text: str, depth: int):
         raise ValueError("digit position must be >= 1")
     if position > depth:  # a certified prefix holds at most depth digits
         raise ValueError(f"digit position {position} exceeds the sampled depth --n {depth}")
-
-    def predicate(expansion):
-        if len(expansion.digits) < position:
-            return None
-        digit = expansion.digits[position - 1]
-        if op == ">=":
-            return digit >= value
-        if op == "<=":
-            return digit <= value
-        return digit == value
-
-    return predicate
+    if op == ">=":
+        return position, value, None
+    if op == "<=":
+        return position, 1, value  # every digit is >= 1
+    return position, value, value
 
 
 def _mc_config(args) -> SampleConfig:
@@ -249,7 +243,7 @@ def _cmd_mc(args):
     # task == "event"
     if not args.event:
         raise ValueError("mc --task event needs --event (e.g. 'b1>=2')")
-    est = estimate_event(config, _parse_event(args.event, args.n))
+    est = estimate_event(config, *_parse_event(args.event, args.n))
     return {**head, "event": args.event, **_estimate(est)}, None
 
 

@@ -22,12 +22,13 @@ SampleConfig.
 
 One pass per config: lln_report and clt_report read the final digits b_n
 of the trials from one cached pass (_final_digits), which holds the last
-config's finals only, one int per certified trial.  tail_counts answers
-many tail events from its own single pass.
+config's finals only, one int per certified trial.
 
-Uncertified trials (cell not inside one open depth-n cylinder, or an event
-its prefix cannot decide) are left out of the point estimate p_hat, which
-is hits over certified trials, and always reported.  The confidence
+An event is a range of one digit, lo <= b_n <= hi (hi None for no upper
+end); tail_counts answers many of them from one pass, and estimate_event
+one.  A trial is uncertified for an event when its certified prefix stops
+before b_n.  Uncertified trials are left out of the point estimate p_hat,
+which is hits over certified trials, and always reported.  The confidence
 bracket is taken over all trials, as if none of the uncertified trials
 were a hit at its lower end and all of them were at its upper end, so
 trials that could not be decided cannot bias it.
@@ -40,9 +41,9 @@ import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
-from .expansion import CertifiedExpansion, _common_prefix, _walk
+from .expansion import _common_prefix, _walk
 from .numerics import interval_exp, interval_log
 
 RNG_ALGORITHM = "philox4x64 (numpy.random.Philox, key=seed, counter word 1=trial index)"
@@ -169,16 +170,16 @@ def _cell_certificate(p: int, q: int, depth: int) -> list[int] | None:
     return None
 
 
-def _digit_stream(config: SampleConfig) -> Iterator[tuple[list[int], bool]]:
-    """(certified digit prefix of length <= depth, truncated), one per trial.
+def _digit_stream(config: SampleConfig) -> Iterator[list[int]]:
+    """The certified digit prefix of each trial, of length <= depth.
 
     A trial that draws k samples the cell [k/2^B, (k+1)/2^B].  It lies in
     the coarse cell [K/2^b, (K+1)/2^b], K = k >> (B-b), of each rung, so a
     rung's certificate holds for it too.  A cell that certifies on no rung
-    gets _common_prefix at all B bits, which is truncated exactly when the
-    certificate would accept it there (the cell at k = 0 certifies no
-    digit).  Trials are independent functions of (seed, index), and the
-    aggregations below are exact integer counters, independent of order.
+    gets the digits of _common_prefix at all B bits, which every point of
+    the cell shares (the cell at k = 0 shares no digit).  Trials are
+    independent functions of (seed, index), and the aggregations below are
+    exact integer counters, independent of order.
     """
     bits, depth = config.bits, config.depth
     rungs = _walk_schedule(depth, bits)
@@ -187,10 +188,10 @@ def _digit_stream(config: SampleConfig) -> Iterator[tuple[list[int], bool]]:
         for b in rungs:
             digits = _cell_certificate(k >> (bits - b), 1 << b, depth)
             if digits is not None:
-                yield digits, True
+                yield digits
                 break
         else:
-            yield _common_prefix(k, den, k + 1, den, depth)
+            yield _common_prefix(k, den, k + 1, den, depth)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -403,24 +404,36 @@ def _estimate_from_counts(hits: int, certified: int, uncertified: int) -> EventE
                          _ci_hi(hits + uncertified, trials), uncertified)
 
 
-def estimate_event(config: SampleConfig,
-                   event: Callable[[CertifiedExpansion], Optional[bool]]) -> EventEstimate:
-    """Empirical frequency of an event decided from certified digits.
+def _range_estimates(config: SampleConfig,
+                     events: Sequence[tuple[int, int, int | None]]) -> list[EventEstimate]:
+    """The estimate of each event (n, lo, hi), lo <= b_n <= hi with hi None
+    for no upper end, from one pass: one estimate, and so one Clopper-Pearson
+    interval, per distinct count pair."""
+    # (position of b_n in the prefix, lo, hi) per event; inf compares with every int
+    ranges = [(n - 1, lo, math.inf if hi is None else hi) for n, lo, hi in events]
+    hits = [0] * len(ranges)
+    certified = [0] * len(ranges)
+    for prefix in _digit_stream(config):
+        have = len(prefix)
+        for j, (position, lo, hi) in enumerate(ranges):
+            if position < have:
+                certified[j] += 1
+                if lo <= prefix[position] <= hi:
+                    hits[j] += 1
+    by_counts = {(h, c): _estimate_from_counts(h, c, config.trials - c)
+                 for h, c in dict.fromkeys(zip(hits, certified))}
+    return [by_counts[h, c] for h, c in zip(hits, certified)]
 
-    The predicate receives a trial's CertifiedExpansion and may return None
-    when the certified prefix cannot decide the event; such trials count
-    as uncertified.
+
+def estimate_event(config: SampleConfig, n: int, lo: int, hi: int | None = None) -> EventEstimate:
+    """Empirical frequency of the event lo <= b_n <= hi (hi None: b_n >= lo).
+
+    Trials whose certified prefix stops before b_n count as uncertified.
     """
-    hits = certified = uncertified = 0
-    for prefix, truncated in _digit_stream(config):
-        expansion = CertifiedExpansion(tuple(prefix), truncated)
-        verdict = event(expansion)
-        if verdict is None:
-            uncertified += 1
-        else:
-            certified += 1
-            hits += bool(verdict)
-    return _estimate_from_counts(hits, certified, uncertified)
+    if not 1 <= n <= config.depth:
+        raise ValueError(f"digit position {n} is outside 1..{config.depth}, the sampled depth")
+    (estimate,) = _range_estimates(config, [(n, lo, hi)])
+    return estimate
 
 
 # ---------------------------------------------------------------------------
@@ -474,22 +487,9 @@ def tail_counts(config: SampleConfig,
     requests = list(dict.fromkeys(requests))
     if any(r.n > config.depth for r in requests):
         raise ValueError("request depth exceeds config.depth")
-    # (position of b_n in the prefix, threshold, upper tail?) per request
-    events = [(r.n - 1, tail_threshold(r), r.tail == UPPER) for r in requests]
-    hits = [0] * len(events)
-    certified = [0] * len(events)
-    for prefix, _ in _digit_stream(config):
-        have = len(prefix)
-        for j, (position, threshold, upper) in enumerate(events):
-            if position < have:
-                certified[j] += 1
-                b = prefix[position]
-                if (b >= threshold) if upper else (b <= threshold):
-                    hits[j] += 1
-    # One estimate, and so one Clopper-Pearson interval, per distinct count pair.
-    by_counts = {(h, c): _estimate_from_counts(h, c, config.trials - c)
-                 for h, c in dict.fromkeys(zip(hits, certified))}
-    return {r: by_counts[h, c] for r, h, c in zip(requests, hits, certified)}
+    events = [(r.n, tail_threshold(r), None) if r.tail == UPPER else (r.n, 1, tail_threshold(r))
+              for r in requests]
+    return dict(zip(requests, _range_estimates(config, events)))
 
 
 @dataclass(frozen=True)
@@ -574,7 +574,7 @@ def _final_digits(config: SampleConfig) -> tuple[int, ...]:
     either order, and a different config walks anew.  The remaining
     config.trials - len(finals) trials are uncertified.
     """
-    finals = tuple(prefix[-1] for prefix, _ in _digit_stream(config)
+    finals = tuple(prefix[-1] for prefix in _digit_stream(config)
                    if len(prefix) == config.depth)
     if not finals:
         raise SampleLimitError("no trial certified enough digits; raise bits")

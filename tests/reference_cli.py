@@ -9,7 +9,8 @@ apart from the timestamp.  Only argv is shared: ``ecfrac.cli._build_parser``
 turns it into args.  The value tables, the value parsers, the argument
 checks and the manifest are written out again here, so a wrong entry in
 one of ``ecfrac.cli``'s tables prints a document that differs from this
-one.
+one.  So is the count of ``mc --task event``, a loop over the sampled digit
+prefixes that does not go through ``estimate_event``.
 """
 
 import csv
@@ -21,15 +22,15 @@ from datetime import datetime, timezone
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction
 
-from ecfrac import __version__
+from ecfrac import __version__, montecarlo
 from ecfrac.deviations import (RateFunctionId, legendre_numeric, mdp_curve,
                                moment_growth_rate, pressure, rate)
 from ecfrac.expansion import cylinder_endpoints, expand_rational, reconstruct
 from ecfrac.measure import (conditional_given_last, conditional_probability,
                             cylinder_measure, marginal_exact,
                             marginal_interval_dp, moment_interval)
-from ecfrac.montecarlo import (LOWER, RNG_ALGORITHM, SampleConfig, clt_report,
-                               estimate_event, ldp_slope, lln_report)
+from ecfrac.montecarlo import (LOWER, RNG_ALGORITHM, SampleConfig, SampleLimitError,
+                               clopper_pearson, clt_report, ldp_slope, lln_report)
 from ecfrac.numerics import ExtendedReal, OutwardInterval, default_precision
 from ecfrac.words import WordFamily, count_words, enumerate_words
 
@@ -70,13 +71,18 @@ def _parse_event(text: str, depth: int):
         raise ValueError("digit position must be >= 1")
     if position > depth:
         raise ValueError(f"digit position {position} exceeds the sampled depth --n {depth}")
+    return position, compare, value
 
-    def predicate(expansion):
-        if len(expansion.digits) < position:
-            return None
-        return compare(expansion.digits[position - 1], value)
 
-    return predicate
+def _event_counts(config: SampleConfig, position: int, compare, value: int):
+    """(hits, certified) over the sampled digit prefixes: a trial is
+    certified when its prefix holds the digit at position."""
+    hits = certified = 0
+    for prefix in montecarlo._digit_stream(config):
+        if len(prefix) >= position:
+            certified += 1
+            hits += compare(prefix[position - 1], value)
+    return hits, certified
 
 
 def _family(args) -> WordFamily:
@@ -306,11 +312,15 @@ def _cmd_mc(args):
     # task == "event"
     if not args.event:
         raise ValueError("mc --task event needs --event (e.g. 'b1>=2')")
-    est = estimate_event(config, _parse_event(args.event, args.n))
+    hits, certified = _event_counts(config, *_parse_event(args.event, args.n))
+    if not certified:
+        raise SampleLimitError("no trial certified enough digits; raise bits")
+    uncertified = config.trials - certified
     payload = {"task": "event", "rng": RNG_ALGORITHM, "event": args.event,
-               "hits": est.hits, "trials": est.trials,
-               "uncertified": est.uncertified, "p_hat": _rat(est.p_hat),
-               "ci_lo": _rat(est.ci_lo), "ci_hi": _rat(est.ci_hi)}
+               "hits": hits, "trials": certified, "uncertified": uncertified,
+               "p_hat": _rat(Fraction(hits, certified)),
+               "ci_lo": _rat(clopper_pearson(hits, config.trials)[0]),
+               "ci_hi": _rat(clopper_pearson(hits + uncertified, config.trials)[1])}
     return payload, [{k: str(v) for k, v in payload.items()}]
 
 

@@ -14,8 +14,11 @@ import pytest
 import ecfrac
 from ecfrac.checks import CheckResult
 from ecfrac.cli import main
-from ecfrac.montecarlo import SampleConfig, estimate_event
+from ecfrac.montecarlo import default_bits
 from ecfrac.numerics import OutwardInterval, interval_log
+
+from reference_philox import reference_cell_index
+from reference_walk import reference_expand_interval
 
 RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -141,17 +144,23 @@ def test_mc_event_reports_rng_and_uncertified(capsys):
     ("b2==2", lambda digit: digit == 2),
 ], ids=[">=", "<=", "=="])
 def test_mc_event_matches_estimate_event(capsys, event, holds):
-    # Each comparison decides the same trials as a predicate written out.
-    position = int(event[1])
+    # The count estimate_event makes, written out trial by trial from the
+    # per-trial Philox draw and the exact-Fraction walk of each drawn cell.
+    position, bits = int(event[1]), default_bits(2)
     code, out, _ = run(capsys, "mc", "--task", "event", "--seed", "3", "--trials",
                        "60", "--n", "2", "--event", event)
-    est = estimate_event(
-        SampleConfig(seed=3, trials=60, depth=2),
-        lambda e: holds(e.digits[position - 1]) if len(e.digits) >= position else None)
+    hits = certified = 0
+    for index in range(60):
+        k = reference_cell_index(3, index, bits)
+        digits = reference_expand_interval(Fraction(k, 2**bits), Fraction(k + 1, 2**bits),
+                                           2).digits
+        if len(digits) >= position:
+            certified += 1
+            hits += holds(digits[position - 1])
     data = json.loads(out)["data"]
     assert code == 0
     assert (data["hits"], data["trials"], data["uncertified"], data["p_hat"]) == \
-        (est.hits, est.trials, est.uncertified, str(est.p_hat))
+        (hits, certified, 60 - certified, str(Fraction(hits, certified)))
 
 
 def test_usage_error_exit_2():

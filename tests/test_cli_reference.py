@@ -57,6 +57,10 @@ CORPUS = [
      "--eps", "1/2", "--n-list", "2,3"],
     ["mc", "--task", "event", "--seed", "3", "--trials", "50", "--n", "2",
      "--event", "b1>=2"],
+    ["mc", "--task", "event", "--seed", "3", "--trials", "50", "--n", "2",
+     "--event", "b2<=3", "--bits", "5"],
+    ["mc", "--task", "event", "--seed", "3", "--trials", "50", "--n", "2",
+     "--event", "b2=2"],
 ]
 
 _TIMESTAMP = re.compile(r'^(# timestamp: |\s*"timestamp": ).*$', re.MULTILINE)

@@ -130,16 +130,21 @@ def test_prec_only_where_a_caller_sets_another():
     # and perfbench's fn(theta, prec=None) wrappers pass that prec on to
     # pressure and rate; rate forwards its prec to xi_b and the golden
     # constants, and the tests run rate at 400 bits and the golden constants
-    # at 53, 128, 300 and 400.
+    # at 53, 128, 300 and 400.  In numerics only the module-level private
+    # helpers are checked: _outward and _as_interval are handed the varying
+    # precision of their callers, and the others run at DEFAULT_PRECISION_BITS.
     package = Path(ecfrac.__file__).resolve().parent
     takers = set()
     for path in sorted(package.glob("*.py")):
-        if path.stem == "numerics":
-            continue
         tree = ast.parse(path.read_text())
+        if path.stem == "numerics":
+            candidates = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                          and node.name.startswith("_")]
+        else:
+            candidates = list(ast.walk(tree))
         scopes = {child: node.name for node in ast.walk(tree)
                   if isinstance(node, ast.ClassDef) for child in node.body}
-        for node in ast.walk(tree):
+        for node in candidates:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
                     "prec" in [a.arg for a in node.args.args + node.args.kwonlyargs]:
                 name = f"{scopes[node]}.{node.name}" if node in scopes else node.name
@@ -147,6 +152,7 @@ def test_prec_only_where_a_caller_sets_another():
     assert takers == {
         ("deviations", "GoldenConstants.compute"), ("deviations", "pressure"),
         ("deviations", "rate"), ("deviations", "xi_b"),
+        ("numerics", "_as_interval"), ("numerics", "_outward"),
     }
 
 

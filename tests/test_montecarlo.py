@@ -40,8 +40,8 @@ def test_different_seeds_differ():
     assert a == tail_counts(SampleConfig(seed=1, trials=400, depth=4), requests)
 
 
-def _sampled_cell(k: int, bits: int, depth: int):
-    """The sampler's (prefix, truncated) for a trial whose draw is k."""
+def _sampled_cell(k: int, bits: int, depth: int) -> list[int]:
+    """The sampler's certified prefix for a trial whose draw is k."""
     config = SampleConfig(seed=0, trials=1, depth=depth, bits=bits)
     with mock.patch.object(montecarlo, "_cell_indices", lambda config: iter([k])):
         (cell,) = montecarlo._digit_stream(config)
@@ -60,8 +60,8 @@ def test_sampler_walk_matches_reference(cell):
     bits, k, depth = cell
     lo, hi = Fraction(k, 2**bits), Fraction(k + 1, 2**bits)
     expected = reference_expand_interval(lo, hi, depth)
-    prefix, truncated = _sampled_cell(k, bits, depth)
-    assert (tuple(prefix), truncated) == (expected.digits, expected.truncated)
+    prefix = _sampled_cell(k, bits, depth)
+    assert tuple(prefix) == expected.digits
     if k > 0:
         assert expand_interval(lo, hi, depth) == expected
     if prefix:
@@ -71,25 +71,32 @@ def test_sampler_walk_matches_reference(cell):
 
 def test_cell_at_zero_certifies_nothing():
     # [0, 2^-B] touches 0, where b_1 is unbounded
-    assert _sampled_cell(0, 16, 5) == ([], False)
-    assert _sampled_cell(0, 1, 1) == ([], False)
+    assert _sampled_cell(0, 16, 5) == []
+    assert _sampled_cell(0, 1, 1) == []
+    assert _common_prefix(0, 2**16, 1, 2**16, 5) == ([], False)
 
 
 def test_top_cell_reaches_one():
     # [1 - 2^-B, 1]: b_1 = 1 throughout, then the cell reaches 1, whose
     # expansion ends, so b_2 is unbounded near it
-    assert _sampled_cell(2**16 - 1, 16, 5) == ([1], False)
-    assert _sampled_cell(1, 1, 5) == ([], False)  # [1/2, 1] straddles b_1 = 1, 2
+    assert _sampled_cell(2**16 - 1, 16, 5) == [1]
+    assert _common_prefix(2**16 - 1, 2**16, 2**16, 2**16, 5) == ([1], False)
+    assert _sampled_cell(1, 1, 5) == []  # [1/2, 1] straddles b_1 = 1, 2
+    # at depth 1 a full prefix is truncated only when the budget cut the
+    # walk: [9/16, 10/16] could certify more digits, but [15/16, 1] reaches
+    # 1, whose expansion ends at b_1 = 1
+    assert _common_prefix(9, 16, 10, 16, 1) == ([1], True)
+    assert _common_prefix(15, 16, 16, 16, 1) == ([1], False)
 
 
 def test_stream_samples_lower_cells():
     config = SampleConfig(seed=123, trials=200, depth=6, bits=20)
-    for index, (prefix, truncated) in enumerate(montecarlo._digit_stream(config)):
+    for index, prefix in enumerate(montecarlo._digit_stream(config)):
         k = reference_cell_index(config.seed, index, config.bits)
         if k == 0:
             continue
         expected = expand_interval(Fraction(k, 2**20), Fraction(k + 1, 2**20), 6)
-        assert (tuple(prefix), truncated) == (expected.digits, expected.truncated)
+        assert tuple(prefix) == expected.digits
 
 
 @pytest.mark.parametrize("seed", [0, 271828, 2**64 - 1])
@@ -112,11 +119,11 @@ def test_stream_walks_drawn_cells_at_full_precision():
     # depth 12 at the default B = 317 walks coarse rungs of 137 and 185 bits
     config = SampleConfig(seed=99, trials=300, depth=12)
     assert montecarlo._walk_schedule(config.depth, config.bits) == (137, 185)
-    for index, (prefix, truncated) in enumerate(montecarlo._digit_stream(config)):
+    for index, prefix in enumerate(montecarlo._digit_stream(config)):
         k = reference_cell_index(config.seed, index, config.bits)
         expected = reference_expand_interval(Fraction(k, 2**config.bits),
                                              Fraction(k + 1, 2**config.bits), config.depth)
-        assert (tuple(prefix), truncated) == (expected.digits, expected.truncated)
+        assert tuple(prefix) == expected.digits
 
 
 @st.composite
@@ -135,9 +142,9 @@ def deep_cells(draw):
 def test_lazy_walk_matches_full_precision_walk(cell):
     bits, k, depth = cell
     assert all(0 < b < bits for b in montecarlo._walk_schedule(depth, bits))
-    prefix, truncated = _sampled_cell(k, bits, depth)
+    prefix = _sampled_cell(k, bits, depth)
     expected = reference_expand_interval(Fraction(k, 2**bits), Fraction(k + 1, 2**bits), depth)
-    assert (tuple(prefix), truncated) == (expected.digits, expected.truncated)
+    assert tuple(prefix) == expected.digits
 
 
 @pytest.mark.parametrize("index", [199, 328, 1858, 1868])
@@ -149,10 +156,10 @@ def test_cells_that_fail_every_rung_certify_at_full_precision(index):
     k = reference_cell_index(271828, index, bits)
     for b in montecarlo._walk_schedule(depth, bits):
         assert montecarlo._cell_certificate(k >> (bits - b), 1 << b, depth) is None, b
-    prefix, truncated = _sampled_cell(k, bits, depth)
+    prefix = _sampled_cell(k, bits, depth)
     expected = reference_expand_interval(Fraction(k, 2**bits), Fraction(k + 1, 2**bits), depth)
-    assert (len(prefix), truncated) == (depth, True)
-    assert (tuple(prefix), truncated) == (expected.digits, expected.truncated)
+    assert _common_prefix(k, 2**bits, k + 1, 2**bits, depth) == (prefix, True)
+    assert tuple(prefix) == expected.digits
 
 
 def test_cell_certificate_matches_lockstep_walk_on_small_cells():
@@ -228,24 +235,6 @@ def test_cell_certificate_near_cylinder_ends():
                     assert not _bound_decides(cell, q, depth)
                     verdicts.append((inside, verdict is not None))
     assert (True, True) in verdicts and (False, True) not in verdicts
-
-
-def test_estimate_event_passes_walk_truncation():
-    config = SampleConfig(seed=6, trials=200, depth=1, bits=4)
-    seen = []
-
-    def record(e):
-        seen.append(e)
-        return True
-
-    estimate_event(config, record)
-    walked = [(tuple(p), t) for p, t in montecarlo._digit_stream(config)]
-    assert [(e.digits, e.truncated) for e in seen] == walked
-    # a full-depth prefix is truncated only when the budget cut the walk:
-    # [9/16, 10/16] could certify more digits, but [15/16, 1] reaches 1,
-    # whose expansion ends at b_1 = 1
-    assert _sampled_cell(9, 4, 1) == ([1], True)
-    assert _sampled_cell(15, 4, 1) == ([1], False)
 
 
 def _tail_times_power(n: int, p: Fraction, ks: range) -> tuple[int, int]:
@@ -394,47 +383,75 @@ def test_clopper_pearson_edges():
 
 def test_estimate_event_constant_events():
     config = SampleConfig(seed=4, trials=100, depth=1, bits=32)
-    est = estimate_event(config, lambda e: True)
+    est = estimate_event(config, 1, 1)       # every digit is >= 1
     assert est.hits == est.trials == 100 and est.ci_hi == 1
-    est = estimate_event(config, lambda e: False)
+    est = estimate_event(config, 1, 2, 1)    # an empty range
     assert est.hits == 0 and est.ci_lo == 0
 
 
 def test_estimate_event_uncertified_counted():
-    config = SampleConfig(seed=4, trials=100, depth=1, bits=32)
-
-    def flaky(e, box=[0]):
-        box[0] += 1
-        return None if box[0] % 5 == 0 else True
-
-    est = estimate_event(config, flaky)
-    assert est.uncertified == 20
-    assert est.trials == 80
+    # The counts pass through as given: p_hat is hits over certified trials,
+    # and every trial, certified or not, is in the bracket's denominator.
+    est = montecarlo._estimate_from_counts(30, 80, 20)
+    assert (est.hits, est.trials, est.uncertified, est.p_hat) == (30, 80, 20, Fraction(3, 8))
+    assert (est.ci_lo, est.ci_hi) == (clopper_pearson(30, 100)[0], clopper_pearson(50, 100)[1])
 
 
-@given(st.integers(2, 40), st.data())
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       st.data())
 @settings(max_examples=40, deadline=None)
-def test_event_bracket_holds_every_way_to_decide_the_undecided(trials, data):
+def test_event_bracket_holds_every_way_to_decide_the_undecided(sizes, data):
     # An undecided trial may be a hit or not: the bracket over all trials
     # must hold the interval of every count in between.
-    undecided = data.draw(st.sets(st.integers(0, trials - 1), max_size=trials - 1))
-    seed = data.draw(st.integers(0, 2**16))
-    index = iter(range(trials))
-    est = estimate_event(SampleConfig(seed=seed, trials=trials, depth=1, bits=32),
-                         lambda e: None if next(index) in undecided
-                         else bool(e.digits) and e.digits[0] >= 2)
-    assert (est.trials, est.uncertified) == (trials - len(undecided), len(undecided))
-    for h in range(est.hits, est.hits + est.uncertified + 1):
+    trials, certified = sizes
+    hits = data.draw(st.integers(0, certified))
+    uncertified = trials - certified
+    est = montecarlo._estimate_from_counts(hits, certified, uncertified)
+    for h in range(hits, hits + uncertified + 1):
         lo, hi = clopper_pearson(h, trials)
         assert est.ci_lo <= lo and hi <= est.ci_hi, h
-    if not undecided:
-        assert (est.ci_lo, est.ci_hi) == clopper_pearson(est.hits, trials)
+    if not uncertified:
+        assert (est.ci_lo, est.ci_hi) == clopper_pearson(hits, trials)
+
+
+@given(seed=st.integers(0, 2**64 - 1), bits=st.integers(1, 32), trials=st.integers(1, 30),
+       depth_n=st.integers(1, 6).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))),
+       lo=st.integers(0, 8), hi=st.none() | st.integers(0, 8))
+@settings(max_examples=100, deadline=None)
+def test_estimate_event_matches_per_trial_oracle(seed, bits, trials, depth_n, lo, hi):
+    # Hits and certified trials counted trial by trial from the per-trial
+    # Philox draw and the exact-Fraction walk of each drawn cell; hi may be
+    # below lo, an empty range.
+    depth, n = depth_n
+    hits = certified = 0
+    for index in range(trials):
+        k = reference_cell_index(seed, index, bits)
+        digits = reference_expand_interval(Fraction(k, 2**bits), Fraction(k + 1, 2**bits),
+                                           depth).digits
+        if len(digits) >= n:
+            certified += 1
+            hits += lo <= digits[n - 1] and (hi is None or digits[n - 1] <= hi)
+    config = SampleConfig(seed=seed, trials=trials, depth=depth, bits=bits)
+    if not certified:
+        with pytest.raises(montecarlo.SampleLimitError):
+            estimate_event(config, n, lo, hi)
+        return
+    est = estimate_event(config, n, lo, hi)
+    assert (est.hits, est.trials, est.uncertified) == (hits, certified, trials - certified)
 
 
 def test_estimate_event_all_uncertified_raises():
-    config = SampleConfig(seed=4, trials=10, depth=1, bits=32)
-    with pytest.raises(RuntimeError):
-        estimate_event(config, lambda e: None)
+    # at 1 bit the cells are [0, 1/2], which touches 0, and [1/2, 1], which
+    # straddles b_1 = 1 and 2: no trial certifies b_1
+    config = SampleConfig(seed=4, trials=10, depth=1, bits=1)
+    with pytest.raises(montecarlo.SampleLimitError):
+        estimate_event(config, 1, 1)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_estimate_event_position_outside_the_depth(n):
+    with pytest.raises(ValueError, match="outside 1..2"):
+        estimate_event(SampleConfig(seed=4, trials=10, depth=2), n, 1)
 
 
 def test_calibration_exact_value_in_ci():
@@ -444,9 +461,7 @@ def test_calibration_exact_value_in_ci():
     covered = 0
     for seed in range(100):
         config = SampleConfig(seed=seed, trials=200, depth=1, bits=64)
-        est = estimate_event(
-            config,
-            lambda e: e.digits[0] >= 2 if e.digits else None)
+        est = estimate_event(config, 1, 2)
         covered += est.ci_lo <= exact <= est.ci_hi
     assert covered >= 95, covered
 
@@ -455,13 +470,7 @@ def test_monotone_events():
     # {b_n >= t} shrinks as t grows; on shared trials the hit counts must
     # be monotone, with no sampling noise caveat
     config = SampleConfig(seed=31, trials=400, depth=4)
-    hits = []
-    for t in (2, 3, 5, 9):
-        est = estimate_event(
-            config,
-            lambda e, t=t: e.digits[-1] >= t
-            if len(e.digits) == config.depth else None)
-        hits.append(est.hits)
+    hits = [estimate_event(config, config.depth, t).hits for t in (2, 3, 5, 9)]
     assert hits == sorted(hits, reverse=True)
 
 
