@@ -3,8 +3,8 @@
 Exact digit expansions, counting and enumeration of admissible digit
 words, Lebesgue-measure laws of the digit sequence, pressure and rate
 functions for the digit growth with certified Legendre transforms, and
-reproducible Monte Carlo experiments whose per-sample digit prefixes are
-themselves certified.
+reproducible Monte Carlo experiments whose per-trial digits are certified
+enclosures.
 """
 
 from .numerics import (ExtendedReal, OutwardInterval, default_precision,

@@ -479,7 +479,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--n", type=int, required=True, help="digit depth")
-    p.add_argument("--bits", type=int)
+    p.add_argument("--bits", type=int,
+                   help="B: each uniform is resolved to B bits (default ceil(2.2 n^2)); "
+                        "the float walk reads min(B, 53) of them")
     p.add_argument("--eps")
     p.add_argument("--tail", choices=(LOWER, UPPER), help=f"ldp only (default {LOWER})")
     p.add_argument("--n-list")

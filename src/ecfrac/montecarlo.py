@@ -1,34 +1,43 @@
 """Seeded Monte Carlo verification of the digit limit theorems.
 
-Sampling is exact: each trial draws k uniformly from [0, 2^B) and
-samples the dyadic cell [k/2^B, (k+1)/2^B]; the digit statistics are
-computed from the prefix that every point of the cell shares, so no
-floating-point drift can corrupt a digit.  A cell is certified when it lies
-inside one open depth-n cylinder: its lower end is walked by
-expansion._walk, and its upper end is tested against the cylinder's image
-(0, 1/b_n) under the walked digits' Möbius map, by a size bound on that map
-or, for cells near a cylinder end, by the composed map itself.  The
-certificate is tried on the coarse cells of k's top bits at two precisions
-below B, derived once per pass from the depth; a cell that certifies on
-neither gets its exact prefix at all B bits as the common prefix of its two
-ends' walks, the rule of expand_interval.
+Sampling is exact in law, by the one-digit coupling: with U uniform on
+(0, 1] and independent of the past, b' = floor((b + z)/U - z) and
+z' = b'/(b' + z) are the next digit and its state, from b = 1, z = 0
+(b' = k holds for (b + z)/(k + 1 + z) < U <= (b + z)/(k + z), an interval
+as long as the digit's conditional probability).  A uniform is known only
+to the dyadic cell of its bits, so a trial is an enclosure of its digits,
+not a point.
 
-Trials are keyed by (seed, index) through a counter-based generator
-(numpy Philox4x64, recorded as the algorithm name in reports): one bit
-generator per pass, keyed by the seed; trial i starts at counter
-[0, i, 0, 0], so no two trials read the same 256-bit block.  Trials are
-independent, and every report is a deterministic function of its
-SampleConfig.
+The float walk carries the enclosures [b_lo, b_hi] and [z_lo, z_hi] of a
+block of trials through the coupling at once, in float64, and widens each
+rounded operation outward by one np.nextafter step (Rump, BIT 39, 1999).
+X = (b + z)/U - z increases in b and z and decreases in U, and z' increases
+in b' and decreases in z, so each end takes one end of every input; U's
+cell is the top min(B, 53) bits of its word.  An event lo <= b_n <= hi is
+decided when b_n's enclosure lies inside the range or outside it.  A trial
+that the floats leave undecided (its enclosure straddles lo or hi, or is
+not finite) is refined, never dropped: the exact path redoes its digits in
+integers, refining each U up to B = SampleConfig.bits bits, and the trial
+is uncertified for the event only if B bits leave one of b_1..b_n open.  The
+mean reports read log b_n from the lower end of b_n's enclosure when the
+enclosure is narrow (b_hi <= b_lo (1 + 2^-30)), else from the exact path.
 
-One pass per config: lln_report and clt_report read the final digits b_n
-of the trials from one cached pass (_final_digits), which holds the last
-config's finals only, one int per certified trial.
+Every bit is a pure function of (seed, trial, digit): the words come from
+Philox4x64-10 (Salmon et al., SC 2011), computed here on numpy uint64
+counter arrays under key [seed, 0], as RNG_ALGORITHM records.  Digit n of
+trial i reads word (n - 1) mod 4 of the block at counter [ceil(n/4), i, 0,
+0]; the exact path refines that U with the blocks at [j, i, n, 0], j >= 1.
+So every report is a deterministic function of its SampleConfig, whatever
+the block size.
+
+One pass per config: lln_report and clt_report read log b_n from one cached
+pass (_final_logs), which holds the last config's values only, one float
+per certified trial.
 
 An event is a range of one digit, lo <= b_n <= hi (hi None for no upper
 end); tail_counts answers many of them from one pass, and estimate_event
-one.  A trial is uncertified for an event when its certified prefix stops
-before b_n.  Uncertified trials are left out of the point estimate p_hat,
-which is hits over certified trials, and always reported.  The confidence
+one.  Uncertified trials are left out of the point estimate p_hat, which
+is hits over certified trials, and always reported.  The confidence
 bracket is taken over all trials, as if none of the uncertified trials
 were a hit at its lower end and all of them were at its upper end, so
 trials that could not be decided cannot bias it.
@@ -39,14 +48,15 @@ from __future__ import annotations
 import functools
 import math
 import statistics
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .expansion import _common_prefix, _walk
 from .numerics import interval_exp, interval_log
 
-RNG_ALGORITHM = "philox4x64 (numpy.random.Philox, key=seed, counter word 1=trial index)"
+RNG_ALGORITHM = ("philox4x64-10 (key [seed, 0]; digit n of trial i: word (n-1) mod 4 of the "
+                 "block at counter [ceil(n/4), i, 0, 0], refined by the blocks at [j, i, n, 0])")
 CONFIDENCE = Fraction(99, 100)  # level of every Clopper-Pearson interval
 
 
@@ -56,7 +66,11 @@ class SampleLimitError(RuntimeError):
 
 
 def default_bits(depth: int) -> int:
-    """B = ceil(2.2 n^2); cylinder widths scale like exp(-n^2(1+o(1)))."""
+    """B = ceil(2.2 n^2), the resolution of each uniform unless given.
+
+    The float walk reads 53 bits of each; the exact path needs about
+    log2 b_n ~ 1.44 n more where the floats leave a digit undecided, so the
+    default is never the limit."""
     return -((-11 * depth * depth) // 5)
 
 
@@ -65,7 +79,7 @@ class SampleConfig:
     seed: int
     trials: int
     depth: int
-    bits: int | None = None
+    bits: int | None = None   # B: each uniform is known to 2^-B, default_bits(depth) if None
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:
@@ -80,118 +94,213 @@ class SampleConfig:
             raise ValueError("bits must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventEstimate:
     hits: int
     trials: int          # certified trials only, the denominator of p_hat
-    p_hat: Fraction
     ci_lo: Fraction      # 99% Clopper-Pearson over all trials, no uncertified hit
     ci_hi: Fraction      # the same, every uncertified trial a hit
     uncertified: int
+
+    @property
+    def p_hat(self) -> Fraction:
+        """The point estimate: hits over certified trials."""
+        return Fraction(self.hits, self.trials)
 
     def __post_init__(self):
         if not self.ci_lo <= self.p_hat <= self.ci_hi:
             raise ValueError("confidence bounds must bracket the estimate")
 
 
-def _cell_indices(config: SampleConfig) -> Iterator[int]:
-    """The draw k of every trial, in index order, from one generator per pass.
+# ---------------------------------------------------------------------------
+# The sampler: counter-keyed words, the float walk and the exact path
+# ---------------------------------------------------------------------------
 
-    Trial i sets the Philox counter to [0, i, 0, 0] with an empty buffer,
-    so it reads the blocks at counters [1, i, 0, 0], [2, i, 0, 0], ...
-    (Philox increments word 0 before it encrypts), and keeps the low B bits
-    of ceil(B/64) raw words taken little-endian.  No two trials share a
-    block: with the index in word 0, trial i+1 would re-read all but the
-    first of trial i's blocks.  numpy is imported here, its only use, so
-    that commands which do not sample never load it.
+_BLOCK = 1 << 13             # trials per float walk
+_COUNTERS = 1 << 16          # Philox counters per call, at most
+_FLOAT_BITS = 53             # bits of each uniform that the float walk reads, at most
+_MEAN_RATIO = 1 + 2.0**-30   # the mean reports read b_lo when b_hi <= b_lo * _MEAN_RATIO
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # round multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)   # key increments
+_LOW32 = 0xFFFFFFFF
+
+
+def _mulhilo(a, m: int):
+    """The high and low 64-bit words of a * m, for a uint64 array a, from
+    32-bit halves: the middle sum stays below 2^64."""
+    import numpy as np
+
+    m_lo, m_hi, low, half = (np.uint64(v) for v in (m & _LOW32, m >> 32, _LOW32, 32))
+    a_lo, a_hi = a & low, a >> half
+    lo_lo, hi_lo = a_lo * m_lo, a_hi * m_lo
+    middle = (lo_lo >> half) + (hi_lo & low) + a_lo * m_hi
+    return a_hi * m_hi + (hi_lo >> half) + (middle >> half), a * np.uint64(m)
+
+
+def _philox(seed: int, c0, c1, c2) -> tuple:
+    """The Philox4x64-10 blocks at counters [c0, c1, c2, 0] under key
+    [seed, 0], for uint64 arrays c0, c1 and c2 of one shape: four arrays,
+    word 0 first, the words numpy.random.Philox(key=seed) gives."""
+    import numpy as np
+
+    c3 = np.zeros_like(c1)
+    k0, k1 = seed, 0
+    for r in range(10):
+        if r:
+            k0, k1 = (k0 + _PHILOX_W[0]) % 2**64, (k1 + _PHILOX_W[1]) % 2**64
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+    return c0, c1, c2, c3
+
+
+def _float_step(b_lo, b_hi, z_lo, z_hi, u_lo, u_hi):
+    """The enclosures of b' and z' from those of b, z and U, each rounded
+    operation widened outward by one float step; b' >= b bounds b'_lo."""
+    import numpy as np
+
+    def down(a):
+        return np.nextafter(a, -np.inf)
+
+    def up(a):
+        return np.nextafter(a, np.inf)
+
+    with np.errstate(divide="ignore", invalid="ignore"):   # a cell at 0: X unbounded
+        x_lo = down(down(down(b_lo + z_lo) / u_hi) - z_lo)
+        x_hi = up(up(up(b_hi + z_hi) / u_lo) - z_hi)
+        b_lo, b_hi = np.maximum(np.floor(x_lo), b_lo), np.floor(x_hi)
+        z_lo, z_hi = down(b_lo / up(b_lo + z_hi)), np.fmin(up(b_hi / down(b_hi + z_lo)), 1.0)
+    return b_lo, b_hi, z_lo, z_hi
+
+
+def _digit_words(seed: int, index, depth: int):
+    """The word of each digit n = 1, ..., 4 ceil(depth/4) of the trials
+    `index` (a uint64 array), one array per digit: several blocks of every
+    trial come from one Philox call, on at most _COUNTERS counters."""
+    import numpy as np
+
+    count, blocks = len(index), -(-depth // 4)
+    span = max(1, _COUNTERS // count)   # blocks per call
+    for first in range(1, blocks + 1, span):
+        taken = min(span, blocks + 1 - first)
+        c0 = np.repeat(np.arange(first, first + taken, dtype=np.uint64), count)
+        words = _philox(seed, c0, np.tile(index, taken), np.zeros_like(c0))
+        for block in range(taken):
+            yield from (word[block * count:(block + 1) * count] for word in words)
+
+
+def _float_walk(seed: int, first: int, count: int, depth: int, bits: int):
+    """(n, b_lo, b_hi, z_lo, z_hi) for n = 1..depth: the float enclosures
+    of trials first, ..., first + count - 1, one array element per trial."""
+    import numpy as np
+
+    index = np.arange(first, first + count, dtype=np.uint64)
+    read = min(bits, _FLOAT_BITS)
+    shift, scale = np.uint64(64 - read), 2.0**-read
+    b_lo, b_hi, z_lo, z_hi = np.ones(count), np.ones(count), np.zeros(count), np.zeros(count)
+    for n, word in zip(range(1, depth + 1), _digit_words(seed, index, depth)):
+        k = (word >> shift).astype(np.float64)
+        b_lo, b_hi, z_lo, z_hi = _float_step(b_lo, b_hi, z_lo, z_hi, k * scale, (k + 1) * scale)
+        yield n, b_lo, b_hi, z_lo, z_hi
+
+
+def _coupled_digit(b: int, num: int, den: int, k: int, m: int) -> int | None:
+    """floor((b + z)/U - z), z = num/den, when it is one integer for every U
+    in the cell [k/2^m, (k + 1)/2^m], else None: X decreases in U, so it is
+    when the floor is the same at the cell's two ends."""
+    if not k:
+        return None   # the cell touches 0, where X is unbounded
+    top = (b * den + num) << m
+    digit = (top - num * (k + 1)) // (den * (k + 1))
+    return digit if (top - num * k) // (den * k) == digit else None
+
+
+def _exact_digits(seed: int, index: int, depth: int, bits: int) -> list[int]:
+    """b_1, ..., b_depth of trial `index` in integers, up to the first digit
+    that B = bits bits of its uniform leave undecided.
+
+    U starts as its word (the top B bits when B < 64); while the digit is
+    undecided, the 256 bits of each further block [j, index, n, 0] refine
+    the cell, most significant word first, until it has B bits.  The state
+    z = num/den is kept exactly: z' = b' den/(b' den + num).
     """
     import numpy as np
 
-    bitgen = np.random.Philox(key=config.seed)
-    state = bitgen.state
-    counter = state["state"]["counter"]
-    words = -(-config.bits // 64)
-    mask = (1 << config.bits) - 1
-    for index in range(config.trials):
-        counter[1] = index
-        state["buffer_pos"] = len(state["buffer"])
-        bitgen.state = state
-        yield int.from_bytes(bitgen.random_raw(words).tobytes(), "little") & mask
+    trial = np.array([index], dtype=np.uint64)
+    digits = []
+    b, num, den = 1, 0, 1
+    for n, word in zip(range(1, depth + 1), _digit_words(seed, trial, depth)):
+        m = min(bits, 64)
+        k, j = int(word[0]) >> (64 - m), 0
+        while (digit := _coupled_digit(b, num, den, k, m)) is None:
+            if m == bits:
+                return digits
+            j += 1
+            block = _philox(seed, np.array([j], dtype=np.uint64), trial,
+                            np.array([n], dtype=np.uint64))
+            take = min(256, bits - m)
+            extra = functools.reduce(lambda acc, word: acc << 64 | int(word[0]), block, 0)
+            k, m = k << take | extra >> (256 - take), m + take
+        digits.append(digit)
+        b, num, den = digit, digit * den, digit * den + num
+    return digits
 
 
-def _walk_schedule(depth: int, bits: int) -> tuple[int, ...]:
-    """Coarse precisions at which to certify a cell, each 0 < b < B.
+def _float_at_least(k: int) -> float:
+    """The least float >= the integer k (+-inf past the float range)."""
+    try:
+        f = float(k)
+    except OverflowError:
+        return math.inf if k > 0 else -math.inf
+    return f if f >= k else math.nextafter(f, math.inf)
 
-    A cell certifies `depth` digits from about 0.72 depth^2 bits on (the
-    median); the two rungs sit above that.  A rung at 0 bits, the cell
-    [0, 1] that touches 0, certifies nothing, and one at or past B decides
-    nothing that the common prefix of the drawn cell does not.
+
+def _float_at_most(k: int | None) -> float:
+    """The greatest float <= the integer k; inf for None, no upper end."""
+    if k is None:
+        return math.inf
+    try:
+        f = float(k)
+    except OverflowError:
+        return sys.float_info.max if k > 0 else -math.inf
+    return f if f <= k else math.nextafter(f, -math.inf)
+
+
+def _range_counts(config: SampleConfig, events: Sequence[tuple[int, int, int | None]]
+                  ) -> tuple[list[int], list[int]]:
+    """Hits and certified trials of each event (n, lo, hi), lo <= b_n <= hi
+    with hi None for no upper end, from one walk to the deepest n.
+
+    b_n's float enclosure is compared with the least float >= lo and the
+    greatest float <= hi, which decides it exactly as lo and hi would; the
+    trials it leaves undecided go to the exact path, once per trial.
     """
-    need = 18 * depth * depth // 25
-    return tuple(b for b in (4 * need // 3, 9 * need // 5) if 0 < b < bits)
+    import numpy as np
 
-
-def _cell_certificate(p: int, q: int, depth: int) -> list[int] | None:
-    """The `depth` digits of the cell [p/q, (p+1)/q] when it lies inside one
-    open depth-`depth` cylinder, else None.
-
-    Only the lower end is walked, by _walk: d = q // p, then
-    (p, q) <- (q - d p, d p).  The upper end, (p + a)/(q + c) in the
-    walked coordinates, goes through the same linear digit maps, composed
-    over the walked digits: (a, c) <- (c - d a, d a) from (1, 0).  They are
-    one Möbius map, a bijection of the projective line that sends the open
-    cylinder of the walked digits, and nothing else, onto (0, 1/b_n).  So
-    the lower end lies in that cylinder when no remainder is 0, and the
-    upper end when P = p + a, Q = q + c satisfy 0 < P/Q < 1/b_n; the
-    cylinder is an interval, so the whole cell lies in it.  This holds
-    exactly when _common_prefix(p, q, p + 1, q, depth) returns
-    (digits, True).
-
-    Each step multiplies max(|a|, |c|) by at most d + 1 <= 2^len(d), so with
-    L the sum of the digits' bit lengths, |a| and |c| are at most 2^L.  Then
-    p > 2^L and q - b_n p > (b_n + 1) 2^L give 0 < P and b_n P < Q without
-    (a, c); the map is composed only when that bound cannot decide, that is
-    for cells near a cylinder end.
-    """
-    digits, p, q = _walk(p, q, depth)
-    if not p:
-        return None
-    b = digits[-1]
-    bound = 1 << sum(map(int.bit_length, digits))
-    if p > bound and q - b * p > (b + 1) * bound:
-        return digits
-    a, c = 1, 0
-    for d in digits:
-        da = d * a
-        a, c = c - da, da
-    big_p, big_q = p + a, q + c
-    if (0 < big_p and b * big_p < big_q) or (big_p < 0 and big_q < b * big_p):
-        return digits
-    return None
-
-
-def _digit_stream(config: SampleConfig) -> Iterator[list[int]]:
-    """The certified digit prefix of each trial, of length <= depth.
-
-    A trial that draws k samples the cell [k/2^B, (k+1)/2^B].  It lies in
-    the coarse cell [K/2^b, (K+1)/2^b], K = k >> (B-b), of each rung, so a
-    rung's certificate holds for it too.  A cell that certifies on no rung
-    gets the digits of _common_prefix at all B bits, which every point of
-    the cell shares (the cell at k = 0 shares no digit).  Trials are
-    independent functions of (seed, index), and the aggregations below are
-    exact integer counters, independent of order.
-    """
-    bits, depth = config.bits, config.depth
-    rungs = _walk_schedule(depth, bits)
-    den = 1 << bits
-    for k in _cell_indices(config):
-        for b in rungs:
-            digits = _cell_certificate(k >> (bits - b), 1 << b, depth)
-            if digits is not None:
-                yield digits
-                break
-        else:
-            yield _common_prefix(k, den, k + 1, den, depth)[0]
+    depth = max((n for n, _, _ in events), default=0)
+    at = {}   # position -> (event, lo, hi) with float ends
+    for j, (n, lo, hi) in enumerate(events):
+        at.setdefault(n, []).append((j, _float_at_least(lo), _float_at_most(hi)))
+    hits, certified = [0] * len(events), [0] * len(events)
+    for first in range(0, config.trials, _BLOCK):
+        count = min(_BLOCK, config.trials - first)
+        undecided = {}   # trial index -> the events its enclosure leaves open
+        for n, b_lo, b_hi, _, _ in _float_walk(config.seed, first, count, depth, config.bits):
+            for j, lo, hi in at.get(n, ()):
+                hit = (lo <= b_lo) & (b_hi <= hi)
+                open_ = ~(hit | (b_hi < lo) | (hi < b_lo))
+                hits[j] += int(np.count_nonzero(hit))
+                certified[j] += count - int(np.count_nonzero(open_))
+                for i in np.flatnonzero(open_).tolist():
+                    undecided.setdefault(first + i, []).append(j)
+        for index, open_events in undecided.items():
+            digits = _exact_digits(config.seed, index, depth, config.bits)
+            for j in open_events:
+                n, lo, hi = events[j]
+                if n <= len(digits):
+                    certified[j] += 1
+                    hits[j] += lo <= digits[n - 1] and (hi is None or digits[n - 1] <= hi)
+    return hits, certified
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +509,7 @@ def _estimate_from_counts(hits: int, certified: int, uncertified: int) -> EventE
     if certified == 0:
         raise SampleLimitError("no trial certified enough digits; raise bits")
     trials = certified + uncertified
-    return EventEstimate(hits, certified, Fraction(hits, certified), _ci_lo(hits, trials),
+    return EventEstimate(hits, certified, _ci_lo(hits, trials),
                          _ci_hi(hits + uncertified, trials), uncertified)
 
 
@@ -409,17 +518,7 @@ def _range_estimates(config: SampleConfig,
     """The estimate of each event (n, lo, hi), lo <= b_n <= hi with hi None
     for no upper end, from one pass: one estimate, and so one Clopper-Pearson
     interval, per distinct count pair."""
-    # (position of b_n in the prefix, lo, hi) per event; inf compares with every int
-    ranges = [(n - 1, lo, math.inf if hi is None else hi) for n, lo, hi in events]
-    hits = [0] * len(ranges)
-    certified = [0] * len(ranges)
-    for prefix in _digit_stream(config):
-        have = len(prefix)
-        for j, (position, lo, hi) in enumerate(ranges):
-            if position < have:
-                certified[j] += 1
-                if lo <= prefix[position] <= hi:
-                    hits[j] += 1
+    hits, certified = _range_counts(config, events)
     by_counts = {(h, c): _estimate_from_counts(h, c, config.trials - c)
                  for h, c in dict.fromkeys(zip(hits, certified))}
     return [by_counts[h, c] for h, c in zip(hits, certified)]
@@ -565,24 +664,37 @@ class CltReport:
 
 
 @functools.lru_cache(maxsize=1)
-def _final_digits(config: SampleConfig) -> tuple[int, ...]:
-    """b_n of every trial that certifies n = depth digits, in trial order.
+def _final_logs(config: SampleConfig) -> tuple[float, ...]:
+    """log b_n, n = depth, of every certified trial, in trial order.
 
-    The mean reports of one config share this pass: the cache holds the
-    finals of the last config only (one int per certified trial), so
-    lln_report and clt_report on the same config walk its cells once, in
-    either order, and a different config walks anew.  The remaining
-    config.trials - len(finals) trials are uncertified.
+    The lower end of b_n's float enclosure where the enclosure is narrow,
+    else the exact path's b_n.  The mean reports of one config share this
+    pass: the cache holds the values of the last config only (one float
+    per certified trial), so lln_report and clt_report on the same config
+    walk it once, in either order, and a different config walks anew.  The
+    remaining config.trials - len(logs) trials are uncertified.
     """
-    finals = tuple(prefix[-1] for prefix in _digit_stream(config)
-                   if len(prefix) == config.depth)
-    if not finals:
+    logs = []
+    for first in range(0, config.trials, _BLOCK):
+        count = min(_BLOCK, config.trials - first)
+        for _, b_lo, b_hi, _, _ in _float_walk(config.seed, first, count, config.depth,
+                                               config.bits):
+            pass
+        narrow = (b_hi <= b_lo * _MEAN_RATIO).tolist()
+        for i, (low, decided) in enumerate(zip(b_lo.tolist(), narrow)):
+            if not decided:
+                digits = _exact_digits(config.seed, first + i, config.depth, config.bits)
+                if len(digits) < config.depth:
+                    continue
+                low = digits[-1]
+            logs.append(math.log(low))
+    if not logs:
         raise SampleLimitError("no trial certified enough digits; raise bits")
-    return finals
+    return tuple(logs)
 
 
 def lln_report(config: SampleConfig) -> LlnReport:
-    values = [math.log(b) / config.depth for b in _final_digits(config)]
+    values = [log / config.depth for log in _final_logs(config)]
     spread = statistics.stdev(values) if len(values) > 1 else 0.0
     return LlnReport(config.depth, config.trials, len(values),
                      config.trials - len(values), statistics.fmean(values), spread)
@@ -594,7 +706,7 @@ _QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 def clt_report(config: SampleConfig) -> CltReport:
     normal = statistics.NormalDist()
     scale = math.sqrt(config.depth)
-    zs = sorted((math.log(b) - config.depth) / scale for b in _final_digits(config))
+    zs = sorted((log - config.depth) / scale for log in _final_logs(config))
     count = len(zs)
     ks = 0.0
     for i, z in enumerate(zs):

@@ -9,8 +9,8 @@ apart from the timestamp.  Only argv is shared: ``ecfrac.cli._build_parser``
 turns it into args.  The value tables, the value parsers, the argument
 checks and the manifest are written out again here, so a wrong entry in
 one of ``ecfrac.cli``'s tables prints a document that differs from this
-one.  So is the count of ``mc --task event``, a loop over the sampled digit
-prefixes that does not go through ``estimate_event``.
+one.  So is the count of ``mc --task event``, a loop over the trials' digit
+enclosures that does not go through ``estimate_event``.
 """
 
 import csv
@@ -75,13 +75,22 @@ def _parse_event(text: str, depth: int):
 
 
 def _event_counts(config: SampleConfig, position: int, compare, value: int):
-    """(hits, certified) over the sampled digit prefixes: a trial is
-    certified when its prefix holds the digit at position."""
+    """(hits, certified) trial by trial: a trial's b_n decides the event
+    when the comparison comes out the same for every integer of its float
+    enclosure (tried at both ends and at the value clamped into it), and
+    otherwise when the exact path reaches b_n."""
     hits = certified = 0
-    for prefix in montecarlo._digit_stream(config):
-        if len(prefix) >= position:
-            certified += 1
-            hits += compare(prefix[position - 1], value)
+    *_, (_, b_lo, b_hi, _, _) = montecarlo._float_walk(config.seed, 0, config.trials,
+                                                       position, config.bits)
+    for index, ends in enumerate(zip(b_lo.tolist(), b_hi.tolist())):
+        verdicts = {compare(b, value) for b in (*ends, min(max(value, ends[0]), ends[1]))}
+        if len(verdicts) > 1:
+            digits = montecarlo._exact_digits(config.seed, index, position, config.bits)
+            if len(digits) < position:
+                continue
+            verdicts = {compare(digits[-1], value)}
+        certified += 1
+        hits += verdicts.pop()
     return hits, certified
 
 

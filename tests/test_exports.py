@@ -1,8 +1,9 @@
 """The package namespace: every exported name resolves, none is listed twice,
-importing it loads no scipy, no module reads the environment, one
-function applies the digit map, no float field is named like a bound, only
-the functions that some caller runs at another precision take prec,
-every CLI flag is read, and the CLI defines no exception class."""
+importing it loads no scipy and sampling no numpy.random, no module reads
+the environment, one function applies the digit map, no float field is
+named like a bound, only the functions that some caller runs at another
+precision take prec, every CLI flag is read, and the CLI defines no
+exception class."""
 
 import argparse
 import ast
@@ -43,6 +44,23 @@ def test_import_loads_no_numpy():
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_sampling_loads_numpy_but_not_numpy_random():
+    # The sampler computes Philox on numpy integer arrays; numpy.random adds
+    # several MB at its first use, which the memory figure of a Monte Carlo
+    # run would carry.
+    src = Path(ecfrac.__file__).resolve().parents[1]
+    script = ("import sys, ecfrac\n"
+              "from fractions import Fraction\n"
+              "config = ecfrac.SampleConfig(seed=1, trials=20, depth=6)\n"
+              "ecfrac.tail_counts(config, [ecfrac.TailRequest('upper', Fraction(1, 2), 6)])\n"
+              "ecfrac.lln_report(config)\n"
+              "print('numpy' in sys.modules, 'numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "True False"
 
 
 def test_no_module_names_scipy():

@@ -1,9 +1,10 @@
-"""Reproducible sampling, certified digit streams, tail estimates."""
+"""Reproducible sampling, the coupling engine, tail estimates."""
 
 import hashlib
 import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from unittest import mock
 
 import mpmath
@@ -14,14 +15,13 @@ from hypothesis import strategies as st
 
 from ecfrac import montecarlo
 from ecfrac.checks import MC_SEED_MEAN, MC_SEED_TAILS, TAIL_N_LOWER, TAIL_N_UPPER
-from ecfrac.expansion import _common_prefix, _walk, cylinder_endpoints, expand_interval
+from ecfrac.measure import cylinder_measure
 from ecfrac.montecarlo import (LOWER, UPPER, SampleConfig, TailRequest,
                                clopper_pearson, clt_report, default_bits,
                                estimate_event, ldp_slope, lln_report,
                                tail_counts, tail_threshold)
 
-from reference_philox import reference_cell_index
-from reference_walk import reference_expand_interval
+from reference_cells import cell_prefixes
 
 
 def test_default_bits_is_ceil():
@@ -40,201 +40,165 @@ def test_different_seeds_differ():
     assert a == tail_counts(SampleConfig(seed=1, trials=400, depth=4), requests)
 
 
-def _sampled_cell(k: int, bits: int, depth: int) -> list[int]:
-    """The sampler's certified prefix for a trial whose draw is k."""
-    config = SampleConfig(seed=0, trials=1, depth=depth, bits=bits)
-    with mock.patch.object(montecarlo, "_cell_indices", lambda config: iter([k])):
-        (cell,) = montecarlo._digit_stream(config)
-    return cell
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_philox_matches_numpy_random(seed):
+    # numpy.random is imported by the test only: Philox(key=seed) started at
+    # counter [c0 - 1, i, c2, 0] (one 256-bit integer, word 0 lowest) gives
+    # the block at [c0, i, c2, 0] first.
+    trials = np.array([0, 1, 2, 6, 2**40 + 3, 2**64 - 1], dtype=np.uint64)
+    for c0, c2 in ((1, 0), (2, 0), (10, 0), (1, 7), (3, 40)):
+        words = montecarlo._philox(seed, np.full(len(trials), c0, dtype=np.uint64), trials,
+                                   np.full(len(trials), c2, dtype=np.uint64))
+        for column, trial in enumerate(trials.tolist()):
+            reference = np.random.Philox(key=seed, counter=c0 - 1 | trial << 64 | c2 << 128)
+            assert [int(w[column]) for w in words] == reference.random_raw(4).tolist()
 
 
-@st.composite
-def cells(draw):
-    bits = draw(st.integers(1, 24))
-    return bits, draw(st.integers(0, 2**bits - 1)), draw(st.integers(1, 12))
+def test_coupling_is_exact():
+    # b' = k exactly for (b + z)/(k + 1 + z) < U <= (b + z)/(k + z); the
+    # product of these lengths along a word is the word's cylinder measure,
+    # and the exact path's digit step gives k on a dyadic cell inside the
+    # interval and refuses the cells that hold either end.
+    m, words = 64, 0
+    for n in range(1, 5):
+        for word in combinations_with_replacement(range(1, 7), n):
+            b, z, num, den, mass = 1, Fraction(0), 0, 1, Fraction(1)
+            for k in word:
+                lo, hi = (b + z) / (k + 1 + z), (b + z) / (k + z)
+                mass *= hi - lo
+                inside = math.floor((lo + hi) / 2 * 2**m)
+                assert montecarlo._coupled_digit(b, num, den, inside, m) == k
+                for end in (lo, hi):
+                    assert montecarlo._coupled_digit(b, num, den, math.floor(end * 2**m), m) is None
+                b, z, num, den = k, k / (k + z), k * den, k * den + num
+                assert Fraction(num, den) == z
+            assert mass == cylinder_measure(word), word
+            words += 1
+    assert words == 6 + 21 + 56 + 126
 
 
-@given(cells())
-@settings(max_examples=300)
-def test_sampler_walk_matches_reference(cell):
-    bits, k, depth = cell
-    lo, hi = Fraction(k, 2**bits), Fraction(k + 1, 2**bits)
-    expected = reference_expand_interval(lo, hi, depth)
-    prefix = _sampled_cell(k, bits, depth)
-    assert tuple(prefix) == expected.digits
-    if k > 0:
-        assert expand_interval(lo, hi, depth) == expected
-    if prefix:
-        c_lo, c_hi = cylinder_endpoints(prefix)
-        assert c_lo <= lo and hi <= c_hi
+def _outward_reference(b_lo, b_hi, z_lo, z_hi, u_lo, u_hi):
+    """The float step in Python floats: every operation rounded to nearest,
+    then one float step outward (Rump's outward rounding)."""
+    def down(x):
+        return math.nextafter(x, -math.inf)
+
+    def up(x):
+        return math.nextafter(x, math.inf)
+
+    x_lo = down(down(down(b_lo + z_lo) / u_hi) - z_lo)
+    x_hi = up(up(up(b_hi + z_hi) / u_lo) - z_hi) if u_lo else math.inf
+    new_lo = max(float(math.floor(x_lo)), b_lo)
+    new_hi = float(math.floor(x_hi)) if x_hi < math.inf else math.inf
+    z_up = up(new_hi / down(new_hi + z_lo)) if new_hi < math.inf else 1.0
+    return new_lo, new_hi, down(new_lo / up(new_lo + z_hi)), min(z_up, 1.0)
 
 
-def test_cell_at_zero_certifies_nothing():
-    # [0, 2^-B] touches 0, where b_1 is unbounded
-    assert _sampled_cell(0, 16, 5) == []
-    assert _sampled_cell(0, 1, 1) == []
-    assert _common_prefix(0, 2**16, 1, 2**16, 5) == ([], False)
+def test_float_step_rounds_every_operation_outward():
+    # Random states across the float range, among them digits past 2^53,
+    # the cell at 0 and the top cell: the vectorized step must give the
+    # scalar reference's floats bit for bit, so every rounding is widened.
+    rng = random.Random(31)
+    rows = []
+    for _ in range(4000):
+        b_lo = float(math.floor(2 ** rng.uniform(0, 80)))
+        b_hi = b_lo + float(rng.choice((0, 0, 1, 2**rng.randint(0, 30))))
+        z_lo = rng.choice((0.0, rng.uniform(0.5, 1.0)))
+        z_hi = min(1.0, z_lo + rng.choice((0.0, 2**-50, rng.uniform(0, 0.1))))
+        bits = rng.choice((1, 8, 30, 53))
+        k = rng.choice((0, 2**bits - 1, rng.getrandbits(bits)))
+        rows.append((b_lo, b_hi, z_lo, z_hi, k / 2**bits, (k + 1) / 2**bits))
+    columns = [np.array(column) for column in zip(*rows)]
+    stepped = np.array(montecarlo._float_step(*columns)).T.tolist()
+    for row, got in zip(rows, stepped):
+        assert got == list(_outward_reference(*row)), row
 
 
-def test_top_cell_reaches_one():
-    # [1 - 2^-B, 1]: b_1 = 1 throughout, then the cell reaches 1, whose
-    # expansion ends, so b_2 is unbounded near it
-    assert _sampled_cell(2**16 - 1, 16, 5) == [1]
-    assert _common_prefix(2**16 - 1, 2**16, 2**16, 2**16, 5) == ([1], False)
-    assert _sampled_cell(1, 1, 5) == []  # [1/2, 1] straddles b_1 = 1, 2
-    # at depth 1 a full prefix is truncated only when the budget cut the
-    # walk: [9/16, 10/16] could certify more digits, but [15/16, 1] reaches
-    # 1, whose expansion ends at b_1 = 1
-    assert _common_prefix(9, 16, 10, 16, 1) == ([1], True)
-    assert _common_prefix(15, 16, 16, 16, 1) == ([1], False)
+def _exact_states(digits):
+    """(b_n, z_n) along an exact digit prefix: z' = b'/(b' + z) from z = 0."""
+    z = Fraction(0)
+    for b in digits:
+        z = b / (b + z)
+        yield b, z
 
 
-def test_stream_samples_lower_cells():
-    config = SampleConfig(seed=123, trials=200, depth=6, bits=20)
-    for index, prefix in enumerate(montecarlo._digit_stream(config)):
-        k = reference_cell_index(config.seed, index, config.bits)
-        if k == 0:
-            continue
-        expected = expand_interval(Fraction(k, 2**20), Fraction(k + 1, 2**20), 6)
-        assert tuple(prefix) == expected.digits
+@given(seed=st.integers(0, 2**64 - 1), first=st.integers(0, 2**40),
+       count=st.integers(1, 4), depth=st.integers(1, 45), float_bits=st.integers(1, 70),
+       extra_bits=st.integers(0, 400))
+@example(seed=1, first=0, count=4, depth=12, float_bits=4, extra_bits=100)
+@example(seed=5, first=0, count=4, depth=45, float_bits=53, extra_bits=0)
+@settings(max_examples=60, deadline=None)
+def test_float_enclosures_contain_the_exact_path(seed, first, count, depth, float_bits,
+                                                 extra_bits):
+    # The exact path at B >= 64 bits refines the cell that the float walk
+    # reads at any B (the top min(B, 53) bits of one word), so every digit
+    # and state it decides lies in the float enclosure of its step, however
+    # wide: at a few bits the enclosures span many digits, and past 2^53
+    # (depth 40 or so) a digit's floor moves with every rounding of X.
+    exact_bits = max(float_bits, 64) + extra_bits
+    walk = list(montecarlo._float_walk(seed, first, count, depth, float_bits))
+    for column in range(count):
+        digits = montecarlo._exact_digits(seed, first + column, depth, exact_bits)
+        for (n, b_lo, b_hi, z_lo, z_hi), (b, z) in zip(walk, _exact_states(digits)):
+            assert b_lo[column] <= b <= b_hi[column], (n, column)
+            assert Fraction(z_lo[column]) <= z <= Fraction(z_hi[column]), (n, column)
 
 
-@pytest.mark.parametrize("seed", [0, 271828, 2**64 - 1])
-@pytest.mark.parametrize("bits", [1, 12, 63, 64, 65, 200, 3520])
-def test_pass_draw_matches_per_trial_generator(seed, bits):
-    config = SampleConfig(seed=seed, trials=40, depth=1, bits=bits)
-    assert list(montecarlo._cell_indices(config)) == [
-        reference_cell_index(seed, index, bits) for index in range(40)]
+@pytest.mark.parametrize("block", [1, 7, 10**5])
+def test_block_size_does_not_move_a_report(monkeypatch, block):
+    config = SampleConfig(seed=12, trials=60, depth=12, bits=24)
+    requests = [TailRequest(tail, Fraction(1, 2), n) for tail in (LOWER, UPPER) for n in (3, 12)]
+    reports = (tail_counts(config, requests), estimate_event(config, 5, 4, 40),
+               lln_report(config), clt_report(config))
+    monkeypatch.setattr(montecarlo, "_BLOCK", block)
+    montecarlo._final_logs.cache_clear()
+    assert (tail_counts(config, requests), estimate_event(config, 5, 4, 40),
+            lln_report(config), clt_report(config)) == reports
+    assert reports[2].uncertified > 0    # 24 bits leave some trials undecided
+    montecarlo._final_logs.cache_clear()
 
 
-def test_trials_share_no_philox_block():
-    # 2048 bits are eight whole 32-byte blocks of Philox4x64 output per trial
-    config = SampleConfig(seed=271828, trials=50, depth=1, bits=2048)
-    blocks = [k.to_bytes(256, "little")[j:j + 32]
-              for k in montecarlo._cell_indices(config) for j in range(0, 256, 32)]
-    assert len(set(blocks)) == len(blocks) == 400
+def test_engine_agrees_with_cell_sampler_oracle():
+    # Two samples of 8,000 trials at fixed seeds, one per sampler: each
+    # event's hit rate agrees within 4 standard errors, and the engine
+    # decides every trial.
+    events = [(1, 1, 1), (1, 3, None), (2, 2, 4), (4, 1, 30), (4, 100, None),
+              (8, 1, 1500), (8, 5000, None)]
+    trials, depth = 8000, 8
+    engine = [estimate_event(SampleConfig(seed=3141, trials=trials, depth=depth), n, lo, hi)
+              for n, lo, hi in events]
+    assert all(est.uncertified == 0 for est in engine)
+    prefixes = list(cell_prefixes(2718, trials, depth, default_bits(depth)))
+    for (n, lo, hi), est in zip(events, engine):
+        decided = [p[n - 1] for p in prefixes if len(p) >= n]
+        hits = sum(lo <= b and (hi is None or b <= hi) for b in decided)
+        pooled = (hits + est.hits) / (len(decided) + est.trials)
+        error = math.sqrt(pooled * (1 - pooled) * (1 / len(decided) + 1 / est.trials))
+        assert abs(hits / len(decided) - est.hits / est.trials) <= 4 * error, (n, lo, hi)
 
 
-def test_stream_walks_drawn_cells_at_full_precision():
-    # depth 12 at the default B = 317 walks coarse rungs of 137 and 185 bits
-    config = SampleConfig(seed=99, trials=300, depth=12)
-    assert montecarlo._walk_schedule(config.depth, config.bits) == (137, 185)
-    for index, prefix in enumerate(montecarlo._digit_stream(config)):
-        k = reference_cell_index(config.seed, index, config.bits)
-        expected = reference_expand_interval(Fraction(k, 2**config.bits),
-                                             Fraction(k + 1, 2**config.bits), config.depth)
-        assert tuple(prefix) == expected.digits
+def test_undecided_enclosure_is_refined_by_the_exact_path():
+    # Past 2^53 an enclosure spans several integers, so an event whose lower
+    # end lies inside some trial's b_40 enclosure leaves that trial to the
+    # exact path; the count must be the exact path's, trial by trial.
+    config = SampleConfig(seed=5, trials=100, depth=40)
+    *_, (_, b_lo, b_hi, _, _) = montecarlo._float_walk(config.seed, 0, config.trials,
+                                                       config.depth, config.bits)
+    wide = int(np.argmax(b_hi - b_lo))
+    lo = int(b_lo[wide]) + 1
+    assert lo <= b_hi[wide]
+    refined = []
+    exact = montecarlo._exact_digits
 
+    def spy(seed, index, depth, bits):
+        refined.append(index)
+        return exact(seed, index, depth, bits)
 
-@st.composite
-def deep_cells(draw):
-    depth = draw(st.integers(1, 60))
-    bits = draw(st.one_of(st.integers(1, 4096),
-                          st.integers(1, default_bits(depth))))
-    top = 2**bits - 1
-    k = draw(st.one_of(st.integers(0, top), st.integers(0, min(top, 64)),
-                       st.integers(max(0, top - 64), top)))
-    return bits, k, depth
-
-
-@given(deep_cells())
-@settings(max_examples=300, deadline=None)
-def test_lazy_walk_matches_full_precision_walk(cell):
-    bits, k, depth = cell
-    assert all(0 < b < bits for b in montecarlo._walk_schedule(depth, bits))
-    prefix = _sampled_cell(k, bits, depth)
-    expected = reference_expand_interval(Fraction(k, 2**bits), Fraction(k + 1, 2**bits), depth)
-    assert tuple(prefix) == expected.digits
-
-
-@pytest.mark.parametrize("index", [199, 328, 1858, 1868])
-def test_cells_that_fail_every_rung_certify_at_full_precision(index):
-    # The only draws among the first 3,000 of seed 271828 at depth 40 whose
-    # coarse cells at both rungs straddle a cylinder end: their digits come
-    # from the common prefix of the drawn cell's two ends.
-    depth, bits = 40, default_bits(40)
-    k = reference_cell_index(271828, index, bits)
-    for b in montecarlo._walk_schedule(depth, bits):
-        assert montecarlo._cell_certificate(k >> (bits - b), 1 << b, depth) is None, b
-    prefix = _sampled_cell(k, bits, depth)
-    expected = reference_expand_interval(Fraction(k, 2**bits), Fraction(k + 1, 2**bits), depth)
-    assert _common_prefix(k, 2**bits, k + 1, 2**bits, depth) == (prefix, True)
-    assert tuple(prefix) == expected.digits
-
-
-def test_cell_certificate_matches_lockstep_walk_on_small_cells():
-    # Every cell [p/q, (p+1)/q] with q <= 64, dyadic or not: among them are
-    # cells with an end on a cylinder endpoint (whose expansion stops there),
-    # the top cell ending at 1 and the cell at 0, which draws almost never hit.
-    cells = [(p, q, depth) for q in range(1, 65) for p in range(q) for depth in range(1, 9)]
-    accepted = 0
-    for p, q, depth in cells:
-        expected = reference_expand_interval(Fraction(p, q), Fraction(p + 1, q), depth)
-        certified = list(expected.digits) if expected.truncated else None
-        assert montecarlo._cell_certificate(p, q, depth) == certified, (p, q, depth)
-        accepted += expected.truncated
-    assert 0 < accepted < len(cells)
-
-
-def _prefix_verdict(p: int, q: int, depth: int) -> list[int] | None:
-    """The certificate's verdict on [p/q, (p+1)/q] by the equivalence its
-    docstring states: the common prefix of the two ends, if truncated."""
-    digits, truncated = _common_prefix(p, q, p + 1, q, depth)
-    return digits if truncated else None
-
-
-def _bound_decides(p: int, q: int, depth: int) -> bool:
-    """Whether the size bound alone accepts the cell: 2^L, L the sum of the
-    walked digits' bit lengths, bounds the composed map's column."""
-    digits, p, q = _walk(p, q, depth)
-    if not p:
-        return False
-    b, bound = digits[-1], 1 << sum(map(int.bit_length, digits))
-    return p > bound and q - b * p > (b + 1) * bound
-
-
-def test_cell_certificate_on_rung_cells():
-    # Random coarse cells at both rungs of depths 20 to 100: the size bound
-    # decides most of them without composing the map.
-    rng = random.Random(20)
-    decided = cells = 0
-    for depth in range(20, 101, 10):
-        for b in montecarlo._walk_schedule(depth, default_bits(depth)):
-            for _ in range(12):
-                k = rng.getrandbits(b)
-                assert montecarlo._cell_certificate(k, 1 << b, depth) == \
-                    _prefix_verdict(k, 1 << b, depth), (k, b, depth)
-                decided += _bound_decides(k, 1 << b, depth)
-                cells += 1
-    assert decided > cells * 3 // 4
-
-
-def test_cell_certificate_near_cylinder_ends():
-    # Cells at a rung whose lower end lies one cell inside an end of a
-    # depth-n cylinder, or that straddle that end.  The word is the prefix
-    # of a random point at the rung, so its cylinder is about as wide as
-    # those the rung's cells certify in.  The size bound decides none of
-    # these cells, so the map is composed for them, and it accepts the
-    # cells just inside and refuses the others.
-    rng = random.Random(21)
-    verdicts = []
-    for depth in (20, 40, 70, 100):
-        for b in montecarlo._walk_schedule(depth, default_bits(depth)):
-            q = 1 << b
-            for _ in range(3):
-                word = _walk(rng.getrandbits(b) | 1, q, depth)[0]
-                assert len(word) == depth
-                lo, hi = cylinder_endpoints(word)
-                p_lo = lo.numerator * q // lo.denominator   # p/q <= end < (p + 1)/q
-                p_hi = hi.numerator * q // hi.denominator
-                for cell, inside in ((p_lo, False), (p_lo + 1, True),
-                                     (p_hi - 1, True), (p_hi, False)):
-                    verdict = _prefix_verdict(cell, q, depth)
-                    assert montecarlo._cell_certificate(cell, q, depth) == verdict, \
-                        (cell, b, depth)
-                    assert not _bound_decides(cell, q, depth)
-                    verdicts.append((inside, verdict is not None))
-    assert (True, True) in verdicts and (False, True) not in verdicts
+    with mock.patch.object(montecarlo, "_exact_digits", spy):
+        est = estimate_event(config, config.depth, lo)
+    assert wide in refined
+    finals = [exact(config.seed, i, config.depth, config.bits)[-1] for i in range(config.trials)]
+    assert (est.hits, est.trials, est.uncertified) == (sum(b >= lo for b in finals), 100, 0)
 
 
 def _tail_times_power(n: int, p: Fraction, ks: range) -> tuple[int, int]:
@@ -414,38 +378,38 @@ def test_event_bracket_holds_every_way_to_decide_the_undecided(sizes, data):
         assert (est.ci_lo, est.ci_hi) == clopper_pearson(hits, trials)
 
 
-@given(seed=st.integers(0, 2**64 - 1), bits=st.integers(1, 32), trials=st.integers(1, 30),
+@given(seed=st.integers(0, 2**64 - 1), bits=st.integers(1, 80), trials=st.integers(1, 30),
        depth_n=st.integers(1, 6).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))),
        lo=st.integers(0, 8), hi=st.none() | st.integers(0, 8))
 @settings(max_examples=100, deadline=None)
-def test_estimate_event_matches_per_trial_oracle(seed, bits, trials, depth_n, lo, hi):
-    # Hits and certified trials counted trial by trial from the per-trial
-    # Philox draw and the exact-Fraction walk of each drawn cell; hi may be
-    # below lo, an empty range.
+def test_estimate_event_matches_the_exact_path(seed, bits, trials, depth_n, lo, hi):
+    # Every trial whose b_n the exact path decides at B bits is certified,
+    # with the exact path's verdict; a trial it cannot decide may still be
+    # decided by its float enclosure.  hi may be below lo, an empty range.
     depth, n = depth_n
     hits = certified = 0
     for index in range(trials):
-        k = reference_cell_index(seed, index, bits)
-        digits = reference_expand_interval(Fraction(k, 2**bits), Fraction(k + 1, 2**bits),
-                                           depth).digits
+        digits = montecarlo._exact_digits(seed, index, depth, bits)
         if len(digits) >= n:
             certified += 1
             hits += lo <= digits[n - 1] and (hi is None or digits[n - 1] <= hi)
     config = SampleConfig(seed=seed, trials=trials, depth=depth, bits=bits)
-    if not certified:
-        with pytest.raises(montecarlo.SampleLimitError):
-            estimate_event(config, n, lo, hi)
+    try:
+        est = estimate_event(config, n, lo, hi)
+    except montecarlo.SampleLimitError:
+        assert certified == 0
         return
-    est = estimate_event(config, n, lo, hi)
-    assert (est.hits, est.trials, est.uncertified) == (hits, certified, trials - certified)
+    assert est.trials + est.uncertified == trials
+    assert certified <= est.trials and 0 <= est.hits - hits <= est.trials - certified
 
 
 def test_estimate_event_all_uncertified_raises():
-    # at 1 bit the cells are [0, 1/2], which touches 0, and [1/2, 1], which
-    # straddles b_1 = 1 and 2: no trial certifies b_1
+    # At 1 bit the cells are [0, 1/2], which touches 0, and [1/2, 1], on
+    # which b_1 takes the values 1 and 2: every enclosure of b_1 straddles
+    # 2, and neither cell decides b_1 in the exact path.
     config = SampleConfig(seed=4, trials=10, depth=1, bits=1)
     with pytest.raises(montecarlo.SampleLimitError):
-        estimate_event(config, 1, 1)
+        estimate_event(config, 1, 2, 2)
 
 
 @pytest.mark.parametrize("n", [0, 3])
@@ -536,10 +500,10 @@ def test_ldp_slope_shape():
     assert rep.slope > 0
 
 
-# SHA-256 of the reports below, recorded before the cells were certified by
-# _cell_certificate: a change to the sampler that is not meant to move any
+# SHA-256 of the reports below, recorded when the coupling engine replaced
+# the cell sampler: a change to the sampler that is not meant to move any
 # report must leave it as it is.
-_REPORTS_DIGEST = "acabdbff4a9e75ab733cd477b4d4c4d47da841a705e987bce90e297277cd7802"
+_REPORTS_DIGEST = "3483cc80ac8786f57dd07f0b6b937fc1f29ba1c6503f8f1cb44798277221b072"
 
 
 def test_seeded_reports_match_recorded_digest():
@@ -568,19 +532,18 @@ def test_sample_config_validation():
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Count the cells drawn, with the finals cache empty before and after."""
-    drawn = []
-    draws = montecarlo._cell_indices
+    """Count the trials walked, with the cache empty before and after."""
+    walked = []
+    walk = montecarlo._float_walk
 
-    def counting(config):
-        for k in draws(config):
-            drawn.append(k)
-            yield k
+    def counting(seed, first, count, depth, bits):
+        walked.extend(range(first, first + count))
+        yield from walk(seed, first, count, depth, bits)
 
-    monkeypatch.setattr(montecarlo, "_cell_indices", counting)
-    montecarlo._final_digits.cache_clear()
-    yield drawn
-    montecarlo._final_digits.cache_clear()
+    monkeypatch.setattr(montecarlo, "_float_walk", counting)
+    montecarlo._final_logs.cache_clear()
+    yield walked
+    montecarlo._final_logs.cache_clear()
 
 
 @pytest.mark.parametrize("first, second", [(lln_report, clt_report),
@@ -593,13 +556,13 @@ def test_mean_reports_share_one_pass(walks, first, second):
 
 
 def test_cached_reports_equal_fresh_ones(walks):
-    config = SampleConfig(seed=8, trials=40, depth=12, bits=150)
+    config = SampleConfig(seed=8, trials=40, depth=12, bits=24)
     cached = lln_report(config), clt_report(config)
-    montecarlo._final_digits.cache_clear()
+    montecarlo._final_logs.cache_clear()
     assert lln_report(config) == cached[0]
-    montecarlo._final_digits.cache_clear()
+    montecarlo._final_logs.cache_clear()
     assert clt_report(config) == cached[1]
-    assert cached[0].uncertified > 0  # the counts come from the finals alone
+    assert cached[0].uncertified > 0  # the counts come from the cached values alone
     assert len(walks) == 3 * config.trials
 
 
@@ -608,13 +571,13 @@ def test_another_config_misses_the_cache(walks):
     other = SampleConfig(seed=9, trials=30, depth=12)
     lln_report(config)
     lln_report(other)
-    clt_report(config)  # only the last config's finals are kept
+    clt_report(config)  # only the last config's values are kept
     assert len(walks) == 2 * config.trials + other.trials
 
 
-def test_cached_finals_are_immutable(walks):
+def test_cached_values_are_immutable(walks):
     config = SampleConfig(seed=8, trials=40, depth=12)
-    finals = montecarlo._final_digits(config)
-    assert isinstance(finals, tuple) and montecarlo._final_digits(config) is finals
+    logs = montecarlo._final_logs(config)
+    assert isinstance(logs, tuple) and montecarlo._final_logs(config) is logs
     with pytest.raises(TypeError):
-        finals[0] = 1
+        logs[0] = 1.0
