@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 
 from ecfrac import montecarlo
 from ecfrac.checks import MC_SEED_MEAN, MC_SEED_TAILS, TAIL_N_LOWER, TAIL_N_UPPER
+from ecfrac.expansion import _common_prefix
 from ecfrac.measure import cylinder_measure
 from ecfrac.montecarlo import (LOWER, UPPER, SampleConfig, TailRequest,
                                clopper_pearson, clt_report, default_bits,
                                estimate_event, ldp_slope, lln_report,
                                tail_counts, tail_threshold)
 
-from reference_cells import cell_prefixes
+from reference_cells import cell_prefixes, reference_uniform_cell
 
 
 def test_default_bits_is_ceil():
@@ -52,6 +53,46 @@ def test_philox_matches_numpy_random(seed):
         for column, trial in enumerate(trials.tolist()):
             reference = np.random.Philox(key=seed, counter=c0 - 1 | trial << 64 | c2 << 128)
             assert [int(w[column]) for w in words] == reference.random_raw(4).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 271828, 2**64 - 1])
+@pytest.mark.parametrize("bits", [1, 12, 63, 64, 65, 200, 3520])
+def test_pass_draw_matches_per_trial_generator(seed, bits):
+    # One pass of 40 trials on counter arrays against one numpy.random
+    # Philox per block of each trial.  b_1 = floor(1/U): the float
+    # enclosure holds every b_1 of the top min(B, 53) bits' cell, and the
+    # exact path, made to refine every uniform to all B bits, reads the
+    # reference's cell and gives the digit that all its points share.
+    trials, read = 40, min(bits, 53)
+    ((_, b_lo, b_hi, _, _),) = montecarlo._float_walk(seed, 0, trials, 1, bits)
+    coupled = montecarlo._coupled_digit
+    for index in range(trials):
+        k = reference_uniform_cell(seed, index, 1, bits)
+        top = k >> (bits - read)
+        assert b_lo[index] <= (1 << read) // (top + 1), index
+        assert b_hi[index] >= ((1 << read) // top if top else math.inf), index
+        cells = []
+
+        def undecided_below_b(b, num, den, k, m):
+            cells.append((k, m))
+            return coupled(b, num, den, k, m) if m == bits else None
+
+        with mock.patch.object(montecarlo, "_coupled_digit", undecided_below_b):
+            digits = montecarlo._exact_digits(seed, index, 1, bits)
+        assert cells[-1] == (k, bits), index
+        assert digits == _common_prefix(k, 1 << bits, k + 1, 1 << bits, 1)[0], index
+
+
+def test_trials_share_no_philox_block():
+    # 50 trials at depth 8: two digit blocks [c, i, 0, 0] and eight
+    # refinement blocks [1, i, n, 0] per trial, 2,000 words, none repeated
+    seed, trials, depth = 271828, 50, 8
+    index = np.arange(trials, dtype=np.uint64)
+    words = [w for word in montecarlo._digit_words(seed, index, depth) for w in word.tolist()]
+    for n in range(1, depth + 1):
+        block = montecarlo._philox(seed, np.ones_like(index), index, np.full_like(index, n))
+        words += [w for word in block for w in word.tolist()]
+    assert len(set(words)) == len(words) == trials * (depth + 4 * depth)
 
 
 def test_coupling_is_exact():
