@@ -52,12 +52,6 @@ def _require_admissible(word: Sequence[int]) -> DigitWord:
     return w
 
 
-# Denominators of at least this many bits take their quotients from leading
-# bits; below it one divmod per digit is faster (measured between 2,073 bits,
-# where the estimate is slower, and 3,456 bits, where it is faster).
-_LEADING_BITS_FROM = 3072
-
-
 def _walk(p: int, q: int, max_digits: int) -> tuple[list[int], int, int]:
     """The first max_digits digits of p/q, or all of them, and the pair left.
 
@@ -65,31 +59,8 @@ def _walk(p: int, q: int, max_digits: int) -> tuple[list[int], int, int]:
     integer pairs, that is to (q - d p, d p), so the operands never grow
     past the initial denominator.  The walk stops after the digit whose
     remainder is 0, returning p = 0, or after max_digits.
-
-    While q has _LEADING_BITS_FROM bits or more, d comes from the leading
-    bits, as in long division (Knuth, TAOCP vol. 2, 4.3.1): with s =
-    2 len(p) - len(q) - 64, the quotient (q >> s) // (p >> s) is q // p or
-    one more (q >= d p gives q >> s >= d (p >> s), and the excess is below
-    2^-61), so one downward correction makes it exact, and the step costs
-    one product and one difference instead of a full-size divmod.  Once
-    s <= 0 the quotient has too many bits for the estimate (and digits
-    never decrease), and once q is below the constant a divmod is faster
-    (and q never grows), so from there the walk finishes with
-    d, r = divmod(q, p) and (p, q) <- (r, q - r), the same step.
     """
     digits: list[int] = []
-    while p and len(digits) < max_digits:
-        q_bits = q.bit_length()
-        s = 2 * p.bit_length() - q_bits - 64
-        if q_bits < _LEADING_BITS_FROM or s <= 0:
-            break
-        d = (q >> s) // (p >> s)
-        dp = d * p
-        if dp > q:
-            d -= 1
-            dp -= p
-        digits.append(d)
-        p, q = q - dp, dp
     while p and len(digits) < max_digits:
         d, r = divmod(q, p)
         digits.append(d)

@@ -42,6 +42,9 @@ _ENGINE = "src/ecfrac/montecarlo.py"
 _X_LO = "x_lo = down(down(down(b_lo + z_lo) / u_hi) - z_lo)"
 _Z_NEXT = "z_lo, z_hi = down(b_lo / up(b_lo + z_hi)), np.fmin(up(b_hi / down(b_hi + z_lo)), 1.0)"
 _ENGINE_TESTS = ("tests/test_montecarlo.py",)
+_EXACT_VERDICT = "hits[j] += lo <= digits[n - 1] and (hi is None or digits[n - 1] <= hi)"
+_MEASURE = "src/ecfrac/measure.py"
+_MEASURE_TESTS = ("tests/test_measure.py",)
 
 MUTANTS = (
     Mutant("x_lo-one-outward-step-dropped", _ENGINE, _X_LO,
@@ -53,6 +56,23 @@ MUTANTS = (
     Mutant("z-next-ends-swapped", _ENGINE, _Z_NEXT,
            "z_lo, z_hi = down(b_lo / up(b_lo + z_lo)), np.fmin(up(b_hi / down(b_hi + z_hi)), 1.0)",
            _ENGINE_TESTS),
+    Mutant("exact-verdict-lower-end-strict", _ENGINE, _EXACT_VERDICT,
+           "hits[j] += lo < digits[n - 1] and (hi is None or digits[n - 1] <= hi)",
+           _ENGINE_TESTS),
+    Mutant("exact-verdict-upper-end-strict", _ENGINE, _EXACT_VERDICT,
+           "hits[j] += lo <= digits[n - 1] and (hi is None or digits[n - 1] < hi)",
+           _ENGINE_TESTS),
+    Mutant("walk-keeps-the-denominator", "src/ecfrac/expansion.py", "p, q = r, q - r",
+           "p, q = r, q", ("tests/test_expansion.py",)),
+    Mutant("kernel-upper-masses-from-zeros", _MEASURE, "new_up = list(range(1, cap + 1))",
+           "new_up = [0] * cap", _MEASURE_TESTS),
+    Mutant("s-upper-factor-loosened", _MEASURE, "return (lead * power) / (1 - theta)",
+           "return (lead * power) / (1 - theta) * (1 + Fraction(1, 2**20))", _MEASURE_TESTS),
+    Mutant("dyadic-interval-takes-prec", "src/ecfrac/numerics.py",
+           "def _dyadic_interval(lo: int, hi: int, exp: int) -> OutwardInterval:",
+           "def _dyadic_interval(lo: int, hi: int, exp: int,\n"
+           "                     prec: int = DEFAULT_PRECISION_BITS) -> OutwardInterval:",
+           ("tests/test_exports.py",)),
 )
 
 

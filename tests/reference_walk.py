@@ -1,9 +1,9 @@
 """Exact-Fraction lockstep walk: the test oracle for the integer digit walk.
 
 This is the digit map written out on normalized rationals, one Fraction per
-step.  ecfrac.expansion walks unnormalized integer pairs instead; the tests
-check that both walks certify the same prefix of every interval.  The
-integer walk's own oracle is divmod_walk, one full-size divmod per digit.
+step.  ecfrac.expansion walks unnormalized integer pairs instead, one divmod
+per digit; the tests check that both walks certify the same prefix of every
+interval, on operands of up to 20,000 bits.
 """
 
 from fractions import Fraction
@@ -22,17 +22,6 @@ def ecf_step(x: Fraction) -> tuple[int, Fraction]:
     p, q = x.numerator, x.denominator
     d = q // p
     return d, Fraction(q - d * p, d * p)
-
-
-def divmod_walk(p: int, q: int, max_digits: int) -> tuple[list[int], int, int]:
-    """expansion._walk with one divmod per digit at every operand size:
-    the first max_digits digits of p/q, or all of them, and the pair left."""
-    digits: list[int] = []
-    while p and len(digits) < max_digits:
-        d, r = divmod(q, p)
-        digits.append(d)
-        p, q = r, q - r
-    return digits, p, q
 
 
 def reference_expand_interval(lo: Fraction, hi: Fraction,

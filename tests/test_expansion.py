@@ -1,17 +1,16 @@
 """Digit expansion, reconstruction, continuants, cylinder endpoints."""
 
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecfrac.expansion import (CertifiedExpansion, _common_prefix, _walk, continuants,
+from ecfrac.expansion import (CertifiedExpansion, _common_prefix, continuants,
                               cylinder_endpoints, expand_interval,
                               expand_rational, is_admissible, reconstruct)
 
-from reference_walk import divmod_walk, reference_expand_interval
+from reference_walk import reference_expand_interval
 
 # frozen oracles: greedy expansions computed by hand via d = floor(1/x),
 # x -> (1/d)(1/x - d).  e.g. 5/19: 19/5 = 3.8 -> 3, remainder 4/15;
@@ -149,9 +148,7 @@ unit_rationals = st.fractions(min_value=Fraction(1, 10**9), max_value=1,
                               max_denominator=10**9)
 
 
-@given(unit_rationals, unit_rationals, st.integers(1, 40))
-@settings(max_examples=200)
-def test_walk_matches_reference(a, b, max_digits):
+def _assert_walk_matches_reference(a, b, max_digits):
     lo, hi = min(a, b), max(a, b)
     assert expand_interval(lo, hi, max_digits) == \
         reference_expand_interval(lo, hi, max_digits)
@@ -159,48 +156,33 @@ def test_walk_matches_reference(a, b, max_digits):
         reference_expand_interval(a, a, max_digits)
 
 
-@st.composite
-def large_walks(draw):
-    """(p, q, max_digits) with 2^2000 < q < 2^25000, on both sides of the
-    size from which _walk estimates its quotients, in the shapes that reach
-    each rule of its step: p = q, p = 1, p much smaller than q (a first
-    digit too large to estimate), q = d p - 1 (an estimate one too large)."""
-    # Sizes come from a seeded generator: hypothesis draws small offsets
-    # from a range's lower end far more often than large ones.
-    rng = random.Random(draw(st.integers(0, 2**64 - 1)))
-    q_bits = rng.randint(2001, 3500) if draw(st.booleans()) else rng.randint(2001, 25000)
-    q = rng.getrandbits(q_bits - 1) | 1 << (q_bits - 1)
-    shape = draw(st.sampled_from(("uniform", "equal", "one", "small", "near_multiple")))
-    if shape == "uniform":
-        p = rng.randint(1, q)
-    elif shape == "equal":
-        p = q
-    elif shape == "one":
-        p = 1
-    elif shape == "small":
-        p = rng.getrandbits(draw(st.integers(1, q_bits // 2))) | 1
-    else:
-        d = rng.randint(2, 2**32)
-        p = q // d
-        q = d * p - 1
-    return p, q, rng.randint(1, 150)
-
-
 _HUGE_FOURTH_DIGIT = reconstruct((1, 2, 3, 2**4000, 2**4001))
+_NEAR_MULTIPLE = Fraction(3**5000, 7 * 3**5000 - 1)
 
 
-@given(large_walks())
-@example((2**20000 + 12345, 2**20000 + 12345, 150))
-@example((1, 2**20000 + 12345, 150))
-@example((3**1000, 2**20000 + 12345, 150))
-@example((3**5000, 7 * 3**5000 - 1, 150))
-@example((_HUGE_FOURTH_DIGIT.numerator, _HUGE_FOURTH_DIGIT.denominator, 150))
-@settings(max_examples=150, deadline=None)
-def test_walk_on_large_operands_matches_divmod_walk(walk):
-    # Above _walk's size constant each quotient comes from leading bits;
-    # digits and the pair left must be those of one divmod per digit.
-    p, q, max_digits = walk
-    assert _walk(p, q, max_digits) == divmod_walk(p, q, max_digits)
+@given(unit_rationals, unit_rationals, st.integers(1, 40))
+@example(_HUGE_FOURTH_DIGIT, _HUGE_FOURTH_DIGIT, 150)
+@example(reconstruct((1, 2, 3, 2**4000)), _HUGE_FOURTH_DIGIT, 150)
+@example(_NEAR_MULTIPLE, _NEAR_MULTIPLE, 150)
+@settings(max_examples=200)
+def test_walk_matches_reference(a, b, max_digits):
+    _assert_walk_matches_reference(a, b, max_digits)
+
+
+_Q_20000 = 2**20000 + 12345
+_LONG_WALK = Fraction(5**8600, _Q_20000)   # walks past 150 digits
+
+
+# Not @examples: hypothesis prints each example with repr, and a Fraction
+# with a 20,000-bit denominator has more decimal digits than str(int) allows.
+@pytest.mark.parametrize("a, b", [
+    (Fraction(3**1000, _Q_20000), Fraction(3**1000, _Q_20000)),
+    (Fraction(1, _Q_20000), Fraction(3**1000, _Q_20000)),
+    (_LONG_WALK, _LONG_WALK),
+    (_LONG_WALK, _LONG_WALK + Fraction(1, 2**19000)),
+], ids=["small-numerator", "one-over-q", "long-walk", "long-walk-interval"])
+def test_walk_matches_reference_on_20000_bit_denominators(a, b):
+    _assert_walk_matches_reference(a, b, 150)
 
 
 @pytest.mark.parametrize("lo_word, hi_word, max_digits, truncated", [

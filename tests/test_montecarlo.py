@@ -240,6 +240,16 @@ def test_undecided_enclosure_is_refined_by_the_exact_path():
     assert wide in refined
     finals = [exact(config.seed, i, config.depth, config.bits)[-1] for i in range(config.trials)]
     assert (est.hits, est.trials, est.uncertified) == (sum(b >= lo for b in finals), 100, 0)
+    # The exact path's verdict at both ends of a range: with b the wide
+    # trial's own b_40, strictly inside its enclosure, that trial is in
+    # each of these events, and only the exact path can say so.
+    b = finals[wide]
+    assert Fraction(b_lo[wide]) < b < Fraction(b_hi[wide])
+    for lo, hi, exact_hits in ((b, b, finals.count(b)),
+                               (b, None, sum(x >= b for x in finals)),
+                               (1, b, sum(x <= b for x in finals))):
+        est = estimate_event(config, config.depth, lo, hi)
+        assert (est.hits, est.trials, est.uncertified) == (exact_hits, 100, 0), (lo, hi)
 
 
 def _tail_times_power(n: int, p: Fraction, ks: range) -> tuple[int, int]:
