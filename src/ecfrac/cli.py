@@ -65,7 +65,10 @@ DECIMAL_DIGITS = 40
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError) as err:
+        if "integer string conversion" in str(err):   # the input is too long to echo
+            raise ValueError(f"an integer over Python's limit of {sys.get_int_max_str_digits()}"
+                             " digits on integer strings (PYTHONINTMAXSTRDIGITS)") from None
         raise ValueError(f"not a rational number: {text!r}")
 
 

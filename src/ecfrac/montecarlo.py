@@ -48,7 +48,6 @@ from __future__ import annotations
 import functools
 import math
 import statistics
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -246,24 +245,17 @@ def _exact_digits(seed: int, index: int, depth: int, bits: int) -> list[int]:
     return digits
 
 
-def _float_at_least(k: int) -> float:
-    """The least float >= the integer k (+-inf past the float range)."""
-    try:
-        f = float(k)
-    except OverflowError:
-        return math.inf if k > 0 else -math.inf
-    return f if f >= k else math.nextafter(f, math.inf)
-
-
-def _float_at_most(k: int | None) -> float:
-    """The greatest float <= the integer k; inf for None, no upper end."""
+def _float_end(k: int | None, toward: float) -> float:
+    """The float next to the integer k on the side of toward: the least
+    float >= k for inf, the greatest float <= k for -inf, past the float
+    range too; inf for None, no upper end."""
     if k is None:
         return math.inf
     try:
         f = float(k)
     except OverflowError:
-        return sys.float_info.max if k > 0 else -math.inf
-    return f if f <= k else math.nextafter(f, -math.inf)
+        f = math.inf if k > 0 else -math.inf
+    return f if (f >= k if toward > 0 else f <= k) else math.nextafter(f, toward)
 
 
 def _range_counts(config: SampleConfig, events: Sequence[tuple[int, int, int | None]]
@@ -280,7 +272,7 @@ def _range_counts(config: SampleConfig, events: Sequence[tuple[int, int, int | N
     depth = max((n for n, _, _ in events), default=0)
     at = {}   # position -> (event, lo, hi) with float ends
     for j, (n, lo, hi) in enumerate(events):
-        at.setdefault(n, []).append((j, _float_at_least(lo), _float_at_most(hi)))
+        at.setdefault(n, []).append((j, _float_end(lo, math.inf), _float_end(hi, -math.inf)))
     hits, certified = [0] * len(events), [0] * len(events)
     for first in range(0, config.trials, _BLOCK):
         count = min(_BLOCK, config.trials - first)

@@ -310,14 +310,6 @@ def _ratio_interval(lo: RationalLike, hi: RationalLike, unit: int) -> OutwardInt
         libmp.from_rational(hi.numerator, hi.denominator * unit, prec, libmp.round_ceiling)), prec)
 
 
-def _dyadic_interval(lo: int, hi: int, exp: int) -> OutwardInterval:
-    """from_endpoints(lo * 2^exp, hi * 2^exp) for integers lo <= hi, each
-    end rounded once, with no Fraction made."""
-    prec = DEFAULT_PRECISION_BITS
-    return OutwardInterval((libmp.from_man_exp(lo, exp, prec, libmp.round_floor),
-                            libmp.from_man_exp(hi, exp, prec, libmp.round_ceiling)), prec)
-
-
 def _up_to(v: OutwardInterval, hi: Fraction) -> OutwardInterval:
     """from_endpoints(v.lo, hi) for v.lo <= hi, read from v's lower end as an
     mpf; refused when hi rounded up lies below v.lo rounded down."""

@@ -68,11 +68,27 @@ MUTANTS = (
            "new_up = [0] * cap", _MEASURE_TESTS),
     Mutant("s-upper-factor-loosened", _MEASURE, "return (lead * power) / (1 - theta)",
            "return (lead * power) / (1 - theta) * (1 + Fraction(1, 2**20))", _MEASURE_TESTS),
-    Mutant("dyadic-interval-takes-prec", "src/ecfrac/numerics.py",
-           "def _dyadic_interval(lo: int, hi: int, exp: int) -> OutwardInterval:",
-           "def _dyadic_interval(lo: int, hi: int, exp: int,\n"
-           "                     prec: int = DEFAULT_PRECISION_BITS) -> OutwardInterval:",
+    Mutant("ratio-interval-takes-prec", "src/ecfrac/numerics.py",
+           "def _ratio_interval(lo: RationalLike, hi: RationalLike, unit: int) -> OutwardInterval:",
+           "def _ratio_interval(lo: RationalLike, hi: RationalLike, unit: int,\n"
+           "                    prec: int = DEFAULT_PRECISION_BITS) -> OutwardInterval:",
            ("tests/test_exports.py",)),
+    Mutant("refinement-words-reversed", _ENGINE,
+           "acc << 64 | int(word[0]), block, 0)",
+           "acc << 64 | int(word[0]), reversed(block), 0)", _ENGINE_TESTS),
+    Mutant("refinement-at-counter-n-plus-one", _ENGINE, "np.array([n], dtype=np.uint64))",
+           "np.array([n + 1], dtype=np.uint64))", _ENGINE_TESTS),
+    Mutant("digit-blocks-one-counter-early", _ENGINE,
+           "np.arange(first, first + taken, dtype=np.uint64)",
+           "np.arange(first - 1, first - 1 + taken, dtype=np.uint64)", _ENGINE_TESTS),
+    Mutant("refinement-keeps-low-bits", _ENGINE, "extra >> (256 - take)",
+           "(extra & ((1 << take) - 1))", _ENGINE_TESTS),
+    Mutant("rate-kind-i-reads-i-inf", "src/ecfrac/cli.py", '"I": "I",', '"I": "I_inf",',
+           ("tests/test_cli_reference.py",)),
+    Mutant("float-ends-strict", _ENGINE, "f >= k if toward > 0 else f <= k",
+           "f > k if toward > 0 else f < k", _ENGINE_TESTS),
+    Mutant("float-upper-end-rounded-up", _ENGINE, "_float_end(hi, -math.inf)",
+           "_float_end(hi, math.inf)", _ENGINE_TESTS),
 )
 
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -403,6 +404,20 @@ def test_usage_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_expand_names_the_integer_string_limit(capsys):
+    # Python refuses integer strings past its digit limit (4,300 by
+    # default); a 6,021-digit denominator is a usage error that names the
+    # limit, not a malformed number, and the input is not echoed.
+    limit = sys.get_int_max_str_digits()
+    if not 0 < limit < 6021:
+        pytest.skip("the interpreter's integer string limit is off or above 6,021 digits")
+    x = f"1/{Decimal(2**20000 + 12345)}"
+    code, out, err = run(capsys, "expand", "--x", x)
+    assert code == 2 and out == ""
+    assert f"an integer over Python's limit of {limit} digits on integer strings" in err
+    assert len(err) < 200
 
 
 def test_mc_uncertified_interval_exit_3(capsys, monkeypatch):

@@ -252,6 +252,32 @@ def test_undecided_enclosure_is_refined_by_the_exact_path():
         assert (est.hits, est.trials, est.uncertified) == (exact_hits, 100, 0), (lo, hi)
 
 
+def test_float_ends_fall_on_the_side_of_their_rounding():
+    # _float_end gives the nearest float inside the range: a lower end
+    # rounds up, an upper end down, and both saturate past the float range.
+    end, big = montecarlo._float_end, 2.0**1023 * (2 - 2.0**-52)   # the largest float
+    for v in (1, 2**53 - 1, 2**53, 2**53 + 1, 2**53 + 3, int(big), int(big) + 1, 10**400):
+        for k in (v, -v):
+            at_least, at_most = end(k, math.inf), end(k, -math.inf)
+            assert at_least >= k and math.nextafter(at_least, -math.inf) < k, k
+            assert at_most <= k and math.nextafter(at_most, math.inf) > k, k
+    assert (end(int(big) + 1, math.inf), end(int(big) + 1, -math.inf)) == (math.inf, big)
+    assert end(None, -math.inf) == math.inf
+
+
+@pytest.mark.parametrize("exact, lo, hi", [(2**53 + 2, 1, 2**53 + 1), (2**53, 2**53 + 1, None)])
+def test_an_event_end_between_floats_counts_no_false_hit(exact, lo, hi):
+    # b_1's enclosure [2^53, 2^53 + 2] straddles an end 2^53 + 1, which no
+    # float holds; the trial is a hit only if its exact b_1 lies in the range.
+    def walk(seed, first, count, depth, bits):
+        yield 1, np.array([2.0**53]), np.array([2.0**53 + 2]), np.zeros(1), np.ones(1)
+
+    with mock.patch.object(montecarlo, "_float_walk", walk), \
+            mock.patch.object(montecarlo, "_exact_digits", lambda *args: [exact]):
+        est = estimate_event(SampleConfig(seed=1, trials=1, depth=1), 1, lo, hi)
+    assert (est.hits, est.trials, est.uncertified) == (0, 1, 0)
+
+
 def _tail_times_power(n: int, p: Fraction, ks: range) -> tuple[int, int]:
     """(S, d^n) with P(Bin(n, p) in ks) = S / d^n exactly, p = a / d."""
     a, d = p.numerator, p.denominator

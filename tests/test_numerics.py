@@ -4,13 +4,13 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 from mpmath.ctx_iv import MPIntervalContext
 
-from ecfrac.numerics import (ExtendedReal, OutwardInterval, _scaled_ends, _up_to,
-                             interval_exp, interval_log, interval_pow, interval_sqrt)
+from ecfrac.numerics import (ExtendedReal, OutwardInterval, _ratio_interval, _scaled_ends,
+                             _up_to, interval_exp, interval_log, interval_pow, interval_sqrt)
 
 getcontext().prec = 60
 
@@ -225,6 +225,25 @@ def test_scaled_ends_are_exact_and_refuse_infinities():
     for end in ("lo", "hi"):
         with pytest.raises(ValueError, match="interval endpoint is not finite"):
             getattr(infinite, end)
+
+
+def _signed_bits(max_bits: int):
+    """Integers of up to max_bits bits, either sign, drawn by bit length."""
+    return st.integers(0, max_bits).flatmap(lambda b: st.integers(-(2**b), 2**b))
+
+
+@given(lo=_signed_bits(14000), width=_signed_bits(14000).map(abs), k=st.integers(0, 14000))
+@example(lo=2**13344 - 1, width=2**13343 + 1, k=13344 - 3)
+@example(lo=-(3**8419), width=2 * 3**8419, k=14000)
+@example(lo=5, width=0, k=0)
+@settings(max_examples=200, deadline=None)
+def test_ratio_interval_over_a_power_of_two(lo, width, k):
+    # measure's moment sums are integers over 2^k, with numerators of
+    # 13,344 bits at n = 100; each end rounds as from_endpoints rounds the
+    # Fraction.
+    got = _ratio_interval(lo, lo + width, 1 << k)
+    want = OutwardInterval.from_endpoints(Fraction(lo, 1 << k), Fraction(lo + width, 1 << k))
+    assert (got._mpi, got.precision) == (want._mpi, want.precision)
 
 
 def test_with_precision_still_encloses():
