@@ -18,9 +18,7 @@ decided when b_n's enclosure lies inside the range or outside it.  A trial
 that the floats leave undecided (its enclosure straddles lo or hi, or is
 not finite) is refined, never dropped: the exact path redoes its digits in
 integers, refining each U up to B = SampleConfig.bits bits, and the trial
-is uncertified for the event only if B bits leave one of b_1..b_n open.  The
-mean reports read log b_n from the lower end of b_n's enclosure when the
-enclosure is narrow (b_hi <= b_lo (1 + 2^-30)), else from the exact path.
+is uncertified for the event only if B bits leave one of b_1..b_n open.
 
 Every bit is a pure function of (seed, trial, digit): the words come from
 Philox4x64-10 (Salmon et al., SC 2011), computed here on numpy uint64
@@ -30,9 +28,11 @@ trial i reads word (n - 1) mod 4 of the block at counter [ceil(n/4), i, 0,
 So every report is a deterministic function of its SampleConfig, whatever
 the block size.
 
-One pass per config: lln_report and clt_report read log b_n from one cached
-pass (_final_logs), which holds the last config's values only, one float
-per certified trial.
+lln_report and clt_report share one cached pass (_final_logs, the last
+config only) and read log b_n from b_lo where b_hi - b_lo <= b_lo 2^-30,
+else from the exact path, as every trial past 2^1024 is: there the floats
+give b_hi = inf, a true upper end, and b_lo the largest float or less; that
+costs about 5 s per trial at depth 760.
 
 An event is a range of one digit, lo <= b_n <= hi (hi None for no upper
 end); tail_counts answers many of them from one pass, and estimate_event
@@ -118,7 +118,6 @@ class EventEstimate:
 _BLOCK = 1 << 13             # trials per float walk
 _COUNTERS = 1 << 16          # Philox counters per call, at most
 _FLOAT_BITS = 53             # bits of each uniform that the float walk reads, at most
-_MEAN_RATIO = 1 + 2.0**-30   # the mean reports read b_lo when b_hi <= b_lo * _MEAN_RATIO
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # round multipliers
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)   # key increments
 _LOW32 = 0xFFFFFFFF
@@ -164,7 +163,7 @@ def _float_step(b_lo, b_hi, z_lo, z_hi, u_lo, u_hi):
     def up(a):
         return np.nextafter(a, np.inf)
 
-    with np.errstate(divide="ignore", invalid="ignore"):   # a cell at 0: X unbounded
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # X may be inf
         x_lo = down(down(down(b_lo + z_lo) / u_hi) - z_lo)
         x_hi = up(up(up(b_hi + z_hi) / u_lo) - z_hi)
         b_lo, b_hi = np.maximum(np.floor(x_lo), b_lo), np.floor(x_hi)
@@ -445,13 +444,15 @@ def _lower_candidate(h: int, n: int) -> float:
 
 
 def _lower_endpoint(h: int, n: int) -> Fraction:
-    """The certified lower endpoint for h hits in n trials, 1 <= h <= n.
+    """The certified lower endpoint for h hits in n trials: 0 for h = 0.
 
-    The Newton candidate is moved outward on the grid of K / 2^53, by at
+    Else the Newton candidate is moved outward on the grid of K / 2^53, by at
     least one grid step and min(K, 2^53 - K) 2^-30, until _tail_bound
     certifies P(Bin(n, K / 2^53) >= h) <= 1/200; each retry moves 16 times
     further.
     """
+    if not h:
+        return Fraction(0)
     big_k = math.floor(_lower_candidate(h, n) * _GRID)
     for shift in _OUTWARD_SHIFTS:
         big_k -= max(1, min(big_k, _GRID - big_k) >> shift)
@@ -476,17 +477,12 @@ def clopper_pearson(hits: int, trials: int) -> tuple[Fraction, Fraction]:
     """
     if not 0 <= hits <= trials or trials < 1:
         raise ValueError("need 0 <= hits <= trials, trials >= 1")
-    return _ci_lo(hits, trials), _ci_hi(hits, trials)
+    return _lower_endpoint(hits, trials), _upper_endpoint(hits, trials)
 
 
-def _ci_lo(hits: int, trials: int) -> Fraction:
-    """The lower end of clopper_pearson(hits, trials)."""
-    return _lower_endpoint(hits, trials) if hits else Fraction(0)
-
-
-def _ci_hi(hits: int, trials: int) -> Fraction:
-    """The upper end of clopper_pearson(hits, trials)."""
-    return 1 - _lower_endpoint(trials - hits, trials) if hits < trials else Fraction(1)
+def _upper_endpoint(h: int, n: int) -> Fraction:
+    """The certified upper endpoint for h hits in n trials: 1 for n hits."""
+    return 1 - _lower_endpoint(n - h, n)
 
 
 def _estimate_from_counts(hits: int, certified: int, uncertified: int) -> EventEstimate:
@@ -501,8 +497,8 @@ def _estimate_from_counts(hits: int, certified: int, uncertified: int) -> EventE
     if certified == 0:
         raise SampleLimitError("no trial certified enough digits; raise bits")
     trials = certified + uncertified
-    return EventEstimate(hits, certified, _ci_lo(hits, trials),
-                         _ci_hi(hits + uncertified, trials), uncertified)
+    return EventEstimate(hits, certified, _lower_endpoint(hits, trials),
+                         _upper_endpoint(hits + uncertified, trials), uncertified)
 
 
 def _range_estimates(config: SampleConfig,
@@ -659,7 +655,7 @@ class CltReport:
 def _final_logs(config: SampleConfig) -> tuple[float, ...]:
     """log b_n, n = depth, of every certified trial, in trial order.
 
-    The lower end of b_n's float enclosure where the enclosure is narrow,
+    The lower end of b_n's float enclosure where b_hi - b_lo <= b_lo 2^-30,
     else the exact path's b_n.  The mean reports of one config share this
     pass: the cache holds the values of the last config only (one float
     per certified trial), so lln_report and clt_report on the same config
@@ -672,7 +668,7 @@ def _final_logs(config: SampleConfig) -> tuple[float, ...]:
         for _, b_lo, b_hi, _, _ in _float_walk(config.seed, first, count, config.depth,
                                                config.bits):
             pass
-        narrow = (b_hi <= b_lo * _MEAN_RATIO).tolist()
+        narrow = (b_hi - b_lo <= b_lo * 2.0**-30).tolist()   # false for b_hi = inf
         for i, (low, decided) in enumerate(zip(b_lo.tolist(), narrow)):
             if not decided:
                 digits = _exact_digits(config.seed, first + i, config.depth, config.bits)

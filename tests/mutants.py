@@ -89,6 +89,22 @@ MUTANTS = (
            "f > k if toward > 0 else f < k", _ENGINE_TESTS),
     Mutant("float-upper-end-rounded-up", _ENGINE, "_float_end(hi, -math.inf)",
            "_float_end(hi, math.inf)", _ENGINE_TESTS),
+    Mutant("mean-narrow-trusts-infinity", _ENGINE, "(b_hi - b_lo <= b_lo * 2.0**-30)",
+           "(b_hi <= b_lo * (1 + 2.0**-30))", _ENGINE_TESTS),
+    Mutant("float-step-warns-on-overflow", _ENGINE,
+           'np.errstate(divide="ignore", over="ignore", invalid="ignore")',
+           'np.errstate(divide="ignore", invalid="ignore")', _ENGINE_TESTS),
+    Mutant("cp-zero-end-walks", _ENGINE, "if not h:", "if h < 0:", _ENGINE_TESTS),
+    Mutant("cp-end-not-moved-outward", _ENGINE,
+           "big_k -= max(1, min(big_k, _GRID - big_k) >> shift)", "big_k -= 0", _ENGINE_TESTS),
+    Mutant("moment-first-digit-term-dropped", _MEASURE,
+           "(first_lo * level_lo ** (n - 1) << bits) + (per_exit_lo * acc_lo << t)",
+           "(per_exit_lo * acc_lo << t)", _MEASURE_TESTS),
+    Mutant("dp-bits-flat", _MEASURE,
+           "return DEFAULT_PRECISION_BITS + 2 * n + 2 * cap.bit_length()",
+           "return DEFAULT_PRECISION_BITS", _MEASURE_TESTS),
+    Mutant("legendre-stop-strict", "src/ecfrac/deviations.py", "if B - A <= target:",
+           "if B - A < target:", ("tests/test_deviations.py",)),
 )
 
 

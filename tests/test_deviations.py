@@ -521,6 +521,20 @@ def test_integer_bound_matches_fraction_reference(table):
     assert vertex is None or type(vertex) is Fraction
 
 
+def test_parabolic_search_stops_at_a_bracket_exactly_target_wide():
+    # On -n^2 over [0, 200] the first probe is the golden step from the best
+    # end, 0: floor(200 (3 - sqrt 5)/2) = 76, certified below 0, so the
+    # bracket is cut to [0, 76], exactly 76 wide, and the search stops there;
+    # a target of 75 takes more probes.
+    def search(target):
+        return deviations._parabolic_search(lambda n: OutwardInterval.from_value(-n * n),
+                                            0, 200, target)
+
+    table, A, B = search(76)
+    assert (list(table), A, B) == ([0, 200, 76], 0, 76)
+    assert len(search(75)[0]) > 3
+
+
 def test_vertex_offset_refuses_a_gap_past_the_float_range():
     # A lower-end gap of -2^3000 overflows a float, and the offset it gives
     # is not a number.

@@ -3,6 +3,8 @@
 import hashlib
 import math
 import random
+import sys
+import warnings
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from unittest import mock
@@ -153,6 +155,18 @@ def test_float_step_rounds_every_operation_outward():
     stepped = np.array(montecarlo._float_step(*columns)).T.tolist()
     for row, got in zip(rows, stepped):
         assert got == list(_outward_reference(*row)), row
+
+
+def test_float_step_past_the_float_range_keeps_true_ends_quietly():
+    # From b = 2^1023, z = 1/2 and U in [1/4, 1/2], X_hi overflows: inf is a
+    # true upper end, and the float below inf a true lower end, with no
+    # overflow warning.
+    step = [np.array([v]) for v in (2.0**1023, 2.0**1023, 0.5, 0.5, 0.25, 0.5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b_lo, b_hi, z_lo, z_hi = (float(a[0]) for a in montecarlo._float_step(*step))
+    assert 2.0**1023 <= b_lo < math.inf and b_hi == math.inf
+    assert 0.5 <= z_lo <= z_hi <= 1
 
 
 def _exact_states(digits):
@@ -414,6 +428,7 @@ def test_clopper_pearson_raises_when_no_bound_certifies():
 def test_clopper_pearson_edges():
     lo, hi = clopper_pearson(0, 40)
     assert lo == 0 and hi < Fraction(1, 4)
+    assert montecarlo._lower_endpoint(0, 40) == 0 and montecarlo._upper_endpoint(40, 40) == 1
     lo, hi = clopper_pearson(40, 40)
     assert hi == 1 and lo > Fraction(3, 4)
     lo, hi = clopper_pearson(1, 10**14)  # the lower end falls below the 2^-53 grid
@@ -650,6 +665,22 @@ def test_another_config_misses_the_cache(walks):
     lln_report(other)
     clt_report(config)  # only the last config's values are kept
     assert len(walks) == 2 * config.trials + other.trials
+
+
+def test_mean_reads_the_exact_path_past_the_float_range():
+    # An enclosure [largest float, inf] is not narrow, so its trial's log b_n
+    # is the exact path's, not log(largest float); one at exactly 8 is read
+    # from the floats.
+    def walk(seed, first, count, depth, bits):
+        b_lo, b_hi = np.array([sys.float_info.max, 8.0]), np.array([math.inf, 8.0])
+        yield 1, b_lo, b_hi, np.full(2, 0.5), np.ones(2)
+
+    montecarlo._final_logs.cache_clear()
+    with mock.patch.object(montecarlo, "_float_walk", walk), \
+            mock.patch.object(montecarlo, "_exact_digits", lambda *args: [10**400]):
+        logs = montecarlo._final_logs(SampleConfig(seed=1, trials=2, depth=1))
+    montecarlo._final_logs.cache_clear()
+    assert logs == (math.log(10**400), math.log(8))
 
 
 def test_cached_values_are_immutable(walks):
