@@ -9,8 +9,8 @@ to the dyadic cell of its bits, so a trial is an enclosure of its digits,
 not a point.
 
 The float walk carries the enclosures [b_lo, b_hi] and [z_lo, z_hi] of a
-block of trials through the coupling at once, in float64, and widens each
-rounded operation outward by one np.nextafter step (Rump, BIT 39, 1999).
+block of trials, stacked [lo; hi], through the coupling in float64, and
+widens each rounding by one float, +-1 on its int64 bits (Rump, BIT 39, 1999).
 X = (b + z)/U - z increases in b and z and decreases in U, and z' increases
 in b' and decreases in z, so each end takes one end of every input; U's
 cell is the top min(B, 53) bits of its word.  An event lo <= b_n <= hi is
@@ -121,6 +121,7 @@ _FLOAT_BITS = 53             # bits of each uniform that the float walk reads, a
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # round multipliers
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)   # key increments
 _LOW32 = 0xFFFFFFFF
+_INF_BITS, _ONE_BITS = 0x7FF0000000000000, 0x3FF0000000000000   # int64 bits of +inf, 1.0
 
 
 def _mulhilo(a, m: int):
@@ -152,23 +153,48 @@ def _philox(seed: int, c0, c1, c2) -> tuple:
     return c0, c1, c2, c3
 
 
-def _float_step(b_lo, b_hi, z_lo, z_hi, u_lo, u_hi):
-    """The enclosures of b' and z' from those of b, z and U, each rounded
-    operation widened outward by one float step; b' >= b bounds b'_lo."""
+@functools.lru_cache(maxsize=1)
+def _down_up(count: int):
+    """The int64 step [[-1] * count, [1] * count]: row 0 down, row 1 up; shared."""
     import numpy as np
 
-    def down(a):
-        return np.nextafter(a, -np.inf)
+    return np.repeat(np.array([[-1], [1]]), count, axis=1)
 
-    def up(a):
-        return np.nextafter(a, np.inf)
 
+def _outward(a, step, cap: int = _INF_BITS):
+    """a moved in place one float along the int64 step, capped at the float
+    whose bits are cap: on positive floats and +inf, int64 order is float
+    order (IEEE 754), so +inf - 1 is the largest float, as nextafter gives;
+    from +0 a step down gives a NaN, not the least negative subnormal."""
+    import numpy as np
+
+    bits = a.view(np.int64)
+    bits += step
+    np.minimum(bits, cap, out=bits)
+    return a
+
+
+def _float_step(b, z, u):
+    """The enclosures of b' and z' from those of b, z and U, each rounded
+    operation widened outward by one float step; b' >= b bounds b'_lo.
+
+    b and z are stacked [lo; hi], U swapped, [u_hi; u_lo], so each row of
+    X = (b + z)/U - z reads the ends it needs.  Every widened value is
+    positive or +inf, as _outward needs: b >= 1, U in (0, 1], z in (0, 1]
+    after step 1, and b_lo stays below the largest float, so z_lo > 0.
+    """
+    import numpy as np
+
+    down_up = _down_up(b.shape[1])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # X may be inf
-        x_lo = down(down(down(b_lo + z_lo) / u_hi) - z_lo)
-        x_hi = up(up(up(b_hi + z_hi) / u_lo) - z_hi)
-        b_lo, b_hi = np.maximum(np.floor(x_lo), b_lo), np.floor(x_hi)
-        z_lo, z_hi = down(b_lo / up(b_lo + z_hi)), np.fmin(up(b_hi / down(b_hi + z_lo)), 1.0)
-    return b_lo, b_hi, z_lo, z_hi
+        x = _outward(b + z, down_up)
+        _outward(np.divide(x, u, out=x), down_up)
+        _outward(np.subtract(x, z, out=x), down_up)
+        b_next = np.floor(x, out=x)
+        np.maximum(b_next[0], b[0], out=b_next[0])
+        z_next = _outward(b_next + z[::-1], down_up[::-1])
+        _outward(np.divide(b_next, z_next, out=z_next), down_up, _ONE_BITS)
+    return b_next, z_next
 
 
 def _digit_words(seed: int, index, depth: int):
@@ -195,11 +221,10 @@ def _float_walk(seed: int, first: int, count: int, depth: int, bits: int):
     index = np.arange(first, first + count, dtype=np.uint64)
     read = min(bits, _FLOAT_BITS)
     shift, scale = np.uint64(64 - read), 2.0**-read
-    b_lo, b_hi, z_lo, z_hi = np.ones(count), np.ones(count), np.zeros(count), np.zeros(count)
+    b, z, u_rows = np.ones((2, count)), np.zeros((2, count)), np.array([[1.0], [0.0]])
     for n, word in zip(range(1, depth + 1), _digit_words(seed, index, depth)):
-        k = (word >> shift).astype(np.float64)
-        b_lo, b_hi, z_lo, z_hi = _float_step(b_lo, b_hi, z_lo, z_hi, k * scale, (k + 1) * scale)
-        yield n, b_lo, b_hi, z_lo, z_hi
+        b, z = _float_step(b, z, ((word >> shift).astype(np.float64) + u_rows) * scale)
+        yield n, b[0], b[1], z[0], z[1]
 
 
 def _coupled_digit(b: int, num: int, den: int, k: int, m: int) -> int | None:

@@ -39,23 +39,26 @@ class Mutant:
 
 
 _ENGINE = "src/ecfrac/montecarlo.py"
-_X_LO = "x_lo = down(down(down(b_lo + z_lo) / u_hi) - z_lo)"
-_Z_NEXT = "z_lo, z_hi = down(b_lo / up(b_lo + z_hi)), np.fmin(up(b_hi / down(b_hi + z_lo)), 1.0)"
+_X_CHAIN = """x = _outward(b + z, down_up)
+        _outward(np.divide(x, u, out=x), down_up)
+        _outward(np.subtract(x, z, out=x), down_up)"""
 _ENGINE_TESTS = ("tests/test_montecarlo.py",)
 _EXACT_VERDICT = "hits[j] += lo <= digits[n - 1] and (hi is None or digits[n - 1] <= hi)"
 _MEASURE = "src/ecfrac/measure.py"
 _MEASURE_TESTS = ("tests/test_measure.py",)
 
 MUTANTS = (
-    Mutant("x_lo-one-outward-step-dropped", _ENGINE, _X_LO,
-           "x_lo = down(down(b_lo + z_lo) / u_hi) - z_lo", _ENGINE_TESTS),
-    Mutant("x_lo-rounded-to-nearest", _ENGINE, _X_LO,
-           "x_lo = (b_lo + z_lo) / u_hi - z_lo", _ENGINE_TESTS),
-    Mutant("x_lo-reads-u_lo", _ENGINE, _X_LO,
-           "x_lo = down(down(down(b_lo + z_lo) / u_lo) - z_lo)", _ENGINE_TESTS),
-    Mutant("z-next-ends-swapped", _ENGINE, _Z_NEXT,
-           "z_lo, z_hi = down(b_lo / up(b_lo + z_lo)), np.fmin(up(b_hi / down(b_hi + z_hi)), 1.0)",
+    Mutant("x-one-outward-step-dropped", _ENGINE, "_outward(np.subtract(x, z, out=x), down_up)",
+           "np.subtract(x, z, out=x)", _ENGINE_TESTS),
+    Mutant("x-rounded-to-nearest", _ENGINE, _X_CHAIN,
+           "x = b + z\n        np.divide(x, u, out=x)\n        np.subtract(x, z, out=x)",
            _ENGINE_TESTS),
+    Mutant("u-rows-unswapped", _ENGINE, "np.array([[1.0], [0.0]])",
+           "np.array([[0.0], [1.0]])", _ENGINE_TESTS),
+    Mutant("z-next-ends-swapped", _ENGINE, "b_next + z[::-1]", "b_next + z", _ENGINE_TESTS),
+    Mutant("up-step-leaves-inf", _ENGINE, "_INF_BITS, _ONE_BITS = 0x7FF0000000000000,",
+           "_INF_BITS, _ONE_BITS = 0x7FFFFFFFFFFFFFFF,", _ENGINE_TESTS),
+    Mutant("z-hi-cap-dropped", _ENGINE, "down_up, _ONE_BITS)", "down_up)", _ENGINE_TESTS),
     Mutant("exact-verdict-lower-end-strict", _ENGINE, _EXACT_VERDICT,
            "hits[j] += lo < digits[n - 1] and (hi is None or digits[n - 1] <= hi)",
            _ENGINE_TESTS),

@@ -137,34 +137,58 @@ def _outward_reference(b_lo, b_hi, z_lo, z_hi, u_lo, u_hi):
     return new_lo, new_hi, down(new_lo / up(new_lo + z_hi)), min(z_up, 1.0)
 
 
+def _stepped_rows(rows):
+    """_float_step on the states (b_lo, b_hi, z_lo, z_hi, u_lo, u_hi), one
+    per row, stacked as it takes them (U as [u_hi; u_lo]); one row each out."""
+    b_lo, b_hi, z_lo, z_hi, u_lo, u_hi = (np.array(column) for column in zip(*rows))
+    b, z = montecarlo._float_step(np.array([b_lo, b_hi]), np.array([z_lo, z_hi]),
+                                  np.array([u_hi, u_lo]))
+    return np.concatenate([b, z]).T.tolist()
+
+
 def test_float_step_rounds_every_operation_outward():
-    # Random states across the float range, among them digits past 2^53,
-    # the cell at 0 and the top cell: the vectorized step must give the
-    # scalar reference's floats bit for bit, so every rounding is widened.
+    # Random states across the float range, among them digits up to
+    # 2^1023.99, upper ends at inf, the cell at 0 and the top cell: the
+    # vectorized step must give the scalar reference's floats bit for bit,
+    # so every rounding is widened.
     rng = random.Random(31)
     rows = []
-    for _ in range(4000):
-        b_lo = float(math.floor(2 ** rng.uniform(0, 80)))
+    for _ in range(6000):
+        b_lo = float(math.floor(2 ** rng.uniform(0, 1023.99)))
         b_hi = b_lo + float(rng.choice((0, 0, 1, 2**rng.randint(0, 30))))
+        if rng.random() < 0.05:
+            b_hi = math.inf
         z_lo = rng.choice((0.0, rng.uniform(0.5, 1.0)))
         z_hi = min(1.0, z_lo + rng.choice((0.0, 2**-50, rng.uniform(0, 0.1))))
         bits = rng.choice((1, 8, 30, 53))
         k = rng.choice((0, 2**bits - 1, rng.getrandbits(bits)))
         rows.append((b_lo, b_hi, z_lo, z_hi, k / 2**bits, (k + 1) / 2**bits))
-    columns = [np.array(column) for column in zip(*rows)]
-    stepped = np.array(montecarlo._float_step(*columns)).T.tolist()
-    for row, got in zip(rows, stepped):
+    assert any(row[1] == math.inf for row in rows) and any(row[4] == 0 for row in rows)
+    for row, got in zip(rows, _stepped_rows(rows)):
         assert got == list(_outward_reference(*row)), row
+
+
+def test_outward_step_is_nextafter():
+    # One integer step on the int64 bits moves a positive float or +inf to
+    # its neighbour, as np.nextafter does, down and up, in both row orders.
+    tiny, smallest_normal, big = 5e-324, 2.0**-1022, 2.0**1023 * (2 - 2.0**-52)
+    values = np.array([1.0, tiny, smallest_normal, 2.0**53, big, math.inf])
+    with np.errstate(over="ignore"):   # the largest float's next float up is inf
+        down, up = np.nextafter(values, -math.inf), np.nextafter(values, math.inf)
+    step = np.array([[-1], [1]])
+    moved = montecarlo._outward(np.array([values, values]), step)
+    assert moved.tobytes() == np.array([down, up]).tobytes()
+    moved = montecarlo._outward(np.array([values, values]), step[::-1])
+    assert moved.tobytes() == np.array([up, down]).tobytes()
 
 
 def test_float_step_past_the_float_range_keeps_true_ends_quietly():
     # From b = 2^1023, z = 1/2 and U in [1/4, 1/2], X_hi overflows: inf is a
     # true upper end, and the float below inf a true lower end, with no
     # overflow warning.
-    step = [np.array([v]) for v in (2.0**1023, 2.0**1023, 0.5, 0.5, 0.25, 0.5)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        b_lo, b_hi, z_lo, z_hi = (float(a[0]) for a in montecarlo._float_step(*step))
+        ((b_lo, b_hi, z_lo, z_hi),) = _stepped_rows([(2.0**1023, 2.0**1023, 0.5, 0.5, 0.25, 0.5)])
     assert 2.0**1023 <= b_lo < math.inf and b_hi == math.inf
     assert 0.5 <= z_lo <= z_hi <= 1
 
