@@ -68,25 +68,6 @@ def _walk(p: int, q: int, max_digits: int) -> tuple[list[int], int, int]:
     return digits, p, q
 
 
-def _common_prefix(p_lo: int, q_lo: int, p_hi: int, q_hi: int,
-                   max_digits: int) -> tuple[list[int], bool]:
-    """Digit prefix shared by every point of [p_lo/q_lo, p_hi/q_hi], and
-    whether max_digits cut it off.
-
-    Cylinders are intervals, so a prefix shared by the two endpoints is
-    shared by everything in between: this is the common prefix of the
-    endpoints' walks.  It ends after a digit where either endpoint's
-    expansion ends, since nearby interior points have arbitrarily large
-    next digits; so it is truncated only when both walks ran max_digits
-    digits with nonzero remainders.  A cell touching 0 shares no digit
-    (b_1 is unbounded there).
-    """
-    digits, p_lo, _ = _walk(p_lo, q_lo, max_digits)
-    other, p_hi, _ = _walk(p_hi, q_hi, len(digits))
-    shared = next((i for i, (a, b) in enumerate(zip(digits, other)) if a != b), len(other))
-    return digits[:shared], shared == max_digits and p_lo != 0 and p_hi != 0
-
-
 def _checked(lo: Fraction, hi: Fraction, max_digits: int) -> tuple[Fraction, Fraction]:
     if max_digits < 1:
         raise ValueError("max_digits must be >= 1")
@@ -109,16 +90,19 @@ def expand_rational(x: Fraction, max_digits: int = DEFAULT_MAX_DIGITS) -> Certif
 
 def expand_interval(lo: Fraction, hi: Fraction,
                     max_digits: int = DEFAULT_MAX_DIGITS) -> CertifiedExpansion:
-    """Longest common digit prefix of every point in [lo, hi], from the
-    walks of its endpoints.
+    """Longest common digit prefix of every point in [lo, hi].
 
-    (When an endpoint's expansion terminates at depth n, no digit b_{n+1}
-    is shared: the sub-cylinders accumulate at that endpoint.)
+    Cylinders are intervals, so it is the common prefix of the endpoints'
+    walks.  It ends after a digit where either endpoint's expansion ends,
+    since the sub-cylinders accumulate there, so it is truncated only when
+    both walks ran max_digits digits with nonzero remainders.
     """
     lo, hi = _checked(lo, hi, max_digits)
-    digits, truncated = _common_prefix(lo.numerator, lo.denominator,
-                                       hi.numerator, hi.denominator, max_digits)
-    return CertifiedExpansion(tuple(digits), truncated)
+    digits, p_lo, _ = _walk(lo.numerator, lo.denominator, max_digits)
+    other, p_hi, _ = _walk(hi.numerator, hi.denominator, len(digits))
+    shared = next((i for i, (a, b) in enumerate(zip(digits, other)) if a != b), len(other))
+    return CertifiedExpansion(tuple(digits[:shared]),
+                              shared == max_digits and p_lo != 0 and p_hi != 0)
 
 
 def reconstruct(word: Sequence[int]) -> Fraction:

@@ -17,8 +17,9 @@ cell is the top min(B, 53) bits of its word.  An event lo <= b_n <= hi is
 decided when b_n's enclosure lies inside the range or outside it.  A trial
 that the floats leave undecided (its enclosure straddles lo or hi, or is
 not finite) is refined, never dropped: the exact path redoes its digits in
-integers, refining each U up to B = SampleConfig.bits bits, and the trial
-is uncertified for the event only if B bits leave one of b_1..b_n open.
+integers, refining each U up to B = SampleConfig.bits bits (64 n unless
+given, one word a digit), and the trial is uncertified for the event only
+if B bits leave one of b_1..b_n open.
 
 Every bit is a pure function of (seed, trial, digit): the words come from
 Philox4x64-10 (Salmon et al., SC 2011), computed here on numpy uint64
@@ -65,12 +66,14 @@ class SampleLimitError(RuntimeError):
 
 
 def default_bits(depth: int) -> int:
-    """B = ceil(2.2 n^2), the resolution of each uniform unless given.
+    """B = 64 n, one 64-bit word per digit of depth: the resolution of each
+    uniform unless given.
 
-    The float walk reads 53 bits of each; the exact path needs about
-    log2 b_n ~ 1.44 n more where the floats leave a digit undecided, so the
-    default is never the limit."""
-    return -((-11 * depth * depth) // 5)
+    The float walk reads 53 bits of each, and the exact path starts from a
+    whole word.  A uniform's cell of 2^-B straddles a boundary of the next
+    digit with probability about 2^-B b/U^2, and log2 b_n ~ 1.44 n, so the
+    default leaves a digit open at no depth, depth 1 included."""
+    return 64 * depth
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,7 @@ class SampleConfig:
     seed: int
     trials: int
     depth: int
-    bits: int | None = None   # B: each uniform is known to 2^-B, default_bits(depth) if None
+    bits: int | None = None   # B: each uniform is known to 2^-B, 64 depth if None
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:

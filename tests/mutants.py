@@ -65,8 +65,12 @@ MUTANTS = (
     Mutant("exact-verdict-upper-end-strict", _ENGINE, _EXACT_VERDICT,
            "hits[j] += lo <= digits[n - 1] and (hi is None or digits[n - 1] < hi)",
            _ENGINE_TESTS),
+    Mutant("default-bits-cell-sampler", _ENGINE, "64 * depth", "-((-11 * depth * depth) // 5)",
+           _ENGINE_TESTS),
     Mutant("walk-keeps-the-denominator", "src/ecfrac/expansion.py", "p, q = r, q - r",
            "p, q = r, q", ("tests/test_expansion.py",)),
+    Mutant("interval-prefix-ignores-upper-end", "src/ecfrac/expansion.py", " and p_hi != 0", "",
+           ("tests/test_expansion.py::test_stop_rule_at_max_digits",)),
     Mutant("kernel-upper-masses-from-zeros", _MEASURE, "new_up = list(range(1, cap + 1))",
            "new_up = [0] * cap", _MEASURE_TESTS),
     Mutant("s-upper-factor-loosened", _MEASURE, "return (lead * power) / (1 - theta)",
@@ -103,6 +107,9 @@ MUTANTS = (
     Mutant("moment-first-digit-term-dropped", _MEASURE,
            "(first_lo * level_lo ** (n - 1) << bits) + (per_exit_lo * acc_lo << t)",
            "(per_exit_lo * acc_lo << t)", _MEASURE_TESTS),
+    Mutant("moment-kernel-per-row", _MEASURE, "_weighted_moment(theta, kernels[n])",
+           "_weighted_moment(theta, _propagate_depths({n}, cap)[n])",
+           ("tests/test_deviations.py::test_mdp_runs_one_moment_dp_per_call",)),
     Mutant("dp-bits-flat", _MEASURE,
            "return DEFAULT_PRECISION_BITS + 2 * n + 2 * cap.bit_length()",
            "return DEFAULT_PRECISION_BITS", _MEASURE_TESTS),

@@ -3,19 +3,23 @@
 Each trial draws k uniformly from [0, 2^B) through one fresh numpy
 Generator, keyed by the seed and started at counter [0, trial index, 0, 0],
 and samples the dyadic cell [k/2^B, (k+1)/2^B]; its digits are the prefix
-that every point of the cell shares, the common prefix of the walks of the
-cell's two ends (the cell at k = 0 touches 0 and shares none).  This is the
-sampler the library ran before it carried enclosures through the one-digit
-coupling; the tests check that both draw the digits from the same law.
+that every point of the cell shares (cell_prefix).  The library's
+expand_interval gives that prefix for a cell inside (0, 1]; the cell at
+k = 0 touches 0, where b_1 is unbounded, and this module owns its rule: it
+shares no digit.  This is the sampler the library ran before it carried
+enclosures through the one-digit coupling; the tests check that both draw
+the digits from the same law.
 
 reference_uniform_cell rebuilds the engine's own uniforms, one fresh numpy
 Philox per block read, so the tests can check that a pass drawn on counter
 arrays gives every trial the words of its own generator.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
-from ecfrac.expansion import _common_prefix
+from ecfrac.expansion import expand_interval
 
 
 def reference_cell_index(seed: int, index: int, bits: int) -> int:
@@ -49,9 +53,16 @@ def reference_uniform_cell(seed: int, index: int, n: int, bits: int) -> int:
     return value >> (length - bits)
 
 
+def cell_prefix(k: int, den: int, depth: int) -> list[int]:
+    """The digits, at most `depth`, that every point of [k/den, (k+1)/den] shares."""
+    if k == 0:
+        return []
+    return list(expand_interval(Fraction(k, den), Fraction(k + 1, den), depth).digits)
+
+
 def cell_prefixes(seed: int, trials: int, depth: int, bits: int):
     """The certified digit prefix, at most `depth` digits, of each trial."""
     den = 1 << bits
     for index in range(trials):
         k = reference_cell_index(seed, index, bits)
-        yield _common_prefix(k, den, k + 1, den, depth)[0]
+        yield cell_prefix(k, den, depth)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from decimal import Decimal
@@ -478,3 +479,22 @@ def test_failed_command_leaves_output_as_it_was(tmp_path, capsys):
         assert code == 3 and "no trial certified" in err
     assert kept.read_text() == "earlier document\n"
     assert not fresh.exists()
+
+
+def _readme_commands() -> list[list[str]]:
+    """The command lines of README.md's fenced block of ecf examples, with
+    backslash continuations joined and comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = text.split("```")[1::2]
+    block = next(b for b in blocks if b.split("\n", 1)[1].startswith("ecf "))
+    return [shlex.split(line, comments=True)
+            for line in block.replace("\\\n", " ").splitlines() if line.startswith("ecf ")]
+
+
+def test_readme_examples_exit_0(capsys):
+    # verify runs the acceptance criteria, which test_acceptance.py runs.
+    commands = [argv for argv in _readme_commands() if argv[1] != "verify"]
+    assert commands
+    for argv in commands:
+        code, _, err = run(capsys, *argv[1:])
+        assert code == 0, (argv, err)

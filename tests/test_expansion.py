@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecfrac.expansion import (CertifiedExpansion, _common_prefix, continuants,
+from ecfrac.expansion import (CertifiedExpansion, continuants,
                               cylinder_endpoints, expand_interval,
                               expand_rational, is_admissible, reconstruct)
 
+from reference_cells import cell_prefix
 from reference_walk import reference_expand_interval
 
 # frozen oracles: greedy expansions computed by hand via d = floor(1/x),
@@ -203,19 +204,20 @@ def test_stop_rule_at_max_digits(lo_word, hi_word, max_digits, truncated):
         assert expand_rational(lo, max_digits) == cell
 
 
-def test_common_prefix_at_the_ends_of_the_unit_interval():
-    # The cell sampler of tests/reference_cells.py reads _common_prefix on
-    # dyadic cells, among them the two that expand_interval refuses or that
-    # draws almost never hit.  [0, 2^-B] touches 0, where b_1 is unbounded.
-    assert _common_prefix(0, 2**16, 1, 2**16, 5) == ([], False)
-    # [1 - 2^-B, 1]: b_1 = 1 throughout, then the cell reaches 1, whose
+def test_interval_prefix_at_the_ends_of_the_unit_interval():
+    # [1 - 2^-16, 1]: b_1 = 1 throughout, then the cell reaches 1, whose
     # expansion ends, so b_2 is unbounded near it.
-    assert _common_prefix(2**16 - 1, 2**16, 2**16, 2**16, 5) == ([1], False)
+    assert expand_interval(1 - Fraction(1, 2**16), Fraction(1), 5) == \
+        CertifiedExpansion((1,), False)
     # At depth 1 a full prefix is truncated only when the budget cut the
     # walk: [9/16, 10/16] could certify more digits, but [15/16, 1] reaches
     # 1, whose expansion ends at b_1 = 1.
-    assert _common_prefix(9, 16, 10, 16, 1) == ([1], True)
-    assert _common_prefix(15, 16, 16, 16, 1) == ([1], False)
+    assert expand_interval(Fraction(9, 16), Fraction(10, 16), 1) == \
+        CertifiedExpansion((1,), True)
+    assert expand_interval(Fraction(15, 16), Fraction(1), 1) == CertifiedExpansion((1,), False)
+    # The cell sampler's cell [0, 2^-B] touches 0, where b_1 is unbounded;
+    # expand_interval refuses it, and the oracle's own rule shares no digit.
+    assert cell_prefix(0, 2**16, 5) == []
 
 
 def test_expand_interval_certifies_shared_prefix():

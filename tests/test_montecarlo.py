@@ -17,21 +17,34 @@ from hypothesis import strategies as st
 
 from ecfrac import montecarlo
 from ecfrac.checks import MC_SEED_MEAN, MC_SEED_TAILS, TAIL_N_LOWER, TAIL_N_UPPER
-from ecfrac.expansion import _common_prefix
 from ecfrac.measure import cylinder_measure
 from ecfrac.montecarlo import (LOWER, UPPER, SampleConfig, TailRequest,
                                clopper_pearson, clt_report, default_bits,
                                estimate_event, ldp_slope, lln_report,
                                tail_counts, tail_threshold)
 
-from reference_cells import cell_prefixes, reference_uniform_cell
+from reference_cells import cell_prefix, cell_prefixes, reference_uniform_cell
 
 
-def test_default_bits_is_ceil():
-    assert default_bits(1) == 3       # ceil(2.2)
-    assert default_bits(3) == 20      # ceil(19.8)
-    assert default_bits(10) == 220
-    assert default_bits(40) == 3520
+def test_default_bits_is_one_word_per_digit():
+    for depth in (1, 3, 40, 100):
+        assert default_bits(depth) == 64 * depth
+
+
+E_LOG_B1 = 0.78853   # E log b_1 = sum over k of log k / (k (k + 1))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_default_bits_certify_every_trial_at_small_depths(depth):
+    # At the default B the exact path pins every digit it is asked for, so
+    # no trial of a mean report or an event is left out, and the depth-1
+    # mean reads the law of b_1 rather than of the trials that B decided.
+    config = SampleConfig(seed=7, trials=2000, depth=depth)
+    rep = lln_report(config)
+    assert rep.uncertified == 0 and rep.certified == 2000
+    assert estimate_event(config, 1, 2).uncertified == 0
+    if depth == 1:
+        assert abs(rep.mean - E_LOG_B1) <= 4 * rep.stdev / math.sqrt(rep.certified)
 
 
 def test_different_seeds_differ():
@@ -82,7 +95,7 @@ def test_pass_draw_matches_per_trial_generator(seed, bits):
         with mock.patch.object(montecarlo, "_coupled_digit", undecided_below_b):
             digits = montecarlo._exact_digits(seed, index, 1, bits)
         assert cells[-1] == (k, bits), index
-        assert digits == _common_prefix(k, 1 << bits, k + 1, 1 << bits, 1)[0], index
+        assert digits == cell_prefix(k, 1 << bits, 1), index
 
 
 def test_trials_share_no_philox_block():
