@@ -23,11 +23,11 @@ if B bits leave one of b_1..b_n open.
 
 Every bit is a pure function of (seed, trial, digit): the words come from
 Philox4x64-10 (Salmon et al., SC 2011), computed here on numpy uint64
-counter arrays under key [seed, 0], as RNG_ALGORITHM records.  Digit n of
-trial i reads word (n - 1) mod 4 of the block at counter [ceil(n/4), i, 0,
-0]; the exact path refines that U with the blocks at [j, i, n, 0], j >= 1.
-So every report is a deterministic function of its SampleConfig, whatever
-the block size.
+counter arrays, in calls of at most 2^13 counters, under key [seed, 0], as
+RNG_ALGORITHM records.  Digit n of trial i reads word (n - 1) mod 4 of the
+block at counter [ceil(n/4), i, 0, 0]; the exact path refines that U with
+the blocks at [j, i, n, 0], j >= 1.  So every report is a deterministic
+function of its SampleConfig, whatever the block size.
 
 lln_report and clt_report share one cached pass (_final_logs, the last
 config only) and read log b_n from b_lo where b_hi - b_lo <= b_lo 2^-30,
@@ -119,7 +119,7 @@ class EventEstimate:
 # ---------------------------------------------------------------------------
 
 _BLOCK = 1 << 13             # trials per float walk
-_COUNTERS = 1 << 16          # Philox counters per call, at most
+_COUNTERS = 1 << 13          # Philox counters per call, at most
 _FLOAT_BITS = 53             # bits of each uniform that the float walk reads, at most
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # round multipliers
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)   # key increments
@@ -127,76 +127,81 @@ _LOW32 = 0xFFFFFFFF
 _INF_BITS, _ONE_BITS = 0x7FF0000000000000, 0x3FF0000000000000   # int64 bits of +inf, 1.0
 
 
-def _mulhilo(a, m: int):
-    """The high and low 64-bit words of a * m, for a uint64 array a, from
-    32-bit halves: the middle sum stays below 2^64."""
-    import numpy as np
-
-    m_lo, m_hi, low, half = (np.uint64(v) for v in (m & _LOW32, m >> 32, _LOW32, 32))
-    a_lo, a_hi = a & low, a >> half
-    lo_lo, hi_lo = a_lo * m_lo, a_hi * m_lo
-    middle = (lo_lo >> half) + (hi_lo & low) + a_lo * m_hi
-    return a_hi * m_hi + (hi_lo >> half) + (middle >> half), a * np.uint64(m)
-
-
 def _philox(seed: int, c0, c1, c2) -> tuple:
     """The Philox4x64-10 blocks at counters [c0, c1, c2, 0] under key
     [seed, 0], for uint64 arrays c0, c1 and c2 of one shape: four arrays,
-    word 0 first, the words numpy.random.Philox(key=seed) gives."""
+    word 0 first, the words numpy.random.Philox(key=seed) gives.
+
+    The multiplied words are stacked, x = [c0; c2] against the column [M0;
+    M1], and y = [c1; c3], so one high/low product serves both multipliers:
+    17 calls a round, into buffers made once.  Each product is formed from
+    32-bit halves, whose middle sum stays below 2^64.
+    """
     import numpy as np
 
-    c3 = np.zeros_like(c1)
-    k0, k1 = seed, 0
-    for r in range(10):
-        if r:
-            k0, k1 = (k0 + _PHILOX_W[0]) % 2**64, (k1 + _PHILOX_W[1]) % 2**64
-        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
-        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-    return c0, c1, c2, c3
+    x, y = np.stack([c0, c2]), np.stack([c1, np.zeros_like(c1)])
+    m = np.array([[_PHILOX_M[0]], [_PHILOX_M[1]]], dtype=np.uint64)
+    low, half = np.uint64(_LOW32), np.uint64(32)
+    m_lo, m_hi = m & low, m >> half
+    keys = np.array([[[(seed + r * _PHILOX_W[0]) % 2**64], [r * _PHILOX_W[1] % 2**64]]
+                     for r in range(10)], dtype=np.uint64)
+    a_lo, a_hi, lo_lo, hi_lo, middle, hi, lo = (np.empty_like(x) for _ in range(7))
+    for key in keys:
+        np.bitwise_and(x, low, out=a_lo)
+        np.right_shift(x, half, out=a_hi)
+        np.multiply(a_lo, m_lo, out=lo_lo)
+        np.multiply(a_hi, m_lo, out=hi_lo)
+        np.right_shift(lo_lo, half, out=middle)
+        middle += np.bitwise_and(hi_lo, low, out=lo_lo)
+        middle += np.multiply(a_lo, m_hi, out=lo_lo)
+        np.multiply(a_hi, m_hi, out=hi)
+        hi += np.right_shift(hi_lo, half, out=hi_lo)
+        hi += np.right_shift(middle, half, out=middle)
+        np.multiply(x, m, out=lo)
+        np.bitwise_xor(hi[::-1], y, out=x)
+        x ^= key
+        y, lo = lo[::-1], y   # the old y's buffer takes the next round's low words
+    return x[0], y[0], x[1], y[1]
 
 
-@functools.lru_cache(maxsize=1)
-def _down_up(count: int):
-    """The int64 step [[-1] * count, [1] * count]: row 0 down, row 1 up; shared."""
-    import numpy as np
-
-    return np.repeat(np.array([[-1], [1]]), count, axis=1)
-
-
-def _outward(a, step, cap: int = _INF_BITS):
+def _outward(a, step, cap: int | None = _INF_BITS):
     """a moved in place one float along the int64 step, capped at the float
-    whose bits are cap: on positive floats and +inf, int64 order is float
-    order (IEEE 754), so +inf - 1 is the largest float, as nextafter gives;
-    from +0 a step down gives a NaN, not the least negative subnormal."""
+    whose bits are cap (None: not capped): on positive floats and +inf,
+    int64 order is float order (IEEE 754), so +inf - 1 is the largest float,
+    as nextafter gives; from +0 a step down gives a NaN, not the least
+    negative subnormal."""
     import numpy as np
 
     bits = a.view(np.int64)
     bits += step
-    np.minimum(bits, cap, out=bits)
+    if cap is not None:
+        np.minimum(bits, cap, out=bits)
     return a
 
 
-def _float_step(b, z, u):
+def _float_step(b, z, u, down_up):
     """The enclosures of b' and z' from those of b, z and U, each rounded
     operation widened outward by one float step; b' >= b bounds b'_lo.
 
     b and z are stacked [lo; hi], U swapped, [u_hi; u_lo], so each row of
-    X = (b + z)/U - z reads the ends it needs.  Every widened value is
-    positive or +inf, as _outward needs: b >= 1, U in (0, 1], z in (0, 1]
-    after step 1, and b_lo stays below the largest float, so z_lo > 0.
+    X = (b + z)/U - z reads the ends it needs; down_up is the int64 step
+    [-1; 1] of b's shape.  Every widened value is positive or +inf, as
+    _outward needs: b >= 1, U in (0, 1], z in (0, 1] after step 1.  X's
+    chain ends with a step down, so b_lo stays at most the float below the
+    largest; b'_lo + z_hi rounds to that float at most and steps up to the
+    largest at most, never to a NaN past +inf, so the denominator of z'
+    needs no cap, and z'_lo > 0.  X may overflow, or divide by U = 0: the
+    caller sets numpy's error state for that.
     """
     import numpy as np
 
-    down_up = _down_up(b.shape[1])
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # X may be inf
-        x = _outward(b + z, down_up)
-        _outward(np.divide(x, u, out=x), down_up)
-        _outward(np.subtract(x, z, out=x), down_up)
-        b_next = np.floor(x, out=x)
-        np.maximum(b_next[0], b[0], out=b_next[0])
-        z_next = _outward(b_next + z[::-1], down_up[::-1])
-        _outward(np.divide(b_next, z_next, out=z_next), down_up, _ONE_BITS)
+    x = _outward(b + z, down_up)
+    _outward(np.divide(x, u, out=x), down_up)
+    _outward(np.subtract(x, z, out=x), down_up)
+    b_next = np.floor(x, out=x)
+    np.maximum(b_next[0], b[0], out=b_next[0])
+    z_next = _outward(b_next + z[::-1], down_up[::-1], None)
+    _outward(np.divide(b_next, z_next, out=z_next), down_up, _ONE_BITS)
     return b_next, z_next
 
 
@@ -218,16 +223,22 @@ def _digit_words(seed: int, index, depth: int):
 
 def _float_walk(seed: int, first: int, count: int, depth: int, bits: int):
     """(n, b_lo, b_hi, z_lo, z_hi) for n = 1..depth: the float enclosures
-    of trials first, ..., first + count - 1, one array element per trial."""
+    of trials first, ..., first + count - 1, one array element per trial.
+
+    numpy's error state is set once for the whole walk, so it holds while
+    the caller reads a digit too; each U is written into one buffer."""
     import numpy as np
 
     index = np.arange(first, first + count, dtype=np.uint64)
     read = min(bits, _FLOAT_BITS)
     shift, scale = np.uint64(64 - read), 2.0**-read
-    b, z, u_rows = np.ones((2, count)), np.zeros((2, count)), np.array([[1.0], [0.0]])
-    for n, word in zip(range(1, depth + 1), _digit_words(seed, index, depth)):
-        b, z = _float_step(b, z, ((word >> shift).astype(np.float64) + u_rows) * scale)
-        yield n, b[0], b[1], z[0], z[1]
+    b, z, u = np.ones((2, count)), np.zeros((2, count)), np.empty((2, count))
+    u_rows, down_up = np.array([[1.0], [0.0]]), np.repeat(np.array([[-1], [1]]), count, axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # X may be inf
+        for n, word in zip(range(1, depth + 1), _digit_words(seed, index, depth)):
+            np.multiply(np.add(word >> shift, u_rows, out=u), scale, out=u)
+            b, z = _float_step(b, z, u, down_up)
+            yield n, b[0], b[1], z[0], z[1]
 
 
 def _coupled_digit(b: int, num: int, den: int, k: int, m: int) -> int | None:

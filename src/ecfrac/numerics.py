@@ -303,11 +303,17 @@ def _scaled_ends(intervals) -> tuple[list[tuple[int, int] | None], int]:
 
 def _ratio_interval(lo: RationalLike, hi: RationalLike, unit: int) -> OutwardInterval:
     """from_endpoints(lo/unit, hi/unit) for lo <= hi, rounded from the
-    numerators and denominators with no Fraction made."""
+    numerators and denominators with no Fraction made; over a denominator
+    2^k an end is its numerator at exponent -k, with no division."""
     prec = DEFAULT_PRECISION_BITS
-    return OutwardInterval((
-        libmp.from_rational(lo.numerator, lo.denominator * unit, prec, libmp.round_floor),
-        libmp.from_rational(hi.numerator, hi.denominator * unit, prec, libmp.round_ceiling)), prec)
+
+    def end(value: RationalLike, rounding) -> tuple:
+        den = value.denominator * unit
+        if den & (den - 1):
+            return libmp.from_rational(value.numerator, den, prec, rounding)
+        return libmp.from_man_exp(value.numerator, 1 - den.bit_length(), prec, rounding)
+
+    return OutwardInterval((end(lo, libmp.round_floor), end(hi, libmp.round_ceiling)), prec)
 
 
 def _up_to(v: OutwardInterval, hi: Fraction) -> OutwardInterval:

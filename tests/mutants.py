@@ -40,8 +40,8 @@ class Mutant:
 
 _ENGINE = "src/ecfrac/montecarlo.py"
 _X_CHAIN = """x = _outward(b + z, down_up)
-        _outward(np.divide(x, u, out=x), down_up)
-        _outward(np.subtract(x, z, out=x), down_up)"""
+    _outward(np.divide(x, u, out=x), down_up)
+    _outward(np.subtract(x, z, out=x), down_up)"""
 _ENGINE_TESTS = ("tests/test_montecarlo.py",)
 _EXACT_VERDICT = "hits[j] += lo <= digits[n - 1] and (hi is None or digits[n - 1] <= hi)"
 _MEASURE = "src/ecfrac/measure.py"
@@ -51,7 +51,7 @@ MUTANTS = (
     Mutant("x-one-outward-step-dropped", _ENGINE, "_outward(np.subtract(x, z, out=x), down_up)",
            "np.subtract(x, z, out=x)", _ENGINE_TESTS),
     Mutant("x-rounded-to-nearest", _ENGINE, _X_CHAIN,
-           "x = b + z\n        np.divide(x, u, out=x)\n        np.subtract(x, z, out=x)",
+           "x = b + z\n    np.divide(x, u, out=x)\n    np.subtract(x, z, out=x)",
            _ENGINE_TESTS),
     Mutant("u-rows-unswapped", _ENGINE, "np.array([[1.0], [0.0]])",
            "np.array([[0.0], [1.0]])", _ENGINE_TESTS),
@@ -101,6 +101,9 @@ MUTANTS = (
     Mutant("float-step-warns-on-overflow", _ENGINE,
            'np.errstate(divide="ignore", over="ignore", invalid="ignore")',
            'np.errstate(divide="ignore", invalid="ignore")', _ENGINE_TESTS),
+    Mutant("philox-high-words-unpaired", _ENGINE, "hi[::-1]", "hi", _ENGINE_TESTS),
+    Mutant("philox-call-skips-a-block", _ENGINE, "range(1, blocks + 1, span)",
+           "range(1, blocks + 1, span + 1)", _ENGINE_TESTS),
     Mutant("cp-zero-end-walks", _ENGINE, "if not h:", "if h < 0:", _ENGINE_TESTS),
     Mutant("cp-end-not-moved-outward", _ENGINE,
            "big_k -= max(1, min(big_k, _GRID - big_k) >> shift)", "big_k -= 0", _ENGINE_TESTS),

@@ -110,6 +110,21 @@ def test_trials_share_no_philox_block():
     assert len(set(words)) == len(words) == trials * (depth + 4 * depth)
 
 
+def test_digit_words_are_each_blocks_own_philox_words():
+    # 3,000 trials at depth 40: ten blocks, two to a call of at most
+    # _COUNTERS counters.  Digit n reads word (n - 1) mod 4 of the block at
+    # [ceil(n/4), i, 0, 0], as _philox gives it on that block alone.
+    seed, trials, depth = 271828, 3000, 40
+    assert montecarlo._COUNTERS // trials == 2
+    index = np.arange(trials, dtype=np.uint64)
+    words = list(montecarlo._digit_words(seed, index, depth))
+    assert len(words) == depth
+    for n, word in enumerate(words, 1):
+        block = montecarlo._philox(seed, np.full_like(index, -(-n // 4)), index,
+                                   np.zeros_like(index))
+        assert word.tobytes() == block[(n - 1) % 4].tobytes(), n
+
+
 def test_coupling_is_exact():
     # b' = k exactly for (b + z)/(k + 1 + z) < U <= (b + z)/(k + z); the
     # product of these lengths along a word is the word's cylinder measure,
@@ -152,22 +167,30 @@ def _outward_reference(b_lo, b_hi, z_lo, z_hi, u_lo, u_hi):
 
 def _stepped_rows(rows):
     """_float_step on the states (b_lo, b_hi, z_lo, z_hi, u_lo, u_hi), one
-    per row, stacked as it takes them (U as [u_hi; u_lo]); one row each out."""
+    per row, stacked as it takes them (U as [u_hi; u_lo]), under the error
+    state that the walk sets; one row each out."""
     b_lo, b_hi, z_lo, z_hi, u_lo, u_hi = (np.array(column) for column in zip(*rows))
-    b, z = montecarlo._float_step(np.array([b_lo, b_hi]), np.array([z_lo, z_hi]),
-                                  np.array([u_hi, u_lo]))
+    down_up = np.repeat(np.array([[-1], [1]]), len(rows), axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        b, z = montecarlo._float_step(np.array([b_lo, b_hi]), np.array([z_lo, z_hi]),
+                                      np.array([u_hi, u_lo]), down_up)
     return np.concatenate([b, z]).T.tolist()
+
+
+BELOW_LARGEST = float.fromhex("0x1.ffffffffffffep+1023")   # the largest b_lo can be
 
 
 def test_float_step_rounds_every_operation_outward():
     # Random states across the float range, among them digits up to
-    # 2^1023.99, upper ends at inf, the cell at 0 and the top cell: the
-    # vectorized step must give the scalar reference's floats bit for bit,
-    # so every rounding is widened.
+    # 2^1023.99 and at the float below the largest, upper ends at inf, the
+    # cell at 0 and the top cell: the vectorized step must give the scalar
+    # reference's floats bit for bit, so every rounding is widened.  From
+    # the greatest b_lo the uncapped denominator of z' stays finite, and
+    # z'_lo > 0.
     rng = random.Random(31)
     rows = []
-    for _ in range(6000):
-        b_lo = float(math.floor(2 ** rng.uniform(0, 1023.99)))
+    for i in range(6120):
+        b_lo = float(math.floor(2 ** rng.uniform(0, 1023.99))) if i < 6000 else BELOW_LARGEST
         b_hi = b_lo + float(rng.choice((0, 0, 1, 2**rng.randint(0, 30))))
         if rng.random() < 0.05:
             b_hi = math.inf
@@ -179,6 +202,8 @@ def test_float_step_rounds_every_operation_outward():
     assert any(row[1] == math.inf for row in rows) and any(row[4] == 0 for row in rows)
     for row, got in zip(rows, _stepped_rows(rows)):
         assert got == list(_outward_reference(*row)), row
+        if row[0] == BELOW_LARGEST:
+            assert got[2] > 0, row
 
 
 def test_outward_step_is_nextafter():
@@ -195,15 +220,16 @@ def test_outward_step_is_nextafter():
     assert moved.tobytes() == np.array([up, down]).tobytes()
 
 
-def test_float_step_past_the_float_range_keeps_true_ends_quietly():
-    # From b = 2^1023, z = 1/2 and U in [1/4, 1/2], X_hi overflows: inf is a
-    # true upper end, and the float below inf a true lower end, with no
-    # overflow warning.
+def test_float_walk_past_the_float_range_keeps_true_ends_quietly():
+    # At depth 760 every b_n is past 2^1024 (log b_n ~ n): inf is a true
+    # upper end and the float below the largest the greatest lower end, and
+    # the walk, which sets numpy's error state itself, warns of no overflow.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ((b_lo, b_hi, z_lo, z_hi),) = _stepped_rows([(2.0**1023, 2.0**1023, 0.5, 0.5, 0.25, 0.5)])
-    assert 2.0**1023 <= b_lo < math.inf and b_hi == math.inf
-    assert 0.5 <= z_lo <= z_hi <= 1
+        *_, (n, b_lo, b_hi, z_lo, z_hi) = montecarlo._float_walk(1, 0, 3, 760, 48640)
+    assert n == 760
+    assert (b_lo == BELOW_LARGEST).all() and (b_hi == math.inf).all()
+    assert ((0 < z_lo) & (z_lo <= z_hi) & (z_hi <= 1)).all()
 
 
 def _exact_states(digits):
@@ -236,13 +262,17 @@ def test_float_enclosures_contain_the_exact_path(seed, first, count, depth, floa
             assert Fraction(z_lo[column]) <= z <= Fraction(z_hi[column]), (n, column)
 
 
-@pytest.mark.parametrize("block", [1, 7, 10**5])
-def test_block_size_does_not_move_a_report(monkeypatch, block):
+@pytest.mark.parametrize("setting, size", [("_BLOCK", 1), ("_BLOCK", 7), ("_BLOCK", 10**5),
+                                           ("_COUNTERS", 1), ("_COUNTERS", 150),
+                                           ("_COUNTERS", 2**16)])
+def test_block_size_does_not_move_a_report(monkeypatch, setting, size):
+    # Trials per walk, or Philox counters per call: 150 counters take two of
+    # the three blocks of 60 trials in one call and the third in another.
     config = SampleConfig(seed=12, trials=60, depth=12, bits=24)
     requests = [TailRequest(tail, Fraction(1, 2), n) for tail in (LOWER, UPPER) for n in (3, 12)]
     reports = (tail_counts(config, requests), estimate_event(config, 5, 4, 40),
                lln_report(config), clt_report(config))
-    monkeypatch.setattr(montecarlo, "_BLOCK", block)
+    monkeypatch.setattr(montecarlo, setting, size)
     montecarlo._final_logs.cache_clear()
     assert (tail_counts(config, requests), estimate_event(config, 5, 4, 40),
             lln_report(config), clt_report(config)) == reports
