@@ -33,7 +33,7 @@ lln_report and clt_report share one cached pass (_final_logs, the last
 config only) and read log b_n from b_lo where b_hi - b_lo <= b_lo 2^-30,
 else from the exact path, as every trial past 2^1024 is: there the floats
 give b_hi = inf, a true upper end, and b_lo the largest float or less; that
-costs about 5 s per trial at depth 760.
+costs about 4 s per trial at depth 760.
 
 An event is a range of one digit, lo <= b_n <= hi (hi None for no upper
 end); tail_counts answers many of them from one pass, and estimate_event
@@ -164,51 +164,64 @@ def _philox(seed: int, c0, c1, c2) -> tuple:
     return x[0], y[0], x[1], y[1]
 
 
-def _outward(a, step, cap: int | None = _INF_BITS):
-    """a moved in place one float along the int64 step, capped at the float
-    whose bits are cap (None: not capped): on positive floats and +inf,
-    int64 order is float order (IEEE 754), so +inf - 1 is the largest float,
-    as nextafter gives; from +0 a step down gives a NaN, not the least
-    negative subnormal."""
+def _step_buffers(count: int) -> tuple:
+    """(b, z, x, steps) for count trials, made once per walk: the state
+    b = 1, z = 0 and X's chain, each a (2, count) array [lo; hi] with its
+    int64 view and its rows (z with its reversed view [hi; lo] too), and
+    the int64 steps [-1; 1] and [1; -1] with the caps of X's chain and of
+    z', the bits of +inf and of 1.0."""
     import numpy as np
 
-    bits = a.view(np.int64)
-    bits += step
-    if cap is not None:
-        np.minimum(bits, cap, out=bits)
-    return a
+    def buffer(fill):
+        a = np.full((2, count), fill)
+        return a, a.view(np.int64), a[0], a[1]
+
+    b, z, x = buffer(1.0), buffer(0.0), buffer(0.0)
+    down_up = np.repeat(np.array([[-1], [1]]), count, axis=1)
+    steps = down_up, down_up[::-1].copy(), np.int64(_INF_BITS), np.int64(_ONE_BITS)
+    return b, (*z, z[0][::-1]), x, steps
 
 
-def _float_step(b, z, u, down_up):
-    """The enclosures of b' and z' from those of b, z and U, each rounded
-    operation widened outward by one float step; b' >= b bounds b'_lo.
-
-    b and z are stacked [lo; hi], U swapped, [u_hi; u_lo], so each row of
-    X = (b + z)/U - z reads the ends it needs; down_up is the int64 step
-    [-1; 1] of b's shape.  Every widened value is positive or +inf, as
-    _outward needs: b >= 1, U in (0, 1], z in (0, 1] after step 1.  X's
-    chain ends with a step down, so b_lo stays at most the float below the
-    largest; b'_lo + z_hi rounds to that float at most and steps up to the
-    largest at most, never to a NaN past +inf, so the denominator of z'
-    needs no cap, and z'_lo > 0.  X may overflow, or divide by U = 0: the
-    caller sets numpy's error state for that.
-    """
+def _float_step(b, z, x, u, steps) -> None:
+    """b' into x's buffer and z' into z's, from the enclosures of b, z and
+    U stacked [lo; hi] in _step_buffers' buffers, U swapped, [u_hi; u_lo],
+    so each row of X = (b + z)/U - z reads the ends it needs; b' >= b bounds
+    b'_lo, and b's buffer then takes the denominator of z'.  Each rounding
+    is widened by one float, an integer step on its int64 bits: on positive
+    floats and +inf, int64 order is float order (IEEE 754), so +inf - 1 is
+    the largest float, as nextafter gives, and a step up from +inf is capped
+    back.  Every widened value is positive or +inf: b >= 1, U in (0, 1], z
+    in (0, 1] after step 1.  X's chain ends with a step down, so b_lo stays
+    at most the float below the largest; b'_lo + z_hi rounds to that float
+    at most and steps up to the largest at most, never to a NaN past +inf,
+    so the denominator of z' needs no cap, and z'_lo > 0.  X may overflow,
+    or divide by U = 0: the caller sets numpy's error state for that."""
     import numpy as np
 
-    x = _outward(b + z, down_up)
-    _outward(np.divide(x, u, out=x), down_up)
-    _outward(np.subtract(x, z, out=x), down_up)
-    b_next = np.floor(x, out=x)
-    np.maximum(b_next[0], b[0], out=b_next[0])
-    z_next = _outward(b_next + z[::-1], down_up[::-1], None)
-    _outward(np.divide(b_next, z_next, out=z_next), down_up, _ONE_BITS)
-    return b_next, z_next
+    (b, b_bits, b_lo, _), (z, z_bits, _, _, z_swapped), (x, x_bits, x_lo, _) = b, z, x
+    down_up, up_down, inf_bits, one_bits = steps
+    np.add(b, z, out=x)
+    x_bits += down_up
+    np.minimum(x_bits, inf_bits, out=x_bits)
+    np.divide(x, u, out=x)
+    x_bits += down_up
+    np.minimum(x_bits, inf_bits, out=x_bits)
+    np.subtract(x, z, out=x)
+    x_bits += down_up
+    np.minimum(x_bits, inf_bits, out=x_bits)
+    np.floor(x, out=x)
+    np.maximum(x_lo, b_lo, out=x_lo)
+    np.add(x, z_swapped, out=b)
+    b_bits += up_down
+    np.divide(x, b, out=z)
+    z_bits += down_up
+    np.minimum(z_bits, one_bits, out=z_bits)
 
 
-def _digit_words(seed: int, index, depth: int):
-    """The word of each digit n = 1, ..., 4 ceil(depth/4) of the trials
-    `index` (a uint64 array), one array per digit: several blocks of every
-    trial come from one Philox call, on at most _COUNTERS counters."""
+def _philox_calls(seed: int, index, depth: int):
+    """(first, taken, words) per Philox call of at most _COUNTERS counters:
+    the blocks first, ..., first + taken - 1 of the trials `index` (uint64),
+    four word arrays, each by block, then by trial, up to digit depth."""
     import numpy as np
 
     count, blocks = len(index), -(-depth // 4)
@@ -216,7 +229,14 @@ def _digit_words(seed: int, index, depth: int):
     for first in range(1, blocks + 1, span):
         taken = min(span, blocks + 1 - first)
         c0 = np.repeat(np.arange(first, first + taken, dtype=np.uint64), count)
-        words = _philox(seed, c0, np.tile(index, taken), np.zeros_like(c0))
+        yield first, taken, _philox(seed, c0, np.tile(index, taken), np.zeros_like(c0))
+
+
+def _digit_words(seed: int, index, depth: int):
+    """The word of each digit n = 1, ..., 4 ceil(depth/4) of the trials
+    `index` (a uint64 array), one array per digit, from _philox_calls."""
+    count = len(index)
+    for _, taken, words in _philox_calls(seed, index, depth):
         for block in range(taken):
             yield from (word[block * count:(block + 1) * count] for word in words)
 
@@ -225,20 +245,29 @@ def _float_walk(seed: int, first: int, count: int, depth: int, bits: int):
     """(n, b_lo, b_hi, z_lo, z_hi) for n = 1..depth: the float enclosures
     of trials first, ..., first + count - 1, one array element per trial.
 
-    numpy's error state is set once for the whole walk, so it holds while
-    the caller reads a digit too; each U is written into one buffer."""
+    The walk steps in buffers made once, so the arrays yielded for digit n
+    hold only until its next step: a caller that keeps them copies them.
+    The U rows [u_hi; u_lo] of a Philox call's digits are made at once, and
+    numpy's error state is set once per walk, for the caller's reads too."""
     import numpy as np
 
     index = np.arange(first, first + count, dtype=np.uint64)
     read = min(bits, _FLOAT_BITS)
     shift, scale = np.uint64(64 - read), 2.0**-read
-    b, z, u = np.ones((2, count)), np.zeros((2, count)), np.empty((2, count))
-    u_rows, down_up = np.array([[1.0], [0.0]]), np.repeat(np.array([[-1], [1]]), count, axis=1)
+    b, z, x, steps = _step_buffers(count)
+    z_lo, z_hi = z[2:4]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # X may be inf
-        for n, word in zip(range(1, depth + 1), _digit_words(seed, index, depth)):
-            np.multiply(np.add(word >> shift, u_rows, out=u), scale, out=u)
-            b, z = _float_step(b, z, u, down_up)
-            yield n, b[0], b[1], z[0], z[1]
+        for block, taken, words in _philox_calls(seed, index, depth):
+            if block == 1:   # the first call is the largest
+                u_all = np.empty((taken, 4, 2, count))   # by block, then word
+            u = u_all[:taken]
+            for j, word in enumerate(words):
+                np.multiply(word.reshape(taken, 1, count) >> shift, scale, out=u[:, j, 1:])
+            np.add(u[:, :, 1:], scale, out=u[:, :, :1])
+            for n, u_n in zip(range(4 * block - 3, depth + 1), u.reshape(-1, 2, count)):
+                _float_step(b, z, x, u_n, steps)
+                b, x = x, b
+                yield n, b[2], b[3], z_lo, z_hi
 
 
 def _coupled_digit(b: int, num: int, den: int, k: int, m: int) -> int | None:
@@ -669,7 +698,7 @@ def ldp_slope(eps: Fraction, n_list: Sequence[int], config: SampleConfig,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LlnReport:
     depth: int
     trials: int
@@ -679,7 +708,7 @@ class LlnReport:
     stdev: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CltReport:
     depth: int
     trials: int
@@ -727,7 +756,8 @@ def lln_report(config: SampleConfig) -> LlnReport:
                      config.trials - len(values), statistics.fmean(values), spread)
 
 
-_QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
+# (level, its standard normal quantile): one set of floats shared by every report
+_QUANTILES = tuple((q, statistics.NormalDist().inv_cdf(q)) for q in (0.05, 0.25, 0.5, 0.75, 0.95))
 
 
 def clt_report(config: SampleConfig) -> CltReport:
@@ -739,9 +769,8 @@ def clt_report(config: SampleConfig) -> CltReport:
     for i, z in enumerate(zs):
         cdf = normal.cdf(z)
         ks = max(ks, abs((i + 1) / count - cdf), abs(cdf - i / count))
-    quantiles = tuple(
-        (q, zs[min(count - 1, int(q * count))], normal.inv_cdf(q))
-        for q in _QUANTILE_LEVELS)
+    quantiles = tuple((q, zs[min(count - 1, int(q * count))], normal_q)
+                      for q, normal_q in _QUANTILES)
     median = zs[count // 2]
     return CltReport(config.depth, config.trials, count, config.trials - count, ks,
                      median, quantiles)

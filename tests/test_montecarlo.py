@@ -125,6 +125,32 @@ def test_digit_words_are_each_blocks_own_philox_words():
         assert word.tobytes() == block[(n - 1) % 4].tobytes(), n
 
 
+@pytest.mark.parametrize("counters", [1, 150, 2**13])
+@pytest.mark.parametrize("bits", [12, 64 * 30])
+def test_walk_reads_each_digits_own_word(monkeypatch, counters, bits):
+    # 60 trials at depth 30, eight blocks: one call per block at 1 counter,
+    # two blocks a call at 150 and all eight in one at 2^13.  Digit n steps
+    # with U = [u_hi; u_lo] = ((word >> (64 - read)) + [1; 0]) 2^-read of
+    # its own word, whichever call made the rows.
+    seed, trials, depth, read = 46368, 60, 30, min(bits, 53)
+    monkeypatch.setattr(montecarlo, "_COUNTERS", counters)
+    stepped, step = [], montecarlo._float_step
+
+    def spy(b, z, x, u, steps):
+        stepped.append(u.copy())
+        step(b, z, x, u, steps)
+
+    monkeypatch.setattr(montecarlo, "_float_step", spy)
+    for _ in montecarlo._float_walk(seed, 0, trials, depth, bits):
+        pass
+    index = np.arange(trials, dtype=np.uint64)
+    words = list(montecarlo._digit_words(seed, index, depth))
+    assert len(stepped) == depth and len(words) == 32
+    for n, (u, word) in enumerate(zip(stepped, words), 1):
+        k = (word >> np.uint64(64 - read)).astype(float)
+        assert u.tobytes() == (np.array([k + 1, k]) * 2.0**-read).tobytes(), n
+
+
 def test_coupling_is_exact():
     # b' = k exactly for (b + z)/(k + 1 + z) < U <= (b + z)/(k + z); the
     # product of these lengths along a word is the word's cylinder measure,
@@ -167,14 +193,15 @@ def _outward_reference(b_lo, b_hi, z_lo, z_hi, u_lo, u_hi):
 
 def _stepped_rows(rows):
     """_float_step on the states (b_lo, b_hi, z_lo, z_hi, u_lo, u_hi), one
-    per row, stacked as it takes them (U as [u_hi; u_lo]), under the error
-    state that the walk sets; one row each out."""
-    b_lo, b_hi, z_lo, z_hi, u_lo, u_hi = (np.array(column) for column in zip(*rows))
-    down_up = np.repeat(np.array([[-1], [1]]), len(rows), axis=1)
+    per row, stacked as it takes them (U as [u_hi; u_lo]) in the buffers
+    that the walk makes, under the error state that the walk sets; one row
+    (b'_lo, b'_hi, z'_lo, z'_hi) each out."""
+    b_lo, b_hi, z_lo, z_hi, u_lo, u_hi = (np.array(column, dtype=float) for column in zip(*rows))
+    b, z, x, steps = montecarlo._step_buffers(len(rows))
+    b[0][:], z[0][:] = (b_lo, b_hi), (z_lo, z_hi)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        b, z = montecarlo._float_step(np.array([b_lo, b_hi]), np.array([z_lo, z_hi]),
-                                      np.array([u_hi, u_lo]), down_up)
-    return np.concatenate([b, z]).T.tolist()
+        montecarlo._float_step(b, z, x, np.array([u_hi, u_lo]), steps)
+    return np.concatenate([x[0], z[0]]).T.tolist()
 
 
 BELOW_LARGEST = float.fromhex("0x1.ffffffffffffep+1023")   # the largest b_lo can be
@@ -206,18 +233,50 @@ def test_float_step_rounds_every_operation_outward():
             assert got[2] > 0, row
 
 
+def test_float_step_encloses_the_coupling_on_wide_states():
+    # Wide z enclosures at small b, and U within two floats of a digit
+    # boundary (b + z)/(K + z): in exact rationals, b''s enclosure holds
+    # floor(X) at every corner of the box, X = (b + z)/U - z being monotone
+    # in each input, and z''s holds b'/(b' + z) at both ends of b' and z.
+    def floats_up(x, k):
+        for _ in range(abs(k)):
+            x = math.nextafter(x, math.copysign(math.inf, k))
+        return x
+
+    rng = random.Random(17)
+    rows = []
+    for _ in range(2000):
+        b = rng.randint(1, 4)
+        z_lo = rng.uniform(0.5, 1.0)
+        z_hi, z = rng.uniform(z_lo, 1.0), rng.uniform(z_lo, 1.0)
+        u_lo = floats_up((b + z) / (rng.randint(b + 1, 40) + z), rng.randint(-2, 1))
+        rows.append((b, b, z_lo, z_hi, u_lo, floats_up(u_lo, rng.randint(1, 2))))
+    for row, (b_lo, b_hi, z_lo, z_hi) in zip(rows, _stepped_rows(rows)):
+        b, _, *z_ends, u_lo, u_hi = map(Fraction, row)
+        for z in z_ends:
+            for u in (u_lo, u_hi):
+                assert b_lo <= math.floor((b + z) / u - z) <= b_hi, row
+        for b_next in (b_lo, b_hi):
+            for z in z_ends:
+                z_next = Fraction(b_next) / (Fraction(b_next) + z)
+                assert Fraction(z_lo) <= z_next <= Fraction(z_hi), row
+
+
 def test_outward_step_is_nextafter():
-    # One integer step on the int64 bits moves a positive float or +inf to
-    # its neighbour, as np.nextafter does, down and up, in both row orders.
+    # One integer step on the int64 bits, capped at +inf's, moves a positive
+    # float or +inf to its neighbour, as np.nextafter does, down and up: the
+    # step buffers' [-1; 1] and [1; -1], in both row orders.
     tiny, smallest_normal, big = 5e-324, 2.0**-1022, 2.0**1023 * (2 - 2.0**-52)
     values = np.array([1.0, tiny, smallest_normal, 2.0**53, big, math.inf])
     with np.errstate(over="ignore"):   # the largest float's next float up is inf
         down, up = np.nextafter(values, -math.inf), np.nextafter(values, math.inf)
-    step = np.array([[-1], [1]])
-    moved = montecarlo._outward(np.array([values, values]), step)
-    assert moved.tobytes() == np.array([down, up]).tobytes()
-    moved = montecarlo._outward(np.array([values, values]), step[::-1])
-    assert moved.tobytes() == np.array([up, down]).tobytes()
+    *_, (down_up, up_down, inf_bits, _) = montecarlo._step_buffers(len(values))
+    for step, expected in ((down_up, [down, up]), (up_down, [up, down])):
+        moved = np.array([values, values])
+        bits = moved.view(np.int64)
+        bits += step
+        np.minimum(bits, inf_bits, out=bits)
+        assert moved.tobytes() == np.array(expected).tobytes()
 
 
 def test_float_walk_past_the_float_range_keeps_true_ends_quietly():
@@ -254,12 +313,25 @@ def test_float_enclosures_contain_the_exact_path(seed, first, count, depth, floa
     # wide: at a few bits the enclosures span many digits, and past 2^53
     # (depth 40 or so) a digit's floor moves with every rounding of X.
     exact_bits = max(float_bits, 64) + extra_bits
-    walk = list(montecarlo._float_walk(seed, first, count, depth, float_bits))
+    walk = [(n, *(row.copy() for row in rows))   # each digit's rows hold until the next step
+            for n, *rows in montecarlo._float_walk(seed, first, count, depth, float_bits)]
     for column in range(count):
         digits = montecarlo._exact_digits(seed, first + column, depth, exact_bits)
         for (n, b_lo, b_hi, z_lo, z_hi), (b, z) in zip(walk, _exact_states(digits)):
             assert b_lo[column] <= b <= b_hi[column], (n, column)
             assert Fraction(z_lo[column]) <= z <= Fraction(z_hi[column]), (n, column)
+
+
+def test_yielded_rows_are_the_last_rows_of_a_shorter_walk():
+    # A digit's rows, copied as they arrive, are those a fresh walk to that
+    # depth ends with: the buffers they view hold until the next step.
+    seed, trials, depth, bits = 271828, 5, 13, 64 * 13
+    arrived = [(n, *(row.copy() for row in rows))
+               for n, *rows in montecarlo._float_walk(seed, 0, trials, depth, bits)]
+    for n, *rows in arrived:
+        *_, (last, *fresh) = montecarlo._float_walk(seed, 0, trials, n, bits)
+        assert last == n
+        assert [row.tobytes() for row in rows] == [row.tobytes() for row in fresh], n
 
 
 @pytest.mark.parametrize("setting, size", [("_BLOCK", 1), ("_BLOCK", 7), ("_BLOCK", 10**5),
