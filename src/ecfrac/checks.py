@@ -354,7 +354,7 @@ def criterion_14():
     return True, "; ".join(details)
 
 
-# The seeded Monte Carlo criteria: 12 takes about 2.7 s, the others under 0.2 s (2-CPU VM).
+# The seeded Monte Carlo criteria: 12 takes about 2.2 s, the others under 0.2 s (2-CPU VM).
 MONTE_CARLO = frozenset({10, 11, 12, 13})
 
 

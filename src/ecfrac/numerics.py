@@ -34,25 +34,26 @@ def default_precision() -> int:
     return DEFAULT_PRECISION_BITS
 
 
-def _outward(value, prec: int, rounding: str) -> tuple:
-    """A number rounded once to a prec-bit mpf tuple: down for
+def _round(value, prec: int, rounding: str, unit: int = 1) -> tuple:
+    """value/unit rounded once to a prec-bit mpf tuple: down for
     libmp.round_floor, up for libmp.round_ceiling.
 
     An int or a Fraction goes in directly; a float or a decimal string is
-    first made the exact Fraction it denotes.
-    """
+    first made the exact Fraction it denotes.  Over a power of two, as for
+    every int, the numerator is shifted; over any other, divided once."""
     if isinstance(value, int):
-        return libmp.from_int(value, prec, rounding)
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
-    return libmp.from_rational(value.numerator, value.denominator, prec, rounding)
+        num, den = value, unit
+    else:
+        value = value if isinstance(value, Fraction) else Fraction(value)
+        num, den = value.numerator, value.denominator * unit
+    if den & (den - 1):
+        return libmp.from_rational(num, den, prec, rounding)
+    return libmp.from_man_exp(num, 1 - den.bit_length(), prec, rounding)
 
 
 def _mpf_tuple_to_fraction(t) -> Fraction:
-    sign, man, exp, _bc = t
-    if not man:
-        if t == libmp.fzero:
-            return Fraction(0)
+    sign, man, exp, bc = t
+    if bc < 0:  # an infinity or nan, whose mantissa is 0
         raise ValueError("interval endpoint is not finite")
     if sign:
         man = -man
@@ -93,10 +94,10 @@ class OutwardInterval:
         most 1 ulp wide; an int of at most prec bits is exact, so it is
         converted once.
         """
-        lo = _outward(value, prec, libmp.round_floor)
+        lo = _round(value, prec, libmp.round_floor)
         if isinstance(value, int) and value.bit_length() <= prec:
             return cls((lo, lo), prec)
-        return cls((lo, _outward(value, prec, libmp.round_ceiling)), prec)
+        return cls((lo, _round(value, prec, libmp.round_ceiling)), prec)
 
     @classmethod
     def from_endpoints(cls, lo, hi, prec: int = DEFAULT_PRECISION_BITS) -> "OutwardInterval":
@@ -105,8 +106,8 @@ class OutwardInterval:
         when lo > hi."""
         if Fraction(lo) > Fraction(hi):
             raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
-        return cls((_outward(lo, prec, libmp.round_floor),
-                    _outward(hi, prec, libmp.round_ceiling)), prec)
+        return cls((_round(lo, prec, libmp.round_floor),
+                    _round(hi, prec, libmp.round_ceiling)), prec)
 
     def with_precision(self, prec: int) -> "OutwardInterval":
         if prec == self._prec:
@@ -209,12 +210,12 @@ class OutwardInterval:
 
     def __pow__(self, exponent):
         # mpi_pow takes an integer exponent and 1/2 directly (mpi_pow_int,
-        # mpi_sqrt), and any other exponent through log and exp.
+        # mpi_sqrt), and any other exponent or interval through log and exp.
         if isinstance(exponent, int):
             if exponent < 0 and self.contains(0):
                 raise ZeroDivisionError("negative power of an interval containing 0")
         elif self.compare_lo(0) <= 0:
-            raise ValueError("non-integer power requires a positive base interval")
+            raise ValueError("a non-integer or interval exponent requires a positive base interval")
         return self._binop(libmp.mpi_pow, exponent)
 
     def _endpointwise(self, other: "OutwardInterval", pick_lo, pick_hi) -> "OutwardInterval":
@@ -303,17 +304,10 @@ def _scaled_ends(intervals) -> tuple[list[tuple[int, int] | None], int]:
 
 def _ratio_interval(lo: RationalLike, hi: RationalLike, unit: int) -> OutwardInterval:
     """from_endpoints(lo/unit, hi/unit) for lo <= hi, rounded from the
-    numerators and denominators with no Fraction made; over a denominator
-    2^k an end is its numerator at exponent -k, with no division."""
+    numerators and denominators with no Fraction made."""
     prec = DEFAULT_PRECISION_BITS
-
-    def end(value: RationalLike, rounding) -> tuple:
-        den = value.denominator * unit
-        if den & (den - 1):
-            return libmp.from_rational(value.numerator, den, prec, rounding)
-        return libmp.from_man_exp(value.numerator, 1 - den.bit_length(), prec, rounding)
-
-    return OutwardInterval((end(lo, libmp.round_floor), end(hi, libmp.round_ceiling)), prec)
+    return OutwardInterval((_round(lo, prec, libmp.round_floor, unit),
+                            _round(hi, prec, libmp.round_ceiling, unit)), prec)
 
 
 def _up_to(v: OutwardInterval, hi: Fraction) -> OutwardInterval:
@@ -321,7 +315,7 @@ def _up_to(v: OutwardInterval, hi: Fraction) -> OutwardInterval:
     mpf; refused when hi rounded up lies below v.lo rounded down."""
     prec = DEFAULT_PRECISION_BITS
     lo = libmp.mpf_pos(v._mpi[0], prec, libmp.round_floor)
-    up = libmp.from_rational(hi.numerator, hi.denominator, prec, libmp.round_ceiling)
+    up = _round(hi, prec, libmp.round_ceiling)
     if libmp.mpf_lt(up, lo):
         raise ValueError(f"interval endpoints out of order: {v.lo} > {hi}")
     return OutwardInterval((lo, up), prec)
@@ -338,10 +332,7 @@ def interval_pow(base, exponent, prec: int = DEFAULT_PRECISION_BITS) -> OutwardI
     exponent: int, Fraction, or OutwardInterval, which is used as it is at
     prec bits or more, so that one enclosed exponent serves many bases.
     """
-    b = _as_interval(base, prec)
-    if b.compare_lo(0) <= 0:
-        raise ValueError("interval_pow requires a positive base")
-    return b._binop(libmp.mpi_pow, _as_interval(exponent, prec))
+    return _as_interval(base, prec) ** _as_interval(exponent, prec)
 
 
 def interval_log(x, prec: int = DEFAULT_PRECISION_BITS) -> OutwardInterval:

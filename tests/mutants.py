@@ -54,6 +54,7 @@ _ENGINE_TESTS = ("tests/test_montecarlo.py",)
 _EXACT_VERDICT = "hits[j] += lo <= digits[n - 1] and (hi is None or digits[n - 1] <= hi)"
 _MEASURE = "src/ecfrac/measure.py"
 _MEASURE_TESTS = ("tests/test_measure.py",)
+_NUMERICS = "src/ecfrac/numerics.py"
 
 MUTANTS = (
     # Equivalent for soundness: the two 1-ulp steps left widen X past its
@@ -93,11 +94,18 @@ MUTANTS = (
            "new_up = [0] * cap", _MEASURE_TESTS),
     Mutant("s-upper-factor-loosened", _MEASURE, "return (lead * power) / (1 - theta)",
            "return (lead * power) / (1 - theta) * (1 + Fraction(1, 2**20))", _MEASURE_TESTS),
-    Mutant("ratio-interval-takes-prec", "src/ecfrac/numerics.py",
+    Mutant("ratio-interval-takes-prec", _NUMERICS,
            "def _ratio_interval(lo: RationalLike, hi: RationalLike, unit: int) -> OutwardInterval:",
            "def _ratio_interval(lo: RationalLike, hi: RationalLike, unit: int,\n"
            "                    prec: int = DEFAULT_PRECISION_BITS) -> OutwardInterval:",
            ("tests/test_exports.py",)),
+    Mutant("round-shift-exponent-off-by-one", _NUMERICS, "1 - den.bit_length()",
+           "-den.bit_length()", ("tests/test_numerics.py",)),
+    Mutant("finite-check-reads-nan-as-zero", _NUMERICS, "if bc < 0:", "if bc < -1:",
+           ("tests/test_numerics.py::test_scaled_ends_are_exact_and_refuse_infinities",)),
+    Mutant("pow-admits-zero-base", _NUMERICS, "elif self.compare_lo(0) <= 0:",
+           "elif self.compare_lo(0) < 0:",
+           ("tests/test_numerics.py::test_domain_checks_match_exact_endpoint_signs",)),
     Mutant("refinement-words-reversed", _ENGINE,
            "acc << 64 | int(word[0]), block, 0)",
            "acc << 64 | int(word[0]), reversed(block), 0)", _ENGINE_TESTS),

@@ -1,9 +1,9 @@
 """The package namespace: every exported name resolves, none is listed twice,
 importing it loads no scipy and sampling no numpy.random, no module reads
-the environment, one function applies the digit map, no float field is
-named like a bound, only the functions that some caller runs at another
-precision take prec, every CLI flag is read, and the CLI defines no
-exception class."""
+the environment, one function applies the digit map, one rounds a rational
+to an mpf end, no float field is named like a bound, only the functions
+that some caller runs at another precision take prec, every CLI flag is
+read, and the CLI defines no exception class."""
 
 import argparse
 import ast
@@ -90,21 +90,39 @@ def test_no_module_reads_the_environment():
     assert readers == []
 
 
-def test_one_digit_walk():
-    # expansion._walk is the one loop that applies the digit map; a divmod
-    # anywhere else would be a second digit walk to keep in step with it.
+def _namers(names: set[str]) -> dict[str, set[tuple[str, str | None]]]:
+    """For each of names that the package names, as a bare name or as an
+    attribute, the (module, innermost enclosing function) pairs that name it."""
     package = Path(ecfrac.__file__).resolve().parent
-    callers = set()
+    namers = {}
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
         functions = [node for node in ast.walk(tree)
                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and node.id == "divmod":
-                enclosing = [f.name for f in functions
-                             if f.lineno <= node.lineno <= f.end_lineno]
-                callers.add((path.stem, enclosing[-1] if enclosing else None))
-    assert callers == {("expansion", "_walk")}
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in names:
+                enclosing = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                innermost = max(enclosing, key=lambda f: f.lineno).name if enclosing else None
+                namers.setdefault(name, set()).add((path.stem, innermost))
+    return namers
+
+
+def test_one_digit_walk():
+    # expansion._walk is the one loop that applies the digit map; a divmod
+    # anywhere else would be a second digit walk to keep in step with it.
+    assert _namers({"divmod"}) == {"divmod": {("expansion", "_walk")}}
+
+
+def test_one_rounding_of_a_rational():
+    # numerics._round is the one place where a rational becomes an mpf end:
+    # a shift over a power of two, else one correctly rounded division.
+    # compare_lo and compare_hi convert an int to compare with, exactly.
+    assert _namers({"from_rational", "from_man_exp", "from_int"}) == {
+        "from_rational": {("numerics", "_round")},
+        "from_man_exp": {("numerics", "_round")},
+        "from_int": {("numerics", "compare_lo"), ("numerics", "compare_hi")},
+    }
 
 
 def test_cli_defines_no_exception_class():
@@ -149,7 +167,7 @@ def test_prec_only_where_a_caller_sets_another():
     # pressure and rate; rate forwards its prec to xi_b and the golden
     # constants, and the tests run rate at 400 bits and the golden constants
     # at 53, 128, 300 and 400.  In numerics only the module-level private
-    # helpers are checked: _outward and _as_interval are handed the varying
+    # helpers are checked: _round and _as_interval are handed the varying
     # precision of their callers, and the others run at DEFAULT_PRECISION_BITS.
     package = Path(ecfrac.__file__).resolve().parent
     takers = set()
@@ -170,7 +188,7 @@ def test_prec_only_where_a_caller_sets_another():
     assert takers == {
         ("deviations", "GoldenConstants.compute"), ("deviations", "pressure"),
         ("deviations", "rate"), ("deviations", "xi_b"),
-        ("numerics", "_as_interval"), ("numerics", "_outward"),
+        ("numerics", "_as_interval"), ("numerics", "_round"),
     }
 
 

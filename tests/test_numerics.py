@@ -210,7 +210,7 @@ def test_extended_real_has_slots_and_stays_frozen():
 
 
 def test_scaled_ends_are_exact_and_refuse_infinities():
-    # Ends 2^800 apart share one exponent; an infinite end, whose mpf
+    # Ends 2^800 apart share one exponent; an infinite or nan end, whose mpf
     # mantissa is 0, must not be read as 0.
     ivs = [OutwardInterval.from_endpoints(Fraction(-3, 2**400), Fraction(5) * 2**400), None,
            OutwardInterval.from_value(0)]
@@ -221,10 +221,10 @@ def test_scaled_ends_are_exact_and_refuse_infinities():
     for end in (libmp.finf, libmp.fninf, libmp.fnan):
         with pytest.raises(ValueError, match="not finite"):
             _scaled_ends([OutwardInterval((libmp.fzero, end), 128)])
-    infinite = OutwardInterval((libmp.finf, libmp.finf), 128)
-    for end in ("lo", "hi"):
-        with pytest.raises(ValueError, match="interval endpoint is not finite"):
-            getattr(infinite, end)
+    for end in (libmp.finf, libmp.fninf, libmp.fnan):
+        for name in ("lo", "hi"):
+            with pytest.raises(ValueError, match="interval endpoint is not finite"):
+                getattr(OutwardInterval((end, end), 128), name)
 
 
 def _signed_bits(max_bits: int):
@@ -232,18 +232,40 @@ def _signed_bits(max_bits: int):
     return st.integers(0, max_bits).flatmap(lambda b: st.integers(-(2**b), 2**b))
 
 
-@given(lo=_signed_bits(14000), width=_signed_bits(14000).map(abs), k=st.integers(0, 14000))
-@example(lo=2**13344 - 1, width=2**13343 + 1, k=13344 - 3)
-@example(lo=-(3**8419), width=2 * 3**8419, k=14000)
-@example(lo=5, width=0, k=0)
+@given(lo=_signed_bits(14000), width=_signed_bits(14000).map(abs), k=st.integers(0, 14000),
+       odd=st.sampled_from([1, 3, 10**9 + 7]), halves=st.booleans())
+@example(lo=2**13344 - 1, width=2**13343 + 1, k=13344 - 3, odd=1, halves=False)
+@example(lo=-(3**8419), width=2 * 3**8419, k=14000, odd=1, halves=False)
+@example(lo=5, width=0, k=0, odd=1, halves=False)
+@example(lo=-(2**400) - 1, width=2**401 + 3, k=0, odd=1, halves=False)
+@example(lo=2**300 + 1, width=0, k=0, odd=1, halves=True)
 @settings(max_examples=200, deadline=None)
-def test_ratio_interval_over_a_power_of_two(lo, width, k):
+def test_rounded_ends_are_one_correctly_rounded_division(lo, width, k, odd, halves):
     # measure's moment sums are integers over 2^k, with numerators of
-    # 13,344 bits at n = 100; each end rounds as from_endpoints rounds the
-    # Fraction.
-    got = _ratio_interval(lo, lo + width, 1 << k)
-    want = OutwardInterval.from_endpoints(Fraction(lo, 1 << k), Fraction(lo + width, 1 << k))
-    assert (got._mpi, got.precision) == (want._mpi, want.precision)
+    # 13,344 bits at n = 100, and the Legendre probes are integers or
+    # Fractions over one unit.  Each end must be what libmp.from_rational's
+    # one correctly rounded division gives, which a shift replaces over a
+    # power of two: through _ratio_interval at 128 bits, and through
+    # from_endpoints and from_value, which take an int as it is, at 53, 128
+    # and 300 bits, each end rounded down and up.
+    floor, ceiling = libmp.round_floor, libmp.round_ceiling
+    unit, hi = odd << k, lo + width
+    ends = (Fraction(lo, 2), Fraction(hi, 2)) if halves else (lo, hi)
+    exact = [Fraction(end) / unit for end in ends]
+
+    def division(x: Fraction, prec: int, rounding) -> tuple:
+        return libmp.from_rational(x.numerator, x.denominator, prec, rounding)
+
+    got = _ratio_interval(*ends, unit)
+    assert (got._mpi, got.precision) == (
+        (division(exact[0], 128, floor), division(exact[1], 128, ceiling)), 128)
+    values = [x.numerator if x.denominator == 1 else x for x in exact]
+    for prec in (53, 128, 300):
+        got = OutwardInterval.from_endpoints(*values, prec)
+        assert got._mpi == (division(exact[0], prec, floor), division(exact[1], prec, ceiling))
+        for x, value in zip(exact, values):
+            got = OutwardInterval.from_value(value, prec)
+            assert got._mpi == (division(x, prec, floor), division(x, prec, ceiling))
 
 
 def test_with_precision_still_encloses():
